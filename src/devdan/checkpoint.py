@@ -14,11 +14,13 @@ import json
 import numpy as np
 
 from .errors import CheckpointError
-from .model import DevdanConfig, DevdanModel
-from .monitors import NodeStats, SpcTracker
+from .model import STATE_SLOTS, DevdanConfig, DevdanModel
+from .monitors import SpcTracker
 from .numerics import RunningMoment
 
 FORMAT_VERSION = 1
+
+_TRACKERS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
 
 
 def _moment_to_dict(m: RunningMoment) -> dict:
@@ -34,38 +36,33 @@ def _tracker_to_dict(t: SpcTracker) -> dict:
     }
 
 
-def _stats_to_dict(s: NodeStats) -> dict:
-    return {
-        "count": s.count.tolist(),
-        "mean": s.mean.tolist(),
-        "m2": s.m2.tolist(),
-    }
+def _nest(doc: dict, key: str, value) -> None:
+    *parents, leaf = key.split(".")
+    for name in parents:
+        doc = doc.setdefault(name, {})
+    doc[leaf] = value
+
+
+def _lookup(doc: dict, key: str):
+    for name in key.split("."):
+        doc = doc[name]
+    return doc
 
 
 def model_to_dict(model: DevdanModel) -> dict:
-    return {
+    doc = {
         "format_version": FORMAT_VERSION,
         "n_in": model.n_in,
         "n_classes": model.n_classes,
         "width": model.width,
         "config": dataclasses.asdict(model.config),
-        "w": model.layer.w.tolist(),
-        "b": model.layer.b.tolist(),
-        "c": model.layer.c.tolist(),
-        "theta": model.head.theta.tolist(),
-        "eta": model.head.eta.tolist(),
-        "vel_theta": model.head.vel_theta.tolist(),
-        "vel_eta": model.head.vel_eta.tolist(),
-        "vel_w": model.vel_w.tolist(),
-        "vel_b": model.vel_b.tolist(),
-        "gen_stats": _stats_to_dict(model.gen_stats),
-        "disc_stats": _stats_to_dict(model.disc_stats),
-        "gen_bias": _tracker_to_dict(model.gen_bias),
-        "gen_var": _tracker_to_dict(model.gen_var),
-        "disc_bias": _tracker_to_dict(model.disc_bias),
-        "disc_var": _tracker_to_dict(model.disc_var),
-        "rng_state": model.rng.bit_generator.state,
     }
+    for slot in STATE_SLOTS:
+        _nest(doc, slot.key, slot.get(model).tolist())
+    for name in _TRACKERS:
+        doc[name] = _tracker_to_dict(getattr(model, name))
+    doc["rng_state"] = model.rng.bit_generator.state
+    return doc
 
 
 def save_checkpoint(model: DevdanModel, path) -> None:
@@ -87,14 +84,6 @@ def _tracker_from_dict(d: dict) -> SpcTracker:
     return t
 
 
-def _stats_from_dict(d: dict) -> NodeStats:
-    s = NodeStats(len(d["count"]))
-    s.count = np.asarray(d["count"], dtype=np.int64)
-    s.mean = np.asarray(d["mean"], dtype=np.float64)
-    s.m2 = np.asarray(d["m2"], dtype=np.float64)
-    return s
-
-
 def load_checkpoint(path) -> DevdanModel:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -108,29 +97,23 @@ def load_checkpoint(path) -> DevdanModel:
             )
         config = DevdanConfig(**doc["config"])
         model = DevdanModel(doc["n_in"], doc["n_classes"], config)
-        model.layer.w = np.asarray(doc["w"], dtype=np.float64).reshape(
-            doc["n_in"], doc["width"]
-        )
-        model.layer.b = np.asarray(doc["b"], dtype=np.float64)
-        model.layer.c = np.asarray(doc["c"], dtype=np.float64)
-        model.head.theta = np.asarray(doc["theta"], dtype=np.float64).reshape(
-            doc["width"], doc["n_classes"]
-        )
-        model.head.eta = np.asarray(doc["eta"], dtype=np.float64)
-        model.head.vel_theta = np.asarray(doc["vel_theta"], dtype=np.float64).reshape(
-            doc["width"], doc["n_classes"]
-        )
-        model.head.vel_eta = np.asarray(doc["vel_eta"], dtype=np.float64)
-        model.vel_w = np.asarray(doc["vel_w"], dtype=np.float64).reshape(
-            doc["n_in"], doc["width"]
-        )
-        model.vel_b = np.asarray(doc["vel_b"], dtype=np.float64)
-        model.gen_stats = _stats_from_dict(doc["gen_stats"])
-        model.disc_stats = _stats_from_dict(doc["disc_stats"])
-        model.gen_bias = _tracker_from_dict(doc["gen_bias"])
-        model.gen_var = _tracker_from_dict(doc["gen_var"])
-        model.disc_bias = _tracker_from_dict(doc["disc_bias"])
-        model.disc_var = _tracker_from_dict(doc["disc_var"])
+        width = doc["width"]
+        if not isinstance(width, int) or width < 1:
+            raise CheckpointError(f"{path}: width {width!r} is not a positive integer")
+        for slot in STATE_SLOTS:
+            # a fresh model has the right dtype and every non-node extent
+            fresh = slot.get(model)
+            shape = list(fresh.shape)
+            if slot.node_axis is not None:
+                shape[slot.node_axis] = width
+            arr = np.asarray(_lookup(doc, slot.key), dtype=fresh.dtype)
+            if arr.shape != tuple(shape):
+                raise CheckpointError(
+                    f"{path}: {slot.key} has shape {arr.shape}, expected {tuple(shape)}"
+                )
+            slot.set(model, arr)
+        for name in _TRACKERS:
+            setattr(model, name, _tracker_from_dict(doc[name]))
         model.rng.bit_generator.state = doc["rng_state"]
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint ({err})") from err
@@ -140,16 +123,10 @@ def load_checkpoint(path) -> DevdanModel:
 def state_hash(model: DevdanModel) -> str:
     """SHA-256 over every mutable piece of model state, RNG included."""
     h = hashlib.sha256()
-    for arr in (
-        model.layer.w, model.layer.b, model.layer.c,
-        model.head.theta, model.head.eta,
-        model.head.vel_theta, model.head.vel_eta,
-        model.vel_w, model.vel_b,
-        model.gen_stats.count, model.gen_stats.mean, model.gen_stats.m2,
-        model.disc_stats.count, model.disc_stats.mean, model.disc_stats.m2,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    for t in (model.gen_bias, model.gen_var, model.disc_bias, model.disc_var):
+    for slot in STATE_SLOTS:
+        h.update(np.ascontiguousarray(slot.get(model)).tobytes())
+    for name in _TRACKERS:
+        t = getattr(model, name)
         h.update(
             repr((t.current.count, t.current.mean, t.current.m2,
                   t.min_mean, t.min_std, t._reseed)).encode()

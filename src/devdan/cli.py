@@ -142,6 +142,9 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = run_suite(dataset, model_cfg, seeds, jobs=int(cfg["jobs"]))
+    ck_dir = Path(cfg["checkpoint_out"]) if cfg["checkpoint_out"] else None
+    if ck_dir is not None:
+        ck_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for row in result["rows"]:
         if row.report is None:
@@ -150,6 +153,10 @@ def cmd_run(args) -> int:
             continue
         csv_path = out_dir / f"{cfg['prefix']}_seed{row.seed}.csv"
         write_batch_csv(row.report, csv_path)
+        if ck_dir is not None:
+            # the suite ran every seed under one config; each file records its own seed
+            row.model.config = _model_config(cfg, row.seed)
+            save_checkpoint(row.model, ck_dir / f"{cfg['prefix']}_seed{row.seed}.ckpt.json")
         print(
             f"seed {row.seed}: rate {row.report.mean_rate:.4f} "
             f"+- {row.report.std_rate:.4f}, final nodes {row.report.final_width}, "
@@ -165,17 +172,6 @@ def cmd_run(args) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"summary: {summary_path}")
-
-    if cfg["checkpoint_out"]:
-        # runs are deterministic per seed, so re-running reproduces the
-        # exact final models without keeping them all in memory above
-        from .prequential import run_single
-
-        ck_dir = Path(cfg["checkpoint_out"])
-        ck_dir.mkdir(parents=True, exist_ok=True)
-        for seed in seeds:
-            _, model = run_single(dataset, _model_config(cfg, seed), seed)
-            save_checkpoint(model, ck_dir / f"{cfg['prefix']}_seed{seed}.ckpt.json")
     return EXIT_RUNTIME if failures else EXIT_OK
 
 

@@ -1,5 +1,6 @@
-"""Tied-weight denoising autoencoder: corruption, forward passes, gradients,
-and structural edits of the hidden layer.
+"""Tied-weight denoising autoencoder: corruption, forward passes and
+gradients of the hidden layer. Structural edits (grow, prune) are made by the
+model, which keeps every per-node array in step.
 
 The decoder weight is never stored; it is always the transpose of the encoder
 weight, and the encoder gradient therefore accumulates both the encoding-path
@@ -144,34 +145,3 @@ def sgd_step_generative(layer: DaeLayer, dw, db, dc, lr: float) -> None:
     layer.w -= lr * dw
     layer.b -= lr * db
     layer.c -= lr * dc
-
-
-def grow_node_generative(layer: DaeLayer, e: np.ndarray, rng: np.random.Generator) -> None:
-    """Append one hidden node whose weight column cancels the current residual.
-
-    The new column is -e (e = x - z for the triggering sample) and the new
-    encoder bias is drawn uniformly on [-1, 1]; c is untouched.
-    """
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (layer.n_in,):
-        raise ShapeError(f"residual length {e.shape} does not match n={layer.n_in}")
-    layer.w = np.concatenate([layer.w, -e[:, None]], axis=1)
-    layer.b = np.concatenate([layer.b, rng.uniform(-1.0, 1.0, size=1)])
-
-
-def grow_node_xavier(layer: DaeLayer, rng: np.random.Generator) -> None:
-    """Append one hidden node with Xavier-drawn weight column and bias."""
-    n, width = layer.n_in, layer.width
-    col = xavier(rng, n, width + 1, size=(n, 1))
-    layer.w = np.concatenate([layer.w, col], axis=1)
-    layer.b = np.concatenate([layer.b, xavier(rng, n, width + 1, size=1)])
-
-
-def prune_node(layer: DaeLayer, index: int) -> None:
-    """Remove hidden node `index`, preserving the order of the survivors."""
-    if layer.width <= 1:
-        raise StructureError("cannot prune: the layer must keep at least one node")
-    if not 0 <= index < layer.width:
-        raise StructureError(f"node index {index} out of range [0, {layer.width})")
-    layer.w = np.delete(layer.w, index, axis=1)
-    layer.b = np.delete(layer.b, index)

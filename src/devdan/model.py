@@ -6,21 +6,22 @@ from its reconstruction bias/variance; the discriminative phase trains
 encoder plus head on labeled samples with momentum SGD and evolves the same
 hidden layer from prediction bias/variance. The two phases keep separate node
 statistics (corrupted vs clean pre-activations) and separate control
-trackers, all attached to one shared layer.
+trackers, all attached to one shared layer; both evolve it through one
+routine that differs only in how a new node is initialised.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dae
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
     NodeStats,
+    NsSnapshot,
     SpcTracker,
-    hidden_significance,
     ns_snapshot_discriminative,
     ns_snapshot_generative,
     should_grow,
@@ -80,15 +81,52 @@ class SoftmaxHead:
     def width(self) -> int:
         return self.theta.shape[0]
 
-    def add_node(self, rng: np.random.Generator) -> None:
-        """Append a Xavier-drawn row for a new hidden node; zero its velocity."""
-        row = xavier(rng, self.width + 1, self.n_classes, size=(1, self.n_classes))
-        self.theta = np.concatenate([self.theta, row], axis=0)
-        self.vel_theta = np.concatenate([self.vel_theta, np.zeros((1, self.n_classes))], axis=0)
 
-    def remove_node(self, index: int) -> None:
-        self.theta = np.delete(self.theta, index, axis=0)
-        self.vel_theta = np.delete(self.vel_theta, index, axis=0)
+class StateSlot(NamedTuple):
+    """One model-state array.
+
+    key       : checkpoint key; a dot nests it ("gen_stats.count")
+    owner     : model attribute that holds the array, None for the model itself
+    attr      : attribute name on the owner
+    node_axis : axis that runs over hidden nodes, None if the array's shape
+                does not depend on the width
+    """
+
+    key: str
+    owner: str | None
+    attr: str
+    node_axis: int | None
+
+    def get(self, model) -> np.ndarray:
+        return getattr(self._holder(model), self.attr)
+
+    def set(self, model, value: np.ndarray) -> None:
+        setattr(self._holder(model), self.attr, value)
+
+    def _holder(self, model):
+        return model if self.owner is None else getattr(model, self.owner)
+
+
+# Every array of model state, in checkpoint and state-hash order. Grow, prune,
+# checkpoints and the hash all walk this table, so per-node state declared
+# here stays in step everywhere.
+STATE_SLOTS = (
+    StateSlot("w", "layer", "w", 1),
+    StateSlot("b", "layer", "b", 0),
+    StateSlot("c", "layer", "c", None),
+    StateSlot("theta", "head", "theta", 0),
+    StateSlot("eta", "head", "eta", None),
+    StateSlot("vel_theta", "head", "vel_theta", 0),
+    StateSlot("vel_eta", "head", "vel_eta", None),
+    StateSlot("vel_w", None, "vel_w", 1),
+    StateSlot("vel_b", None, "vel_b", 0),
+    StateSlot("gen_stats.count", "gen_stats", "count", 0),
+    StateSlot("gen_stats.mean", "gen_stats", "mean", 0),
+    StateSlot("gen_stats.m2", "gen_stats", "m2", 0),
+    StateSlot("disc_stats.count", "disc_stats", "count", 0),
+    StateSlot("disc_stats.mean", "disc_stats", "mean", 0),
+    StateSlot("disc_stats.m2", "disc_stats", "m2", 0),
+)
 
 
 class StepReport(NamedTuple):
@@ -155,11 +193,15 @@ class DevdanModel:
 
     # ------------------------------------------------------------------ predict
 
-    def predict(self, x: np.ndarray):
-        """Class probabilities and predicted class for one sample."""
+    def _as_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_in,):
             raise ShapeError(f"input shape {x.shape} does not match n={self.n_in}")
+        return x
+
+    def predict(self, x: np.ndarray):
+        """Class probabilities and predicted class for one sample."""
+        x = self._as_input(x)
         h = sigmoid(x @ self.layer.w + self.layer.b)
         probs = softmax_row(h @ self.head.theta + self.head.eta)
         return probs, int(np.argmax(probs))
@@ -176,35 +218,71 @@ class DevdanModel:
     # ----------------------------------------------------------- structural ops
 
     def _grow_generative(self, residual: np.ndarray) -> None:
-        dae.grow_node_generative(self.layer, residual, self.rng)
-        self.head.add_node(self.rng)
-        self._extend_slots()
+        """New node whose encoder column is the negated residual, bias U[-1, 1]."""
+        self._grow(-residual[:, None], self.rng.uniform(-1.0, 1.0, size=1))
 
     def _grow_discriminative(self) -> None:
-        dae.grow_node_xavier(self.layer, self.rng)
-        self.head.add_node(self.rng)
-        self._extend_slots()
+        """New node with Xavier-drawn encoder column and bias."""
+        n, fan_out = self.n_in, self.width + 1
+        self._grow(xavier(self.rng, n, fan_out, size=(n, 1)), xavier(self.rng, n, fan_out, size=1))
 
-    def _extend_slots(self) -> None:
-        self.gen_stats.add_node()
-        self.disc_stats.add_node()
-        self.vel_w = np.concatenate([self.vel_w, np.zeros((self.n_in, 1))], axis=1)
-        self.vel_b = np.concatenate([self.vel_b, [0.0]])
+    def _grow(self, column: np.ndarray, bias: np.ndarray) -> None:
+        """Append one hidden node: the phase's encoder column and bias, a
+        Xavier-drawn head row, and zeros in every other per-node array."""
+        row = xavier(self.rng, self.width + 1, self.n_classes, size=(1, self.n_classes))
+        new = {"w": column, "b": bias, "theta": row}
+        for slot in STATE_SLOTS:
+            if slot.node_axis is None:
+                continue
+            arr = slot.get(self)
+            part = new.get(slot.key)
+            if part is None:
+                shape = list(arr.shape)
+                shape[slot.node_axis] = 1
+                part = np.zeros(shape, dtype=arr.dtype)
+            slot.set(self, np.concatenate([arr, part], axis=slot.node_axis))
 
     def _prune(self, index: int) -> None:
-        dae.prune_node(self.layer, index)
-        self.head.remove_node(index)
-        self.gen_stats.remove_node(index)
-        self.disc_stats.remove_node(index)
-        self.vel_w = np.delete(self.vel_w, index, axis=1)
-        self.vel_b = np.delete(self.vel_b, index)
+        """Remove hidden node `index`, preserving the order of the survivors."""
+        if self.width <= 1:
+            raise StructureError("cannot prune: the layer must keep at least one node")
+        if not 0 <= index < self.width:
+            raise StructureError(f"node index {index} out of range [0, {self.width})")
+        for slot in STATE_SLOTS:
+            if slot.node_axis is not None:
+                slot.set(self, np.delete(slot.get(self), index, axis=slot.node_axis))
+
+    def _evolve(
+        self,
+        stats: NodeStats,
+        bias_chart: SpcTracker,
+        var_chart: SpcTracker,
+        snap: NsSnapshot,
+        grow: Callable[[], None],
+    ) -> tuple[bool, bool]:
+        """One phase's structural step: the bias chart may grow a node with the
+        phase's initialiser, then the variance chart may prune the node with
+        the lowest expected activation. A chart that fires re-seeds its minima.
+        Returns (grew, pruned)."""
+        cfg = self.config
+        bias_chart.update(snap.bias2)
+        grew = cfg.enable_grow and should_grow(bias_chart, snap.bias2)
+        if grew:
+            grow()
+            bias_chart.reset_min(cfg.reset_mode)
+
+        var_chart.update(snap.variance)
+        pruned = cfg.enable_prune and should_prune(var_chart, snap.variance, grew, self.width)
+        if pruned:
+            self._prune(weakest_node(stats.expected_activations()))
+            var_chart.reset_min(cfg.reset_mode)
+        return grew, pruned
 
     # -------------------------------------------------------------- train steps
 
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
-        cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
+        x = self._as_input(x)
         x_tilde = dae.mask_input(x, self.mask)
         a = x_tilde @ self.layer.w + self.layer.b
         y = sigmoid(a)
@@ -213,20 +291,10 @@ class DevdanModel:
 
         self.gen_stats.update(a)
         snap = ns_snapshot_generative(self.layer, self.gen_stats, x)
-
-        self.gen_bias.update(snap.bias2)
-        grew = cfg.enable_grow and should_grow(self.gen_bias, snap.bias2)
-        if grew:
-            self._grow_generative(residual)
-            self.gen_bias.reset_min(cfg.reset_mode)
-
-        self.gen_var.update(snap.variance)
-        pruned = cfg.enable_prune and should_prune(
-            self.gen_var, snap.variance, grew, self.width
+        grew, pruned = self._evolve(
+            self.gen_stats, self.gen_bias, self.gen_var, snap,
+            lambda: self._grow_generative(residual),
         )
-        if pruned:
-            self._prune(weakest_node(hidden_significance(self.gen_stats)))
-            self.gen_var.reset_min(cfg.reset_mode)
 
         if grew or pruned:
             y = sigmoid(x_tilde @ self.layer.w + self.layer.b)
@@ -234,14 +302,14 @@ class DevdanModel:
         loss, dw, db, dc = dae.generative_gradients(self.layer, x, x_tilde, y=y, z=z)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite generative loss {loss!r}")
-        dae.sgd_step_generative(self.layer, dw, db, dc, cfg.lr_generative)
+        dae.sgd_step_generative(self.layer, dw, db, dc, self.config.lr_generative)
         return StepReport(grew, pruned, loss, self.width)
 
     def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
         """One supervised update: predict, evolve from prediction bias/variance,
         then momentum-descend encoder and head through the cross-entropy loss."""
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
+        x = self._as_input(x)
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
         onehot = np.zeros(self.n_classes)
@@ -255,20 +323,9 @@ class DevdanModel:
         snap = ns_snapshot_discriminative(
             self.head.theta, self.head.eta, self.disc_stats, onehot
         )
-
-        self.disc_bias.update(snap.bias2)
-        grew = cfg.enable_grow and should_grow(self.disc_bias, snap.bias2)
-        if grew:
-            self._grow_discriminative()
-            self.disc_bias.reset_min(cfg.reset_mode)
-
-        self.disc_var.update(snap.variance)
-        pruned = cfg.enable_prune and should_prune(
-            self.disc_var, snap.variance, grew, self.width
+        grew, pruned = self._evolve(
+            self.disc_stats, self.disc_bias, self.disc_var, snap, self._grow_discriminative
         )
-        if pruned:
-            self._prune(weakest_node(hidden_significance(self.disc_stats)))
-            self.disc_var.reset_min(cfg.reset_mode)
 
         if grew or pruned:
             h = sigmoid(x @ self.layer.w + self.layer.b)

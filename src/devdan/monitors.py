@@ -68,17 +68,8 @@ class NodeStats:
         return np.sqrt(out, out=out)
 
     def expected_activations(self) -> np.ndarray:
+        """Per-node significance: expected activation over the data seen so far."""
         return expected_activation(self.mean, self.stds())
-
-    def add_node(self) -> None:
-        self.count = np.concatenate([self.count, [0]])
-        self.mean = np.concatenate([self.mean, [0.0]])
-        self.m2 = np.concatenate([self.m2, [0.0]])
-
-    def remove_node(self, index: int) -> None:
-        self.count = np.delete(self.count, index)
-        self.mean = np.delete(self.mean, index)
-        self.m2 = np.delete(self.m2, index)
 
 
 class SpcTracker:
@@ -118,14 +109,10 @@ class SpcTracker:
             self.current = RunningMoment()
 
 
-def kappa(bias2: float) -> float:
-    """Confidence factor for the growing test; 2.0 at zero bias, ~0.7 at high bias."""
-    return 1.3 * math.exp(-bias2) + 0.7
-
-
-def chi(variance: float) -> float:
-    """Confidence factor for the pruning test; same law as kappa."""
-    return 1.3 * math.exp(-variance) + 0.7
+def kappa(level: float) -> float:
+    """Confidence factor of the growing and the pruning test, one law for both;
+    2.0 at level zero, ~0.7 at high bias or variance."""
+    return 1.3 * math.exp(-level) + 0.7
 
 
 def should_grow(tracker: SpcTracker, bias2_now: float) -> bool:
@@ -138,7 +125,7 @@ def should_grow(tracker: SpcTracker, bias2_now: float) -> bool:
 
 
 def should_prune(tracker: SpcTracker, variance_now: float, grew_this_step: bool, width: int) -> bool:
-    """Pruning test: variance stream crossed twice the chi-scaled minimum level.
+    """Pruning test: variance stream crossed twice the kappa-scaled minimum level.
 
     Refuses to fire on the same step as a grow (a fresh node transiently
     inflates variance) and never below two nodes. The caller resets the
@@ -146,13 +133,8 @@ def should_prune(tracker: SpcTracker, variance_now: float, grew_this_step: bool,
     if grew_this_step or width <= 1:
         return False
     cur = tracker.current
-    limit = tracker.min_mean + 2.0 * chi(max(variance_now, 0.0)) * tracker.min_std
+    limit = tracker.min_mean + 2.0 * kappa(max(variance_now, 0.0)) * tracker.min_std
     return cur.mean + cur.std >= limit
-
-
-def hidden_significance(stats: NodeStats) -> np.ndarray:
-    """Per-node importance: expected activation over the data seen so far."""
-    return stats.expected_activations()
 
 
 def weakest_node(hs) -> int:

@@ -10,21 +10,6 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
-
-Mat = np.ndarray  # 2-d float64 array, row-major
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Checked matrix product. Raises ShapeError on incompatible operands."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
 
 def sigmoid(x):
     """Logistic function, stable for large |x| (saturates instead of overflowing)."""
@@ -65,18 +50,8 @@ class RunningMoment:
             return 0.0
         return math.sqrt(self.m2 / self.count)
 
-    def copy(self) -> "RunningMoment":
-        return RunningMoment(self.count, self.mean, self.m2)
-
     def __repr__(self):
         return f"RunningMoment(count={self.count}, mean={self.mean}, m2={self.m2})"
-
-
-def welford_update(s: RunningMoment, x: float) -> RunningMoment:
-    """Functional form of RunningMoment.update: returns the advanced moment."""
-    out = s.copy()
-    out.update(x)
-    return out
 
 
 def xavier_bound(fan_in: int, fan_out: int) -> float:

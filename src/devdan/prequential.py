@@ -197,9 +197,12 @@ def run_single(
 
 @dataclass
 class SuiteRow:
+    """One suite run: its report and final model, or the traceback it failed with."""
+
     config_name: str
     seed: int
     report: PrequentialReport | None
+    model: DevdanModel | None
     error: str | None = None
 
 
@@ -252,10 +255,10 @@ def run_suite(
 
 def _suite_worker(dataset, config, name, seed, clock=time.perf_counter):
     try:
-        report, _ = run_single(dataset, config, seed, clock=clock)
-        return SuiteRow(name, seed, report)
+        report, model = run_single(dataset, config, seed, clock=clock)
+        return SuiteRow(name, seed, report, model)
     except Exception:
-        return SuiteRow(name, seed, None, error=traceback.format_exc())
+        return SuiteRow(name, seed, None, None, error=traceback.format_exc())
 
 
 def write_summary_json(path, dataset: DatasetSpec, configs, seeds, result) -> None:

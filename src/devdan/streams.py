@@ -128,7 +128,8 @@ def load_csv(path, label_column: int = -1, bounds=None):
     as an (mins, maxs) pair or taken from a first pass over the file);
     zero-range columns scale to 0. Labels map to dense ids 0..m-1 in order of
     first appearance. An optional header row is skipped if it fails to parse
-    as numbers. Returns (features, labels, label_names, (mins, maxs))."""
+    as numbers. Non-finite feature cells (nan, inf) are rejected. Returns
+    (features, labels, label_names, (mins, maxs))."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
@@ -159,6 +160,10 @@ def load_csv(path, label_column: int = -1, bounds=None):
             except ValueError:
                 raise CsvFormatError(f"{path}:{line_no}: non-numeric cell {cell!r}") from None
             k += 1
+    finite = np.isfinite(feats)
+    if not finite.all():
+        r, k = np.argwhere(~finite)[0]
+        raise CsvFormatError(f"{path}:{rows[r][0]}: non-finite cell {float(feats[r, k])!r}")
     name_to_id: dict[str, int] = {}
     labels = np.empty(len(raw_labels), dtype=np.int64)
     for r, name in enumerate(raw_labels):

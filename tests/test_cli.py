@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from devdan.checkpoint import save_checkpoint
+from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.prequential import parameter_count
+from devdan.prequential import parameter_count, run_single
+from devdan.streams import DatasetSpec
 
 
 def run_cli(*argv):
@@ -93,6 +94,20 @@ class TestRun:
         )
         assert code == EXIT_OK
         assert (tmp_path / "ck" / "run_seed0.ckpt.json").exists()
+
+    def test_checkpoints_are_the_suite_final_models(self, tmp_path):
+        code = run_cli(
+            "run", "--dataset", "sea", "--samples", "2000", "--batch", "1000",
+            "--seeds", "2", "--seed-base", "5", "--jobs", "2", "--out", str(tmp_path),
+            "--checkpoint-out", str(tmp_path / "ck"),
+        )
+        assert code == EXIT_OK
+        dataset = DatasetSpec(source="sea", total_samples=2000, batch_size=1000)
+        for seed in (5, 6):
+            saved = load_checkpoint(tmp_path / "ck" / f"run_seed{seed}.ckpt.json")
+            _, model = run_single(dataset, DevdanConfig(seed=seed), seed)
+            assert saved.config.seed == seed
+            assert state_hash(saved) == state_hash(model)
 
 
 class TestGen:

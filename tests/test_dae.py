@@ -10,14 +10,12 @@ from devdan.dae import (
     decode,
     encode,
     generative_gradients,
-    grow_node_generative,
-    grow_node_xavier,
     mask_input,
-    prune_node,
     reconstruction_loss,
     sgd_step_generative,
 )
 from devdan.errors import NumericError, ShapeError, StructureError
+from devdan.model import DevdanConfig, DevdanModel
 from devdan.numerics import sigmoid
 
 
@@ -207,62 +205,78 @@ class TestSgdStep:
             sgd_step_generative(layer, bad, np.zeros(1), np.zeros(2), 0.01)
 
 
+def model_over(layer, seed=0):
+    """A model whose hidden layer is `layer`, every other per-node array
+    widened to match."""
+    model = DevdanModel(layer.n_in, 2, DevdanConfig(seed=seed))
+    for _ in range(layer.width - 1):
+        model._grow_discriminative()
+    model.layer = layer
+    return model
+
+
 class TestStructuralEdits:
+    """Grow and prune of the hidden layer, made through the model, which
+    edits every per-node array with it."""
+
     def test_grow_appends_negated_residual(self):
-        layer = DaeLayer(np.ones((3, 1)), np.zeros(1), np.zeros(3))
+        model = model_over(DaeLayer(np.ones((3, 1)), np.zeros(1), np.zeros(3)), seed=11)
         e = np.array([0.2, -0.4, 0.6])
-        grow_node_generative(layer, e, np.random.default_rng(11))
-        assert layer.width == 2
-        np.testing.assert_array_equal(layer.w[:, 1], -e)
-        assert -1.0 <= layer.b[1] <= 1.0
+        model._grow_generative(e)
+        assert model.layer.width == 2
+        np.testing.assert_array_equal(model.layer.w[:, 1], -e)
+        assert -1.0 <= model.layer.b[1] <= 1.0
 
     def test_grow_zero_residual_zero_column(self):
-        layer = DaeLayer(np.ones((3, 1)), np.zeros(1), np.zeros(3))
-        grow_node_generative(layer, np.zeros(3), np.random.default_rng(12))
-        np.testing.assert_array_equal(layer.w[:, 1], np.zeros(3))
+        model = model_over(DaeLayer(np.ones((3, 1)), np.zeros(1), np.zeros(3)), seed=12)
+        model._grow_generative(np.zeros(3))
+        np.testing.assert_array_equal(model.layer.w[:, 1], np.zeros(3))
 
     def test_grow_preserves_old_columns_bitwise(self):
         rng = np.random.default_rng(13)
-        layer = random_layer(4, 2, rng)
+        model = model_over(random_layer(4, 2, rng), seed=13)
+        layer = model.layer
         w0, b0, c0 = layer.w.copy(), layer.b.copy(), layer.c.copy()
-        grow_node_generative(layer, rng.uniform(size=4), rng)
-        np.testing.assert_array_equal(layer.w[:, :2], w0)
-        np.testing.assert_array_equal(layer.b[:2], b0)
-        np.testing.assert_array_equal(layer.c, c0)
+        model._grow_generative(rng.uniform(size=4))
+        np.testing.assert_array_equal(model.layer.w[:, :2], w0)
+        np.testing.assert_array_equal(model.layer.b[:2], b0)
+        np.testing.assert_array_equal(model.layer.c, c0)
 
     def test_grow_xavier_shapes(self):
-        layer = DaeLayer(np.ones((3, 2)), np.zeros(2), np.zeros(3))
-        grow_node_xavier(layer, np.random.default_rng(14))
-        assert layer.width == 3 and layer.b.shape == (3,)
+        model = model_over(DaeLayer(np.ones((3, 2)), np.zeros(2), np.zeros(3)), seed=14)
+        model._grow_discriminative()
+        assert model.layer.width == 3 and model.layer.b.shape == (3,)
 
     def test_prune_shifts_survivors(self):
         w = np.arange(12.0).reshape(4, 3)
-        layer = DaeLayer(w.copy(), np.array([0.0, 1.0, 2.0]), np.zeros(4))
-        prune_node(layer, 0)
-        np.testing.assert_array_equal(layer.w, w[:, 1:])
-        np.testing.assert_array_equal(layer.b, [1.0, 2.0])
+        model = model_over(DaeLayer(w.copy(), np.array([0.0, 1.0, 2.0]), np.zeros(4)))
+        theta = model.head.theta.copy()
+        model._prune(0)
+        np.testing.assert_array_equal(model.layer.w, w[:, 1:])
+        np.testing.assert_array_equal(model.layer.b, [1.0, 2.0])
+        np.testing.assert_array_equal(model.head.theta, theta[1:])
 
     def test_prune_last_node_rejected(self):
-        layer = DaeLayer(np.ones((2, 1)), np.zeros(1), np.zeros(2))
+        model = model_over(DaeLayer(np.ones((2, 1)), np.zeros(1), np.zeros(2)))
         with pytest.raises(StructureError):
-            prune_node(layer, 0)
+            model._prune(0)
 
     def test_prune_keeps_surviving_activations(self):
         rng = np.random.default_rng(15)
-        layer = random_layer(5, 4, rng)
+        model = model_over(random_layer(5, 4, rng), seed=15)
         x = rng.uniform(size=5)
-        before = encode(layer, x)
-        prune_node(layer, 2)
-        after = encode(layer, x)
+        before = encode(model.layer, x)
+        model._prune(2)
+        after = encode(model.layer, x)
         # BLAS may pick a different kernel for the narrower matvec; columns
         # are independent but the last bit can differ
         np.testing.assert_allclose(after, np.delete(before, 2), rtol=1e-15)
 
     def test_grow_then_prune_restores_encode(self):
         rng = np.random.default_rng(16)
-        layer = random_layer(4, 3, rng)
+        model = model_over(random_layer(4, 3, rng), seed=16)
         x = rng.uniform(size=4)
-        before = encode(layer, x)
-        grow_node_generative(layer, rng.uniform(size=4), rng)
-        prune_node(layer, 3)
-        np.testing.assert_array_equal(encode(layer, x), before)
+        before = encode(model.layer, x)
+        model._grow_generative(rng.uniform(size=4))
+        model._prune(3)
+        np.testing.assert_array_equal(encode(model.layer, x), before)

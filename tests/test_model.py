@@ -3,13 +3,17 @@ central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
-from devdan.errors import CheckpointError, ConfigError, ShapeError
-from devdan.model import DevdanConfig, DevdanModel
+from devdan.errors import CheckpointError, ConfigError, ShapeError, StructureError
+from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_sea
 
@@ -346,6 +350,14 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             model.discriminative_step(np.zeros(3), 2)
 
+    def test_generative_step_wrong_length(self):
+        with pytest.raises(ShapeError):
+            DevdanModel(3, 2).generative_step(np.zeros(4))
+
+    def test_discriminative_step_wrong_length(self):
+        with pytest.raises(ShapeError):
+            DevdanModel(3, 2).discriminative_step(np.zeros(4), 0)
+
 
 class TestCheckpoint:
     def trained_model(self, seed=47):
@@ -399,6 +411,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_array_shape_mismatch_rejected(self, tmp_path):
+        model = DevdanModel(3, 2, DevdanConfig(seed=59))
+        widen(model, 2)
+        path = tmp_path / "s.ckpt.json"
+        save_checkpoint(model, path)
+        good = path.read_text()
+        corruptions = {  # width 3, but 4 biases, 1 bias velocity, 2 node counts
+            "b": lambda doc: doc.update(b=[0.0] * 4),
+            "vel_b": lambda doc: doc.update(vel_b=[0.0]),
+            "gen_stats.count": lambda doc: doc["gen_stats"].update(count=[0, 0]),
+        }
+        for key, corrupt in corruptions.items():
+            doc = json.loads(good)
+            corrupt(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=f"{key} has shape"):
+                load_checkpoint(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         model = self.trained_model()
         path = tmp_path / "v.ckpt.json"
@@ -408,3 +438,50 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(PROPERTY_OPS),
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+            st.integers(0, 1),
+            st.integers(0, 6),
+        ),
+        max_size=40,
+    ),
+)
+def test_random_step_sequences_keep_state_in_step(seed, ops):
+    """Any mix of steps and forced edits leaves every per-node array of the
+    state table at the model's width, and a checkpoint keeps the hash."""
+    model = DevdanModel(3, 2, DevdanConfig(seed=seed))
+    for kind, x, label, index in ops:
+        x = np.array(x)
+        if kind == "generative":
+            model.generative_step(x)
+        elif kind == "discriminative":
+            model.discriminative_step(x, label)
+        elif kind == "grow_generative":
+            model._grow_generative(x - 0.5)
+        elif kind == "grow_discriminative":
+            model._grow_discriminative()
+        elif model.width >= 2 and index < model.width:
+            model._prune(index)
+        else:
+            with pytest.raises(StructureError):
+                model._prune(index)
+        widths = {
+            slot.get(model).shape[slot.node_axis]
+            for slot in STATE_SLOTS
+            if slot.node_axis is not None
+        }
+        assert widths == {model.width} and model.width >= 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt.json"
+        save_checkpoint(model, path)
+        assert state_hash(load_checkpoint(path)) == state_hash(model)

@@ -8,12 +8,11 @@ import pytest
 
 from devdan.dae import DaeLayer, MaskSpec, mask_input
 from devdan.errors import MonitorOrderError, StructureError
+from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import (
     NodeStats,
     SpcTracker,
-    chi,
     expected_activation,
-    hidden_significance,
     kappa,
     ns_snapshot_discriminative,
     ns_snapshot_generative,
@@ -63,27 +62,31 @@ class TestNodeStats:
         np.testing.assert_allclose(stats.mean, [2.0, 5.0])
         np.testing.assert_allclose(stats.stds(), [1.0, 0.0])
 
+    # node statistics are grown and pruned by the model, with every other
+    # per-node array
+
     def test_grown_node_starts_empty_and_reads_half(self):
-        stats = NodeStats(1)
-        stats.update(np.array([2.0]))
-        stats.add_node()
-        assert stats.count.tolist() == [1, 0]
-        ey = stats.expected_activations()
-        assert ey[1] == 0.5
+        model = DevdanModel(3, 2, DevdanConfig(seed=0))
+        model.gen_stats.update(np.array([2.0]))
+        model._grow_discriminative()
+        assert model.gen_stats.count.tolist() == [1, 0]
+        assert model.disc_stats.count.tolist() == [0, 0]
+        assert model.gen_stats.expected_activations()[1] == 0.5
 
     def test_remove_keeps_order(self):
-        stats = NodeStats(3)
-        stats.update(np.array([1.0, 2.0, 3.0]))
-        stats.remove_node(1)
-        np.testing.assert_allclose(stats.mean, [1.0, 3.0])
+        model = DevdanModel(3, 2, DevdanConfig(seed=0))
+        model._grow_discriminative()
+        model._grow_discriminative()
+        model.gen_stats.update(np.array([1.0, 2.0, 3.0]))
+        model._prune(1)
+        np.testing.assert_allclose(model.gen_stats.mean, [1.0, 3.0])
+        assert model.gen_stats.count.tolist() == [1, 1]
 
 
 class TestKappaChi:
     def test_extremes(self):
         assert kappa(0.0) == 2.0
         assert kappa(50.0) == pytest.approx(0.7, abs=1e-12)
-        assert chi(0.0) == 2.0
-        assert chi(50.0) == pytest.approx(0.7, abs=1e-12)
 
     def test_unit_crossing(self):
         # 1.3 exp(-x) = 0.3 at x = ln(13/3)
@@ -91,7 +94,7 @@ class TestKappaChi:
 
     def test_monotone_decreasing(self):
         grid = np.linspace(0, 5, 50)
-        vals = [chi(v) for v in grid]
+        vals = [kappa(v) for v in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -146,12 +149,12 @@ class TestShouldPrune:
 
     def test_direct_inequality(self):
         t = tracker_with(100, 0.4, 0.1, 0.1, 0.05)
-        # chi ~ 0.7 at huge variance: 0.5 >= 0.1 + 2 * 0.7 * 0.05 = 0.17
+        # kappa ~ 0.7 at huge variance: 0.5 >= 0.1 + 2 * 0.7 * 0.05 = 0.17
         assert should_prune(t, 50.0, False, 3)
 
     def test_negative_variance_clamped_in_factor(self):
         t = tracker_with(100, 0.4, 0.1, 0.1, 0.05)
-        # chi(0) = 2 gives the loosest limit; a negative input must not tighten it
+        # kappa(0) = 2 gives the loosest limit; a negative input must not tighten it
         assert should_prune(t, -0.3, False, 3) == should_prune(t, 0.0, False, 3)
 
 
@@ -198,12 +201,12 @@ class TestHiddenSignificance:
     def test_zero_mean_node(self):
         stats = NodeStats(1)
         stats.update(np.array([0.0]))
-        assert hidden_significance(stats)[0] == 0.5
+        assert stats.expected_activations()[0] == 0.5
 
     def test_saturated_dead_node(self):
         stats = NodeStats(1)
         stats.update(np.array([-10.0]))
-        assert hidden_significance(stats)[0] == pytest.approx(4.5398e-05, rel=1e-3)
+        assert stats.expected_activations()[0] == pytest.approx(4.5398e-05, rel=1e-3)
 
     def test_monte_carlo_grid(self):
         for i, mu in enumerate((-2.0, 0.0, 2.0)):

@@ -148,6 +148,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=":2"):
             load_csv(path)
 
+    def test_non_finite_cell_reports_line(self, tmp_path):
+        for cell in ("nan", "inf", "-Infinity"):
+            path = tmp_path / "f.csv"
+            path.write_text(f"f1,f2,label\n1.0,2.0,a\n3.0,{cell},b\n")
+            with pytest.raises(CsvFormatError, match=r"f\.csv:3: non-finite"):
+                load_csv(path)
+
     def test_label_column_selectable(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")
