@@ -163,14 +163,7 @@ def cmd_run(args) -> int:
             f"wrote {csv_path}"
         )
     summary_path = out_dir / f"{cfg['prefix']}_summary.json"
-    write_summary_json(summary_path, dataset, model_cfg, seeds, result)
-    # echo the full effective config for provenance
-    with open(summary_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["effective_config"] = cfg
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_summary_json(summary_path, dataset, model_cfg, seeds, result, effective_config=cfg)
     print(f"summary: {summary_path}")
     return EXIT_RUNTIME if failures else EXIT_OK
 

@@ -8,6 +8,7 @@ and decoding-path contributions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,20 +129,27 @@ def generative_gradients(
         y = encode(layer, x_tilde)
     if z is None:
         z = decode(layer, y)
-    du = (z - x) * z * (1.0 - z)          # d loss / d decoder pre-activation
-    dc = du
-    dw_dec = np.outer(du, y)              # (n, width) via the decoding path
-    da = (du @ layer.w) * y * (1.0 - y)   # back through the tied transpose
-    db = da
-    dw = dw_dec + np.outer(x_tilde, da)   # + encoding path
-    return reconstruction_loss(x, z), dw, db, dc
+    du = z - x                            # d loss / d decoder pre-activation:
+    du *= z                               # (z - x) * z * (1 - z)
+    du *= 1.0 - z
+    da = du @ layer.w                     # back through the tied transpose:
+    da *= y                               # (du @ w) * y * (1 - y)
+    da *= 1.0 - y
+    dw = du[:, None] * y                  # outer(du, y), the decoding path
+    dw += x_tilde[:, None] * da           # + outer(x_tilde, da), the encoding path
+    return reconstruction_loss(x, z), dw, da, du
 
 
 def sgd_step_generative(layer: DaeLayer, dw, db, dc, lr: float) -> None:
-    """Plain gradient step on (w, b, c); rejects non-finite gradients."""
-    for name, g in (("w", dw), ("b", db), ("c", dc)):
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter block '{name}'")
+    """Plain gradient step on (w, b, c); rejects non-finite gradients and
+    then leaves the layer untouched."""
+    # a sum is finite only if every term is; when it is not (a non-finite
+    # entry or an overflowing sum), the per-block check decides
+    if not math.isfinite(float(np.add.reduce(dw, None)) + float(np.add.reduce(db))
+                         + float(np.add.reduce(dc))):
+        for name, g in (("w", dw), ("b", db), ("c", dc)):
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter block '{name}'")
     layer.w -= lr * dw
     layer.b -= lr * db
     layer.c -= lr * dc

@@ -11,6 +11,7 @@ routine that differs only in how a new node is initialised.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -178,6 +179,9 @@ class DevdanModel:
         # discriminative-phase momentum slots for the shared encoder
         self.vel_w = np.zeros_like(self.layer.w)
         self.vel_b = np.zeros_like(self.layer.b)
+        # row k is the 0-1 target of label k; shared by every step, so read-only
+        self._onehot = np.eye(n_classes)
+        self._onehot.flags.writeable = False
 
     @property
     def n_in(self) -> int:
@@ -254,7 +258,6 @@ class DevdanModel:
 
     def _evolve(
         self,
-        stats: NodeStats,
         bias_chart: SpcTracker,
         var_chart: SpcTracker,
         snap: NsSnapshot,
@@ -274,7 +277,9 @@ class DevdanModel:
         var_chart.update(snap.variance)
         pruned = cfg.enable_prune and should_prune(var_chart, snap.variance, grew, self.width)
         if pruned:
-            self._prune(weakest_node(stats.expected_activations()))
+            # a prune never follows a grow in the same step, so the node
+            # statistics behind snap.ey are unchanged since the snapshot
+            self._prune(weakest_node(snap.ey))
             var_chart.reset_min(cfg.reset_mode)
         return grew, pruned
 
@@ -284,25 +289,28 @@ class DevdanModel:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
         x = self._as_input(x)
         x_tilde = dae.mask_input(x, self.mask)
-        a = x_tilde @ self.layer.w + self.layer.b
+        layer = self.layer
+        a = x_tilde @ layer.w
+        a += layer.b
         y = sigmoid(a)
-        z = sigmoid(y @ self.layer.w.T + self.layer.c)
-        residual = x - z
+        z = y @ layer.w.T
+        z += layer.c
+        z = sigmoid(z)
 
         self.gen_stats.update(a)
-        snap = ns_snapshot_generative(self.layer, self.gen_stats, x)
+        snap = ns_snapshot_generative(layer, self.gen_stats, x)
+        # the residual x - z is the pre-edit one: z is replaced only below
         grew, pruned = self._evolve(
-            self.gen_stats, self.gen_bias, self.gen_var, snap,
-            lambda: self._grow_generative(residual),
+            self.gen_bias, self.gen_var, snap, lambda: self._grow_generative(x - z)
         )
 
         if grew or pruned:
-            y = sigmoid(x_tilde @ self.layer.w + self.layer.b)
+            y = sigmoid(x_tilde @ layer.w + layer.b)
             z = None  # force decode against the edited layer
-        loss, dw, db, dc = dae.generative_gradients(self.layer, x, x_tilde, y=y, z=z)
-        if not np.isfinite(loss):
+        loss, dw, db, dc = dae.generative_gradients(layer, x, x_tilde, y=y, z=z)
+        if not math.isfinite(loss):
             raise NumericError(f"non-finite generative loss {loss!r}")
-        dae.sgd_step_generative(self.layer, dw, db, dc, self.config.lr_generative)
+        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative)
         return StepReport(grew, pruned, loss, self.width)
 
     def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
@@ -312,48 +320,47 @@ class DevdanModel:
         x = self._as_input(x)
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
-        onehot = np.zeros(self.n_classes)
-        onehot[label] = 1.0
+        onehot = self._onehot[label]
+        layer, head = self.layer, self.head
 
-        a = x @ self.layer.w + self.layer.b
+        a = x @ layer.w
+        a += layer.b
         h = sigmoid(a)
-        probs = softmax_row(h @ self.head.theta + self.head.eta)
+        logits = h @ head.theta
+        logits += head.eta
+        probs = softmax_row(logits)
 
         self.disc_stats.update(a)
-        snap = ns_snapshot_discriminative(
-            self.head.theta, self.head.eta, self.disc_stats, onehot
-        )
+        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot)
         grew, pruned = self._evolve(
-            self.disc_stats, self.disc_bias, self.disc_var, snap, self._grow_discriminative
+            self.disc_bias, self.disc_var, snap, self._grow_discriminative
         )
 
         if grew or pruned:
-            h = sigmoid(x @ self.layer.w + self.layer.b)
-            probs = softmax_row(h @ self.head.theta + self.head.eta)
+            h = sigmoid(x @ layer.w + layer.b)
+            probs = softmax_row(h @ head.theta + head.eta)
 
         loss = -float(np.log(max(probs[label], 1e-300)))
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericError(f"non-finite discriminative loss {loss!r}")
 
-        # fused softmax cross-entropy residual
+        # fused softmax cross-entropy residual, back through the head and the
+        # encoder: da = (theta @ dlogits) * h * (1 - h)
         dlogits = probs - onehot
-        dtheta = np.outer(h, dlogits)
-        deta = dlogits
-        dh = self.head.theta @ dlogits
-        da = dh * h * (1.0 - h)
-        dw = np.outer(x, da)
-        db = da
+        da = head.theta @ dlogits
+        da *= h
+        da *= 1.0 - h
 
+        # momentum v = mom * v + grad in place, with outer(u, g) = u[:, None] * g
         mom, lr = cfg.momentum, cfg.lr_discriminative
-        head = self.head
-        head.vel_theta = mom * head.vel_theta + dtheta
-        head.vel_eta = mom * head.vel_eta + deta
-        self.vel_w = mom * self.vel_w + dw
-        self.vel_b = mom * self.vel_b + db
+        for vel, grad in ((head.vel_theta, h[:, None] * dlogits), (head.vel_eta, dlogits),
+                          (self.vel_w, x[:, None] * da), (self.vel_b, da)):
+            vel *= mom
+            vel += grad
         head.theta -= lr * head.vel_theta
         head.eta -= lr * head.vel_eta
-        self.layer.w -= lr * self.vel_w
-        self.layer.b -= lr * self.vel_b
+        layer.w -= lr * self.vel_w
+        layer.b -= lr * self.vel_b
         return StepReport(grew, pruned, loss, self.width)
 
     # -------------------------------------------------------------- batch level

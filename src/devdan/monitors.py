@@ -12,7 +12,7 @@ prunes (high variance) a hidden node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +25,8 @@ _PROBIT_SCALE = math.pi / 8.0
 def expected_activation(mu, sigma):
     """E[sigmoid(A)] for A ~ N(mu, sigma^2), via the probit approximation.
 
-    Exact when sigma = 0. Accepts scalars or arrays.
+    Exact when sigma = 0. Accepts float scalars or float64 arrays.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
     out = sigmoid(mu / np.sqrt(1.0 + _PROBIT_SCALE * sigma * sigma))
     return float(out) if out.ndim == 0 else out
 
@@ -56,16 +54,22 @@ class NodeStats:
         """Fold one pre-activation vector (length = width) into the moments."""
         if a.shape != self.mean.shape:
             raise ShapeError(f"stats width {self.width} does not match input {a.shape}")
+        mean = self.mean
         self.count += 1
-        delta = a - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (a - self.mean)
+        delta = a - mean
+        step = delta / self.count
+        mean += step
+        np.subtract(a, mean, step)
+        step *= delta
+        self.m2 += step
 
     def stds(self) -> np.ndarray:
-        out = np.zeros_like(self.mean)
-        seen = self.count > 1
-        np.divide(self.m2, self.count, out=out, where=seen)
-        return np.sqrt(out, out=out)
+        """Population std per node, 0 before a node's second update.
+
+        m2 stays exactly 0 through a node's first update (its mean moves
+        onto the first value), so dividing by max(count, 1) gives that 0.
+        """
+        return np.sqrt(self.m2 / np.maximum(self.count, 1))
 
     def expected_activations(self) -> np.ndarray:
         """Per-node significance: expected activation over the data seen so far."""
@@ -90,14 +94,17 @@ class SpcTracker:
         self._reseed = True
 
     def update(self, x: float) -> None:
-        self.current.update(x)
+        cur = self.current
+        cur.update(x)
+        mean, std = cur.mean, cur.std
         if self._reseed:
-            self.min_mean = self.current.mean
-            self.min_std = self.current.std
+            self.min_mean, self.min_std = mean, std
             self._reseed = False
         else:
-            self.min_mean = min(self.min_mean, self.current.mean)
-            self.min_std = min(self.min_std, self.current.std)
+            if mean < self.min_mean:
+                self.min_mean = mean
+            if std < self.min_std:
+                self.min_std = std
 
     def reset_min(self, mode: str = "standard") -> None:
         """Arm a re-seed of the minima; 'reset_all' additionally zeroes the
@@ -145,8 +152,7 @@ def weakest_node(hs) -> int:
     return int(np.argmin(hs))
 
 
-@dataclass(frozen=True)
-class NsSnapshot:
+class NsSnapshot(NamedTuple):
     """One evaluation of the bias/variance estimate.
 
     ey  : expected hidden activations (length = width)
@@ -165,10 +171,36 @@ class NsSnapshot:
 
 
 def _require_updated(stats: NodeStats) -> None:
-    if int(stats.count.sum()) == 0:
+    # every update raises all counts and a grown node is appended with count
+    # 0, so node 0 always holds the largest count
+    if stats.count[0] == 0:
         raise MonitorOrderError(
             "node statistics were never updated; update them before taking a snapshot"
         )
+
+
+def _snapshot(ey, weight, bias, squash, target) -> NsSnapshot:
+    """Expected outputs squash(ey @ weight + bias) and squash((ey*ey) @ weight
+    + bias), then the mean squared bias against target and the mean variance.
+
+    The two pre-activations are squashed as the rows of one array (squash
+    acts row by row); the two products stay separate matrix-vector products,
+    which round differently from one matrix product. The means are np.mean's
+    own arithmetic: one add.reduce, then a divide.
+    """
+    n = bias.shape[0]
+    pre = np.empty((2, n))
+    pre[0] = ey @ weight
+    pre[1] = (ey * ey) @ weight
+    pre += bias
+    ez, ez2 = squash(pre)
+    d = target - ez
+    d *= d
+    bias2 = float(np.add.reduce(d)) / n
+    np.multiply(ez, ez, d)
+    np.subtract(ez2, d, d)
+    variance = float(np.add.reduce(d)) / n
+    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance)
 
 
 def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray) -> NsSnapshot:
@@ -178,27 +210,17 @@ def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray) -> NsSnapshot
     ez2 = sigmoid((ey * ey) @ w.T + c)
     bias2 = mean_j (x_j - ez_j)^2, variance = mean_j (ez2_j - ez_j^2).
     """
-    _require_updated(stats)
     if stats.width != layer.width:
         raise ShapeError(f"stats width {stats.width} does not match layer {layer.width}")
-    ey = stats.expected_activations()
-    ez = sigmoid(ey @ layer.w.T + layer.c)
-    ez2 = sigmoid((ey * ey) @ layer.w.T + layer.c)
-    bias2 = float(np.mean((x - ez) ** 2))
-    variance = float(np.mean(ez2 - ez * ez))
-    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance)
+    _require_updated(stats)
+    return _snapshot(stats.expected_activations(), layer.w.T, layer.c, sigmoid, x)
 
 
 def ns_snapshot_discriminative(
     theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray
 ) -> NsSnapshot:
     """Bias/variance of the class-probability output against a 0-1 target."""
-    _require_updated(stats)
     if stats.width != theta.shape[0]:
         raise ShapeError(f"stats width {stats.width} does not match head {theta.shape}")
-    ey = stats.expected_activations()
-    ec = softmax_row(ey @ theta + eta)
-    ec2 = softmax_row((ey * ey) @ theta + eta)
-    bias2 = float(np.mean((onehot - ec) ** 2))
-    variance = float(np.mean(ec2 - ec * ec))
-    return NsSnapshot(ey, ec, ec2, bias2, variance, bias2 + variance)
+    _require_updated(stats)
+    return _snapshot(stats.expected_activations(), theta, eta, softmax_row, onehot)

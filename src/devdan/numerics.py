@@ -12,16 +12,29 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Logistic function, stable for large |x| (saturates instead of overflowing)."""
-    return np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
+    """Logistic function, stable for large |x| (saturates instead of overflowing).
+
+    exp(-logaddexp(0, -x)), evaluated in one buffer for array input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        return np.exp(-np.logaddexp(0.0, -x))
+    out = np.negative(x)
+    np.logaddexp(0.0, out, out)
+    np.negative(out, out)
+    return np.exp(out, out)
 
 
 def softmax_row(logits):
-    """Probability vector from a row of logits, computed with max-subtraction."""
+    """Probability vector from a row of logits, computed with max-subtraction.
+
+    A 2-D input is a batch: each row is normalised on its own.
+    """
     v = np.asarray(logits, dtype=np.float64)
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = v - np.maximum.reduce(v, -1, keepdims=True)
+    np.exp(e, e)
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e
 
 
 class RunningMoment:

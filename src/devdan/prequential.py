@@ -261,8 +261,11 @@ def _suite_worker(dataset, config, name, seed, clock=time.perf_counter):
         return SuiteRow(name, seed, None, None, error=traceback.format_exc())
 
 
-def write_summary_json(path, dataset: DatasetSpec, configs, seeds, result) -> None:
-    """Summary document with the effective configuration echoed for provenance."""
+def write_summary_json(
+    path, dataset: DatasetSpec, configs, seeds, result, effective_config: dict | None = None
+) -> None:
+    """Summary document with the model configurations echoed for provenance;
+    the run's full effective configuration, when given, is the last key."""
     import dataclasses as _dc
 
     if isinstance(configs, DevdanConfig):
@@ -282,6 +285,8 @@ def write_summary_json(path, dataset: DatasetSpec, configs, seeds, result) -> No
             for r in result["rows"]
         ],
     }
+    if effective_config is not None:
+        doc["effective_config"] = effective_config
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, default=_jsonable)
         fh.write("\n")

@@ -28,6 +28,16 @@ class TestRun:
         assert doc["summary"]["default"]["runs"] == 2
         assert doc["effective_config"]["dataset"] == "sea"
 
+    def test_summary_key_order(self, tmp_path):
+        code = run_cli(
+            "run", "--dataset", "sea", "--samples", "1000", "--batch", "500",
+            "--seeds", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "run_summary.json").read_text())
+        assert list(doc) == ["dataset", "configs", "seeds", "summary", "runs", "effective_config"]
+        assert doc["effective_config"]["samples"] == 1000
+
     def test_no_generative_flag(self, tmp_path):
         code = run_cli(
             "run", "--dataset", "sea", "--samples", "2000", "--batch", "1000",

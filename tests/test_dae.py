@@ -203,6 +203,29 @@ class TestSgdStep:
         bad = np.array([[np.nan], [0.0]])
         with pytest.raises(NumericError, match="'w'"):
             sgd_step_generative(layer, bad, np.zeros(1), np.zeros(2), 0.01)
+        assert not (layer.w.any() or layer.b.any() or layer.c.any())
+
+    @pytest.mark.parametrize("block, dw, db, dc", [
+        ("b", [[0.5], [1.0]], [np.inf], [0.1, 0.2]),
+        ("c", [[0.5], [1.0]], [0.3], [0.1, np.nan]),
+        # inf + (-inf) makes the combined sum NaN; the first bad block is named
+        ("w", [[np.inf], [1.0]], [0.3], [-np.inf, 0.2]),
+    ])
+    def test_nonfinite_block_named_and_layer_untouched(self, block, dw, db, dc):
+        rng = np.random.default_rng(14)
+        layer = random_layer(2, 1, rng)
+        before = (layer.w.copy(), layer.b.copy(), layer.c.copy())
+        with pytest.raises(NumericError, match=f"'{block}'"):
+            sgd_step_generative(layer, np.array(dw), np.array(db), np.array(dc), 0.01)
+        for now, then in zip((layer.w, layer.b, layer.c), before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_finite_gradients_with_overflowing_sum_accepted(self):
+        layer = DaeLayer(np.zeros((2, 1)), np.zeros(1), np.zeros(2))
+        dw = np.array([[1e308], [1e308]])
+        with np.errstate(over="ignore"):
+            sgd_step_generative(layer, dw, np.zeros(1), np.zeros(2), 1e-300)
+        assert np.all(layer.w < 0.0)
 
 
 def model_over(layer, seed=0):

@@ -1,6 +1,7 @@
 """Whole-model checks: forward oracle, discriminative gradient oracle via
 central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
+import copy
 import json
 import math
 import tempfile
@@ -485,3 +486,24 @@ def test_random_step_sequences_keep_state_in_step(seed, ops):
         path = Path(tmp) / "m.ckpt.json"
         save_checkpoint(model, path)
         assert state_hash(load_checkpoint(path)) == state_hash(model)
+
+
+def test_copies_train_without_touching_the_original(tmp_path):
+    """Steps update momentum slots and node statistics in place: a deep copy
+    and a checkpoint copy must each own their arrays."""
+    rng = np.random.default_rng(71)
+    model = DevdanModel(3, 2, DevdanConfig(seed=71))
+    feats, labels = gen_sea(400, rng=rng)
+    for x, label in zip(feats[:200], labels[:200]):
+        model.generative_step(x)
+        model.discriminative_step(x, int(label))
+    before = state_hash(model)
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(model, path)
+    twins = (copy.deepcopy(model), load_checkpoint(path))
+    for twin in twins:
+        for x, label in zip(feats[200:], labels[200:]):
+            twin.generative_step(x)
+            twin.discriminative_step(x, int(label))
+    assert state_hash(model) == before
+    assert state_hash(twins[0]) == state_hash(twins[1]) != before

@@ -373,3 +373,60 @@ class TestNsSnapshotDiscriminative:
             stats.update(rng.normal(size=2))
             snap = ns_snapshot_discriminative(theta, eta, stats, np.array([1.0, 0, 0]))
             assert snap.variance >= 0.0
+
+
+def stats_as_training_leaves_them(rng, width, steps=25):
+    """Node statistics of a layer grown during training: a node appended at a
+    later step has seen fewer updates, down to one or none."""
+    stats = NodeStats(1)
+    born = np.sort(rng.integers(0, steps + 1, size=width - 1))
+    for t in range(steps + 1):
+        while stats.width < width and born[stats.width - 1] == t:
+            for name in ("count", "mean", "m2"):
+                arr = getattr(stats, name)
+                setattr(stats, name, np.append(arr, np.zeros(1, dtype=arr.dtype)))
+        if t < steps:
+            stats.update(rng.normal(loc=0.5, scale=2.0, size=stats.width))
+    return stats
+
+
+def reference_snapshot(stats, weight, bias, squash, target):
+    """The snapshot as plainly written: masked std, probit expectation, and
+    np.mean over the output dimensions."""
+    sd = np.zeros_like(stats.mean)
+    np.divide(stats.m2, stats.count, out=sd, where=stats.count > 1)
+    sd = np.sqrt(sd)
+    ey = np.exp(-np.logaddexp(0.0, -(stats.mean / np.sqrt(1.0 + math.pi / 8.0 * sd * sd))))
+    ez = squash(ey @ weight + bias)
+    ez2 = squash((ey * ey) @ weight + bias)
+    return ey, ez, ez2, float(np.mean((target - ez) ** 2)), float(np.mean(ez2 - ez * ez))
+
+
+def plain_sigmoid(v):
+    return np.exp(-np.logaddexp(0.0, -v))
+
+
+def plain_softmax(v):
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 20])
+def test_snapshots_bit_identical_to_plain_formulas(n):
+    # n >= 8 takes numpy's pairwise summation inside the means
+    rng = np.random.default_rng(100 + n)
+    for width in range(1, 41):
+        stats = stats_as_training_leaves_them(rng, width)
+        layer = DaeLayer(rng.normal(size=(n, width)), rng.normal(size=width), rng.normal(size=n))
+        x = rng.uniform(size=n)
+        snap = ns_snapshot_generative(layer, stats, x)
+        ref = reference_snapshot(stats, layer.w.T, layer.c, plain_sigmoid, x)
+        theta, eta = rng.normal(size=(width, n)), rng.normal(size=n)
+        onehot = np.eye(n)[rng.integers(n)]
+        dsnap = ns_snapshot_discriminative(theta, eta, stats, onehot)
+        dref = reference_snapshot(stats, theta, eta, plain_softmax, onehot)
+        for got, want in ((snap, ref), (dsnap, dref)):
+            for field, value in zip(("ey", "ez", "ez2"), want[:3]):
+                assert np.array_equal(getattr(got, field), value), (width, field)
+            assert (got.bias2, got.variance) == want[3:], width
+            assert got.ns == got.bias2 + got.variance
