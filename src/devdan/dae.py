@@ -117,39 +117,52 @@ def generative_gradients(
     x_tilde: np.ndarray,
     y: np.ndarray | None = None,
     z: np.ndarray | None = None,
+    out: tuple | None = None,
 ):
     """Loss and gradients of the reconstruction objective w.r.t. (w, b, c).
 
     Because the decoder weight is tied to the encoder weight, dw sums the
     encoder-path and decoder-path terms. Pass precomputed y, z to skip the
-    forward pass (they must come from this exact layer and x_tilde).
+    forward pass (they must come from this exact layer and x_tilde). out is
+    an optional (dw, db, dc) triple of arrays to write the gradients into;
+    without it they are fresh arrays.
     Returns (loss, dw, db, dc).
     """
     if y is None:
         y = encode(layer, x_tilde)
     if z is None:
         z = decode(layer, y)
-    du = z - x                            # d loss / d decoder pre-activation:
+    dw, da, du = (None, None, None) if out is None else out  # None: numpy allocates
+    du = np.subtract(z, x, du)            # d loss / d decoder pre-activation:
     du *= z                               # (z - x) * z * (1 - z)
     du *= 1.0 - z
-    da = du @ layer.w                     # back through the tied transpose:
+    da = np.matmul(du, layer.w, da)       # back through the tied transpose:
     da *= y                               # (du @ w) * y * (1 - y)
     da *= 1.0 - y
-    dw = du[:, None] * y                  # outer(du, y), the decoding path
+    dw = np.multiply(du[:, None], y, dw)  # outer(du, y), the decoding path
     dw += x_tilde[:, None] * da           # + outer(x_tilde, da), the encoding path
     return reconstruction_loss(x, z), dw, da, du
 
 
-def sgd_step_generative(layer: DaeLayer, dw, db, dc, lr: float) -> None:
+def sgd_step_generative(
+    layer: DaeLayer, dw, db, dc, lr: float, joint: tuple | None = None
+) -> None:
     """Plain gradient step on (w, b, c); rejects non-finite gradients and
-    then leaves the layer untouched."""
+    then leaves the layer untouched.
+
+    joint is an optional (params, grads) pair of vectors laid out [c | w | b]
+    of which the layer's arrays and dc, dw, db are views; the check and the
+    step then run once over each vector instead of once per block.
+    """
+    pairs = ((layer.w, dw), (layer.b, db), (layer.c, dc)) if joint is None else (joint,)
     # a sum is finite only if every term is; when it is not (a non-finite
     # entry or an overflowing sum), the per-block check decides
-    if not math.isfinite(float(np.add.reduce(dw, None)) + float(np.add.reduce(db))
-                         + float(np.add.reduce(dc))):
+    total = 0.0
+    for _, g in pairs:
+        total += float(np.add.reduce(g, None))
+    if not math.isfinite(total):
         for name, g in (("w", dw), ("b", db), ("c", dc)):
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter block '{name}'")
-    layer.w -= lr * dw
-    layer.b -= lr * db
-    layer.c -= lr * dc
+    for p, g in pairs:
+        p -= lr * g

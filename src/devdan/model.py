@@ -130,6 +130,59 @@ STATE_SLOTS = (
 )
 
 
+class FlatState:
+    """The vectors that the parameter and momentum arrays are views of, so
+    that a phase updates all of its parameters in one call per operation.
+
+    params : [c | w | b | theta | eta]
+    vel    : [vel_w | vel_b | vel_theta | vel_eta], in line with params[n:]
+    grads  : gradient buffer in the params layout, whose blocks are handed
+             out as gen_grads (dw, db, dc) and disc_grads (dw, db, dtheta, deta)
+    gen_joint, disc_joint : (params, grads) over [c | w | b] and over
+             [w | b | theta | eta], the span each phase updates
+
+    Derived state: built from the live arrays, which are then rebound as its
+    views, and never checkpointed or hashed.
+    """
+
+    __slots__ = ("params", "vel", "gen_grads", "disc_grads", "gen_joint", "disc_joint")
+
+    def __init__(self, model: "DevdanModel"):
+        layer, head = model.layer, model.head
+        live = (layer.c, layer.w, layer.b, head.theta, head.eta)
+        self.params = p = np.concatenate([arr.ravel() for arr in live])
+        layer.c, layer.w, layer.b, head.theta, head.eta = _views(p, live)
+        vels = (model.vel_w, model.vel_b, head.vel_theta, head.vel_eta)
+        self.vel = np.concatenate([arr.ravel() for arr in vels])
+        model.vel_w, model.vel_b, head.vel_theta, head.vel_eta = _views(self.vel, vels)
+        g = np.empty_like(p)
+        dc, dw, db, dtheta, deta = _views(g, live)
+        self.gen_grads = (dw, db, dc)
+        self.disc_grads = (dw, db, dtheta, deta)
+        gen_end = dc.size + dw.size + db.size
+        self.gen_joint = (p[:gen_end], g[:gen_end])
+        self.disc_joint = (p[dc.size:], g[dc.size:])
+
+    def is_behind(self, model: "DevdanModel") -> bool:
+        """True when any live parameter or momentum array is not a view of
+        these vectors: after a grow or prune, a checkpoint load, a copy or
+        pickle (which copy views as arrays of their own), or an assignment."""
+        layer, head, p, v = model.layer, model.head, self.params, self.vel
+        return not (layer.c.base is p and layer.w.base is p and layer.b.base is p
+                    and head.theta.base is p and head.eta.base is p
+                    and model.vel_w.base is v and model.vel_b.base is v
+                    and head.vel_theta.base is v and head.vel_eta.base is v)
+
+
+def _views(vec: np.ndarray, like) -> list:
+    """Consecutive views of vec, shaped like the arrays in `like`."""
+    views, start = [], 0
+    for arr in like:
+        views.append(vec[start:start + arr.size].reshape(arr.shape))
+        start += arr.size
+    return views
+
+
 class StepReport(NamedTuple):
     grew: bool
     pruned: bool
@@ -182,6 +235,7 @@ class DevdanModel:
         # row k is the 0-1 target of label k; shared by every step, so read-only
         self._onehot = np.eye(n_classes)
         self._onehot.flags.writeable = False
+        self._flat_state = None
 
     @property
     def n_in(self) -> int:
@@ -285,32 +339,40 @@ class DevdanModel:
 
     # -------------------------------------------------------------- train steps
 
+    def _flat(self) -> FlatState:
+        """The flat vectors of the live arrays, rebuilt when they fell behind."""
+        f = self._flat_state
+        if f is None or f.is_behind(self):
+            f = self._flat_state = FlatState(self)
+        return f
+
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
         x = self._as_input(x)
+        flat = self._flat()
         x_tilde = dae.mask_input(x, self.mask)
         layer = self.layer
         a = x_tilde @ layer.w
         a += layer.b
-        y = sigmoid(a)
-        z = y @ layer.w.T
-        z += layer.c
-        z = sigmoid(z)
 
         self.gen_stats.update(a)
-        snap = ns_snapshot_generative(layer, self.gen_stats, x)
+        snap = ns_snapshot_generative(layer, self.gen_stats, x, a)
+        y, z = snap.hidden, snap.output
         # the residual x - z is the pre-edit one: z is replaced only below
         grew, pruned = self._evolve(
             self.gen_bias, self.gen_var, snap, lambda: self._grow_generative(x - z)
         )
 
         if grew or pruned:
+            flat = self._flat()
             y = sigmoid(x_tilde @ layer.w + layer.b)
             z = None  # force decode against the edited layer
-        loss, dw, db, dc = dae.generative_gradients(layer, x, x_tilde, y=y, z=z)
+        loss, dw, db, dc = dae.generative_gradients(
+            layer, x, x_tilde, y=y, z=z, out=flat.gen_grads
+        )
         if not math.isfinite(loss):
             raise NumericError(f"non-finite generative loss {loss!r}")
-        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative)
+        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative, flat.gen_joint)
         return StepReport(grew, pruned, loss, self.width)
 
     def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
@@ -321,22 +383,20 @@ class DevdanModel:
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
         onehot = self._onehot[label]
+        flat = self._flat()
         layer, head = self.layer, self.head
-
         a = x @ layer.w
         a += layer.b
-        h = sigmoid(a)
-        logits = h @ head.theta
-        logits += head.eta
-        probs = softmax_row(logits)
 
         self.disc_stats.update(a)
-        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot)
+        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot, a)
+        h, probs = snap.hidden, snap.output
         grew, pruned = self._evolve(
             self.disc_bias, self.disc_var, snap, self._grow_discriminative
         )
 
         if grew or pruned:
+            flat = self._flat()
             h = sigmoid(x @ layer.w + layer.b)
             probs = softmax_row(h @ head.theta + head.eta)
 
@@ -344,23 +404,23 @@ class DevdanModel:
         if not math.isfinite(loss):
             raise NumericError(f"non-finite discriminative loss {loss!r}")
 
-        # fused softmax cross-entropy residual, back through the head and the
-        # encoder: da = (theta @ dlogits) * h * (1 - h)
-        dlogits = probs - onehot
-        da = head.theta @ dlogits
+        # fused softmax cross-entropy residual dlogits = probs - onehot, back
+        # through the head and the encoder: da = (theta @ dlogits) * h * (1 - h);
+        # outer(u, g) = u[:, None] * g
+        dw, da, dtheta, dlogits = flat.disc_grads
+        np.subtract(probs, onehot, dlogits)
+        np.multiply(h[:, None], dlogits, dtheta)
+        np.matmul(head.theta, dlogits, da)
         da *= h
         da *= 1.0 - h
+        np.multiply(x[:, None], da, dw)
 
-        # momentum v = mom * v + grad in place, with outer(u, g) = u[:, None] * g
-        mom, lr = cfg.momentum, cfg.lr_discriminative
-        for vel, grad in ((head.vel_theta, h[:, None] * dlogits), (head.vel_eta, dlogits),
-                          (self.vel_w, x[:, None] * da), (self.vel_b, da)):
-            vel *= mom
-            vel += grad
-        head.theta -= lr * head.vel_theta
-        head.eta -= lr * head.vel_eta
-        layer.w -= lr * self.vel_w
-        layer.b -= lr * self.vel_b
+        # momentum v = mom * v + grad, then p -= lr * v, over [w | b | theta | eta]
+        params, grads = flat.disc_joint
+        vel = flat.vel
+        vel *= cfg.momentum
+        vel += grads
+        params -= cfg.lr_discriminative * vel
         return StepReport(grew, pruned, loss, self.width)
 
     # -------------------------------------------------------------- batch level

@@ -22,12 +22,18 @@ from .numerics import RunningMoment, sigmoid, softmax_row
 _PROBIT_SCALE = math.pi / 8.0
 
 
+def _probit_arg(mu, sigma, out=None):
+    """mu / sqrt(1 + pi/8 * sigma^2): E[sigmoid(A)] for A ~ N(mu, sigma^2) is
+    sigmoid of this, by the probit approximation."""
+    return np.divide(mu, np.sqrt(1.0 + _PROBIT_SCALE * sigma * sigma), out=out)
+
+
 def expected_activation(mu, sigma):
     """E[sigmoid(A)] for A ~ N(mu, sigma^2), via the probit approximation.
 
     Exact when sigma = 0. Accepts float scalars or float64 arrays.
     """
-    out = sigmoid(mu / np.sqrt(1.0 + _PROBIT_SCALE * sigma * sigma))
+    out = sigmoid(_probit_arg(mu, sigma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -160,6 +166,9 @@ class NsSnapshot(NamedTuple):
     ez2 : expected squared outputs, same length as ez
     bias2, variance : scalar aggregates (mean over output dimensions)
     ns = bias2 + variance, stored rather than recomputed
+    hidden, output : the training step's forward pass, sigmoid(a) and the
+        squashed output it gives, when the snapshot was passed the step's
+        pre-activation a; None otherwise
     """
 
     ey: np.ndarray
@@ -168,6 +177,8 @@ class NsSnapshot(NamedTuple):
     bias2: float
     variance: float
     ns: float
+    hidden: np.ndarray | None = None
+    output: np.ndarray | None = None
 
 
 def _require_updated(stats: NodeStats) -> None:
@@ -179,48 +190,68 @@ def _require_updated(stats: NodeStats) -> None:
         )
 
 
-def _snapshot(ey, weight, bias, squash, target) -> NsSnapshot:
-    """Expected outputs squash(ey @ weight + bias) and squash((ey*ey) @ weight
-    + bias), then the mean squared bias against target and the mean variance.
+def _snapshot(stats: NodeStats, weight, bias, squash, target, a=None) -> NsSnapshot:
+    """Expected hidden activations ey, expected outputs squash(ey @ weight +
+    bias) and squash((ey*ey) @ weight + bias), then the mean squared bias
+    against target and the mean variance.
 
-    The two pre-activations are squashed as the rows of one array (squash
-    acts row by row); the two products stay separate matrix-vector products,
-    which round differently from one matrix product. The means are np.mean's
-    own arithmetic: one add.reduce, then a divide.
+    Given a, the step's hidden pre-activation, the forward pass rides along in
+    the same nonlinearity calls: sigmoid(a) is the row above the probit
+    argument, and squash(sigmoid(a) @ weight + bias) the row above the two
+    expected outputs (sigmoid and squash act row by row). Each product stays
+    its own matrix-vector product, which rounds differently from one matrix
+    product. The means are np.mean's own arithmetic: one add.reduce, then a
+    divide.
     """
+    _require_updated(stats)
+    rows = 1 if a is None else 2
+    hid = np.empty((rows, stats.width))
+    if a is not None:
+        hid[0] = a
+    _probit_arg(stats.mean, stats.stds(), hid[-1])
+    hid = sigmoid(hid)
+    ey = hid[-1]
     n = bias.shape[0]
-    pre = np.empty((2, n))
-    pre[0] = ey @ weight
-    pre[1] = (ey * ey) @ weight
+    pre = np.empty((rows + 1, n))
+    if a is not None:
+        np.matmul(hid[0], weight, pre[0])
+    np.matmul(ey, weight, pre[-2])
+    np.matmul(ey * ey, weight, pre[-1])
     pre += bias
-    ez, ez2 = squash(pre)
+    out = squash(pre)
+    ez, ez2 = out[-2], out[-1]
     d = target - ez
     d *= d
     bias2 = float(np.add.reduce(d)) / n
     np.multiply(ez, ez, d)
     np.subtract(ez2, d, d)
     variance = float(np.add.reduce(d)) / n
-    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance)
+    forward = () if a is None else (hid[0], out[0])
+    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance, *forward)
 
 
-def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray) -> NsSnapshot:
+def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray, a=None) -> NsSnapshot:
     """Bias/variance of the reconstruction against clean input x.
 
     ez  = sigmoid(ey @ w.T + c)
     ez2 = sigmoid((ey * ey) @ w.T + c)
     bias2 = mean_j (x_j - ez_j)^2, variance = mean_j (ez2_j - ez_j^2).
+    Given the step's pre-activation a, also the forward pass: hidden =
+    sigmoid(a) and output = the reconstruction sigmoid(hidden @ w.T + c).
     """
     if stats.width != layer.width:
         raise ShapeError(f"stats width {stats.width} does not match layer {layer.width}")
-    _require_updated(stats)
-    return _snapshot(stats.expected_activations(), layer.w.T, layer.c, sigmoid, x)
+    return _snapshot(stats, layer.w.T, layer.c, sigmoid, x, a)
 
 
 def ns_snapshot_discriminative(
-    theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray
+    theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray, a=None
 ) -> NsSnapshot:
-    """Bias/variance of the class-probability output against a 0-1 target."""
+    """Bias/variance of the class-probability output against a 0-1 target.
+
+    Given the step's pre-activation a, also the forward pass: hidden =
+    sigmoid(a) and output = the class probabilities softmax(hidden @ theta +
+    eta)."""
     if stats.width != theta.shape[0]:
         raise ShapeError(f"stats width {stats.width} does not match head {theta.shape}")
-    _require_updated(stats)
-    return _snapshot(stats.expected_activations(), theta, eta, softmax_row, onehot)
+    return _snapshot(stats, theta, eta, softmax_row, onehot, a)

@@ -89,22 +89,24 @@ class PredictCache:
 
     Confidence-based label selection runs the classifier while a batch is
     being materialized; the harness then reuses that same answer for scoring
-    instead of predicting twice."""
+    instead of predicting twice. The answer belongs to the very array it was
+    computed from: the cache holds that array, so a later array cannot take
+    its place at the same address."""
 
     def __init__(self, model: DevdanModel):
         self.model = model
-        self._key = None
+        self._features = None
         self._probs = None
 
     def __call__(self, features: np.ndarray) -> np.ndarray:
         probs, _ = self.model.predict_batch(features)
-        self._key = id(features)
+        self._features = features
         self._probs = probs
         return probs
 
     def take(self, features: np.ndarray):
-        if self._key == id(features):
-            probs, self._key, self._probs = self._probs, None, None
+        if self._features is features:
+            probs, self._features, self._probs = self._probs, None, None
             return probs
         return None
 

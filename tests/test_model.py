@@ -2,8 +2,10 @@
 central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
 import copy
+import dataclasses
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devdan import dae
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
-from devdan.errors import CheckpointError, ConfigError, ShapeError, StructureError
+from devdan.dae import DaeLayer
+from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
 from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel
+from devdan.monitors import NsSnapshot
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_sea
 
@@ -488,22 +493,197 @@ def test_random_step_sequences_keep_state_in_step(seed, ops):
         assert state_hash(load_checkpoint(path)) == state_hash(model)
 
 
+def train(model, feats, labels):
+    for x, label in zip(feats, labels):
+        model.generative_step(x)
+        model.discriminative_step(x, int(label))
+
+
 def test_copies_train_without_touching_the_original(tmp_path):
-    """Steps update momentum slots and node statistics in place: a deep copy
-    and a checkpoint copy must each own their arrays."""
+    """Steps update the parameters, momentum slots and node statistics in
+    place: a deep copy, a pickle round trip and a checkpoint copy must each
+    own their arrays, and train alike."""
     rng = np.random.default_rng(71)
     model = DevdanModel(3, 2, DevdanConfig(seed=71))
     feats, labels = gen_sea(400, rng=rng)
-    for x, label in zip(feats[:200], labels[:200]):
-        model.generative_step(x)
-        model.discriminative_step(x, int(label))
+    train(model, feats[:200], labels[:200])
     before = state_hash(model)
     path = tmp_path / "m.ckpt.json"
     save_checkpoint(model, path)
-    twins = (copy.deepcopy(model), load_checkpoint(path))
+    twins = (copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path))
     for twin in twins:
-        for x, label in zip(feats[200:], labels[200:]):
-            twin.generative_step(x)
-            twin.discriminative_step(x, int(label))
+        train(twin, feats[200:], labels[200:])
     assert state_hash(model) == before
-    assert state_hash(twins[0]) == state_hash(twins[1]) != before
+    assert len({state_hash(twin) for twin in twins}) == 1
+    assert state_hash(twins[0]) != before
+
+
+@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer"])
+def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
+    """Assigning a parameter array, or the whole layer, of a model that has
+    trained hands the new values to the next step."""
+    rng = np.random.default_rng(73)
+    feats, labels = gen_sea(300, rng=rng)
+    model = DevdanModel(3, 2, DevdanConfig(seed=73))
+    train(model, feats[:100], labels[:100])
+    path = tmp_path / "m.ckpt.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    if rebound == "layer.w":
+        new = {"w": rng.normal(size=model.layer.w.shape)}
+        model.layer.w = new["w"].copy()
+    elif rebound == "head.theta":
+        new = {"theta": rng.normal(size=model.head.theta.shape)}
+        model.head.theta = new["theta"].copy()
+    else:
+        new = {"w": rng.normal(size=model.layer.w.shape),
+               "b": rng.normal(size=model.width), "c": rng.normal(size=3)}
+        model.layer = DaeLayer(*(new[key].copy() for key in ("w", "b", "c")))
+    doc.update({key: arr.tolist() for key, arr in new.items()})
+    path.write_text(json.dumps(doc))
+    built = load_checkpoint(path)
+    assert state_hash(built) == state_hash(model)
+    train(model, feats[100:], labels[100:])
+    train(built, feats[100:], labels[100:])
+    assert state_hash(built) == state_hash(model)
+
+
+@pytest.mark.parametrize("block, index", [("w", 0), ("b", 1), ("c", 2)])
+def test_nonfinite_gradient_through_generative_step(monkeypatch, block, index):
+    """The step's one-vector update still names the bad block and leaves the
+    layer untouched."""
+    rng = np.random.default_rng(79)
+    model = DevdanModel(3, 2, frozen_config(seed=79))
+    widen(model, 2)
+    for _ in range(5):
+        model.generative_step(rng.uniform(size=3))
+    real = dae.generative_gradients
+
+    def poisoned(*args, **kwargs):
+        loss, *grads = real(*args, **kwargs)
+        grads[index].flat[-1] = np.nan
+        return (loss, *grads)
+
+    monkeypatch.setattr(dae, "generative_gradients", poisoned)
+    before = [arr.copy() for arr in (model.layer.w, model.layer.b, model.layer.c)]
+    with pytest.raises(NumericError, match=f"'{block}'"):
+        model.generative_step(rng.uniform(size=3))
+    for now, then in zip((model.layer.w, model.layer.b, model.layer.c), before):
+        np.testing.assert_array_equal(now, then)
+
+
+# ---------------------------------------------------------------------------
+# Reference steps: both phases written plainly, with separate nonlinearity
+# calls, np.outer, np.mean and one update per parameter block. The model's
+# steps must reach the same state bit for bit.
+
+
+def plain_sigmoid(v):
+    return np.exp(-np.logaddexp(0.0, -v))
+
+
+def plain_softmax(v):
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
+def plain_stats_update(stats, a):
+    stats.count = stats.count + 1
+    delta = a - stats.mean
+    stats.mean = stats.mean + delta / stats.count
+    stats.m2 = stats.m2 + delta * (a - stats.mean)
+
+
+def plain_snapshot(stats, weight, bias, squash, target):
+    sd = np.zeros_like(stats.mean)
+    np.divide(stats.m2, stats.count, out=sd, where=stats.count > 1)
+    sd = np.sqrt(sd)
+    ey = plain_sigmoid(stats.mean / np.sqrt(1.0 + math.pi / 8.0 * sd * sd))
+    ez = squash(ey @ weight + bias)
+    ez2 = squash((ey * ey) @ weight + bias)
+    bias2 = float(np.mean((target - ez) ** 2))
+    variance = float(np.mean(ez2 - ez * ez))
+    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance)
+
+
+def plain_generative_step(model, x):
+    layer = model.layer
+    x_tilde = dae.mask_input(x, model.mask)
+    a = x_tilde @ layer.w + layer.b
+    y = plain_sigmoid(a)
+    z = plain_sigmoid(y @ layer.w.T + layer.c)
+    plain_stats_update(model.gen_stats, a)
+    snap = plain_snapshot(model.gen_stats, layer.w.T, layer.c, plain_sigmoid, x)
+    edits = model._evolve(model.gen_bias, model.gen_var, snap,
+                          lambda: model._grow_generative(x - z))
+    if any(edits):
+        y = plain_sigmoid(x_tilde @ layer.w + layer.b)
+        z = plain_sigmoid(y @ layer.w.T + layer.c)
+    du = (z - x) * z * (1.0 - z)
+    da = (du @ layer.w) * y * (1.0 - y)
+    grads = {"w": np.outer(du, y) + np.outer(x_tilde, da), "b": da, "c": du}
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for parameter block '{name}'")
+    lr = model.config.lr_generative
+    for name, g in grads.items():
+        setattr(layer, name, getattr(layer, name) - lr * g)
+    return edits
+
+
+def plain_discriminative_step(model, x, label):
+    layer, head = model.layer, model.head
+    onehot = np.eye(model.n_classes)[label]
+    a = x @ layer.w + layer.b
+    h = plain_sigmoid(a)
+    probs = plain_softmax(h @ head.theta + head.eta)
+    plain_stats_update(model.disc_stats, a)
+    snap = plain_snapshot(model.disc_stats, head.theta, head.eta, plain_softmax, onehot)
+    edits = model._evolve(model.disc_bias, model.disc_var, snap, model._grow_discriminative)
+    if any(edits):
+        h = plain_sigmoid(x @ layer.w + layer.b)
+        probs = plain_softmax(h @ head.theta + head.eta)
+    dlogits = probs - onehot
+    da = (head.theta @ dlogits) * h * (1.0 - h)
+    mom, lr = model.config.momentum, model.config.lr_discriminative
+    head.vel_theta = mom * head.vel_theta + np.outer(h, dlogits)
+    head.vel_eta = mom * head.vel_eta + dlogits
+    model.vel_w = mom * model.vel_w + np.outer(x, da)
+    model.vel_b = mom * model.vel_b + da
+    head.theta = head.theta - lr * head.vel_theta
+    head.eta = head.eta - lr * head.vel_eta
+    layer.w = layer.w - lr * model.vel_w
+    layer.b = layer.b - lr * model.vel_b
+    return edits
+
+
+@pytest.mark.parametrize("momentum", [0.95, 0.0])
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 2), (20, 10)])
+def test_steps_match_plain_reference(n, m, momentum):
+    """300 rows of both phases, with the concept flipped half way and grows
+    and prunes forced between steps, end on the reference's state hash.
+    With m = 10 the softmax sums take numpy's pairwise path."""
+    cfg = DevdanConfig(seed=n + m, momentum=momentum)
+    model = DevdanModel(n, m, cfg)
+    ref = DevdanModel(n, m, dataclasses.replace(cfg))
+    rng = np.random.default_rng(n * m)
+    concepts = rng.normal(size=(2, n, m))
+    events = np.zeros(2, dtype=int)
+    for t in range(300):
+        x = rng.uniform(size=n)
+        label = int(np.argmax(x @ concepts[t // 150]))
+        rep = model.generative_step(x)
+        assert (rep.grew, rep.pruned) == plain_generative_step(ref, x)
+        events += (rep.grew, rep.pruned)
+        rep = model.discriminative_step(x, label)
+        assert (rep.grew, rep.pruned) == plain_discriminative_step(ref, x, label)
+        events += (rep.grew, rep.pruned)
+        if t % 50 == 20:
+            for mdl in (model, ref):
+                mdl._grow_discriminative()
+        elif t % 50 == 45 and model.width >= 2:
+            index = t % model.width
+            for mdl in (model, ref):
+                mdl._prune(index)
+    assert events.all()  # the charts also grew and pruned inside the steps
+    assert state_hash(model) == state_hash(ref)

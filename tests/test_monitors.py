@@ -430,3 +430,16 @@ def test_snapshots_bit_identical_to_plain_formulas(n):
                 assert np.array_equal(getattr(got, field), value), (width, field)
             assert (got.bias2, got.variance) == want[3:], width
             assert got.ns == got.bias2 + got.variance
+        # given the step's pre-activation, the forward pass shares the
+        # nonlinearity calls and the estimate stays the same
+        a = rng.normal(scale=3.0, size=width)
+        hidden = plain_sigmoid(a)
+        for got, alone, weight, bias, squash in (
+            (ns_snapshot_generative(layer, stats, x, a), snap, layer.w.T, layer.c, plain_sigmoid),
+            (ns_snapshot_discriminative(theta, eta, stats, onehot, a), dsnap, theta, eta,
+             plain_softmax),
+        ):
+            assert np.array_equal(got.hidden, hidden), width
+            assert np.array_equal(got.output, squash(hidden @ weight + bias)), width
+            for field in ("ey", "ez", "ez2", "bias2", "variance", "ns"):
+                assert np.array_equal(getattr(got, field), getattr(alone, field)), (width, field)

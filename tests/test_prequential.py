@@ -171,6 +171,22 @@ class TestPredictCache:
         cache(rng.uniform(size=(4, 3)))
         assert cache.take(rng.uniform(size=(4, 3))) is None
 
+    def test_cache_miss_on_new_array_at_a_freed_address(self):
+        # an id-keyed cache answered for a freed batch when a new array landed
+        # at its address
+        model = DevdanModel(3, 2, DevdanConfig(seed=12))
+        cache = PredictCache(model)
+        feats = np.random.default_rng(12).uniform(size=(4, 3))
+        cache(feats)
+        address = id(feats)
+        del feats
+        others = []  # kept alive, so every new array gets a new address
+        for _ in range(1000):
+            others.append(np.zeros((4, 3)))
+            if id(others[-1]) == address:
+                break
+        assert cache.take(others[-1]) is None
+
 
 class TestRunSingle:
     def test_confidence_selection_end_to_end(self):
