@@ -84,17 +84,12 @@ def mask_input(x: np.ndarray, spec: MaskSpec) -> np.ndarray:
     return out
 
 
-def preactivation(layer: DaeLayer, x: np.ndarray) -> np.ndarray:
-    """Hidden pre-activations x @ w + b; the quantity the node monitors track."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.n_in,):
-        raise ShapeError(f"input length {x.shape} does not match n={layer.n_in}")
-    return x @ layer.w + layer.b
-
-
 def encode(layer: DaeLayer, x_tilde: np.ndarray) -> np.ndarray:
     """Hidden activation y = sigmoid(x_tilde @ w + b), entries in (0, 1)."""
-    return sigmoid(preactivation(layer, x_tilde))
+    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    if x_tilde.shape != (layer.n_in,):
+        raise ShapeError(f"input length {x_tilde.shape} does not match n={layer.n_in}")
+    return sigmoid(x_tilde @ layer.w + layer.b)
 
 
 def decode(layer: DaeLayer, y: np.ndarray) -> np.ndarray:

@@ -339,6 +339,11 @@ class DevdanModel:
 
     # -------------------------------------------------------------- train steps
 
+    def __getstate__(self):
+        # copies and pickles leave out the flat vectors; the next step
+        # rebuilds them from the live arrays
+        return {**self.__dict__, "_flat_state": None}
+
     def _flat(self) -> FlatState:
         """The flat vectors of the live arrays, rebuilt when they fell behind."""
         f = self._flat_state
@@ -428,6 +433,8 @@ class DevdanModel:
     def train_batch(self, batch) -> BatchReport:
         """Single-epoch pass: generative phase over every row, then the
         discriminative phase over the rows whose labels are revealed."""
+        if batch.labeled_mask is None:
+            raise ConfigError("batch has no labeled mask: choose its labels before training")
         feats = np.asarray(batch.features, dtype=np.float64)
         grows = prunes = 0
         gen_losses = []

@@ -162,21 +162,16 @@ class NsSnapshot(NamedTuple):
     """One evaluation of the bias/variance estimate.
 
     ey  : expected hidden activations (length = width)
-    ez  : expected outputs (length n for reconstruction, m for prediction)
-    ez2 : expected squared outputs, same length as ez
-    bias2, variance : scalar aggregates (mean over output dimensions)
-    ns = bias2 + variance, stored rather than recomputed
+    bias2, variance : squared bias and variance of the expected outputs,
+        each a mean over the output dimensions
     hidden, output : the training step's forward pass, sigmoid(a) and the
         squashed output it gives, when the snapshot was passed the step's
         pre-activation a; None otherwise
     """
 
     ey: np.ndarray
-    ez: np.ndarray
-    ez2: np.ndarray
     bias2: float
     variance: float
-    ns: float
     hidden: np.ndarray | None = None
     output: np.ndarray | None = None
 
@@ -193,7 +188,7 @@ def _require_updated(stats: NodeStats) -> None:
 def _snapshot(stats: NodeStats, weight, bias, squash, target, a=None) -> NsSnapshot:
     """Expected hidden activations ey, expected outputs squash(ey @ weight +
     bias) and squash((ey*ey) @ weight + bias), then the mean squared bias
-    against target and the mean variance.
+    against target and the mean variance. The expected outputs stay inside.
 
     Given a, the step's hidden pre-activation, the forward pass rides along in
     the same nonlinearity calls: sigmoid(a) is the row above the probit
@@ -227,7 +222,7 @@ def _snapshot(stats: NodeStats, weight, bias, squash, target, a=None) -> NsSnaps
     np.subtract(ez2, d, d)
     variance = float(np.add.reduce(d)) / n
     forward = () if a is None else (hid[0], out[0])
-    return NsSnapshot(ey, ez, ez2, bias2, variance, bias2 + variance, *forward)
+    return NsSnapshot(ey, bias2, variance, *forward)
 
 
 def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray, a=None) -> NsSnapshot:

@@ -7,6 +7,8 @@ across seeds.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import time
 import traceback
@@ -17,7 +19,7 @@ import numpy as np
 from .checkpoint import state_hash
 from .errors import DevdanError
 from .model import DevdanConfig, DevdanModel
-from .streams import DatasetSpec, batchify, materialize
+from .streams import DatasetSpec, batchify, confidence_mask, materialize
 
 CSV_HEADER = "k,cr,gen_loss,disc_loss,R,grows,prunes,train_s,test_s"
 
@@ -84,60 +86,33 @@ def parameter_count(model: DevdanModel) -> int:
     return n * r + r + n + r * m + m
 
 
-class PredictCache:
-    """Model-prediction callback that remembers its last answer.
-
-    Confidence-based label selection runs the classifier while a batch is
-    being materialized; the harness then reuses that same answer for scoring
-    instead of predicting twice. The answer belongs to the very array it was
-    computed from: the cache holds that array, so a later array cannot take
-    its place at the same address."""
-
-    def __init__(self, model: DevdanModel):
-        self.model = model
-        self._features = None
-        self._probs = None
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        probs, _ = self.model.predict_batch(features)
-        self._features = features
-        self._probs = probs
-        return probs
-
-    def take(self, features: np.ndarray):
-        if self._features is features:
-            probs, self._features, self._probs = self._probs, None, None
-            return probs
-        return None
-
-
 def run_prequential(
     model: DevdanModel,
     stream,
     clock=time.perf_counter,
-    predict_cache: PredictCache | None = None,
+    select=None,
     verify_hygiene: bool = False,
 ) -> PrequentialReport:
     """Drive the test-then-train loop over a StreamBatch iterable.
 
-    clock is injectable so reproducibility checks can pin the timing columns;
-    verify_hygiene hashes the full model state around every test pass and
-    raises if prediction mutated anything."""
+    Each batch is predicted once. A batch that arrives without a labeled
+    mask gets select(probs) from that prediction, after the test pass and
+    before training; without a select rule, training refuses it. clock is injectable so reproducibility checks can pin
+    the timing columns; verify_hygiene hashes the full model state around
+    every test pass and raises if prediction mutated anything."""
     report = PrequentialReport()
     for batch in stream:
         before = state_hash(model) if verify_hygiene else None
         t0 = clock()
-        probs = predict_cache.take(batch.features) if predict_cache else None
-        if probs is None:
-            probs, predicted = model.predict_batch(batch.features)
-        else:
-            predicted = np.argmax(probs, axis=1)
+        probs, predicted = model.predict_batch(batch.features)
         rate = float(np.mean(predicted == batch.labels))
         t1 = clock()
         if verify_hygiene and state_hash(model) != before:
             raise DevdanError(
                 f"test pass mutated model state at timestamp {batch.timestamp}"
             )
+        if batch.labeled_mask is None and select is not None:
+            batch = dataclasses.replace(batch, labeled_mask=select(probs))
         t2 = clock()
         train = model.train_batch(batch)
         t3 = clock()
@@ -180,7 +155,6 @@ def run_single(
     )
     feats, labels, n_in, n_classes = materialize(dataset, stream_rng)
     model = DevdanModel(n_in, n_classes, config, rng=model_rng)
-    cache = PredictCache(model) if dataset.selection_mode == "confidence" else None
     stream = batchify(
         feats,
         labels,
@@ -188,11 +162,14 @@ def run_single(
         dataset.label_fraction,
         dataset.selection_mode,
         rng=stream_rng,
-        confidence_cb=cache,
-        delta=dataset.delta,
     )
+    select = None
+    if dataset.selection_mode == "confidence":
+        select = functools.partial(
+            confidence_mask, fraction=dataset.label_fraction, delta=dataset.delta
+        )
     report = run_prequential(
-        model, stream, clock=clock, predict_cache=cache, verify_hygiene=verify_hygiene
+        model, stream, clock=clock, select=select, verify_hygiene=verify_hygiene
     )
     return report, model
 
@@ -219,23 +196,20 @@ def run_suite(
 
     configs is a mapping name -> DevdanConfig (a bare config is treated as
     {"default": config}). A failed run is recorded and the suite continues.
+    Every run gets clock; with jobs > 1 it goes to a worker process, so it
+    must be picklable (a module-level function).
     Returns {"rows": [SuiteRow...], "summary": {name: {...}}}."""
     if isinstance(configs, DevdanConfig):
         configs = {"default": configs}
-    items = [(name, cfg, seed) for name, cfg in configs.items() for seed in seeds]
-    rows = []
+    args = [(dataset, cfg, name, seed, clock) for name, cfg in configs.items() for seed in seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_suite_worker, dataset, cfg, name, seed)
-                for name, cfg, seed in items
-            ]
+            futures = [pool.submit(_suite_worker, *a) for a in args]
             rows = [f.result() for f in futures]
     else:
-        for name, cfg, seed in items:
-            rows.append(_suite_worker(dataset, cfg, name, seed, clock))
+        rows = [_suite_worker(*a) for a in args]
     summary = {}
     for name in configs:
         good = [r for r in rows if r.config_name == name and r.report is not None]
@@ -255,7 +229,7 @@ def run_suite(
     return {"rows": rows, "summary": summary}
 
 
-def _suite_worker(dataset, config, name, seed, clock=time.perf_counter):
+def _suite_worker(dataset, config, name, seed, clock):
     try:
         report, model = run_single(dataset, config, seed, clock=clock)
         return SuiteRow(name, seed, report, model)
@@ -268,13 +242,11 @@ def write_summary_json(
 ) -> None:
     """Summary document with the model configurations echoed for provenance;
     the run's full effective configuration, when given, is the last key."""
-    import dataclasses as _dc
-
     if isinstance(configs, DevdanConfig):
         configs = {"default": configs}
     doc = {
-        "dataset": _dc.asdict(dataset),
-        "configs": {name: _dc.asdict(cfg) for name, cfg in configs.items()},
+        "dataset": dataclasses.asdict(dataset),
+        "configs": {name: dataclasses.asdict(cfg) for name, cfg in configs.items()},
         "seeds": list(seeds),
         "summary": result["summary"],
         "runs": [

@@ -29,12 +29,13 @@ class StreamBatch:
     """One timestamp's worth of rows.
 
     Ground-truth labels exist for every row; labeled_mask records which of
-    them the learner is allowed to see during training.
+    them the learner is allowed to see during training. None means they are
+    chosen at test time from the model's prediction.
     """
 
-    features: np.ndarray       # (T, n), entries in [0, 1]
-    labels: np.ndarray         # (T,) class ids
-    labeled_mask: np.ndarray   # (T,) bool
+    features: np.ndarray              # (T, n), entries in [0, 1]
+    labels: np.ndarray                # (T,) class ids
+    labeled_mask: np.ndarray | None   # (T,) bool
     timestamp: int
 
 
@@ -251,7 +252,7 @@ def confidence_scores(probs: np.ndarray) -> np.ndarray:
     return top2[:, 0] / (top2[:, 0] + top2[:, 1])
 
 
-def _confidence_mask(probs, fraction: float, delta: float) -> np.ndarray:
+def confidence_mask(probs, fraction: float, delta: float) -> np.ndarray:
     """Reveal labels for the least confident rows: conf < delta, capped at
     ceil(fraction * T) rows in ascending confidence order."""
     t = probs.shape[0]
@@ -271,38 +272,32 @@ def batchify(
     label_fraction: float = 1.0,
     selection_mode: str = "random",
     rng=None,
-    confidence_cb=None,
-    delta: float = 0.7,
 ):
     """Split rows into consecutive non-overlapping batches of batch_size,
     truncating any tail, and pick each batch's revealed labels.
 
     random mode reveals ceil(fraction * T) uniformly chosen rows. confidence
-    mode calls confidence_cb(features) when the batch is materialized (i.e.
-    at test time) and reveals the rows predicted with dominance below delta,
-    capped at the same count. Yields StreamBatch objects."""
+    mode leaves labeled_mask None: the rows are chosen at test time from the
+    model's prediction (see confidence_mask). Yields StreamBatch objects."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if selection_mode not in ("random", "confidence"):
         raise ConfigError(f"unknown selection_mode {selection_mode!r}")
-    if selection_mode == "confidence" and confidence_cb is None:
-        raise ConfigError("confidence selection needs a confidence callback")
     rng = rng if rng is not None else np.random.default_rng()
     features = np.asarray(features)
     labels = np.asarray(labels)
     n_batches = features.shape[0] // batch_size
     for k in range(n_batches):
         sl = slice(k * batch_size, (k + 1) * batch_size)
-        feats = features[sl]
         if selection_mode == "confidence":
-            mask = _confidence_mask(confidence_cb(feats), label_fraction, delta)
+            mask = None
         elif label_fraction >= 1.0:
             mask = np.ones(batch_size, dtype=bool)
         else:
             n_labeled = math.ceil(label_fraction * batch_size)
             mask = np.zeros(batch_size, dtype=bool)
             mask[rng.choice(batch_size, size=n_labeled, replace=False)] = True
-        yield StreamBatch(feats, labels[sl], mask, k)
+        yield StreamBatch(features[sl], labels[sl], mask, k)
 
 
 # --------------------------------------------------------------- dataset specs

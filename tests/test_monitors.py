@@ -11,6 +11,7 @@ from devdan.errors import MonitorOrderError, StructureError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import (
     NodeStats,
+    NsSnapshot,
     SpcTracker,
     expected_activation,
     kappa,
@@ -286,15 +287,12 @@ class TestNsSnapshotGenerative:
         x = rng.uniform(size=3)
         snap = ns_snapshot_generative(layer, stats, x)
         ez, ez2, bias2, var = direct_snapshot_eval(layer, stats, x)
-        np.testing.assert_allclose(snap.ez, ez, rtol=1e-12)
-        np.testing.assert_allclose(snap.ez2, ez2, rtol=1e-12)
+        np.testing.assert_allclose(sigmoid(snap.ey @ layer.w.T + layer.c), ez, rtol=1e-12)
+        np.testing.assert_allclose(
+            sigmoid((snap.ey * snap.ey) @ layer.w.T + layer.c), ez2, rtol=1e-12
+        )
         assert snap.bias2 == pytest.approx(bias2, rel=1e-12)
         assert snap.variance == pytest.approx(var, rel=1e-12)
-
-    def test_ns_is_constructed_sum(self):
-        layer, stats, rng = self.make(seed=37)
-        snap = ns_snapshot_generative(layer, stats, rng.uniform(size=3))
-        assert snap.ns == snap.bias2 + snap.variance  # bit-exact, stored
 
     def test_sigma_zero_expectation_equals_actual_forward(self):
         # constant corrupted input: ey = y exactly, so ez equals the actual z
@@ -311,7 +309,7 @@ class TestNsSnapshotGenerative:
         y = sigmoid(xt @ layer.w + layer.b)
         z = sigmoid(y @ layer.w.T + layer.c)
         np.testing.assert_allclose(snap.ey, y, rtol=1e-12)
-        np.testing.assert_allclose(snap.ez, z, rtol=1e-12)
+        np.testing.assert_allclose(sigmoid(snap.ey @ layer.w.T + layer.c), z, rtol=1e-12)
 
     def test_expected_output_against_masking_monte_carlo(self):
         # ez tracks the true E[z] under masking noise well; the squared-output
@@ -334,14 +332,15 @@ class TestNsSnapshotGenerative:
             stats.update(a)
             zs[i] = sigmoid(sigmoid(a) @ layer.w.T + layer.c)
         snap = ns_snapshot_generative(layer, stats, x)
-        np.testing.assert_allclose(snap.ez, zs.mean(axis=0), atol=0.02)
+        ez = sigmoid(snap.ey @ layer.w.T + layer.c)
+        np.testing.assert_allclose(ez, zs.mean(axis=0), atol=0.02)
         # the decomposition identity itself is exact on the sample moments
         lhs = ((x - zs) ** 2).mean(axis=0)
         rhs = (x - zs.mean(axis=0)) ** 2 + zs.var(axis=0)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         # and the bias term built from ez lands within Monte-Carlo error bars
         mc_bias = (x - zs.mean(axis=0)) ** 2
-        np.testing.assert_allclose((x - snap.ez) ** 2, mc_bias, atol=0.02)
+        np.testing.assert_allclose((x - ez) ** 2, mc_bias, atol=0.02)
 
 
 class TestNsSnapshotDiscriminative:
@@ -359,7 +358,7 @@ class TestNsSnapshotDiscriminative:
         ey = stats.expected_activations()
         ec = softmax_row(ey @ theta + eta)
         ec2 = softmax_row((ey * ey) @ theta + eta)
-        np.testing.assert_allclose(snap.ez, ec, rtol=1e-12)
+        np.testing.assert_allclose(softmax_row(snap.ey @ theta + eta), ec, rtol=1e-12)
         assert snap.bias2 == pytest.approx(float(np.mean((onehot - ec) ** 2)), rel=1e-12)
         assert snap.variance == pytest.approx(float(np.mean(ec2 - ec ** 2)), rel=1e-12)
 
@@ -399,7 +398,7 @@ def reference_snapshot(stats, weight, bias, squash, target):
     ey = np.exp(-np.logaddexp(0.0, -(stats.mean / np.sqrt(1.0 + math.pi / 8.0 * sd * sd))))
     ez = squash(ey @ weight + bias)
     ez2 = squash((ey * ey) @ weight + bias)
-    return ey, ez, ez2, float(np.mean((target - ez) ** 2)), float(np.mean(ez2 - ez * ez))
+    return NsSnapshot(ey, float(np.mean((target - ez) ** 2)), float(np.mean(ez2 - ez * ez)))
 
 
 def plain_sigmoid(v):
@@ -426,10 +425,8 @@ def test_snapshots_bit_identical_to_plain_formulas(n):
         dsnap = ns_snapshot_discriminative(theta, eta, stats, onehot)
         dref = reference_snapshot(stats, theta, eta, plain_softmax, onehot)
         for got, want in ((snap, ref), (dsnap, dref)):
-            for field, value in zip(("ey", "ez", "ez2"), want[:3]):
-                assert np.array_equal(getattr(got, field), value), (width, field)
-            assert (got.bias2, got.variance) == want[3:], width
-            assert got.ns == got.bias2 + got.variance
+            assert np.array_equal(got.ey, want.ey), width
+            assert (got.bias2, got.variance) == (want.bias2, want.variance), width
         # given the step's pre-activation, the forward pass shares the
         # nonlinearity calls and the estimate stays the same
         a = rng.normal(scale=3.0, size=width)
@@ -441,5 +438,5 @@ def test_snapshots_bit_identical_to_plain_formulas(n):
         ):
             assert np.array_equal(got.hidden, hidden), width
             assert np.array_equal(got.output, squash(hidden @ weight + bias)), width
-            for field in ("ey", "ez", "ez2", "bias2", "variance", "ns"):
+            for field in ("ey", "bias2", "variance"):
                 assert np.array_equal(getattr(got, field), getattr(alone, field)), (width, field)

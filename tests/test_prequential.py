@@ -9,7 +9,6 @@ from devdan.checkpoint import model_to_dict, state_hash
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.prequential import (
     CSV_HEADER,
-    PredictCache,
     parameter_count,
     run_prequential,
     run_single,
@@ -17,7 +16,7 @@ from devdan.prequential import (
     write_batch_csv,
     write_summary_json,
 )
-from devdan.streams import DatasetSpec, StreamBatch, batchify
+from devdan.streams import DatasetSpec, StreamBatch, batchify, confidence_mask, materialize
 
 
 def null_clock():
@@ -154,40 +153,6 @@ class TestReportMath:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-class TestPredictCache:
-    def test_cache_hit_consumed_once(self):
-        model = DevdanModel(3, 2, DevdanConfig(seed=10))
-        cache = PredictCache(model)
-        feats = np.random.default_rng(10).uniform(size=(8, 3))
-        probs = cache(feats)
-        hit = cache.take(feats)
-        np.testing.assert_array_equal(hit, probs)
-        assert cache.take(feats) is None
-
-    def test_cache_miss_on_other_batch(self):
-        model = DevdanModel(3, 2, DevdanConfig(seed=11))
-        cache = PredictCache(model)
-        rng = np.random.default_rng(11)
-        cache(rng.uniform(size=(4, 3)))
-        assert cache.take(rng.uniform(size=(4, 3))) is None
-
-    def test_cache_miss_on_new_array_at_a_freed_address(self):
-        # an id-keyed cache answered for a freed batch when a new array landed
-        # at its address
-        model = DevdanModel(3, 2, DevdanConfig(seed=12))
-        cache = PredictCache(model)
-        feats = np.random.default_rng(12).uniform(size=(4, 3))
-        cache(feats)
-        address = id(feats)
-        del feats
-        others = []  # kept alive, so every new array gets a new address
-        for _ in range(1000):
-            others.append(np.zeros((4, 3)))
-            if id(others[-1]) == address:
-                break
-        assert cache.take(others[-1]) is None
-
-
 class TestRunSingle:
     def test_confidence_selection_end_to_end(self):
         ds = DatasetSpec(
@@ -198,6 +163,46 @@ class TestRunSingle:
         assert len(report.batches) == 4
         assert np.isfinite(report.mean_rate)
         assert model.width >= 1
+
+    def test_confidence_run_matches_independent_loop(self):
+        # predict, pick the least confident labels from that prediction, train
+        ds = DatasetSpec(
+            source="sea", total_samples=4000, batch_size=1000,
+            label_fraction=0.5, selection_mode="confidence", delta=0.7,
+        )
+        report, model = run_single(ds, DevdanConfig(), seed=12)
+        stream_rng, model_rng = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(2)
+        )
+        feats, labels, n_in, n_classes = materialize(ds, stream_rng)
+        ref = DevdanModel(n_in, n_classes, DevdanConfig(), rng=model_rng)
+        rates = []
+        for k in range(4):
+            rows = slice(k * 1000, (k + 1) * 1000)
+            probs, predicted = ref.predict_batch(feats[rows])
+            rates.append(float(np.mean(predicted == labels[rows])))
+            mask = confidence_mask(probs, 0.5, 0.7)
+            ref.train_batch(StreamBatch(feats[rows], labels[rows], mask, k))
+        assert state_hash(model) == state_hash(ref)
+        assert [b.classification_rate for b in report.batches] == rates
+
+    @pytest.mark.parametrize("mode", ["random", "confidence"])
+    def test_one_prediction_per_batch(self, monkeypatch, mode):
+        calls = []
+        predict = DevdanModel.predict_batch
+
+        def counted(model, xs):
+            calls.append(xs.shape[0])
+            return predict(model, xs)
+
+        monkeypatch.setattr(DevdanModel, "predict_batch", counted)
+        ds = DatasetSpec(
+            source="sea", total_samples=3000, batch_size=1000,
+            label_fraction=0.5, selection_mode=mode,
+        )
+        report, _ = run_single(ds, DevdanConfig(), seed=14)
+        assert len(report.batches) == 3
+        assert calls == [1000, 1000, 1000]
 
     def test_deterministic_reports(self):
         ds = DatasetSpec(source="sea", total_samples=3000, batch_size=1000)
@@ -265,3 +270,11 @@ class TestRunSuite:
         for name in ("default",):
             assert seq["summary"][name]["mean_rate"] == par["summary"][name]["mean_rate"]
             assert seq["summary"][name]["final_widths"] == par["summary"][name]["final_widths"]
+
+    def test_parallel_jobs_pass_the_clock(self):
+        ds = self.small_ds()
+        seq = run_suite(ds, DevdanConfig(), seeds=[0, 1], clock=null_clock)
+        par = run_suite(ds, DevdanConfig(), seeds=[0, 1], clock=null_clock, jobs=2)
+        assert par["summary"] == seq["summary"]
+        for row in par["rows"]:
+            assert all(b.train_seconds == b.test_seconds == 0.0 for b in row.report.batches)

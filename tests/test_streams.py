@@ -6,10 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from devdan.checkpoint import state_hash
 from devdan.errors import ConfigError, CsvFormatError, IdxFormatError, StructureError
+from devdan.model import DevdanConfig, DevdanModel
+from devdan.prequential import run_prequential
 from devdan.streams import (
     DatasetSpec,
     batchify,
+    confidence_mask,
     confidence_scores,
     gen_hyperplane,
     gen_sea,
@@ -294,39 +298,32 @@ class TestBatchify:
 
     def test_confidence_mode_reveals_uncertain_rows(self):
         feats, labels = self.rows(8)
-
-        def callback(batch_feats):
-            # first half certain, second half uncertain
-            t = batch_feats.shape[0]
-            probs = np.full((t, 2), 0.5)
-            probs[: t // 2] = (0.9, 0.1)
-            return probs
-
-        (batch,) = batchify(
-            feats, labels, 8, 1.0, "confidence",
-            np.random.default_rng(3), confidence_cb=callback, delta=0.7,
+        (batch,) = batchify(feats, labels, 8, 1.0, "confidence", np.random.default_rng(3))
+        assert batch.labeled_mask is None  # chosen at test time
+        # first half certain, second half uncertain
+        probs = np.full((8, 2), 0.5)
+        probs[:4] = (0.9, 0.1)
+        np.testing.assert_array_equal(
+            confidence_mask(probs, 1.0, 0.7), [False] * 4 + [True] * 4
         )
-        np.testing.assert_array_equal(batch.labeled_mask, [False] * 4 + [True] * 4)
 
     def test_confidence_mode_caps_by_ascending_confidence(self):
-        feats, labels = self.rows(4)
-
-        def callback(batch_feats):
-            return np.array(
-                [[0.52, 0.48], [0.6, 0.4], [0.55, 0.45], [0.95, 0.05]]
-            )
-
-        (batch,) = batchify(
-            feats, labels, 4, 0.5, "confidence",
-            np.random.default_rng(4), confidence_cb=callback, delta=0.7,
-        )
+        probs = np.array([[0.52, 0.48], [0.6, 0.4], [0.55, 0.45], [0.95, 0.05]])
         # cap is ceil(0.5 * 4) = 2; rows 0 and 2 have the lowest confidence
-        np.testing.assert_array_equal(batch.labeled_mask, [True, False, True, False])
+        np.testing.assert_array_equal(
+            confidence_mask(probs, 0.5, 0.7), [True, False, True, False]
+        )
 
     def test_confidence_mode_requires_callback(self):
+        # the harness needs a selection rule for batches that arrive unmasked,
+        # and refuses before any training
         feats, labels = self.rows(4)
+        stream = batchify(feats, labels, 2, 0.5, "confidence", np.random.default_rng(0))
+        model = DevdanModel(3, 2, DevdanConfig(seed=0))
+        before = state_hash(model)
         with pytest.raises(ConfigError):
-            list(batchify(feats, labels, 2, 0.5, "confidence", np.random.default_rng(0)))
+            run_prequential(model, stream)
+        assert state_hash(model) == before
 
 
 class TestDatasetSpec:
