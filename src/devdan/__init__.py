@@ -19,6 +19,7 @@ from .errors import (
     ShapeError,
     StructureError,
 )
+from .kernel import step_backend
 from .model import BatchReport, DevdanConfig, DevdanModel, SoftmaxHead, StepReport
 from .monitors import NodeStats, NsSnapshot, SpcTracker
 from .numerics import RunningMoment
@@ -85,6 +86,7 @@ __all__ = [
     "run_suite",
     "save_checkpoint",
     "state_hash",
+    "step_backend",
     "write_batch_csv",
     "write_summary_json",
 ]

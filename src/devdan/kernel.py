@@ -1,0 +1,301 @@
+"""Loader of the compiled training step (`_step.c`).
+
+The C file is built once into a per-user cache ($XDG_CACHE_HOME/devdan, else
+~/.cache/devdan) under a name keyed by its source and the numerics stack, and
+loaded with ctypes at the first training step. It reproduces the numpy step
+bit for bit by calling numpy's own float64 exp, logaddexp and add loops, read
+here from the ufunc loop tables, and the dgemv/ddot of the OpenBLAS that numpy
+bundles. A load-time self-check compares every product orientation and both
+squashes with numpy; if the build, the load or the check fails, every model
+keeps the numpy step, and `step_backend()` says why.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .numerics import sigmoid, softmax_row
+
+SOURCE = Path(__file__).with_name("_step.c")
+COMPILER = "cc"
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_NPY_DOUBLE = 12  # numpy's type number for float64 in the ufunc type tables
+
+_c_double_p = ctypes.POINTER(ctypes.c_double)
+_state = None  # (library or None, backend description) after the one attempt
+
+
+class _UFunc(ctypes.Structure):
+    """The leading fields of numpy's PyUFuncObject (numpy/ufuncobject.h)."""
+
+    _fields_ = [
+        ("ob_refcnt", ctypes.c_ssize_t),
+        ("ob_type", ctypes.c_void_p),
+        ("nin", ctypes.c_int),
+        ("nout", ctypes.c_int),
+        ("nargs", ctypes.c_int),
+        ("identity", ctypes.c_int),
+        ("functions", ctypes.POINTER(ctypes.c_void_p)),
+        ("data", ctypes.POINTER(ctypes.c_void_p)),
+        ("ntypes", ctypes.c_int),
+        ("reserved1", ctypes.c_int),
+        ("name", ctypes.c_char_p),
+        ("types", ctypes.POINTER(ctypes.c_char)),
+    ]
+
+
+class _Numerics(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "exp", "logaddexp", "add", "exp_data", "logaddexp_data", "add_data", "gemv", "dot")]
+
+
+class _Model(ctypes.Structure):
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("width", ctypes.c_int64),
+        ("m", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in (
+            "params", "vel", "grads", "gen_count", "disc_count",
+            "gen_mean", "gen_m2", "disc_mean", "disc_m2", "work")),
+    ]
+
+
+class KernelUnavailable(Exception):
+    """Why the compiled step cannot run here."""
+
+
+def _float64_loop(ufunc) -> tuple[int, int]:
+    """(function, data) of the first all-float64 inner loop in ufunc's table,
+    the one numpy picks for float64 operands."""
+    u = _UFunc.from_address(id(ufunc))
+    if u.name != ufunc.__name__.encode() or u.ntypes != len(ufunc.types):
+        raise KernelUnavailable(f"unexpected ufunc object layout for {ufunc.__name__}")
+    sig = "d" * ufunc.nin + "->" + "d" * ufunc.nout
+    i = ufunc.types.index(sig)
+    codes = [ord(u.types[i * u.nargs + k]) for k in range(u.nargs)]
+    if codes != [_NPY_DOUBLE] * u.nargs:
+        raise KernelUnavailable(f"unexpected type table for {ufunc.__name__}")
+    return u.functions[i], u.data[i] or 0
+
+
+def _blas():
+    """ctypes handle of the OpenBLAS that numpy bundles."""
+    config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if config.get("name") != "scipy-openblas":
+        raise KernelUnavailable(f"numpy uses {config.get('name')!r}, not its bundled OpenBLAS")
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas*.so*"))
+    if len(found) != 1:
+        raise KernelUnavailable(f"expected one bundled OpenBLAS in {libs}, found {len(found)}")
+    return ctypes.CDLL(str(found[0]))
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
+    return Path(base) / "devdan"
+
+
+def _library_path() -> Path:
+    import platform
+
+    key = hashlib.sha256(SOURCE.read_bytes())
+    for part in (" ".join(FLAGS), sys.implementation.cache_tag, platform.machine(),
+                 np.__version__):
+        key.update(b"\0" + part.encode())
+    return cache_dir() / f"step-{key.hexdigest()[:16]}.so"
+
+
+def _build(target: Path) -> None:
+    """Compile into a temporary file beside target, then move it into place,
+    so a concurrent build or load sees either no file or a whole one."""
+    import subprocess  # imported here: a process that never trains never builds
+    import tempfile
+
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                              capture_output=True, text=True, timeout=300, check=False)
+        if proc.returncode != 0:
+            first = (proc.stderr.strip().splitlines() or ["no output"])[0]
+            raise KernelUnavailable(f"build failed: {first}")
+        os.replace(tmp, target)
+    except OSError as err:
+        raise KernelUnavailable(f"build failed: {err}") from err
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _declare(lib) -> None:
+    v, p, i64, d = ctypes.c_void_p, _c_double_p, ctypes.c_int64, ctypes.c_double
+    signatures = {
+        "devdan_set_numerics": ([v], None),
+        "devdan_sum": ([p, i64, p], None),
+        "devdan_sigmoid": ([p, i64], None),
+        "devdan_softmax": ([p, i64, i64], None),
+        "devdan_vecmat": ([p, p, i64, i64, i64, i64, p], None),
+        "devdan_matvec": ([p, p, i64, i64, p], None),
+        "devdan_gen_forward": ([v], None),
+        "devdan_gen_update": ([v, d, ctypes.c_int], ctypes.c_int),
+        "devdan_disc_forward": ([v, i64], None),
+        "devdan_disc_refresh": ([v], None),
+        "devdan_disc_update": ([v, i64, d, d], None),
+    }
+    for name, (args, res) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = args, res
+
+
+def _ptr(arr: np.ndarray):
+    if arr.dtype != np.float64 or not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        raise ValueError("the kernel takes contiguous float64 arrays")
+    return arr.ctypes.data_as(_c_double_p)
+
+
+def vecmat(lib, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """v @ mat through the kernel, for mat in C order or the transpose of a
+    C-order array."""
+    k, length = mat.shape
+    rs, cs = (s // 8 for s in mat.strides)
+    out = np.empty(length)
+    lib.devdan_vecmat(_ptr(v), _ptr(mat), k, length, rs, cs, _ptr(out))
+    return out
+
+
+def matvec(lib, mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v through the kernel, for mat in C order."""
+    out = np.empty(mat.shape[0])
+    lib.devdan_matvec(_ptr(mat), _ptr(v), mat.shape[0], mat.shape[1], _ptr(out))
+    return out
+
+
+def squash(lib, kind: str, v: np.ndarray) -> np.ndarray:
+    """sigmoid or softmax_row (row by row for 2-D v) through the kernel."""
+    out = np.array(v, dtype=np.float64, order="C")
+    if kind == "sigmoid":
+        lib.devdan_sigmoid(_ptr(out), out.size)
+    else:
+        rows, cols = (1, out.size) if out.ndim == 1 else out.shape
+        lib.devdan_softmax(_ptr(out), rows, cols)
+    return out
+
+
+def reduce_sum(lib, v: np.ndarray) -> float:
+    out = np.empty(1)
+    lib.devdan_sum(_ptr(v), v.size, _ptr(out))
+    return float(out[0])
+
+
+def _same(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _self_check(lib) -> None:
+    """Every product orientation at one and at several outputs, the two
+    squashes and the sum, against numpy on fixed draws."""
+    rng = np.random.default_rng(20190101)
+    for k, length in ((3, 1), (3, 12), (1, 5), (12, 3), (40, 2)):
+        mat = rng.normal(size=(k, length))
+        v = rng.normal(size=k)
+        if not _same(vecmat(lib, v, mat), v @ mat):
+            raise KernelUnavailable(f"self-check: vector @ matrix ({k}, {length})")
+        flipped = rng.normal(size=(length, k)).T
+        if not _same(vecmat(lib, v, flipped), v @ flipped):
+            raise KernelUnavailable(f"self-check: vector @ transposed matrix ({k}, {length})")
+        w = rng.normal(size=length)
+        if not _same(matvec(lib, mat.T.copy(), v), mat.T.copy() @ v):
+            raise KernelUnavailable(f"self-check: matrix @ vector ({length}, {k})")
+        if not _same(vecmat(lib, w, mat.T), w @ mat.T):
+            raise KernelUnavailable(f"self-check: vector @ transposed matrix ({length}, {k})")
+    extremes = [745.0, -745.0, 1e308, -1e308, 0.0, -0.0, 40.0]
+    v = np.concatenate([rng.normal(scale=8.0, size=293), extremes])
+    if not _same(squash(lib, "sigmoid", v), sigmoid(v)):
+        raise KernelUnavailable("self-check: sigmoid")
+    for shape in ((3, 2), (3, 10), (1, 300)):
+        rows = rng.normal(scale=30.0, size=shape)
+        if not _same(squash(lib, "softmax", rows), softmax_row(rows)):
+            raise KernelUnavailable(f"self-check: softmax_row {shape}")
+    if not _same(reduce_sum(lib, v[:297]), np.add.reduce(v[:297])):
+        raise KernelUnavailable("self-check: add.reduce")
+
+
+def _load():
+    loops = [_float64_loop(u) for u in (np.exp, np.logaddexp, np.add)]
+    blas = _blas()
+    target = _library_path()
+    if not target.exists():
+        _build(target)
+    try:
+        lib = ctypes.CDLL(str(target))
+        _declare(lib)
+    except (OSError, AttributeError) as err:
+        raise KernelUnavailable(f"load failed: {err}") from err
+    fns = [ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
+           for name in ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")]
+    # copied into the library; ctypes never unloads a library, so the
+    # addresses stay valid for the life of the process
+    numerics = _Numerics(*(f for f, _ in loops), *(d for _, d in loops), *fns)
+    lib.devdan_set_numerics(ctypes.addressof(numerics))
+    _self_check(lib)
+    return lib
+
+
+def library():
+    """The loaded kernel, or None when the numpy step runs. The first call
+    in a process builds (if needed), loads and checks it; later calls return
+    that outcome."""
+    global _state
+    if _state is None:
+        try:
+            _state = (_load(), "compiled")
+        except Exception as err:  # any failure keeps the numpy step
+            _state = (None, f"numpy ({err})")
+    return _state[0]
+
+
+def step_backend() -> str:
+    """Which training step runs: "compiled" or "numpy (<reason>)"."""
+    library()
+    return _state[1]
+
+
+class StepContext:
+    """One model's handle on the kernel: pointers into the flat parameter,
+    momentum and gradient vectors and the node-statistics arrays, plus a
+    work vector whose views carry the inputs and the results. Holds
+    raw pointers, so it lives only inside FlatState and is rebuilt with it."""
+
+    __slots__ = ("model", "addr", "work", "x", "xt", "ey", "gen_output", "disc_output",
+                 "scalars", "gen_forward", "gen_update", "disc_forward", "disc_refresh",
+                 "disc_update")
+
+    def __init__(self, lib, n, width, m, params, vel, grads, gen_stats, disc_stats):
+        k = max(n, m)
+        self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width) + 3)
+        # the layout that view_of() in _step.c reads
+        self.x, self.xt = s[:n], s[n:2 * n]
+        self.ey = s[2 * n + width:2 * n + 2 * width]
+        pre = 2 * n + 2 * width
+        self.gen_output = s[pre:pre + n]
+        self.disc_output = s[pre:pre + m]
+        self.scalars = s[-3:]
+        self.model = _Model(
+            n, width, m,
+            *(arr.ctypes.data for arr in (
+                params, vel, grads, gen_stats.count, disc_stats.count,
+                gen_stats.mean, gen_stats.m2, disc_stats.mean, disc_stats.m2, s)),
+        )
+        self.addr = ctypes.addressof(self.model)
+        self.gen_forward = lib.devdan_gen_forward
+        self.gen_update = lib.devdan_gen_update
+        self.disc_forward = lib.devdan_disc_forward
+        self.disc_refresh = lib.devdan_disc_refresh
+        self.disc_update = lib.devdan_disc_update

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dae
+from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
     NodeStats,
@@ -140,12 +140,16 @@ class FlatState:
              out as gen_grads (dw, db, dc) and disc_grads (dw, db, dtheta, deta)
     gen_joint, disc_joint : (params, grads) over [c | w | b] and over
              [w | b | theta | eta], the span each phase updates
+    stats  : the six node-statistics arrays it was built with
+    kernel : the compiled step's context (pointers into the vectors above
+             and into stats), or None when the numpy step runs
 
     Derived state: built from the live arrays, which are then rebound as its
-    views, and never checkpointed or hashed.
+    views, and never checkpointed, hashed, pickled or copied.
     """
 
-    __slots__ = ("params", "vel", "gen_grads", "disc_grads", "gen_joint", "disc_joint")
+    __slots__ = ("params", "vel", "gen_grads", "disc_grads", "gen_joint", "disc_joint",
+                 "stats", "kernel")
 
     def __init__(self, model: "DevdanModel"):
         layer, head = model.layer, model.head
@@ -162,16 +166,35 @@ class FlatState:
         gen_end = dc.size + dw.size + db.size
         self.gen_joint = (p[:gen_end], g[:gen_end])
         self.disc_joint = (p[dc.size:], g[dc.size:])
+        gs, ds = model.gen_stats, model.disc_stats
+        self.stats = (gs.count, gs.mean, gs.m2, ds.count, ds.mean, ds.m2)
+        lib = kernel.library()
+        self.kernel = None
+        if lib is not None and p.dtype == np.float64 and _kernel_ready(self.stats, layer.width):
+            self.kernel = kernel.StepContext(
+                lib, layer.n_in, layer.width, head.n_classes, p, self.vel, g, gs, ds)
 
     def is_behind(self, model: "DevdanModel") -> bool:
         """True when any live parameter or momentum array is not a view of
-        these vectors: after a grow or prune, a checkpoint load, a copy or
-        pickle (which copy views as arrays of their own), or an assignment."""
+        these vectors, or a node-statistics array is not the one it was built
+        with: after a grow or prune, a checkpoint load, a copy or pickle
+        (which copy views as arrays of their own), or an assignment."""
         layer, head, p, v = model.layer, model.head, self.params, self.vel
+        gs, ds, stats = model.gen_stats, model.disc_stats, self.stats
         return not (layer.c.base is p and layer.w.base is p and layer.b.base is p
                     and head.theta.base is p and head.eta.base is p
                     and model.vel_w.base is v and model.vel_b.base is v
-                    and head.vel_theta.base is v and head.vel_eta.base is v)
+                    and head.vel_theta.base is v and head.vel_eta.base is v
+                    and gs.count is stats[0] and gs.mean is stats[1] and gs.m2 is stats[2]
+                    and ds.count is stats[3] and ds.mean is stats[4] and ds.m2 is stats[5])
+
+
+def _kernel_ready(stats: tuple, width: int) -> bool:
+    """The compiled step reads counts as int64 and moments as float64, each
+    one contiguous value per node."""
+    return all(arr.flags.c_contiguous and arr.shape == (width,)
+               and arr.dtype == (np.int64 if i % 3 == 0 else np.float64)
+               for i, arr in enumerate(stats))
 
 
 def _views(vec: np.ndarray, like) -> list:
@@ -355,6 +378,8 @@ class DevdanModel:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
         x = self._as_input(x)
         flat = self._flat()
+        if flat.kernel is not None:
+            return self._compiled_generative_step(x, flat.kernel)
         x_tilde = dae.mask_input(x, self.mask)
         layer = self.layer
         a = x_tilde @ layer.w
@@ -389,6 +414,8 @@ class DevdanModel:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
         onehot = self._onehot[label]
         flat = self._flat()
+        if flat.kernel is not None:
+            return self._compiled_discriminative_step(x, label, flat.kernel)
         layer, head = self.layer, self.head
         a = x @ layer.w
         a += layer.b
@@ -426,6 +453,53 @@ class DevdanModel:
         vel *= cfg.momentum
         vel += grads
         params -= cfg.lr_discriminative * vel
+        return StepReport(grew, pruned, loss, self.width)
+
+    # The same two steps through the compiled kernel: one call before the
+    # charts and one after, on the context's copies of x and x_tilde. An edit
+    # rebuilds the context, and the second call then recomputes the forward
+    # pass against the edited layer.
+
+    def _compiled_generative_step(self, x: np.ndarray, k: kernel.StepContext) -> StepReport:
+        x_tilde = dae.mask_input(x, self.mask)
+        k.x[:] = x
+        k.xt[:] = x_tilde
+        k.gen_forward(k.addr)
+        bias2, variance, _ = k.scalars.tolist()
+        grew, pruned = self._evolve(
+            self.gen_bias, self.gen_var, NsSnapshot(k.ey, bias2, variance),
+            lambda: self._grow_generative(x - k.gen_output),
+        )
+        edited = grew or pruned
+        if edited:
+            k = self._flat().kernel
+            k.x[:] = x
+            k.xt[:] = x_tilde
+        status = k.gen_update(k.addr, self.config.lr_generative, edited)
+        loss = float(k.scalars[2])
+        if status == 1:
+            raise NumericError(f"non-finite generative loss {loss!r}")
+        if status:
+            raise NumericError(f"non-finite gradient for parameter block '{'wbc'[status - 2]}'")
+        return StepReport(grew, pruned, loss, self.width)
+
+    def _compiled_discriminative_step(self, x: np.ndarray, label: int, k: kernel.StepContext) -> StepReport:
+        k.x[:] = x
+        k.disc_forward(k.addr, label)
+        bias2, variance, _ = k.scalars.tolist()
+        grew, pruned = self._evolve(
+            self.disc_bias, self.disc_var, NsSnapshot(k.ey, bias2, variance),
+            self._grow_discriminative,
+        )
+        if grew or pruned:
+            k = self._flat().kernel
+            k.x[:] = x
+            k.disc_refresh(k.addr)
+        loss = -float(np.log(max(k.disc_output[label], 1e-300)))
+        if not math.isfinite(loss):
+            raise NumericError(f"non-finite discriminative loss {loss!r}")
+        cfg = self.config
+        k.disc_update(k.addr, label, cfg.lr_discriminative, cfg.momentum)
         return StepReport(grew, pruned, loss, self.width)
 
     # -------------------------------------------------------------- batch level

@@ -1,12 +1,43 @@
 """Shared pytest plumbing: the acceptance suite registers one PASS/FAIL line
 per criterion and the lines are echoed in the terminal summary, so they are
-visible regardless of output capture."""
+visible regardless of output capture. The header names the training step
+that runs; `each_backend` runs a test body once per step."""
+from unittest import mock
+
+import pytest
+
+from devdan import kernel, step_backend
 
 acceptance_lines = []
 
 
+def pytest_report_header(config):
+    return f"devdan training step: {step_backend()}"
+
+
 def pytest_terminal_summary(terminalreporter):
+    # again at the end, for runs whose verbosity (-q) hides the header
+    terminalreporter.write_line(pytest_report_header(terminalreporter.config))
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def each_backend():
+    """Runs a loop body once per training step available here: "numpy", then
+    "compiled" unless the kernel is unavailable (the report header says why).
+    Models should be built and trained inside the body: a model takes the
+    step that was chosen when its flat state was last built."""
+    with mock.patch.object(kernel, "library", lambda: None):
+        yield "numpy"
+    if kernel.library() is not None:
+        yield "compiled"
+
+
+@pytest.fixture
+def compiled_step():
+    """Skips the test, with the loader's reason, where the compiled step is
+    unavailable."""
+    if kernel.library() is None:
+        pytest.skip(f"compiled step unavailable: {step_backend()}")

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import each_backend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devdan import dae
+from devdan import dae, kernel
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
@@ -464,7 +465,13 @@ PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discrim
 )
 def test_random_step_sequences_keep_state_in_step(seed, ops):
     """Any mix of steps and forced edits leaves every per-node array of the
-    state table at the model's width, and a checkpoint keeps the hash."""
+    state table at the model's width, a checkpoint keeps the hash, and both
+    training steps end on the same hash."""
+    hashes = {backend: run_step_sequence(seed, ops) for backend in each_backend()}
+    assert len(set(hashes.values())) == 1, hashes
+
+
+def run_step_sequence(seed, ops) -> str:
     model = DevdanModel(3, 2, DevdanConfig(seed=seed))
     for kind, x, label, index in ops:
         x = np.array(x)
@@ -491,6 +498,7 @@ def test_random_step_sequences_keep_state_in_step(seed, ops):
         path = Path(tmp) / "m.ckpt.json"
         save_checkpoint(model, path)
         assert state_hash(load_checkpoint(path)) == state_hash(model)
+    return state_hash(model)
 
 
 def train(model, feats, labels):
@@ -502,43 +510,54 @@ def train(model, feats, labels):
 def test_copies_train_without_touching_the_original(tmp_path):
     """Steps update the parameters, momentum slots and node statistics in
     place: a deep copy, a pickle round trip and a checkpoint copy must each
-    own their arrays, and train alike."""
-    rng = np.random.default_rng(71)
-    model = DevdanModel(3, 2, DevdanConfig(seed=71))
-    feats, labels = gen_sea(400, rng=rng)
-    train(model, feats[:200], labels[:200])
-    before = state_hash(model)
-    path = tmp_path / "m.ckpt.json"
-    save_checkpoint(model, path)
-    twins = (copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path))
-    for twin in twins:
-        train(twin, feats[200:], labels[200:])
-    assert state_hash(model) == before
-    assert len({state_hash(twin) for twin in twins}) == 1
-    assert state_hash(twins[0]) != before
+    own their arrays, and train alike with either step."""
+    feats, labels = gen_sea(400, rng=np.random.default_rng(71))
+    ends = set()
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=71))
+        train(model, feats[:200], labels[:200])
+        before = state_hash(model)
+        path = tmp_path / f"{backend}.ckpt.json"
+        save_checkpoint(model, path)
+        twins = (copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path))
+        for twin in twins:
+            train(twin, feats[200:], labels[200:])
+        assert state_hash(model) == before
+        ends.update(state_hash(twin) for twin in twins)
+        assert state_hash(twins[0]) != before
+    assert len(ends) == 1
 
 
 def test_pickle_and_copy_leave_out_the_flat_vectors():
-    """The next step rebuilds the flat vectors, so a pickle or deep copy of a
-    trained model does not carry them; the original keeps its own."""
-    model = DevdanModel(3, 2, DevdanConfig(seed=72))
+    """The next step rebuilds the flat vectors and the compiled step's
+    context of raw pointers, so a pickle or deep copy of a trained model
+    carries neither; the original keeps its own."""
     feats, labels = gen_sea(200, rng=np.random.default_rng(72))
-    train(model, feats, labels)
-    assert model._flat_state is not None
-    assert b"FlatState" not in pickle.dumps(model)
-    assert copy.deepcopy(model)._flat_state is None
-    assert model._flat_state is not None
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=72))
+        train(model, feats, labels)
+        assert (model._flat_state.kernel is not None) == (backend == "compiled")
+        data = pickle.dumps(model)
+        assert b"FlatState" not in data and b"StepContext" not in data
+        assert copy.deepcopy(model)._flat_state is None
+        assert model._flat_state is not None
 
 
-@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer"])
+@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean"])
 def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
-    """Assigning a parameter array, or the whole layer, of a model that has
-    trained hands the new values to the next step."""
+    """Assigning a parameter or node-statistics array, or the whole layer, of
+    a model that has trained hands the new values to the next step, with
+    either step."""
+    ends = {backend: rebound_run(tmp_path / f"{backend}.ckpt.json", rebound)
+            for backend in each_backend()}
+    assert len(set(ends.values())) == 1, ends
+
+
+def rebound_run(path, rebound) -> str:
     rng = np.random.default_rng(73)
     feats, labels = gen_sea(300, rng=rng)
     model = DevdanModel(3, 2, DevdanConfig(seed=73))
     train(model, feats[:100], labels[:100])
-    path = tmp_path / "m.ckpt.json"
     save_checkpoint(model, path)
     doc = json.loads(path.read_text())
     if rebound == "layer.w":
@@ -547,6 +566,10 @@ def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
     elif rebound == "head.theta":
         new = {"theta": rng.normal(size=model.head.theta.shape)}
         model.head.theta = new["theta"].copy()
+    elif rebound == "gen_stats.mean":
+        new = {"mean": rng.normal(size=model.width)}
+        model.gen_stats.mean = new["mean"].copy()
+        doc["gen_stats"]["mean"] = new.pop("mean").tolist()
     else:
         new = {"w": rng.normal(size=model.layer.w.shape),
                "b": rng.normal(size=model.width), "c": rng.normal(size=3)}
@@ -558,12 +581,15 @@ def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
     train(model, feats[100:], labels[100:])
     train(built, feats[100:], labels[100:])
     assert state_hash(built) == state_hash(model)
+    return state_hash(model)
 
 
 @pytest.mark.parametrize("block, index", [("w", 0), ("b", 1), ("c", 2)])
 def test_nonfinite_gradient_through_generative_step(monkeypatch, block, index):
-    """The step's one-vector update still names the bad block and leaves the
-    layer untouched."""
+    """The numpy step's one-vector update still names the bad block and
+    leaves the layer untouched. (The compiled step never calls
+    dae.generative_gradients; test_nonfinite_parity covers it.)"""
+    monkeypatch.setattr(kernel, "library", lambda: None)
     rng = np.random.default_rng(79)
     model = DevdanModel(3, 2, frozen_config(seed=79))
     widen(model, 2)
@@ -582,6 +608,56 @@ def test_nonfinite_gradient_through_generative_step(monkeypatch, block, index):
         model.generative_step(rng.uniform(size=3))
     for now, then in zip((model.layer.w, model.layer.b, model.layer.c), before):
         np.testing.assert_array_equal(now, then)
+
+
+def poisoned_model(case):
+    """A frozen width-2 model and a step that goes non-finite in it.
+
+    "gradient": every input masked (x_tilde = 0), both hidden nodes
+    saturated at exactly 1 and w[0] = (1e308, -1e308): the decoder
+    pre-activation cancels to c[0], so z[0] = 0.5 and with x[0] = 100 the
+    residual term is -24.875; du @ w overflows, times y * (1 - y) = 0 gives
+    NaN in db and so in dw, while the loss stays finite.
+    "generative loss": an input of 1e200. "discriminative loss": a NaN in eta.
+    """
+    model = DevdanModel(3, 2, frozen_config(seed=81, mask_fraction=1.0))
+    widen(model, 1)
+    randomize(model, np.random.default_rng(81))
+    x = np.array([0.3, 0.6, 0.9])
+    model.generative_step(x)
+    model.discriminative_step(x, 0)
+    if case == "gradient":
+        model.layer.w = np.array([[1e308, -1e308], [0.5, -0.5], [0.5, -0.5]])
+        model.layer.b = np.array([40.0, 40.0])
+        model.layer.c = np.zeros(3)
+        return model, lambda: model.generative_step(np.array([100.0, 0.0, 0.0]))
+    if case == "generative loss":
+        return model, lambda: model.generative_step(np.array([1e200, 0.0, 0.0]))
+    model.head.eta = np.array([np.nan, 0.0])
+    return model, lambda: model.discriminative_step(x, 1)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("gradient", "parameter block 'w'"),
+    ("generative loss", "non-finite generative loss inf"),
+    ("discriminative loss", "non-finite discriminative loss nan"),
+])
+def test_nonfinite_parity(compiled_step, case, message):
+    """Driven non-finite through its parameters or its input, the compiled
+    step raises the numpy step's NumericError, leaves the parameters
+    untouched and ends on the numpy step's hash."""
+    ends = {}
+    for backend in each_backend():
+        model, step = poisoned_model(case)
+        params = [arr.copy() for arr in (model.layer.w, model.layer.b, model.layer.c,
+                                         model.head.theta, model.head.eta)]
+        with pytest.raises(NumericError, match=message) as err:
+            step()
+        for now, then in zip((model.layer.w, model.layer.b, model.layer.c,
+                              model.head.theta, model.head.eta), params):
+            np.testing.assert_array_equal(now, then)
+        ends[backend] = (str(err.value), state_hash(model))
+    assert ends["numpy"] == ends["compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +750,13 @@ def plain_discriminative_step(model, x, label):
 def test_steps_match_plain_reference(n, m, momentum):
     """300 rows of both phases, with the concept flipped half way and grows
     and prunes forced between steps, end on the reference's state hash.
-    With m = 10 the softmax sums take numpy's pairwise path."""
+    With m = 10 the softmax sums take numpy's pairwise path. Both training
+    steps run."""
+    ends = {backend: reference_run(n, m, momentum) for backend in each_backend()}
+    assert len(set(ends.values())) == 1, ends
+
+
+def reference_run(n, m, momentum) -> str:
     cfg = DevdanConfig(seed=n + m, momentum=momentum)
     model = DevdanModel(n, m, cfg)
     ref = DevdanModel(n, m, dataclasses.replace(cfg))
@@ -699,3 +781,4 @@ def test_steps_match_plain_reference(n, m, momentum):
                 mdl._prune(index)
     assert events.all()  # the charts also grew and pruned inside the steps
     assert state_hash(model) == state_hash(ref)
+    return state_hash(model)
