@@ -1,25 +1,33 @@
-/* Compiled arithmetic of DevdanModel's two training steps.
+/* Compiled training loop of DevdanModel: both phases over a run of rows.
  *
  * Every value equals the numpy step's bit for bit:
- *   - exp, logaddexp and every sum call numpy's own float64 inner loops, whose
- *     addresses the loader reads from the ufunc loop tables; a sum is the add
- *     loop in reduce mode (strides 0, 8, 0) over a 0.0 accumulator, which is
- *     what np.add.reduce does;
+ *   - exp, logaddexp, log and every sum call numpy's own float64 inner loops,
+ *     whose addresses the loader reads from the ufunc loop tables; a sum is
+ *     the add loop in reduce mode (strides 0, 8, 0) over a 0.0 accumulator,
+ *     which is what np.add.reduce does;
  *   - every product follows numpy's matmul dispatch: a one-element result is
  *     0.0 + ddot, an inner dimension of 1 is numpy's plain loop (0.0 + one
  *     product), anything else is the dgemv call numpy makes, through the BLAS
  *     numpy itself uses;
+ *   - the mask draw is Generator.permutation's Fisher-Yates shuffle on the
+ *     model generator's own bitgen_t, so it draws what numpy would;
+ *   - the control charts repeat RunningMoment, SpcTracker, kappa,
+ *     should_grow and should_prune operation for operation, with libm's exp
+ *     and sqrt, which math.exp and math.sqrt call;
  *   - the rest is elementwise + - * / and sqrt, each rounded once, in the
  *     order the numpy step writes them. Build with -ffp-contract=off and
  *     without -ffast-math so that no two of them fuse.
  *
- * Python keeps the mask draw, the control charts, the structural edits and
- * the discriminative loss; each step calls *_forward before the charts and
- * *_update after them. The model struct points into the model's own arrays.
+ * devdan_train_rows runs one phase over a run of rows and returns to Python
+ * when the rows run out, at a non-finite result, at a bad label, or when a
+ * chart fires; Python then makes the structural edit, which draws from the
+ * generator, and resumes at the same row. The model struct points into the
+ * model's own arrays.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef void (*loop_fn)(char **args, const ptrdiff_t *dims, const ptrdiff_t *steps, void *data);
 typedef void (*gemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
@@ -32,8 +40,8 @@ enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
 
 /* numpy's loops and BLAS entry points, set once per process by the loader */
 struct numerics {
-    loop_fn exp, logaddexp, add;
-    void *exp_data, *logaddexp_data, *add_data;
+    loop_fn exp, logaddexp, add, log;
+    void *exp_data, *logaddexp_data, *add_data, *log_data;
     gemv_fn gemv;
     dot_fn dot;
 };
@@ -104,6 +112,16 @@ static void softmax(double *v, ptrdiff_t rows, ptrdiff_t cols)
         for (ptrdiff_t k = 0; k < cols; k++)
             row[k] = row[k] / total;
     }
+}
+
+/* np.log of one float64, which numpy evaluates with its loop at length 1 */
+static double log_one(double v)
+{
+    double out;
+    char *args[2] = {(char *)&v, (char *)&out};
+    ptrdiff_t len = 1, steps[2] = {sizeof(double), sizeof(double)};
+    np_.log(args, &len, steps, np_.log_data);
+    return out;
 }
 
 /* out = v @ M for v of length k and a (k, len) matrix M with element [i, j]
@@ -242,7 +260,7 @@ static void bias_variance(const struct view *s, ptrdiff_t k, int64_t label)
 
 /* Generative step before the charts: encode x_tilde, update the node
  * statistics, then the snapshot with the forward pass riding along. */
-void devdan_gen_forward(const struct model *md)
+static void gen_forward(const struct model *md)
 {
     struct view s = view_of(md);
     encode(&s, s.xt);
@@ -258,7 +276,7 @@ void devdan_gen_forward(const struct model *md)
  * the plain update of [c | w | b]. refresh recomputes the forward pass after
  * a structural edit. Returns 0, or without touching the parameters 1 for a
  * non-finite loss and 2, 3, 4 for a non-finite gradient of w, b, c. */
-int devdan_gen_update(const struct model *md, double lr, int refresh)
+static int gen_update(const struct model *md, double lr, int refresh)
 {
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width;
@@ -298,7 +316,7 @@ int devdan_gen_update(const struct model *md, double lr, int refresh)
 
 /* Discriminative step before the charts: encode x, update the node
  * statistics, then the snapshot with the class probabilities riding along. */
-void devdan_disc_forward(const struct model *md, int64_t label)
+static void disc_forward(const struct model *md, int64_t label)
 {
     struct view s = view_of(md);
     encode(&s, s.x);
@@ -312,7 +330,7 @@ void devdan_disc_forward(const struct model *md, int64_t label)
 
 /* The hidden activation and class probabilities again, after a structural
  * edit. */
-void devdan_disc_refresh(const struct model *md)
+static void disc_refresh(const struct model *md)
 {
     struct view s = view_of(md);
     encode(&s, s.x);
@@ -326,7 +344,7 @@ void devdan_disc_refresh(const struct model *md)
 /* Discriminative step after the charts and the loss: softmax cross-entropy
  * gradients back through head and encoder, then momentum descent over
  * [w | b | theta | eta]. */
-void devdan_disc_update(const struct model *md, int64_t label, double lr, double momentum)
+static void disc_update(const struct model *md, int64_t label, double lr, double momentum)
 {
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width, m = s.m;
@@ -350,4 +368,229 @@ void devdan_disc_update(const struct model *md, int64_t label, double lr, double
         v[i] = v[i] + g[i];
         p[i] = p[i] - lr * v[i];
     }
+}
+
+/* ------------------------------------------------------------ mask draw */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h) */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's random_interval: a uniform integer in [0, max] by masked rejection */
+static uint64_t random_interval(bitgen_t *bg, uint64_t max)
+{
+    uint64_t mask = max, value;
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffUL)
+        while ((value = (bg->next_uint32(bg->state) & mask)) > max)
+            ;
+    else
+        while ((value = (bg->next_uint64(bg->state) & mask)) > max)
+            ;
+    return value;
+}
+
+/* dae.mask_input: xt = x with entries rng.permutation(n)[:k] set to 0.0,
+ * perm an n-element scratch; draws nothing when k is 0 */
+static void mask_draw(bitgen_t *bg, const double *x, double *xt, ptrdiff_t n, ptrdiff_t k,
+                      int64_t *perm)
+{
+    memcpy(xt, x, n * sizeof(double));
+    if (k == 0)
+        return;
+    for (ptrdiff_t i = 0; i < n; i++)
+        perm[i] = i;
+    for (ptrdiff_t i = n - 1; i >= 1; i--) {  /* Generator.shuffle */
+        ptrdiff_t j = (ptrdiff_t)random_interval(bg, (uint64_t)i);
+        int64_t swap = perm[j];
+        perm[j] = perm[i];
+        perm[i] = swap;
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        xt[perm[i]] = 0.0;
+}
+
+void devdan_mask(void *bitgen, const double *x, double *out, int64_t n, int64_t k, int64_t *perm)
+{
+    mask_draw(bitgen, x, out, n, k, perm);
+}
+
+/* --------------------------------------------------------------- charts */
+
+/* One SpcTracker: its RunningMoment, minima and re-seed flag as Python
+ * holds them, then std and the last test's limit, which this file writes
+ * (NaN when the test did not run) */
+enum { COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, STD, LIMIT, CHART_FIELDS };
+enum { GROW = 1, PRUNE = 2, RAISES = 4 };
+
+/* SpcTracker.update; returns 1 where math.sqrt would raise */
+static int chart_update(double *c, double x)
+{
+    c[COUNT] = c[COUNT] + 1.0;
+    double delta = x - c[MEAN];
+    c[MEAN] = c[MEAN] + delta / c[COUNT];
+    c[M2] = c[M2] + delta * (x - c[MEAN]);
+    double std = 0.0;
+    if (c[COUNT] > 1.0) {
+        double q = c[M2] / c[COUNT];
+        if (q < 0.0)
+            return 1;
+        std = sqrt(q);
+    }
+    c[STD] = std;
+    if (c[RESEED] != 0.0) {
+        c[MIN_MEAN] = c[MEAN];
+        c[MIN_STD] = std;
+        c[RESEED] = 0.0;
+    } else {
+        if (c[MEAN] < c[MIN_MEAN])
+            c[MIN_MEAN] = c[MEAN];
+        if (std < c[MIN_STD])
+            c[MIN_STD] = std;
+    }
+    return 0;
+}
+
+/* mean + std >= min_mean + scale * kappa(level) * min_std, where kappa(level)
+ * = 1.3 exp(-level) + 0.7; sets *raises where math.exp would overflow */
+static int chart_fires(double *c, double level, double scale, int *raises)
+{
+    double e = exp(-level);
+    if (isinf(e) && !isinf(level)) {
+        *raises = 1;
+        return 0;
+    }
+    double kappa = 1.3 * e + 0.7;
+    c[LIMIT] = c[MIN_MEAN] + scale * kappa * c[MIN_STD];  /* 1.0 * kappa is kappa */
+    return c[MEAN] + c[STD] >= c[LIMIT];
+}
+
+/* DevdanModel._evolve's chart work for one row, without the edits and the
+ * resets: the bias chart takes bias2 and may call for a grow, then the
+ * variance chart takes variance and may call for a prune. Returns GROW,
+ * PRUNE or RAISES where a Python call would raise. */
+static int charts_step(double *bias, double *var, double bias2, double variance, int64_t width,
+                       int64_t enable_grow, int64_t enable_prune)
+{
+    int raises = 0, out = 0;
+    bias[LIMIT] = var[LIMIT] = NAN;
+    if (chart_update(bias, bias2))
+        return RAISES;
+    if (enable_grow && chart_fires(bias, bias2, 1.0, &raises))
+        out |= GROW;
+    if (raises || chart_update(var, variance))
+        return RAISES;
+    if (enable_prune && !out && width > 1) {
+        double level = 0.0 > variance ? 0.0 : variance;  /* max(variance, 0.0) */
+        if (chart_fires(var, level, 2.0, &raises))
+            out |= PRUNE;
+    }
+    return raises ? RAISES : out;
+}
+
+int devdan_charts(double *charts, double bias2, double variance, int64_t width,
+                  int64_t enable_grow, int64_t enable_prune)
+{
+    return charts_step(charts, charts + CHART_FIELDS, bias2, variance, width, enable_grow,
+                       enable_prune);
+}
+
+/* ------------------------------------------------------------ row loop */
+
+/* One phase over a run of rows. feats is a C-order (rows, n) array; index
+ * lists the rows to train, in order; labels (per feats row) is NULL for the
+ * generative phase. pos is where to start, and on return the row that
+ * returned; resume tells whether that row starts afresh or, after Python
+ * handled a chart that fired, goes on to its update, recomputing the forward
+ * pass first when Python edited the layer. */
+struct rows {
+    const double *feats;
+    const int64_t *index, *labels;
+    int64_t count, pos, resume;
+    double *losses;   /* per index entry */
+    double *charts;   /* the phase's bias and variance charts */
+    void *bitgen;     /* the model generator's bitgen_t */
+    int64_t *perm;    /* n int64 scratch for the mask draw */
+    int64_t n_masked, enable_grow, enable_prune;
+    double lr, momentum;
+};
+
+enum { FRESH, UPDATE, REFRESH };
+enum { DONE, CHART, BAD_LABEL, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
+
+/* The row's charts on a copy, kept only when neither fires: Python redoes a
+ * row whose chart fires, or where a Python call would raise. */
+static int row_charts(const struct model *md, struct rows *r)
+{
+    double next[2 * CHART_FIELDS], *scalars = view_of(md).scalars;
+    memcpy(next, r->charts, sizeof next);
+    if (charts_step(next, next + CHART_FIELDS, scalars[BIAS2], scalars[VARIANCE], md->width,
+                    r->enable_grow, r->enable_prune))
+        return CHART;
+    memcpy(r->charts, next, sizeof next);
+    return DONE;
+}
+
+static int generative_rows(const struct model *md, struct rows *r)
+{
+    struct view s = view_of(md);
+    for (; r->pos < r->count; r->pos++) {
+        int64_t resume = r->resume;
+        r->resume = FRESH;
+        if (resume == FRESH) {
+            memcpy(s.x, r->feats + r->index[r->pos] * s.n, s.n * sizeof(double));
+            mask_draw(r->bitgen, s.x, s.xt, s.n, r->n_masked, r->perm);
+            gen_forward(md);
+            if (row_charts(md, r) != DONE)
+                return CHART;
+        }
+        int status = gen_update(md, r->lr, resume == REFRESH);
+        r->losses[r->pos] = s.scalars[LOSS];
+        if (status)
+            return GEN_LOSS + status - 1;
+    }
+    return DONE;
+}
+
+static int discriminative_rows(const struct model *md, struct rows *r)
+{
+    struct view s = view_of(md);
+    for (; r->pos < r->count; r->pos++) {
+        int64_t resume = r->resume, row = r->index[r->pos], label = r->labels[row];
+        r->resume = FRESH;
+        if (resume == FRESH) {
+            if (label < 0 || label >= s.m)
+                return BAD_LABEL;
+            memcpy(s.x, r->feats + row * s.n, s.n * sizeof(double));
+            disc_forward(md, label);
+            if (row_charts(md, r) != DONE)
+                return CHART;
+        } else if (resume == REFRESH) {
+            disc_refresh(md);
+        }
+        double p = s.pre[label];
+        double loss = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
+        r->losses[r->pos] = loss;
+        if (!isfinite(loss))
+            return DISC_LOSS;
+        disc_update(md, label, r->lr, r->momentum);
+    }
+    return DONE;
+}
+
+int devdan_train_rows(const struct model *md, struct rows *r)
+{
+    return r->labels ? discriminative_rows(md, r) : generative_rows(md, r);
 }

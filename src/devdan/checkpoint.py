@@ -126,10 +126,6 @@ def state_hash(model: DevdanModel) -> str:
     for slot in STATE_SLOTS:
         h.update(np.ascontiguousarray(slot.get(model)).tobytes())
     for name in _TRACKERS:
-        t = getattr(model, name)
-        h.update(
-            repr((t.current.count, t.current.mean, t.current.m2,
-                  t.min_mean, t.min_std, t._reseed)).encode()
-        )
+        h.update(repr(getattr(model, name).values()).encode())
     h.update(repr(model.rng.bit_generator.state).encode())
     return h.hexdigest()

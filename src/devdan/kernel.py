@@ -1,13 +1,15 @@
-"""Loader of the compiled training step (`_step.c`).
+"""Loader of the compiled training loop (`_step.c`).
 
 The C file is built once into a per-user cache ($XDG_CACHE_HOME/devdan, else
 ~/.cache/devdan) under a name keyed by its source and the numerics stack, and
 loaded with ctypes at the first training step. It reproduces the numpy step
-bit for bit by calling numpy's own float64 exp, logaddexp and add loops, read
-here from the ufunc loop tables, and the dgemv/ddot of the OpenBLAS that numpy
-bundles. A load-time self-check compares every product orientation and both
-squashes with numpy; if the build, the load or the check fails, every model
-keeps the numpy step, and `step_backend()` says why.
+bit for bit by calling numpy's own float64 exp, logaddexp, add and log loops,
+read here from the ufunc loop tables, the dgemv/ddot of the OpenBLAS that
+numpy bundles, and the model generator's own bitgen_t for the mask draw. A
+load-time self-check compares every product orientation, both squashes, a
+mask-draw sequence and a control-chart sequence with numpy and Python; if the
+build, the load or the check fails, every model keeps the numpy step, and
+`step_backend()` says why.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dae import MaskSpec, mask_input
+from .monitors import SpcTracker, kappa, should_grow, should_prune
 from .numerics import sigmoid, softmax_row
 
 SOURCE = Path(__file__).with_name("_step.c")
@@ -50,9 +54,12 @@ class _UFunc(ctypes.Structure):
     ]
 
 
+_UFUNCS = (np.exp, np.logaddexp, np.add, np.log)
+
+
 class _Numerics(ctypes.Structure):
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "exp", "logaddexp", "add", "exp_data", "logaddexp_data", "add_data", "gemv", "dot")]
+        *(u.__name__ for u in _UFUNCS), *(u.__name__ + "_data" for u in _UFUNCS), "gemv", "dot")]
 
 
 class _Model(ctypes.Structure):
@@ -64,6 +71,36 @@ class _Model(ctypes.Structure):
             "params", "vel", "grads", "gen_count", "disc_count",
             "gen_mean", "gen_m2", "disc_mean", "disc_m2", "work")),
     ]
+
+
+class Rows(ctypes.Structure):
+    """struct rows in _step.c: one phase's run of rows."""
+
+    _fields_ = [
+        ("feats", ctypes.c_void_p),
+        ("index", ctypes.c_void_p),
+        ("labels", ctypes.c_void_p),
+        ("count", ctypes.c_int64),
+        ("pos", ctypes.c_int64),
+        ("resume", ctypes.c_int64),
+        ("losses", ctypes.c_void_p),
+        ("charts", ctypes.c_void_p),
+        ("bitgen", ctypes.c_void_p),
+        ("perm", ctypes.c_void_p),
+        ("n_masked", ctypes.c_int64),
+        ("enable_grow", ctypes.c_int64),
+        ("enable_prune", ctypes.c_int64),
+        ("lr", ctypes.c_double),
+        ("momentum", ctypes.c_double),
+    ]
+
+
+# A chart row: SpcTracker.values(), then std and the last test's limit
+CHART_FIELDS = 8
+GROW, PRUNE, RAISES = 1, 2, 4
+# where a resumed row starts, and why devdan_train_rows returned
+FRESH, UPDATE, REFRESH = 0, 1, 2
+DONE, CHART, BAD_LABEL, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS = range(8)
 
 
 class KernelUnavailable(Exception):
@@ -143,11 +180,9 @@ def _declare(lib) -> None:
         "devdan_softmax": ([p, i64, i64], None),
         "devdan_vecmat": ([p, p, i64, i64, i64, i64, p], None),
         "devdan_matvec": ([p, p, i64, i64, p], None),
-        "devdan_gen_forward": ([v], None),
-        "devdan_gen_update": ([v, d, ctypes.c_int], ctypes.c_int),
-        "devdan_disc_forward": ([v, i64], None),
-        "devdan_disc_refresh": ([v], None),
-        "devdan_disc_update": ([v, i64, d, d], None),
+        "devdan_mask": ([v, p, p, i64, i64, v], None),
+        "devdan_charts": ([p, d, d, i64, i64, i64], ctypes.c_int),
+        "devdan_train_rows": ([v, v], ctypes.c_int),
     }
     for name, (args, res) in signatures.items():
         fn = getattr(lib, name)
@@ -194,13 +229,57 @@ def reduce_sum(lib, v: np.ndarray) -> float:
     return float(out[0])
 
 
+def bitgen_address(rng) -> int | None:
+    """Address of a numpy Generator's bitgen_t, None for any other generator."""
+    if type(rng) is not np.random.Generator:
+        return None
+    return rng.bit_generator.ctypes.bit_generator.value
+
+
+def mask_draw(lib, rng: np.random.Generator, x: np.ndarray, k: int) -> np.ndarray:
+    """x with k entries zeroed by the kernel's draw from rng, as
+    dae.mask_input draws them."""
+    out = np.empty_like(x)
+    perm = np.empty(x.size, dtype=np.int64)
+    lib.devdan_mask(bitgen_address(rng), _ptr(x), _ptr(out), x.size, k, perm.ctypes.data)
+    return out
+
+
+def charts_in(trackers) -> np.ndarray:
+    """A (len(trackers), CHART_FIELDS) chart buffer holding the trackers' values."""
+    buf = np.full((len(trackers), CHART_FIELDS), np.nan)
+    for row, tracker in zip(buf, trackers):
+        row[:6] = tracker.values()
+    return buf
+
+
+def charts_out(buf: np.ndarray, trackers) -> None:
+    for row, tracker in zip(buf.tolist(), trackers):
+        tracker.set_values(row[:6])
+
+
+def charts_step(lib, buf: np.ndarray, bias2: float, variance: float, width: int,
+                enable_grow: bool = True, enable_prune: bool = True) -> int:
+    """One row of DevdanModel._evolve's chart work on a (2, CHART_FIELDS)
+    buffer, without the edits and resets; returns GROW, PRUNE or RAISES."""
+    return lib.devdan_charts(_ptr(buf), bias2, variance, width, enable_grow, enable_prune)
+
+
 def _same(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def _same_state(a, b) -> bool:
+    """Equal bit-generator states: dicts whose values may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return _same(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 def _self_check(lib) -> None:
     """Every product orientation at one and at several outputs, the two
-    squashes and the sum, against numpy on fixed draws."""
+    squashes and the sum against numpy on fixed draws, then the mask draw and
+    the control charts."""
     rng = np.random.default_rng(20190101)
     for k, length in ((3, 1), (3, 12), (1, 5), (12, 3), (40, 2)):
         mat = rng.normal(size=(k, length))
@@ -225,10 +304,55 @@ def _self_check(lib) -> None:
             raise KernelUnavailable(f"self-check: softmax_row {shape}")
     if not _same(reduce_sum(lib, v[:297]), np.add.reduce(v[:297])):
         raise KernelUnavailable("self-check: add.reduce")
+    _check_mask_draw(lib)
+    _check_charts(lib, rng)
+
+
+def _check_mask_draw(lib) -> None:
+    """A fixed sequence of draws against dae.mask_input on a twin generator,
+    at lengths whose Fisher-Yates intervals need one, several and rejected
+    draws."""
+    for bits in (np.random.PCG64, np.random.MT19937):
+        ours, theirs = np.random.Generator(bits(7)), np.random.Generator(bits(7))
+        for n, fraction in ((1, 0.5), (3, 0.1), (8, 0.5), (20, 1.0), (784, 0.1)):
+            x = np.arange(1.0, n + 1.0)
+            spec = MaskSpec(fraction, theirs)
+            if not _same(mask_draw(lib, ours, x, spec.n_masked(n)), mask_input(x, spec)):
+                raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, n={n})")
+        if not _same_state(ours.bit_generator.state, theirs.bit_generator.state):
+            raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, generator state)")
+
+
+def _check_charts(lib, rng) -> None:
+    """A fixed stream through one chart pair against SpcTracker, should_grow
+    and should_prune: every moment, minimum, flag, decision and limit. A
+    chart that fires is reset and reloaded, as the model does."""
+    bias, var = SpcTracker(), SpcTracker()
+    buf = charts_in((bias, var))
+    for t, (b2, v) in enumerate(rng.exponential([0.05, 0.02], size=(200, 2))):
+        if t % 50 == 25:  # a drift: both streams jump
+            b2, v = 10.0 * b2, 10.0 * v
+        flags = charts_step(lib, buf, b2, v, 3)
+        bias.update(b2)
+        grew = should_grow(bias, b2)
+        var.update(v)
+        pruned = should_prune(var, v, grew, 3)
+        limits = (bias.min_mean + kappa(b2) * bias.min_std,
+                  var.min_mean + 2.0 * kappa(v) * var.min_std if not grew else np.nan)
+        if (flags != GROW * grew + PRUNE * pruned
+                or not _same(buf[:, :6], charts_in((bias, var))[:, :6])
+                or not _same(buf[:, 7], limits)):
+            raise KernelUnavailable(f"self-check: control chart (row {t})")
+        if grew:
+            bias.reset_min()
+        if pruned:
+            var.reset_min()
+        if flags:
+            buf = charts_in((bias, var))
 
 
 def _load():
-    loops = [_float64_loop(u) for u in (np.exp, np.logaddexp, np.add)]
+    loops = [_float64_loop(u) for u in _UFUNCS]
     blas = _blas()
     target = _library_path()
     if not target.exists():
@@ -273,19 +397,14 @@ class StepContext:
     work vector whose views carry the inputs and the results. Holds
     raw pointers, so it lives only inside FlatState and is rebuilt with it."""
 
-    __slots__ = ("model", "addr", "work", "x", "xt", "ey", "gen_output", "disc_output",
-                 "scalars", "gen_forward", "gen_update", "disc_forward", "disc_refresh",
-                 "disc_update")
+    __slots__ = ("model", "addr", "work", "ey", "gen_output", "scalars", "train_rows")
 
     def __init__(self, lib, n, width, m, params, vel, grads, gen_stats, disc_stats):
         k = max(n, m)
         self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width) + 3)
         # the layout that view_of() in _step.c reads
-        self.x, self.xt = s[:n], s[n:2 * n]
         self.ey = s[2 * n + width:2 * n + 2 * width]
-        pre = 2 * n + 2 * width
-        self.gen_output = s[pre:pre + n]
-        self.disc_output = s[pre:pre + m]
+        self.gen_output = s[2 * n + 2 * width:2 * n + 2 * width + n]
         self.scalars = s[-3:]
         self.model = _Model(
             n, width, m,
@@ -294,8 +413,4 @@ class StepContext:
                 gen_stats.mean, gen_stats.m2, disc_stats.mean, disc_stats.m2, s)),
         )
         self.addr = ctypes.addressof(self.model)
-        self.gen_forward = lib.devdan_gen_forward
-        self.gen_update = lib.devdan_gen_update
-        self.disc_forward = lib.devdan_disc_forward
-        self.disc_refresh = lib.devdan_disc_refresh
-        self.disc_update = lib.devdan_disc_update
+        self.train_rows = lib.devdan_train_rows

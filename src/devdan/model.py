@@ -11,6 +11,7 @@ routine that differs only in how a new node is initialised.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -213,6 +214,17 @@ class StepReport(NamedTuple):
     width_after: int
 
 
+_ONE_ROW = np.zeros(1, dtype=np.int64)  # the row list of a single step
+
+
+def _step_report(done, width: int) -> StepReport:
+    """The StepReport of a one-row run of the compiled loop."""
+    losses, grows, prunes, failure = done
+    if failure is not None:
+        raise failure[1]
+    return StepReport(grows > 0, prunes > 0, float(losses[0]), width)
+
+
 @dataclass
 class BatchReport:
     """Aggregates of one training pass over a batch."""
@@ -377,9 +389,10 @@ class DevdanModel:
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
         x = self._as_input(x)
+        done = self._compiled_rows(x[None], _ONE_ROW)
+        if done is not None:
+            return _step_report(done, self.width)
         flat = self._flat()
-        if flat.kernel is not None:
-            return self._compiled_generative_step(x, flat.kernel)
         x_tilde = dae.mask_input(x, self.mask)
         layer = self.layer
         a = x_tilde @ layer.w
@@ -412,10 +425,11 @@ class DevdanModel:
         x = self._as_input(x)
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
+        done = self._compiled_rows(x[None], _ONE_ROW, np.array([label], dtype=np.int64))
+        if done is not None:
+            return _step_report(done, self.width)
         onehot = self._onehot[label]
         flat = self._flat()
-        if flat.kernel is not None:
-            return self._compiled_discriminative_step(x, label, flat.kernel)
         layer, head = self.layer, self.head
         a = x @ layer.w
         a += layer.b
@@ -455,89 +469,122 @@ class DevdanModel:
         params -= cfg.lr_discriminative * vel
         return StepReport(grew, pruned, loss, self.width)
 
-    # The same two steps through the compiled kernel: one call before the
-    # charts and one after, on the context's copies of x and x_tilde. An edit
-    # rebuilds the context, and the second call then recomputes the forward
-    # pass against the edited layer.
+    def _compiled_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
+        """Trains one phase over feats[rows] in the compiled loop: the
+        generative phase, or given labels (int64, one per row of feats) the
+        discriminative one. The loop returns to Python only where a chart
+        fires, for _evolve to make the edit, which draws from the generator;
+        it then resumes at the same row, recomputing the forward pass against
+        the edited layer. The charts stay SpcTracker objects, copied into the
+        loop at each call and back at each return.
 
-    def _compiled_generative_step(self, x: np.ndarray, k: kernel.StepContext) -> StepReport:
-        x_tilde = dae.mask_input(x, self.mask)
-        k.x[:] = x
-        k.xt[:] = x_tilde
-        k.gen_forward(k.addr)
-        bias2, variance, _ = k.scalars.tolist()
-        grew, pruned = self._evolve(
-            self.gen_bias, self.gen_var, NsSnapshot(k.ey, bias2, variance),
-            lambda: self._grow_generative(x - k.gen_output),
+        Returns None where the numpy step has to run, else (losses, grows,
+        prunes, failure), failure being None or (position in rows, the error
+        the numpy step would raise there)."""
+        k = self._flat().kernel
+        bitgen = kernel.bitgen_address(self.mask.rng)
+        if k is None or bitgen is None:
+            return None
+        cfg, n, gen = self.config, self.n_in, labels is None
+        feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
+        charts = (self.gen_bias, self.gen_var) if gen else (self.disc_bias, self.disc_var)
+        losses = np.empty(rows.shape[0])
+        perm = np.empty(n, dtype=np.int64)
+        job = kernel.Rows(
+            feats.ctypes.data, rows.ctypes.data, None if gen else labels.ctypes.data,
+            rows.shape[0], 0, kernel.FRESH, losses.ctypes.data, None, bitgen, perm.ctypes.data,
+            min(self.mask.n_masked(n), n), cfg.enable_grow, cfg.enable_prune,
+            cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
-        edited = grew or pruned
-        if edited:
-            k = self._flat().kernel
-            k.x[:] = x
-            k.xt[:] = x_tilde
-        status = k.gen_update(k.addr, self.config.lr_generative, edited)
-        loss = float(k.scalars[2])
-        if status == 1:
-            raise NumericError(f"non-finite generative loss {loss!r}")
-        if status:
-            raise NumericError(f"non-finite gradient for parameter block '{'wbc'[status - 2]}'")
-        return StepReport(grew, pruned, loss, self.width)
-
-    def _compiled_discriminative_step(self, x: np.ndarray, label: int, k: kernel.StepContext) -> StepReport:
-        k.x[:] = x
-        k.disc_forward(k.addr, label)
-        bias2, variance, _ = k.scalars.tolist()
-        grew, pruned = self._evolve(
-            self.disc_bias, self.disc_var, NsSnapshot(k.ey, bias2, variance),
-            self._grow_discriminative,
-        )
-        if grew or pruned:
-            k = self._flat().kernel
-            k.x[:] = x
-            k.disc_refresh(k.addr)
-        loss = -float(np.log(max(k.disc_output[label], 1e-300)))
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite discriminative loss {loss!r}")
-        cfg = self.config
-        k.disc_update(k.addr, label, cfg.lr_discriminative, cfg.momentum)
-        return StepReport(grew, pruned, loss, self.width)
+        grows = prunes = 0
+        while True:
+            buf = kernel.charts_in(charts)
+            job.charts = buf.ctypes.data
+            status = k.train_rows(k.addr, ctypes.byref(job))
+            kernel.charts_out(buf, charts)
+            if status != kernel.CHART:
+                break
+            x, output = feats[rows[job.pos]], k.gen_output
+            grew, pruned = self._evolve(
+                *charts, NsSnapshot(k.ey, *k.scalars[:2].tolist()),
+                (lambda: self._grow_generative(x - output)) if gen else self._grow_discriminative,
+            )
+            grows += grew
+            prunes += pruned
+            job.resume = kernel.UPDATE
+            if grew or pruned:
+                old, k = k, self._flat().kernel
+                k.work[:2 * n] = old.work[:2 * n]  # x and x_tilde, drawn once
+                job.resume = kernel.REFRESH
+        if status == kernel.DONE:
+            return losses, grows, prunes, None
+        pos = job.pos
+        if status == kernel.BAD_LABEL:
+            err = ShapeError(f"label {labels[rows[pos]]} out of range [0, {self.n_classes})")
+        elif status == kernel.GEN_LOSS:
+            err = NumericError(f"non-finite generative loss {float(losses[pos])!r}")
+        elif status == kernel.DISC_LOSS:
+            err = NumericError(f"non-finite discriminative loss {float(losses[pos])!r}")
+        else:
+            err = NumericError(
+                f"non-finite gradient for parameter block '{'wbc'[status - kernel.GRAD_W]}'")
+        return losses[:pos], grows, prunes, (pos, err)
 
     # -------------------------------------------------------------- batch level
 
     def train_batch(self, batch) -> BatchReport:
         """Single-epoch pass: generative phase over every row, then the
-        discriminative phase over the rows whose labels are revealed."""
+        discriminative phase over the rows whose labels are revealed. With
+        the compiled step, each phase is one call into the compiled loop,
+        plus one more per structural edit."""
         if batch.labeled_mask is None:
             raise ConfigError("batch has no labeled mask: choose its labels before training")
         feats = np.asarray(batch.features, dtype=np.float64)
-        grows = prunes = 0
-        gen_losses = []
-        if self.config.enable_generative:
-            for t in range(feats.shape[0]):
-                try:
-                    rep = self.generative_step(feats[t])
-                except NumericError as err:
-                    raise NumericError(f"sample {t}: {err}") from err
-                grows += rep.grew
-                prunes += rep.pruned
-                gen_losses.append(rep.loss)
-        disc_losses = []
+        rows = np.arange(feats.shape[0] if self.config.enable_generative else 0)
+        gen_losses, gen_grows, gen_prunes = self._train_rows(feats, rows)
         labels = np.asarray(batch.labels)
-        mask = np.asarray(batch.labeled_mask, dtype=bool)
-        for t in np.flatnonzero(mask):
-            try:
-                rep = self.discriminative_step(feats[t], int(labels[t]))
-            except NumericError as err:
-                raise NumericError(f"sample {t}: {err}") from err
-            grows += rep.grew
-            prunes += rep.pruned
-            disc_losses.append(rep.loss)
+        rows = np.flatnonzero(np.asarray(batch.labeled_mask, dtype=bool))
+        disc_losses, disc_grows, disc_prunes = self._train_rows(feats, rows, labels)
         return BatchReport(
-            generative_loss=float(np.mean(gen_losses)) if gen_losses else float("nan"),
-            discriminative_loss=float(np.mean(disc_losses)) if disc_losses else float("nan"),
-            grow_events=grows,
-            prune_events=prunes,
+            generative_loss=float(np.mean(gen_losses)) if len(gen_losses) else float("nan"),
+            discriminative_loss=float(np.mean(disc_losses)) if len(disc_losses) else float("nan"),
+            grow_events=gen_grows + disc_grows,
+            prune_events=gen_prunes + disc_prunes,
             width_after=self.width,
             generative_steps=len(gen_losses),
             discriminative_steps=len(disc_losses),
         )
+
+    def _train_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
+        """One phase of train_batch over feats[rows]: (losses, grows, prunes).
+        A NumericError names the sample it happened at."""
+        done = None
+        if (feats.ndim == 2 and feats.shape[1] == self.n_in
+                and (rows.shape[0] == 0 or rows[-1] < feats.shape[0])):
+            if labels is None:
+                done = self._compiled_rows(feats, rows)
+            elif (labels.ndim == 1 and np.can_cast(labels.dtype, np.int64)
+                  and (rows.shape[0] == 0 or rows[-1] < labels.shape[0])):
+                done = self._compiled_rows(feats, rows, np.ascontiguousarray(labels, np.int64))
+        if done is not None:
+            losses, grows, prunes, failure = done
+            if failure is None:
+                return losses, grows, prunes
+            pos, err = failure
+            if isinstance(err, NumericError):
+                raise NumericError(f"sample {rows[pos]}: {err}") from err
+            raise err
+        # the numpy step, or input that only the step's own checks reject
+        losses, grows, prunes = [], 0, 0
+        for t in rows:
+            try:
+                if labels is None:
+                    rep = self.generative_step(feats[t])
+                else:
+                    rep = self.discriminative_step(feats[t], int(labels[t]))
+            except NumericError as err:
+                raise NumericError(f"sample {t}: {err}") from err
+            grows += rep.grew
+            prunes += rep.pruned
+            losses.append(rep.loss)
+        return losses, grows, prunes

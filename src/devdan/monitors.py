@@ -112,6 +112,17 @@ class SpcTracker:
             if std < self.min_std:
                 self.min_std = std
 
+    def values(self) -> tuple:
+        """The whole chart state: (count, mean, m2, min_mean, min_std, reseed)."""
+        cur = self.current
+        return (cur.count, cur.mean, cur.m2, self.min_mean, self.min_std, self._reseed)
+
+    def set_values(self, values) -> None:
+        cur = self.current
+        count, cur.mean, cur.m2, self.min_mean, self.min_std, reseed = values
+        cur.count = int(count)
+        self._reseed = bool(reseed)
+
     def reset_min(self, mode: str = "standard") -> None:
         """Arm a re-seed of the minima; 'reset_all' additionally zeroes the
         running moments (the empirically inferior variant kept as a switch)."""

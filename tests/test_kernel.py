@@ -1,6 +1,9 @@
-"""The compiled training step against numpy, bit for bit: its products,
-squashes and sums against numpy's own operators, whole runs against the numpy
-step, and the loader's fallback, self-check and concurrent builds."""
+"""The compiled training loop against numpy, bit for bit: its products,
+squashes and sums against numpy's own operators, its mask draw against
+dae.mask_input, its control charts against SpcTracker and the chart tests,
+whole runs against the numpy step, and the loader's fallback, self-check and
+concurrent builds."""
+import math
 import os
 import shutil
 import subprocess
@@ -13,8 +16,10 @@ from conftest import each_backend
 
 from devdan import kernel, step_backend
 from devdan.checkpoint import state_hash
+from devdan.dae import MaskSpec, mask_input
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.numerics import sigmoid, softmax_row
+from devdan.monitors import SpcTracker, kappa, should_grow, should_prune
+from devdan.numerics import RunningMoment, sigmoid, softmax_row
 from devdan.streams import gen_hyperplane, gen_sea
 
 EXTREMES = np.array([745.0, -745.0, 1e308, -1e308, 709.0, -709.0, 0.0, -0.0])
@@ -89,6 +94,123 @@ def test_squashes_and_sums_match_numpy(lib):
         assert same(kernel.reduce_sum(lib, v), np.add.reduce(v)), length
 
 
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                  np.random.SFC64, np.random.PCG64DXSM])
+def test_mask_draw_matches_mask_input(lib, bits):
+    """The kernel's draw zeroes the entries dae.mask_input zeroes, on twin
+    generators, with uniform draws in between, and leaves the generator in
+    the same state: PCG64 hands out buffered 32-bit halves, the others draw
+    through their own next_uint32."""
+    ours, theirs = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+    for n in (1, 2, 3, 8, 784):
+        x = np.arange(1.0, n + 1.0)  # no zero of its own: a zero is a masked entry
+        for fraction in (0.0, 0.1, 0.5, 1.0):
+            spec = MaskSpec(fraction, theirs)
+            for _ in range(4):
+                got = kernel.mask_draw(lib, ours, x, spec.n_masked(n))
+                want = mask_input(x, spec)
+                assert np.array_equal(np.flatnonzero(got == 0.0), np.flatnonzero(want == 0.0))
+                assert same(got, want)
+                assert ours.uniform() == theirs.uniform()
+    assert kernel._same_state(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+def same_limit(a, b) -> bool:
+    """Equal bits, or both NaN: which of two NaN operands an addition passes
+    on depends on operand order, and a NaN limit decides nothing."""
+    return same(a, b) or (np.isnan(a) and np.isnan(b))
+
+
+def chart_streams(rng):
+    """(name, bias2 stream, variance stream): drifting levels with negative
+    variances, NaN arriving mid-stream, and streams of signed zeros."""
+    rows = 600
+    level = np.repeat(rng.exponential(0.05, size=6), rows // 6)
+    bias2 = level * rng.exponential(1.0, size=rows)
+    variance = rng.normal(0.01, 0.02, size=rows)  # a third of them negative
+    with_nan = bias2.copy(), variance.copy()
+    with_nan[0][400], with_nan[1][450] = np.nan, np.nan
+    zeros = rng.choice([0.0, -0.0], size=(2, 50))
+    return (("drift", bias2, variance), ("nan", *with_nan), ("zeros", *zeros))
+
+
+@pytest.mark.parametrize("reset_mode", ["standard", "reset_all"])
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("enable", [(True, True), (False, True), (True, False)])
+def test_charts_match_python(lib, reset_mode, width, enable):
+    """The kernel's chart step against SpcTracker.update, should_grow and
+    should_prune on the same streams: equal moments, minima, re-seed flags,
+    limits and decisions on every row, resetting a chart that fires as
+    DevdanModel._evolve does."""
+    rng = np.random.default_rng(width * 7 + len(reset_mode))
+    enable_grow, enable_prune = enable
+    fired = 0
+    for name, bias2, variance in chart_streams(rng):
+        bias, var = SpcTracker(), SpcTracker()
+        buf = kernel.charts_in((bias, var))
+        for t, (b2, v) in enumerate(zip(bias2.tolist(), variance.tolist())):
+            flags = kernel.charts_step(lib, buf, b2, v, width, enable_grow, enable_prune)
+            bias.update(b2)
+            grew = enable_grow and should_grow(bias, b2)
+            var.update(v)
+            pruned = enable_prune and should_prune(var, v, grew, width)
+            assert flags == kernel.GROW * grew + kernel.PRUNE * pruned, (name, t)
+            assert same(buf[:, :6], kernel.charts_in((bias, var))[:, :6]), (name, t)
+            if enable_grow:
+                limit = bias.min_mean + kappa(b2) * bias.min_std
+                assert same_limit(buf[0, 7], limit), (name, t)
+            if enable_prune and not grew and width > 1:
+                limit = var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
+                assert same_limit(buf[1, 7], limit), (name, t)
+            if grew:
+                bias.reset_min(reset_mode)
+            if pruned:
+                var.reset_min(reset_mode)
+            if flags:
+                fired += 1
+                buf = kernel.charts_in((bias, var))
+    assert fired > 3 or not (enable_grow or width > 1)  # width 1 never prunes
+
+
+def test_charts_report_where_python_raises(lib):
+    """Where math.sqrt (a negative m2) or math.exp (an overflowing kappa)
+    would raise, the kernel says so instead of deciding."""
+    bias, var = SpcTracker(), SpcTracker()
+    bias.current = RunningMoment(3, 0.5, -1.0)
+    buf = kernel.charts_in((bias, var))
+    assert kernel.charts_step(lib, buf, 0.1, 0.1, 3) == kernel.RAISES
+    with pytest.raises(ValueError):
+        bias.update(0.1)
+    bias = SpcTracker()
+    buf = kernel.charts_in((bias, var))
+    assert kernel.charts_step(lib, buf, -1000.0, 0.1, 3) == kernel.RAISES
+    bias.update(-1000.0)
+    with pytest.raises(OverflowError):
+        should_grow(bias, -1000.0)
+    fresh = kernel.charts_in((SpcTracker(), SpcTracker()))
+    assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False) == 0
+
+
+def test_discriminative_loss_is_numpys_log(compiled_step):
+    """-log(max(p, 1e-300)) through numpy's scalar log, which differs in the
+    last bit from libm's (math.log) on a fraction of a percent of arguments:
+    a frozen width-1 model whose class probabilities spread over (0, 1)."""
+    rng = np.random.default_rng(97)
+    feats, labels = rng.uniform(size=(4000, 3)), rng.integers(2, size=4000)
+    config = DevdanConfig(seed=97, lr_discriminative=0.0, enable_grow=False, enable_prune=False)
+    losses = {}
+    for backend in each_backend():
+        model = DevdanModel(3, 2, config)
+        model.layer.w = np.array([[6.0], [-6.0], [3.0]])
+        model.head.theta = np.array([[12.0, -12.0]])
+        losses[backend] = np.array([model.discriminative_step(x, int(label)).loss
+                                    for x, label in zip(feats, labels)])
+    assert same(losses["numpy"], losses["compiled"])
+    probs = model.predict_batch(feats)[0][np.arange(4000), labels]
+    libm = np.array([-math.log(max(p, 1e-300)) for p in probs.tolist()])
+    assert not same(libm, losses["compiled"])
+
+
 def test_d784_hyperplane_stream_matches_numpy_step(compiled_step):
     """A few hundred rows at the width of the paper's MNIST-type streams."""
     d = 784
@@ -133,6 +255,27 @@ def test_failed_self_check_falls_back_to_numpy(monkeypatch, compiled_step):
     monkeypatch.setattr(kernel, "sigmoid", lambda v: np.asarray(v) * 0.0)
     assert kernel.library() is None
     assert step_backend() == "numpy (self-check: sigmoid)"
+
+
+def test_self_check_covers_mask_draw_and_charts(monkeypatch, compiled_step):
+    """A numpy whose permutation draws otherwise, or an exp whose last bit
+    differs from math.exp's, falls back to the numpy step with a reason."""
+    def other_draw(x, spec):
+        out = x.copy()
+        k = spec.n_masked(x.shape[0])
+        if k:
+            out[spec.rng.choice(x.shape[0], k, replace=False)] = 0.0
+        return out
+
+    monkeypatch.setattr(kernel, "_state", None)
+    monkeypatch.setattr(kernel, "mask_input", other_draw)
+    assert kernel.library() is None
+    assert step_backend().startswith("numpy (self-check: mask draw")
+    monkeypatch.undo()
+    monkeypatch.setattr(kernel, "_state", None)
+    monkeypatch.setattr(kernel, "kappa", lambda level: np.nextafter(kappa(level), 9.0))
+    assert kernel.library() is None
+    assert step_backend().startswith("numpy (self-check: control chart")
 
 
 def test_concurrent_builds_into_one_empty_cache_both_load(compiled_step, tmp_path):

@@ -447,7 +447,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune")
+PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune",
+                "batch")
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,23 +460,30 @@ PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discrim
             st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
             st.integers(0, 1),
             st.integers(0, 6),
+            st.lists(st.booleans(), max_size=12),
         ),
         max_size=40,
     ),
 )
 def test_random_step_sequences_keep_state_in_step(seed, ops):
-    """Any mix of steps and forced edits leaves every per-node array of the
-    state table at the model's width, a checkpoint keeps the hash, and both
-    training steps end on the same hash."""
+    """Any mix of single steps, batches of any size and label mask, and
+    forced edits leaves every per-node array of the state table at the
+    model's width, a checkpoint keeps the hash, and both training steps end
+    on the same hash."""
     hashes = {backend: run_step_sequence(seed, ops) for backend in each_backend()}
     assert len(set(hashes.values())) == 1, hashes
 
 
 def run_step_sequence(seed, ops) -> str:
     model = DevdanModel(3, 2, DevdanConfig(seed=seed))
-    for kind, x, label, index in ops:
+    for i, (kind, x, label, index, labeled) in enumerate(ops):
         x = np.array(x)
-        if kind == "generative":
+        if kind == "batch":  # rows and labels drawn from the op's own seed
+            rng = np.random.default_rng([seed, i])
+            size = len(labeled)
+            model.train_batch(StreamBatch(rng.uniform(size=(size, 3)), rng.integers(2, size=size),
+                                          np.array(labeled, dtype=bool), i))
+        elif kind == "generative":
             model.generative_step(x)
         elif kind == "discriminative":
             model.discriminative_step(x, label)
@@ -658,6 +666,56 @@ def test_nonfinite_parity(compiled_step, case, message):
             np.testing.assert_array_equal(now, then)
         ends[backend] = (str(err.value), state_hash(model))
     assert ends["numpy"] == ends["compiled"]
+
+
+@pytest.mark.parametrize("case", ["generative", "discriminative", "label"])
+def test_mid_batch_error_names_the_sample_on_both_steps(case):
+    """A batch that goes non-finite at row 17 (the 12th labeled row) raises
+    "sample 17: ..." with either step, after training the rows before it
+    alike: the state after the raise, the charts synced back included, has
+    the same hash. A label out of range there raises the step's ShapeError."""
+    feats, labels = gen_sea(40, rng=np.random.default_rng(83))
+    if case == "generative":
+        feats[17] = (1e200, 0.0, 0.0)
+    elif case == "discriminative":
+        feats[17] = (np.nan, 0.5, 0.5)
+    else:
+        labels[17] = 5
+    labeled = np.arange(40) % 3 != 1
+    warm_feats, warm_labels = gen_sea(300, rng=np.random.default_rng(84))
+    ends = {}
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=83, enable_generative=case != "discriminative"))
+        model.train_batch(StreamBatch(warm_feats, warm_labels, np.ones(300, dtype=bool), 0))
+        with pytest.raises((NumericError, ShapeError)) as err:
+            model.train_batch(StreamBatch(feats, labels, labeled, 1))
+        ends[backend] = (type(err.value), str(err.value), state_hash(model))
+    expected = {"generative": "sample 17: non-finite generative loss inf",
+                "discriminative": "sample 17: non-finite discriminative loss nan",
+                "label": "label 5 out of range [0, 2)"}[case]
+    assert ends["numpy"][1] == expected
+    assert len(set(ends.values())) == 1, ends
+
+
+@pytest.mark.parametrize("reset_mode, rows", [("standard", 3000), ("reset_all", 400)])
+def test_edit_dense_batches_match_on_both_steps(reset_mode, rows):
+    """SEA with the concept flipping every 200 rows, in batches of 100 or 500
+    with about half the labels: many grows and prunes inside each batch (with
+    reset_all, a grow at nearly every row), and the same reports, losses to
+    the bit, and hash on both steps."""
+    schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(15))
+    feats, labels = gen_sea(rows, schedule, np.random.default_rng(85))
+    labeled = np.random.default_rng(86).uniform(size=rows) < 0.5
+    size = min(500, rows // 4)
+    ends = {}
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=85, reset_mode=reset_mode))
+        reports = [model.train_batch(StreamBatch(feats[k:k + size], labels[k:k + size],
+                                                 labeled[k:k + size], k // size))
+                   for k in range(0, rows, size)]
+        ends[backend] = (repr(reports), state_hash(model))
+    assert sum(r.grow_events + r.prune_events for r in reports) >= 15
+    assert len(set(ends.values())) == 1, ends
 
 
 # ---------------------------------------------------------------------------
