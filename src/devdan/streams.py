@@ -8,6 +8,7 @@ batches and decides which labels are revealed.
 from __future__ import annotations
 
 import csv as _csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -108,10 +109,23 @@ def gen_hyperplane(
 
 # --------------------------------------------------------------- file ingestion
 
-def _looks_like_header(cells, label_column: int) -> bool:
+# Bytes that csv.reader with float(), str.splitlines and np.loadtxt all read
+# alike: printable ASCII except the quote character, plus tab, CR and LF.
+_PLAIN_CSV_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _label_index(path, label_column: int, cells) -> int:
+    """label_column as an index into a row of len(cells) cells."""
+    width = len(cells)
+    if not -width <= label_column < width:
+        raise ConfigError(f"{path}: label_column {label_column} is outside a row of {width} cells")
+    return label_column % width
+
+
+def _is_header(path, cells, label_column: int) -> bool:
     """A first row is a header when any feature cell fails to parse as a
     number (the label column is categorical and does not count)."""
-    lab_idx = label_column if label_column >= 0 else len(cells) + label_column
+    lab_idx = _label_index(path, label_column, cells)
     for j, cell in enumerate(cells):
         if j == lab_idx:
             continue
@@ -122,26 +136,36 @@ def _looks_like_header(cells, label_column: int) -> bool:
     return False
 
 
-def load_csv(path, label_column: int = -1, bounds=None):
-    """Numeric CSV to normalized rows.
+def _feature_layout(path, cells, label_column: int) -> int:
+    """Label index of the first data row, which fixes the width of all rows."""
+    lab_idx = _label_index(path, label_column, cells)
+    if len(cells) == 1:
+        raise CsvFormatError(f"{path}: no feature columns")
+    return lab_idx
 
-    Features are min-max scaled to [0, 1] (per-column bounds either supplied
-    as an (mins, maxs) pair or taken from a first pass over the file);
-    zero-range columns scale to 0. Labels map to dense ids 0..m-1 in order of
-    first appearance. An optional header row is skipped if it fails to parse
-    as numbers. Non-finite feature cells (nan, inf) are rejected. Returns
-    (features, labels, label_names, (mins, maxs))."""
+
+def _read_exact(path, data: bytes, label_column: int):
+    """The reference reader: csv.reader, then float() on each feature cell.
+
+    Returns (features, raw_labels); an error in a row names path:line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        for line_no, cells in enumerate(reader, start=1):
+    line_no = 0
+    try:
+        for line_no, cells in enumerate(_csv.reader(io.StringIO(text, newline="")), start=1):
             if not cells:
                 continue
-            if line_no == 1 and _looks_like_header(cells, label_column):
+            if line_no == 1 and _is_header(path, cells, label_column):
                 continue
             rows.append((line_no, cells))
+    except _csv.Error as exc:
+        raise CsvFormatError(f"{path}:{line_no + 1}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    lab_idx = _feature_layout(path, rows[0][1], label_column)
     width = len(rows[0][1])
     feats = np.empty((len(rows), width - 1))
     raw_labels = []
@@ -150,7 +174,6 @@ def load_csv(path, label_column: int = -1, bounds=None):
             raise CsvFormatError(
                 f"{path}:{line_no}: expected {width} cells, found {len(cells)}"
             )
-        lab_idx = label_column if label_column >= 0 else width + label_column
         k = 0
         for j, cell in enumerate(cells):
             if j == lab_idx:
@@ -165,6 +188,57 @@ def load_csv(path, label_column: int = -1, bounds=None):
     if not finite.all():
         r, k = np.argwhere(~finite)[0]
         raise CsvFormatError(f"{path}:{rows[r][0]}: non-finite cell {float(feats[r, k])!r}")
+    return feats, raw_labels
+
+
+def _read_fast(path, data: bytes, label_column: int):
+    """(features, raw_labels) from numpy's C reader, or None to hand the file
+    to _read_exact.
+
+    Only plain files qualify (_PLAIN_CSV_BYTES, no line longer than the csv
+    field limit); on those, csv.reader splits a line exactly as str.split(",")
+    does and loadtxt parses a float exactly as float() does. Anything the exact
+    loop would reject (a reader error, a non-finite cell, no data rows, on
+    which loadtxt would warn) returns None, so that only _read_exact names a
+    line in an error."""
+    if data.translate(None, _PLAIN_CSV_BYTES):
+        return None
+    lines = data.decode("ascii").splitlines()
+    if max(map(len, lines), default=0) > _csv.field_size_limit():
+        return None
+    start = 1 if lines and lines[0] and _is_header(path, lines[0].split(","), label_column) else 0
+    body = lines[start:]
+    first = next((line for line in body if line), None)
+    if first is None:
+        return None
+    cells = first.split(",")
+    lab_idx = _feature_layout(path, cells, label_column)
+    layout = [("left", np.float64, (lab_idx,)), ("label", object),
+              ("right", np.float64, (len(cells) - 1 - lab_idx,))]
+    try:
+        table = np.loadtxt(body, dtype=layout, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    feats = np.concatenate([table["left"], table["right"]], axis=1)
+    if not np.isfinite(feats).all():
+        return None
+    return feats, [name.strip() for name in table["label"]]
+
+
+def load_csv(path, label_column: int = -1, bounds=None):
+    """Numeric CSV to normalized rows.
+
+    Features are min-max scaled to [0, 1] (per-column bounds either supplied
+    as an (mins, maxs) pair or taken from a first pass over the file);
+    zero-range columns scale to 0. Labels map to dense ids 0..m-1 in order of
+    first appearance. An optional header row is skipped if it fails to parse
+    as numbers. Non-finite feature cells (nan, inf) are rejected. Plain files
+    are parsed by numpy's C reader, the rest cell by cell; both give the same
+    bytes. Returns (features, labels, label_names, (mins, maxs))."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _read_fast(path, data, label_column)
+    feats, raw_labels = parsed if parsed is not None else _read_exact(path, data, label_column)
     name_to_id: dict[str, int] = {}
     labels = np.empty(len(raw_labels), dtype=np.int64)
     for r, name in enumerate(raw_labels):

@@ -1,11 +1,17 @@
 """Stream sources: generator label laws against geometric probabilities,
 file-format loaders against hand-built fixtures, and batching/label-masking
 rules."""
+import csv
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from devdan import streams
 from devdan.checkpoint import state_hash
 from devdan.errors import ConfigError, CsvFormatError, IdxFormatError, StructureError
 from devdan.model import DevdanConfig, DevdanModel
@@ -165,6 +171,187 @@ class TestLoadCsv:
         feats, labels, names, _ = load_csv(path, label_column=0)
         assert feats.shape == (2, 2)
         assert names == ["a", "b"]
+
+    @pytest.mark.parametrize("label_column", [3, 5, -4])
+    def test_label_column_outside_the_row(self, tmp_path, label_column):
+        path = tmp_path / "w.csv"
+        path.write_text("1.0,2.0,a\n3.0,4.0,b\n")
+        for read in (load_csv, exact_load_csv):
+            with pytest.raises(ConfigError, match=f"label_column {label_column} .* 3 cells"):
+                read(path, label_column)
+
+    def test_label_only_rows_have_no_features(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a\nb\n")
+        for read in (load_csv, exact_load_csv):
+            with pytest.raises(CsvFormatError, match=r"one\.csv: no feature columns"):
+                read(path)
+
+    def test_non_utf8_bytes_name_the_offset(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"1.0,2.0,a\n3.0,4.0,\xff\n")
+        with pytest.raises(CsvFormatError, match=r"bin\.csv: not UTF-8 at byte 18"):
+            load_csv(path)
+
+    def test_oversize_field_names_the_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1.0,2.0,a\n1.0,2.0,b\n" + "0" * (csv.field_size_limit() + 1) + "1,2.0,c\n")
+        for read in (load_csv, exact_load_csv):
+            with pytest.raises(CsvFormatError, match=r"big\.csv:3: field larger than field limit"):
+                read(path)
+
+    def test_savetxt_file_takes_numpys_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(14)
+        feats, labels = gen_hyperplane(300, 8, (((1.0,) * 8, 4.0), ((1.5,) + (1.0,) * 7, 4.0)), rng=rng)
+        path = tmp_path / "saved.csv"
+        header = ",".join([f"f{j}" for j in range(8)] + ["label"])
+        np.savetxt(path, np.column_stack([feats, labels]), fmt=["%.17g"] * 8 + ["%d"],
+                   delimiter=",", header=header, comments="")
+        expected = exact_load_csv(path)
+
+        def no_exact_loop(*args):
+            raise AssertionError("the exact loop ran")
+
+        monkeypatch.setattr(streams, "_read_exact", no_exact_loop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_csv(path)
+        assert_same_load(got, expected)
+        np.testing.assert_allclose(got[0] * (got[3][1] - got[3][0]) + got[3][0], feats, atol=1e-12)
+
+    @pytest.mark.parametrize("text", ["", "f1,f2,label\n", "\n\r\n"])
+    def test_no_data_rows_raise_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match=r"empty\.csv: no data rows"):
+                load_csv(path)
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("1,2,3\r\n4,5,6\r\n", 0),
+        ("1,2,3\r4,5,6\r", 1),
+        ("1,2,3\r\r\n4,5,6", -1),
+        ("\n1,2,3\n\n4,5,6\n\n", -3),
+        (" 1 ,\t2, a \n-3e-2,+4.,b\n", -1),
+        ("1,2,3,\n4,5,6,\n", 3),
+        ("1,2,\n3,4,\n", -1),
+        ("x,y,#c\n1,2,a\n3,4,b\n", 2),
+        ("a,1,2\nb,3,4", 0),
+    ])
+    def test_edge_files_take_numpys_reader(self, tmp_path, text, label_column):
+        path = tmp_path / "edge.csv"
+        path.write_text(text, newline="")
+        assert streams._read_fast(path, path.read_bytes(), label_column) is not None
+        assert_same_load(load_csv(path, label_column), exact_load_csv(path, label_column))
+
+    @pytest.mark.parametrize("text", [
+        "1,2,a\n \n3,4,b\n",
+        "1,2,a\n#c\n3,4,b\n",
+        "1_000,2,a\n3,4,b\n",
+        "1,2,a\n1e400,4,b\n",
+        '"1",2,a\n3,4,b\n',
+        "1,2,é\n3,4,b\n",
+        "1,2,a\n3,4\n",
+        "1,2\x0c3,4\n5,6\n",
+        "\n\r\n",
+    ])
+    def test_other_files_go_to_the_exact_loop(self, tmp_path, text):
+        path = tmp_path / "other.csv"
+        path.write_text(text, newline="", encoding="utf-8")
+        assert streams._read_fast(path, path.read_bytes(), -1) is None
+
+
+def exact_load_csv(path, label_column=-1):
+    """load_csv with numpy's reader switched off: the cell-by-cell loop only."""
+    with mock.patch.object(streams, "_read_fast", lambda *args: None):
+        return load_csv(path, label_column)
+
+
+def assert_same_load(got, expected):
+    feats, labels, names, (mins, maxs) = got
+    for a, b in ((feats, expected[0]), (labels, expected[1]),
+                 (mins, expected[3][0]), (maxs, expected[3][1])):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert feats.flags.c_contiguous
+    assert names == expected[2]
+
+
+def outcome(read, path, label_column):
+    try:
+        return "ok", read(path, label_column)
+    except Exception as exc:  # the type and message are compared
+        return "error", (type(exc), str(exc))
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.builds("{:.{}e}".format, st.floats(-1e6, 1e6), st.integers(0, 17)),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0", "-0", "+0.5", ".5", "5.", "-1E-3", "1e+05", "007"]),
+)
+ODD_CELLS = st.sampled_from([
+    "1_000", "nan", "-inf", "Infinity", "1e400", "-1e400", "", " ", "0x10", "1.2.3",
+    "abc", "#1", '"1.5"', '"a,b"', "1e", "\u00e9", "1\u00a0", "2\x0c", "\x1c3",
+])
+PLAIN_LABELS = st.sampled_from(["0", "1", "2", "a", "b", " a", "b ", "\tc", "", "#"])
+LABELS = st.one_of(PLAIN_LABELS, st.text(st.sampled_from("xy\u00e9\u00df\u65e5 "), max_size=3))
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+EXTRA_LINES = st.sampled_from(["", " ", "\t", "#comment", "# 1,2,3"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, label_column) from a cell grammar. About half the files are
+    plain (numbers, ASCII labels, any line ends, blank lines), the kind numpy's
+    reader takes; the rest mix in odd cells, labels, rows and lines."""
+    odd = draw(st.booleans())
+    width = draw(st.integers(1 if odd else 2, 5))
+    lab_idx = draw(st.sampled_from(sorted({0, width // 2, width - 1})))
+    label_column = draw(st.sampled_from([lab_idx, lab_idx - width]))
+    if odd and draw(st.integers(0, 9)) == 0:
+        label_column = draw(st.integers(-width - 2, width + 2))
+    cell = st.one_of(NUMBER_CELLS, ODD_CELLS) if odd else NUMBER_CELLS
+    label = LABELS if odd else PLAIN_LABELS
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    for _ in range(draw(st.integers(0 if odd else 1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(EXTRA_LINES) if odd else "")
+            continue
+        n = width + (draw(st.sampled_from([-1, 1])) if odd and draw(st.integers(0, 9)) == 0 else 0)
+        cells = [draw(label) if j == lab_idx else draw(pad) + draw(cell) + draw(pad)
+                 for j in range(max(n, 0))]
+        lines.append(",".join(cells))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, label_column
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_files())
+def test_load_csv_matches_the_exact_loop(tmp_path_factory, case):
+    text, label_column = case
+    path = tmp_path_factory.mktemp("parity") / "gen.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast, parsed = streams._read_fast, []
+
+    def read_fast(*args):
+        parsed.append(fast(*args))
+        return parsed[-1]
+
+    with mock.patch.object(streams, "_read_fast", read_fast):
+        got = outcome(load_csv, path, label_column)
+    expected = outcome(exact_load_csv, path, label_column)
+    event("numpy's reader" if parsed and parsed[0] is not None else "exact loop")
+    assert got[0] == expected[0]
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert_same_load(got[1], expected[1])
 
 
 def write_idx_pair(tmp_path, images, labels):
