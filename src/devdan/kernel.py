@@ -1,8 +1,9 @@
 """Loader of the compiled training loop (`_step.c`).
 
-The C file is built once into a per-user cache ($XDG_CACHE_HOME/devdan, else
-~/.cache/devdan) under a name keyed by its source and the numerics stack, and
-loaded with ctypes at the first training step. It reproduces the numpy step
+The C file is built once into a per-user cache (`cache_dir()`:
+$XDG_CACHE_HOME/devdan when that is absolute, else ~/.cache/devdan) under a
+name keyed by its source and the numerics stack, and loaded with ctypes at
+the first training step. It reproduces the numpy step
 bit for bit by calling numpy's own float64 exp, logaddexp, add and log loops,
 read here from the ufunc loop tables, the dgemv/ddot of the OpenBLAS that
 numpy bundles, and the model generator's own bitgen_t for the mask draw. A
@@ -134,7 +135,11 @@ def _blas():
 
 
 def cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
+    """The per-user cache of the kernel build and of parsed CSV files. A
+    relative $XDG_CACHE_HOME is ignored, as the XDG spec asks."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = str(Path.home() / ".cache")
     return Path(base) / "devdan"
 
 

@@ -1,9 +1,9 @@
 """Data sources and batching.
 
 Synthetic drift generators (SEA threshold flips, gradually mixed hyperplanes),
-min-max-normalized CSV ingestion, IDX image ingestion with optional pixel
-permutation drift, and the batching step that groups rows into per-timestamp
-batches and decides which labels are revealed.
+min-max-normalized CSV ingestion with a per-user parse cache, IDX image
+ingestion with optional pixel permutation drift, and the batching step that
+groups rows into per-timestamp batches and decides which labels are revealed.
 """
 from __future__ import annotations
 
@@ -149,7 +149,8 @@ def _read_exact(path, data: bytes, label_column: int):
 
     Returns (features, raw_labels); an error in a row names path:line."""
     try:
-        text = data.decode("utf-8")
+        # a leading byte order mark is not part of the first cell
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
     rows = []
@@ -225,6 +226,34 @@ def _read_fast(path, data: bytes, label_column: int):
     return feats, [name.strip() for name in table["label"]]
 
 
+def _parse_csv(path, data: bytes, label_column: int):
+    """(features, label ids, label names) of a file's bytes, before scaling."""
+    parsed = _read_fast(path, data, label_column)
+    feats, raw_labels = parsed if parsed is not None else _read_exact(path, data, label_column)
+    name_to_id: dict[str, int] = {}
+    labels = np.empty(len(raw_labels), dtype=np.int64)
+    for r, name in enumerate(raw_labels):
+        labels[r] = name_to_id.setdefault(name, len(name_to_id))
+    return feats, labels, list(name_to_id)
+
+
+def _scaling_bounds(path, bounds, feats: np.ndarray):
+    """(mins, maxs): each column's range, or bounds checked against the file."""
+    if bounds is None:
+        return feats.min(axis=0), feats.max(axis=0)
+    n = feats.shape[1]
+    try:
+        mins, maxs = (np.asarray(b, dtype=np.float64) for b in bounds)
+        ok = (mins.shape == maxs.shape == (n,) and np.isfinite(mins).all()
+              and np.isfinite(maxs).all() and (maxs >= mins).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{path}: bounds {bounds!r} must be (mins, maxs), two finite 1-D "
+                          f"arrays of {n} values, one per feature column, with maxs >= mins")
+    return mins, maxs
+
+
 def load_csv(path, label_column: int = -1, bounds=None):
     """Numeric CSV to normalized rows.
 
@@ -234,24 +263,19 @@ def load_csv(path, label_column: int = -1, bounds=None):
     first appearance. An optional header row is skipped if it fails to parse
     as numbers. Non-finite feature cells (nan, inf) are rejected. Plain files
     are parsed by numpy's C reader, the rest cell by cell; both give the same
-    bytes. Returns (features, labels, label_names, (mins, maxs))."""
+    bytes. A parse is cached per user, keyed by the file's bytes, and a cached
+    parse gives the same bytes too. Returns (features, labels, label_names,
+    (mins, maxs))."""
     with open(path, "rb") as fh:
         data = fh.read()
-    parsed = _read_fast(path, data, label_column)
-    feats, raw_labels = parsed if parsed is not None else _read_exact(path, data, label_column)
-    name_to_id: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for r, name in enumerate(raw_labels):
-        labels[r] = name_to_id.setdefault(name, len(name_to_id))
-    if bounds is None:
-        mins, maxs = feats.min(axis=0), feats.max(axis=0)
-    else:
-        mins = np.asarray(bounds[0], dtype=np.float64)
-        maxs = np.asarray(bounds[1], dtype=np.float64)
+    from . import csv_cache  # imported at the first load: most runs read no CSV file
+
+    feats, labels, label_names = csv_cache.cached(
+        data, label_column, lambda: _parse_csv(path, data, label_column))
+    mins, maxs = _scaling_bounds(path, bounds, feats)
     span = maxs - mins
     scaled = np.zeros_like(feats)
     np.divide(feats - mins, span, out=scaled, where=span != 0)
-    label_names = list(name_to_id)
     return scaled, labels, label_names, (mins, maxs)
 
 

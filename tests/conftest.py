@@ -1,14 +1,25 @@
 """Shared pytest plumbing: the acceptance suite registers one PASS/FAIL line
 per criterion and the lines are echoed in the terminal summary, so they are
 visible regardless of output capture. The header names the training step
-that runs; `each_backend` runs a test body once per step."""
+that runs; `each_backend` runs a test body once per step. Every test gets an
+empty CSV parse cache of its own, never the user's."""
 from unittest import mock
 
 import pytest
 
+from devdan import csv_cache as csv_cache_module
 from devdan import kernel, step_backend
 
 acceptance_lines = []
+
+
+@pytest.fixture(autouse=True)
+def csv_cache(monkeypatch, tmp_path_factory):
+    """The directory that load_csv caches parses in during the test. Suite
+    workers are forked, so they inherit it."""
+    folder = tmp_path_factory.mktemp("csv-cache")
+    monkeypatch.setattr(csv_cache_module, "cache_dir", lambda: folder)
+    return folder
 
 
 def pytest_report_header(config):

@@ -1,9 +1,17 @@
 """Stream sources: generator label laws against geometric probabilities,
-file-format loaders against hand-built fixtures, and batching/label-masking
-rules."""
+file-format loaders against hand-built fixtures, the CSV parse cache, and
+batching/label-masking rules."""
 import csv
+import io
+import json
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,11 +19,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from devdan import streams
+from devdan import csv_cache as cache
+from devdan import kernel, streams
 from devdan.checkpoint import state_hash
 from devdan.errors import ConfigError, CsvFormatError, IdxFormatError, StructureError
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.prequential import run_prequential
+from devdan.prequential import run_prequential, run_suite
 from devdan.streams import (
     DatasetSpec,
     batchify,
@@ -187,6 +196,50 @@ class TestLoadCsv:
             with pytest.raises(CsvFormatError, match=r"one\.csv: no feature columns"):
                 read(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path):
+        plain = b"0.5,0.25,a\n0.75,0.5,b\n1.0,0.0,a\n"
+        path, plain_path = tmp_path / "bom.csv", tmp_path / "plain.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        plain_path.write_bytes(plain)
+        got = load_csv(path)
+        assert got[0].shape == (3, 2) and got[2] == ["a", "b"]
+        assert_same_load(got, load_csv(plain_path))
+        assert_same_load(got, exact_load_csv(path))
+
+    def test_byte_order_mark_counts_in_the_non_utf8_offset(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0,a\n3.0,4.0,\xff\n")
+        with pytest.raises(CsvFormatError, match=r"bom\.csv: not UTF-8 at byte 21"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("bounds", [
+        ([0, 0, 0], [1, 1, 1]),
+        ([0, np.nan], [1, 1]),
+        ([0, 0], [1, np.inf]),
+        ([1, 1], [0, 0]),
+        ([0], [1]),
+        ([[0, 0]], [[1, 1]]),
+        (0, 1),
+        (["a", "b"], [1, 1]),
+        ([0, 0],),
+        ([0, 0], [1, 1], [2, 2]),
+    ])
+    def test_bad_bounds_are_config_errors(self, tmp_path, csv_cache, bounds):
+        path = tmp_path / "b.csv"
+        path.write_text("0.0,10.0,a\n5.0,20.0,b\n")
+        for _ in range(2):  # a miss that stores the parse, then a hit
+            with pytest.raises(ConfigError, match=r"b\.csv: bounds .* of 2 values"):
+                load_csv(path, bounds=bounds)
+        assert len(list(csv_cache.glob("csv-*"))) == 1
+
+    def test_given_bounds_scale_on_a_miss_and_a_hit(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0.0,10.0,a\n5.0,20.0,b\n")
+        for _ in range(2):
+            feats, _, _, (mins, maxs) = load_csv(path, bounds=([0, 20], [10, 20]))
+            assert feats.tolist() == [[0.0, 0.0], [0.5, 0.0]]
+            assert mins.tolist() == [0.0, 20.0] and maxs.tolist() == [10.0, 20.0]
+
     def test_non_utf8_bytes_name_the_offset(self, tmp_path):
         path = tmp_path / "bin.csv"
         path.write_bytes(b"1.0,2.0,a\n3.0,4.0,\xff\n")
@@ -263,8 +316,10 @@ class TestLoadCsv:
 
 
 def exact_load_csv(path, label_column=-1):
-    """load_csv with numpy's reader switched off: the cell-by-cell loop only."""
-    with mock.patch.object(streams, "_read_fast", lambda *args: None):
+    """load_csv with numpy's reader and the parse cache switched off: the
+    cell-by-cell loop only."""
+    with mock.patch.object(streams, "_read_fast", lambda *args: None), \
+            mock.patch.object(cache, "cached", lambda data, label_column, parse: parse()):
         return load_csv(path, label_column)
 
 
@@ -334,24 +389,242 @@ def csv_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=csv_files())
 def test_load_csv_matches_the_exact_loop(tmp_path_factory, case):
+    """A miss (parse and store), a hit and the cell-by-cell loop alone give
+    the same bytes or the same error; an error is never stored."""
     text, label_column = case
-    path = tmp_path_factory.mktemp("parity") / "gen.csv"
+    folder = tmp_path_factory.mktemp("parity")
+    path = folder / "gen.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast, parsed = streams._read_fast, []
+    fast, calls, parsed = streams._read_fast, [], []
 
     def read_fast(*args):
+        calls.append(args)
         parsed.append(fast(*args))
         return parsed[-1]
 
-    with mock.patch.object(streams, "_read_fast", read_fast):
-        got = outcome(load_csv, path, label_column)
+    with mock.patch.object(cache, "cache_dir", lambda: folder / "cache"), \
+            mock.patch.object(streams, "_read_fast", read_fast):
+        miss = outcome(load_csv, path, label_column)
+        hit = outcome(load_csv, path, label_column)
     expected = outcome(exact_load_csv, path, label_column)
     event("numpy's reader" if parsed and parsed[0] is not None else "exact loop")
-    assert got[0] == expected[0]
-    if got[0] == "error":
-        assert got[1] == expected[1]
-    else:
-        assert_same_load(got[1], expected[1])
+    stored = list((folder / "cache").glob("csv-*"))
+    assert len(stored) == (miss[0] == "ok")
+    assert len(calls) == (1 if miss[0] == "ok" else 2)
+    for got in (miss, hit):
+        assert got[0] == expected[0]
+        if got[0] == "error":
+            assert got[1] == expected[1]
+        else:
+            assert_same_load(got[1], expected[1])
+
+
+class TestCsvCache:
+    """load_csv's per-user parse cache (csv-<key>.npz files in csv_cache.cache_dir())."""
+
+    def write_csv(self, path, seed=0, rows=50):
+        rng = np.random.default_rng(seed)
+        feats = rng.uniform(size=(rows, 3))
+        labels = rng.choice(["up", "down", "fl\u00e4t"], size=rows)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y,z,label\n")
+            for r, lab in zip(feats, labels):
+                fh.write(",".join(repr(float(v)) for v in r) + f",{lab}\n")
+        return path
+
+    def entries(self, folder):
+        return sorted(folder.glob("csv-*"))
+
+    def test_hit_skips_the_parse(self, tmp_path, csv_cache):
+        path = self.write_csv(tmp_path / "a.csv")
+        expected = exact_load_csv(path)
+        assert_same_load(load_csv(path), expected)
+        (entry,) = self.entries(csv_cache)
+        os.utime(entry, (1, 1))
+        with mock.patch.object(streams, "_parse_csv", side_effect=AssertionError("parsed")):
+            assert_same_load(load_csv(path), expected)
+        assert entry.stat().st_mtime > 1  # the hit refreshed it
+
+    def test_key_covers_the_label_column(self, tmp_path, csv_cache):
+        path = tmp_path / "l.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        for label_column in (0, -1, 1, 2):
+            assert_same_load(load_csv(path, label_column), exact_load_csv(path, label_column))
+        assert len(self.entries(csv_cache)) == 4
+
+    def test_key_covers_the_reader_numpy_and_the_field_limit(self, tmp_path, csv_cache,
+                                                           monkeypatch):
+        path = self.write_csv(tmp_path / "k.csv")
+        limit = csv.field_size_limit()
+        changes = [lambda: monkeypatch.setattr(cache, "_reader_version", lambda: b"other"),
+                   lambda: monkeypatch.setattr(np, "__version__", "0.0"),
+                   lambda: csv.field_size_limit(limit + 1)]
+        try:
+            load_csv(path)
+            for n, change in enumerate(changes, start=2):
+                change()
+                load_csv(path)
+                assert len(self.entries(csv_cache)) == n
+        finally:
+            csv.field_size_limit(limit)
+
+    @staticmethod
+    def npz(**arrays):
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    def bad_entries(self, good: bytes):
+        feats = np.array([[0.5, 1.0], [0.25, 2.0]])
+        names = np.frombuffer(json.dumps(["a", "b"]).encode(), dtype=np.uint8)
+        flipped = bytearray(good)
+        flipped[len(good) // 3] ^= 0x01  # inside the features: caught by the CRC
+        yield "empty", b""
+        yield "truncated", good[: len(good) // 2]
+        yield "flipped", bytes(flipped)
+        yield "not a zip", b"\x93NUMPY" + good
+        yield "npy", _npy(feats)
+        yield "names as text", self.npz(features=feats, labels=np.array([0, 1]),
+                                        names=np.array([json.dumps(["a", "b"])]))
+        yield "pickled names", self.npz(features=feats, labels=np.array([0, 1]),
+                                        names=np.array(["a", "b"], dtype=object))
+        yield "names not JSON", self.npz(features=feats, labels=np.array([0, 1]),
+                                         names=np.frombuffer(b"[a", dtype=np.uint8))
+        yield "names not strings", self.npz(features=feats, labels=np.array([0, 1]),
+                                            names=np.frombuffer(b"[1, 2]", dtype=np.uint8))
+        yield "missing labels", self.npz(features=feats, names=names)
+        yield "short labels", self.npz(features=feats, labels=np.array([0]), names=names)
+        yield "label out of range", self.npz(features=feats, labels=np.array([0, 2]), names=names)
+        yield "negative label", self.npz(features=feats, labels=np.array([0, -1]), names=names)
+        yield "int32 labels", self.npz(features=feats, labels=np.array([0, 1], np.int32),
+                                       names=names)
+        yield "non-finite", self.npz(features=feats * np.array([1.0, np.inf]),
+                                     labels=np.array([0, 1]), names=names)
+        yield "1-D features", self.npz(features=feats[0], labels=np.array([0]), names=names)
+        yield "float32 features", self.npz(features=feats.astype(np.float32),
+                                           labels=np.array([0, 1]), names=names)
+        yield "no rows", self.npz(features=feats[:0], labels=np.array([], np.int64),
+                                  names=names)
+
+    def test_bad_entry_is_parsed_again_and_overwritten(self, tmp_path, csv_cache):
+        path = self.write_csv(tmp_path / "b.csv")
+        expected = exact_load_csv(path)
+        load_csv(path)
+        (entry,) = self.entries(csv_cache)
+        good = entry.read_bytes()
+        for name, content in self.bad_entries(good):
+            entry.write_bytes(content)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_same_load(load_csv(path), expected)
+            assert cache._read(entry) is not None, name
+            assert self.entries(csv_cache) == [entry], name
+
+    def test_unwritable_cache_still_loads(self, tmp_path, monkeypatch):
+        path = self.write_csv(tmp_path / "c.csv")
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setattr(cache, "cache_dir", lambda: blocker / "devdan")
+        expected = exact_load_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                assert_same_load(load_csv(path), expected)
+        assert blocker.read_text() == ""
+
+    def test_same_path_new_content_misses(self, tmp_path, csv_cache):
+        path = self.write_csv(tmp_path / "d.csv", seed=1)
+        first = load_csv(path)
+        self.write_csv(path, seed=2)
+        second = load_csv(path)
+        assert_same_load(second, exact_load_csv(path))
+        assert first[0].tobytes() != second[0].tobytes()
+        assert len(self.entries(csv_cache)) == 2
+
+    def test_failed_parse_stores_nothing(self, tmp_path, csv_cache):
+        path = tmp_path / "e.csv"
+        path.write_text("1.0,2.0,a\n3.0,b\n")
+        for _ in range(2):
+            with pytest.raises(CsvFormatError, match=r"e\.csv:2"):
+                load_csv(path)
+        assert not list(csv_cache.iterdir())
+
+    def test_newest_entries_are_kept(self, tmp_path, csv_cache):
+        """Eviction keeps the csv_cache.ENTRIES entries with the newest mtimes;
+        a hit makes its entry the newest."""
+        keep = cache.ENTRIES
+        paths = [tmp_path / f"f{i}.csv" for i in range(keep + 4)]
+        stored = []
+        for i, path in enumerate(paths):
+            path.write_text(f"{i},1,a\n2,{i},b\n")
+            load_csv(path)
+            (new,) = set(self.entries(csv_cache)) - set(stored)
+            os.utime(new, (i + 1, i + 1))  # file times are too coarse to order writes
+            stored.append(new)
+            if i == keep - 1:
+                load_csv(paths[0])  # refreshes stored[0] past every other entry
+        assert self.entries(csv_cache) == sorted([stored[0]] + stored[-(keep - 1):])
+        (csv_cache / "unrelated.npz").write_bytes(b"")
+        load_csv(tmp_path / "f1.csv")
+        assert len(self.entries(csv_cache)) == keep
+        assert (csv_cache / "unrelated.npz").exists()
+
+    def test_new_entry_outlives_entries_with_later_mtimes(self, tmp_path, csv_cache):
+        later = time.time() + 3600
+        for i in range(cache.ENTRIES):
+            stale = csv_cache / f"csv-{i:064x}.npz"
+            stale.write_bytes(b"")
+            os.utime(stale, (later, later))
+        load_csv(self.write_csv(tmp_path / "n.csv"))
+        entries = self.entries(csv_cache)
+        assert len(entries) == cache.ENTRIES
+        assert [e for e in entries if e.stat().st_mtime < later]  # the new one
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="suite workers must inherit the test's cache directory")
+    def test_suite_same_on_a_cold_and_a_warm_cache(self, tmp_path, csv_cache):
+        feats, labels = gen_hyperplane(600, rng=np.random.default_rng(16))
+        path = tmp_path / "hyper.csv"
+        np.savetxt(path, np.column_stack([feats, labels]), fmt=["%.17g"] * 4 + ["%d"],
+                   delimiter=",")
+        ds = DatasetSpec(source="csv", csv_path=str(path), total_samples=600, batch_size=100,
+                         label_fraction=0.5)
+        runs = []
+        for _ in range(2):
+            result = run_suite(ds, DevdanConfig(), seeds=[0, 1], jobs=2)
+            assert len(self.entries(csv_cache)) == 1  # written by the workers
+            runs.append((result["summary"], [state_hash(r.model) for r in result["rows"]]))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["default"]["failures"] == 0
+
+    def test_import_devdan_leaves_the_cache_unloaded(self):
+        code = "import sys, devdan; print('devdan.csv_cache' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(streams.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_lives_in_the_kernels_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "cache_dir", kernel.cache_dir)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        load_csv(self.write_csv(tmp_path / "g.csv"))
+        assert len(self.entries(tmp_path / "xdg" / "devdan")) == 1
+
+    @pytest.mark.parametrize("xdg", ["rel", "./rel", "~/rel", ""])
+    def test_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch, xdg):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        assert kernel.cache_dir() == tmp_path / "home" / ".cache" / "devdan"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "abs"))
+        assert kernel.cache_dir() == tmp_path / "abs" / "devdan"
+
+
+def _npy(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
 
 
 def write_idx_pair(tmp_path, images, labels):
