@@ -4,10 +4,11 @@ An entry holds what a parse of a file's bytes produced before scaling: the
 float64 features, the int64 label ids and the label names. It lives in
 `cache_dir()`, the directory the compiled step is built into, as
 csv-<sha256>.npz. The key covers everything a parse depends on: the reader's
-source (streams.py and this module), numpy's version, the label column, csv's
-field limit and the file's bytes. The newest ENTRIES entries are kept, by
-mtime, and a hit refreshes its entry's mtime. `load_csv` imports this module
-at its first call, so `import devdan` does not.
+source (streams.py and this module), the interpreter, numpy's version, the
+label column, csv's field limit and the file's bytes. The newest ENTRIES
+entries are kept, by mtime, within MAX_BYTES in all, and a hit refreshes its
+entry's mtime; a parse larger than MAX_BYTES // 4 is not stored. `load_csv`
+imports this module at its first call, so `import devdan` does not.
 """
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,47 +29,46 @@ from . import streams
 from .kernel import cache_dir
 
 ENTRIES = 16
-
-
-def cached(data: bytes, label_column: int, parse):
-    """(features, labels, names) of a file's bytes: from its entry when that
-    is whole and consistent, else from parse(), which is then stored. A parse
-    that raises stores nothing."""
-    entry = _entry(data, label_column)
-    parsed = _read(entry) if entry is not None else None
-    if parsed is None:
-        parsed = parse()
-        if entry is not None:
-            _write(entry, *parsed)
-    return parsed
+MAX_BYTES = 1 << 30
+STALE_TMP_S = 3600  # a temporary file this old was left by a killed writer
 
 
 @functools.cache
-def _reader_version() -> bytes:
+def _reader_version() -> bytes | None:
+    """A digest of the reader's source, or None where it cannot be read (a
+    zip or frozen install): then nothing is cached."""
     key = hashlib.sha256()
-    for source in (streams.__file__, __file__):
-        key.update(Path(source).read_bytes())
+    try:
+        for source in (streams.__file__, __file__):
+            key.update(Path(source).read_bytes())
+    except Exception:  # no readable source file: a zip or frozen install
+        return None
     return key.digest()
 
 
-def _entry(data: bytes, label_column: int) -> Path | None:
-    """The entry for a parse of data, or None where there is no home
-    directory to hold the cache."""
-    key = hashlib.sha256(_reader_version())
-    for part in (np.__version__, str(label_column), str(csv.field_size_limit())):
+def entry(data: bytes, label_column: int) -> Path | None:
+    """Where a parse of data is kept, or None when it cannot be cached."""
+    version = _reader_version()
+    if version is None:
+        return None
+    key = hashlib.sha256(version)
+    for part in (sys.implementation.cache_tag or "", np.__version__, str(label_column),
+                 str(csv.field_size_limit())):
         key.update(b"\0" + part.encode())
     key.update(b"\0")
     key.update(data)
     try:
         return cache_dir() / f"csv-{key.hexdigest()}.npz"
-    except RuntimeError:
+    except RuntimeError:  # no home directory
         return None
 
 
-def _read(entry: Path):
-    """The parse stored in entry, or None unless the entry is whole and
-    consistent. Nothing is unpickled, and zipfile checks each member's CRC-32
-    as numpy reads it to the end."""
+def read(entry: Path | None):
+    """(features, labels, names) stored in entry, or None unless the entry
+    is whole and consistent. Nothing is unpickled, and zipfile checks each
+    member's CRC-32 as numpy reads it to the end."""
+    if entry is None:
+        return None
     try:
         with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             feats, labels, names = npz["features"], npz["labels"], npz["names"]
@@ -84,10 +86,12 @@ def _read(entry: Path):
     return feats, labels, names
 
 
-def _write(entry: Path, feats, labels, names) -> None:
-    """Stores a parse through a temporary file renamed into place, so that a
-    concurrent reader sees no file or a whole one, then evicts all but the
-    newest ENTRIES entries. A cache that cannot be written is skipped."""
+def write(entry: Path | None, feats, labels, names) -> None:
+    """Stores a parse that succeeded through a temporary file renamed into
+    place, so that a concurrent reader sees no file or a whole one, then
+    evicts. A cache that cannot be written is skipped."""
+    if entry is None or feats.nbytes + labels.nbytes > MAX_BYTES // 4:
+        return
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".csv-", suffix=".tmp", dir=entry.parent)
@@ -99,13 +103,28 @@ def _write(entry: Path, feats, labels, names) -> None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        dated = []
-        for other in entry.parent.glob("csv-*.npz"):
-            with contextlib.suppress(OSError):  # another process may evict it first
-                dated.append((other.stat().st_mtime_ns, other))
-        dated.sort(reverse=True)
-        for _, other in [d for d in dated if d[1] != entry][ENTRIES - 1:]:
-            with contextlib.suppress(OSError):
-                other.unlink()
+        _evict(entry)
     except OSError:
         pass
+
+
+def _evict(keep: Path) -> None:
+    """Removes all but the newest ENTRIES entries, and then the oldest until
+    the rest fit in MAX_BYTES; keep, the entry just written, stays. Also
+    removes temporary files that killed writers left behind."""
+    dated = []
+    for other in keep.parent.glob("csv-*.npz"):
+        with contextlib.suppress(OSError):  # another process may evict it first
+            st = other.stat()
+            dated.append((other != keep, -st.st_mtime_ns, st.st_size, other))
+    dated.sort()
+    total = 0
+    for rank, (_, _, size, other) in enumerate(dated):
+        total += size
+        if rank >= ENTRIES or total > MAX_BYTES:
+            with contextlib.suppress(OSError):
+                other.unlink()
+    for tmp in keep.parent.glob(".csv-*.tmp"):
+        with contextlib.suppress(OSError):
+            if tmp.stat().st_mtime < time.time() - STALE_TMP_S:
+                tmp.unlink()

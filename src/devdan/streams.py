@@ -270,8 +270,12 @@ def load_csv(path, label_column: int = -1, bounds=None):
         data = fh.read()
     from . import csv_cache  # imported at the first load: most runs read no CSV file
 
-    feats, labels, label_names = csv_cache.cached(
-        data, label_column, lambda: _parse_csv(path, data, label_column))
+    entry = csv_cache.entry(data, label_column)
+    parsed = csv_cache.read(entry)
+    if parsed is None:
+        parsed = _parse_csv(path, data, label_column)
+        csv_cache.write(entry, *parsed)
+    feats, labels, label_names = parsed
     mins, maxs = _scaling_bounds(path, bounds, feats)
     span = maxs - mins
     scaled = np.zeros_like(feats)

@@ -12,6 +12,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -319,7 +320,7 @@ def exact_load_csv(path, label_column=-1):
     """load_csv with numpy's reader and the parse cache switched off: the
     cell-by-cell loop only."""
     with mock.patch.object(streams, "_read_fast", lambda *args: None), \
-            mock.patch.object(cache, "cached", lambda data, label_column, parse: parse()):
+            mock.patch.object(cache, "entry", lambda data, label_column: None):
         return load_csv(path, label_column)
 
 
@@ -452,11 +453,13 @@ class TestCsvCache:
             assert_same_load(load_csv(path, label_column), exact_load_csv(path, label_column))
         assert len(self.entries(csv_cache)) == 4
 
-    def test_key_covers_the_reader_numpy_and_the_field_limit(self, tmp_path, csv_cache,
+    def test_key_covers_the_reader_python_numpy_and_the_field_limit(self, tmp_path, csv_cache,
                                                            monkeypatch):
         path = self.write_csv(tmp_path / "k.csv")
         limit = csv.field_size_limit()
+        other_python = SimpleNamespace(implementation=SimpleNamespace(cache_tag="other-00"))
         changes = [lambda: monkeypatch.setattr(cache, "_reader_version", lambda: b"other"),
+                   lambda: monkeypatch.setattr(cache, "sys", other_python),
                    lambda: monkeypatch.setattr(np, "__version__", "0.0"),
                    lambda: csv.field_size_limit(limit + 1)]
         try:
@@ -517,7 +520,7 @@ class TestCsvCache:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert_same_load(load_csv(path), expected)
-            assert cache._read(entry) is not None, name
+            assert cache.read(entry) is not None, name
             assert self.entries(csv_cache) == [entry], name
 
     def test_unwritable_cache_still_loads(self, tmp_path, monkeypatch):
@@ -568,6 +571,53 @@ class TestCsvCache:
         load_csv(tmp_path / "f1.csv")
         assert len(self.entries(csv_cache)) == keep
         assert (csv_cache / "unrelated.npz").exists()
+
+    def test_entries_fit_in_the_byte_budget(self, tmp_path, csv_cache, monkeypatch):
+        """Eviction also removes the oldest entries until the rest fit in
+        MAX_BYTES, and a parse larger than a quarter of it is not stored."""
+        paths = [self.write_csv(tmp_path / f"s{i}.csv", seed=i) for i in range(5)]
+        load_csv(paths[0])
+        (first,) = self.entries(csv_cache)
+        size = first.stat().st_size
+        monkeypatch.setattr(cache, "MAX_BYTES", 4 * size + size // 2)
+        stored = [first]
+        for i, path in enumerate(paths[1:], start=1):
+            os.utime(stored[-1], (i, i))  # file times are too coarse to order writes
+            load_csv(path)
+            (new,) = set(self.entries(csv_cache)) - set(stored)
+            stored.append(new)
+        assert self.entries(csv_cache) == sorted(stored[1:])
+        big = self.write_csv(tmp_path / "big.csv", seed=9, rows=150)
+        for _ in range(2):
+            assert_same_load(load_csv(big), exact_load_csv(big))
+        assert self.entries(csv_cache) == sorted(stored[1:])
+
+    def test_stale_temporary_files_are_removed(self, tmp_path, csv_cache):
+        stale, fresh = csv_cache / ".csv-stale.tmp", csv_cache / ".csv-fresh.tmp"
+        for tmp in (stale, fresh):
+            tmp.write_bytes(b"partial")
+        old = time.time() - cache.STALE_TMP_S - 60
+        os.utime(stale, (old, old))
+        load_csv(self.write_csv(tmp_path / "t.csv"))
+        assert not stale.exists() and fresh.exists()
+        assert len(self.entries(csv_cache)) == 1
+
+    def test_unreadable_reader_source_loads_without_the_cache(self, tmp_path, csv_cache,
+                                                             monkeypatch):
+        """From a zip or frozen install the reader's source cannot be read:
+        load_csv then parses every time and stores nothing."""
+        path = self.write_csv(tmp_path / "z.csv")
+        expected = exact_load_csv(path)
+        monkeypatch.setattr(cache, "__file__", str(tmp_path / "missing" / "csv_cache.py"))
+        cache._reader_version.cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(2):
+                    assert_same_load(load_csv(path), expected)
+        finally:
+            cache._reader_version.cache_clear()
+        assert not list(csv_cache.iterdir())
 
     def test_new_entry_outlives_entries_with_later_mtimes(self, tmp_path, csv_cache):
         later = time.time() + 3600
