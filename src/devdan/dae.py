@@ -8,7 +8,6 @@ and decoding-path contributions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,52 +111,30 @@ def generative_gradients(
     x_tilde: np.ndarray,
     y: np.ndarray | None = None,
     z: np.ndarray | None = None,
-    out: tuple | None = None,
 ):
     """Loss and gradients of the reconstruction objective w.r.t. (w, b, c).
 
     Because the decoder weight is tied to the encoder weight, dw sums the
     encoder-path and decoder-path terms. Pass precomputed y, z to skip the
-    forward pass (they must come from this exact layer and x_tilde). out is
-    an optional (dw, db, dc) triple of arrays to write the gradients into;
-    without it they are fresh arrays.
+    forward pass (they must come from this exact layer and x_tilde).
     Returns (loss, dw, db, dc).
     """
     if y is None:
         y = encode(layer, x_tilde)
     if z is None:
         z = decode(layer, y)
-    dw, da, du = (None, None, None) if out is None else out  # None: numpy allocates
-    du = np.subtract(z, x, du)            # d loss / d decoder pre-activation:
-    du *= z                               # (z - x) * z * (1 - z)
-    du *= 1.0 - z
-    da = np.matmul(du, layer.w, da)       # back through the tied transpose:
-    da *= y                               # (du @ w) * y * (1 - y)
-    da *= 1.0 - y
-    dw = np.multiply(du[:, None], y, dw)  # outer(du, y), the decoding path
-    dw += x_tilde[:, None] * da           # + outer(x_tilde, da), the encoding path
+    du = (z - x) * z * (1.0 - z)            # d loss / d decoder pre-activation
+    da = (du @ layer.w) * y * (1.0 - y)     # back through the tied transpose
+    dw = np.outer(du, y) + np.outer(x_tilde, da)  # decoding path + encoding path
     return reconstruction_loss(x, z), dw, da, du
 
 
-def sgd_step_generative(
-    layer: DaeLayer, dw, db, dc, lr: float, joint: tuple | None = None
-) -> None:
-    """Plain gradient step on (w, b, c); rejects non-finite gradients and
-    then leaves the layer untouched.
-
-    joint is an optional (params, grads) pair of vectors laid out [c | w | b]
-    of which the layer's arrays and dc, dw, db are views; the check and the
-    step then run once over each vector instead of once per block.
-    """
-    pairs = ((layer.w, dw), (layer.b, db), (layer.c, dc)) if joint is None else (joint,)
-    # a sum is finite only if every term is; when it is not (a non-finite
-    # entry or an overflowing sum), the per-block check decides
-    total = 0.0
-    for _, g in pairs:
-        total += float(np.add.reduce(g, None))
-    if not math.isfinite(total):
-        for name, g in (("w", dw), ("b", db), ("c", dc)):
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter block '{name}'")
-    for p, g in pairs:
+def sgd_step_generative(layer: DaeLayer, dw, db, dc, lr: float) -> None:
+    """Plain gradient step on (w, b, c), in place; rejects non-finite
+    gradients and then leaves the layer untouched."""
+    blocks = (("w", layer.w, dw), ("b", layer.b, db), ("c", layer.c, dc))
+    for name, _, g in blocks:
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for parameter block '{name}'")
+    for _, p, g in blocks:
         p -= lr * g

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -132,48 +133,35 @@ STATE_SLOTS = (
 
 
 class FlatState:
-    """The vectors that the parameter and momentum arrays are views of, so
-    that a phase updates all of its parameters in one call per operation.
+    """The compiled step's hold on a model: vectors that the parameter and
+    momentum arrays are rebound as views of, and the kernel context that
+    points into them and into the node statistics.
 
     params : [c | w | b | theta | eta]
     vel    : [vel_w | vel_b | vel_theta | vel_eta], in line with params[n:]
-    grads  : gradient buffer in the params layout, whose blocks are handed
-             out as gen_grads (dw, db, dc) and disc_grads (dw, db, dtheta, deta)
-    gen_joint, disc_joint : (params, grads) over [c | w | b] and over
-             [w | b | theta | eta], the span each phase updates
+    grads  : the compiled loop's gradient buffer, in the params layout
     stats  : the six node-statistics arrays it was built with
-    kernel : the compiled step's context (pointers into the vectors above
-             and into stats), or None when the numpy step runs
+    kernel : the compiled step's context
 
-    Derived state: built from the live arrays, which are then rebound as its
-    views, and never checkpointed, hashed, pickled or copied.
+    Derived state: built from the live arrays only where the compiled step
+    runs, and never checkpointed, hashed, pickled or copied.
     """
 
-    __slots__ = ("params", "vel", "gen_grads", "disc_grads", "gen_joint", "disc_joint",
-                 "stats", "kernel")
+    __slots__ = ("params", "vel", "grads", "stats", "kernel")
 
-    def __init__(self, model: "DevdanModel"):
+    def __init__(self, model: "DevdanModel", lib):
         layer, head = model.layer, model.head
         live = (layer.c, layer.w, layer.b, head.theta, head.eta)
-        self.params = p = np.concatenate([arr.ravel() for arr in live])
-        layer.c, layer.w, layer.b, head.theta, head.eta = _views(p, live)
+        self.params = np.concatenate([arr.ravel() for arr in live], dtype=np.float64)
+        layer.c, layer.w, layer.b, head.theta, head.eta = _views(self.params, live)
         vels = (model.vel_w, model.vel_b, head.vel_theta, head.vel_eta)
-        self.vel = np.concatenate([arr.ravel() for arr in vels])
+        self.vel = np.concatenate([arr.ravel() for arr in vels], dtype=np.float64)
         model.vel_w, model.vel_b, head.vel_theta, head.vel_eta = _views(self.vel, vels)
-        g = np.empty_like(p)
-        dc, dw, db, dtheta, deta = _views(g, live)
-        self.gen_grads = (dw, db, dc)
-        self.disc_grads = (dw, db, dtheta, deta)
-        gen_end = dc.size + dw.size + db.size
-        self.gen_joint = (p[:gen_end], g[:gen_end])
-        self.disc_joint = (p[dc.size:], g[dc.size:])
+        self.grads = np.empty_like(self.params)
         gs, ds = model.gen_stats, model.disc_stats
         self.stats = (gs.count, gs.mean, gs.m2, ds.count, ds.mean, ds.m2)
-        lib = kernel.library()
-        self.kernel = None
-        if lib is not None and p.dtype == np.float64 and _kernel_ready(self.stats, layer.width):
-            self.kernel = kernel.StepContext(
-                lib, layer.n_in, layer.width, head.n_classes, p, self.vel, g, gs, ds)
+        self.kernel = kernel.StepContext(lib, layer.n_in, layer.width, head.n_classes,
+                                         self.params, self.vel, self.grads, gs, ds)
 
     def is_behind(self, model: "DevdanModel") -> bool:
         """True when any live parameter or momentum array is not a view of
@@ -190,12 +178,12 @@ class FlatState:
                     and ds.count is stats[3] and ds.mean is stats[4] and ds.m2 is stats[5])
 
 
-def _kernel_ready(stats: tuple, width: int) -> bool:
+def _kernel_ready(model: "DevdanModel") -> bool:
     """The compiled step reads counts as int64 and moments as float64, each
     one contiguous value per node."""
-    return all(arr.flags.c_contiguous and arr.shape == (width,)
-               and arr.dtype == (np.int64 if i % 3 == 0 else np.float64)
-               for i, arr in enumerate(stats))
+    return all(arr.flags.c_contiguous and arr.shape == (model.width,) and arr.dtype == dtype
+               for s in (model.gen_stats, model.disc_stats)
+               for arr, dtype in ((s.count, np.int64), (s.mean, np.float64), (s.m2, np.float64)))
 
 
 def _views(vec: np.ndarray, like) -> list:
@@ -205,6 +193,17 @@ def _views(vec: np.ndarray, like) -> list:
         views.append(vec[start:start + arr.size].reshape(arr.shape))
         start += arr.size
     return views
+
+
+def _class_index(label) -> int:
+    """label as an int: an integer, or a float whose value is one. Any other
+    label raises a ShapeError that names it."""
+    if isinstance(label, (float, np.floating)) and float(label).is_integer():
+        return int(label)
+    try:
+        return operator.index(label)
+    except TypeError:
+        raise ShapeError(f"label {label} is not an integer") from None
 
 
 class StepReport(NamedTuple):
@@ -379,11 +378,15 @@ class DevdanModel:
         # rebuilds them from the live arrays
         return {**self.__dict__, "_flat_state": None}
 
-    def _flat(self) -> FlatState:
-        """The flat vectors of the live arrays, rebuilt when they fell behind."""
+    def _flat(self) -> FlatState | None:
+        """The flat vectors of the live arrays, rebuilt when they fell behind;
+        None where the compiled step cannot run on them."""
         f = self._flat_state
         if f is None or f.is_behind(self):
-            f = self._flat_state = FlatState(self)
+            lib = kernel.library()
+            if lib is None or not _kernel_ready(self):
+                return None
+            f = self._flat_state = FlatState(self, lib)
         return f
 
     def generative_step(self, x: np.ndarray) -> StepReport:
@@ -392,30 +395,23 @@ class DevdanModel:
         done = self._compiled_rows(x[None], _ONE_ROW)
         if done is not None:
             return _step_report(done, self.width)
-        flat = self._flat()
-        x_tilde = dae.mask_input(x, self.mask)
         layer = self.layer
-        a = x_tilde @ layer.w
-        a += layer.b
-
+        x_tilde = dae.mask_input(x, self.mask)
+        a = x_tilde @ layer.w + layer.b
+        y = sigmoid(a)
+        z = dae.decode(layer, y)
         self.gen_stats.update(a)
-        snap = ns_snapshot_generative(layer, self.gen_stats, x, a)
-        y, z = snap.hidden, snap.output
+        snap = ns_snapshot_generative(layer, self.gen_stats, x)
         # the residual x - z is the pre-edit one: z is replaced only below
         grew, pruned = self._evolve(
             self.gen_bias, self.gen_var, snap, lambda: self._grow_generative(x - z)
         )
-
         if grew or pruned:
-            flat = self._flat()
-            y = sigmoid(x_tilde @ layer.w + layer.b)
-            z = None  # force decode against the edited layer
-        loss, dw, db, dc = dae.generative_gradients(
-            layer, x, x_tilde, y=y, z=z, out=flat.gen_grads
-        )
+            y = z = None  # the forward pass again, through the edited layer
+        loss, dw, db, dc = dae.generative_gradients(layer, x, x_tilde, y=y, z=z)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite generative loss {loss!r}")
-        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative, flat.gen_joint)
+        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative)
         return StepReport(grew, pruned, loss, self.width)
 
     def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
@@ -423,50 +419,39 @@ class DevdanModel:
         then momentum-descend encoder and head through the cross-entropy loss."""
         cfg = self.config
         x = self._as_input(x)
+        label = _class_index(label)
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
         done = self._compiled_rows(x[None], _ONE_ROW, np.array([label], dtype=np.int64))
         if done is not None:
             return _step_report(done, self.width)
-        onehot = self._onehot[label]
-        flat = self._flat()
         layer, head = self.layer, self.head
-        a = x @ layer.w
-        a += layer.b
-
+        onehot = self._onehot[label]
+        a = x @ layer.w + layer.b
         self.disc_stats.update(a)
-        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot, a)
-        h, probs = snap.hidden, snap.output
+        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot)
         grew, pruned = self._evolve(
             self.disc_bias, self.disc_var, snap, self._grow_discriminative
         )
-
         if grew or pruned:
-            flat = self._flat()
-            h = sigmoid(x @ layer.w + layer.b)
-            probs = softmax_row(h @ head.theta + head.eta)
-
+            a = x @ layer.w + layer.b  # the forward pass again, through the edited layer
+        h = sigmoid(a)
+        probs = softmax_row(h @ head.theta + head.eta)
         loss = -float(np.log(max(probs[label], 1e-300)))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite discriminative loss {loss!r}")
 
-        # fused softmax cross-entropy residual dlogits = probs - onehot, back
-        # through the head and the encoder: da = (theta @ dlogits) * h * (1 - h);
-        # outer(u, g) = u[:, None] * g
-        dw, da, dtheta, dlogits = flat.disc_grads
-        np.subtract(probs, onehot, dlogits)
-        np.multiply(h[:, None], dlogits, dtheta)
-        np.matmul(head.theta, dlogits, da)
-        da *= h
-        da *= 1.0 - h
-        np.multiply(x[:, None], da, dw)
-
-        # momentum v = mom * v + grad, then p -= lr * v, over [w | b | theta | eta]
-        params, grads = flat.disc_joint
-        vel = flat.vel
-        vel *= cfg.momentum
-        vel += grads
-        params -= cfg.lr_discriminative * vel
+        # softmax cross-entropy residual, back through the head and the encoder
+        dlogits = probs - onehot
+        da = (head.theta @ dlogits) * h * (1.0 - h)
+        grads = ((layer.w, self.vel_w, np.outer(x, da)), (layer.b, self.vel_b, da),
+                 (head.theta, head.vel_theta, np.outer(h, dlogits)),
+                 (head.eta, head.vel_eta, dlogits))
+        # momentum v = mom * v + grad, then p -= lr * v, block by block
+        for param, vel, grad in grads:
+            vel *= cfg.momentum
+            vel += grad
+            param -= cfg.lr_discriminative * vel
         return StepReport(grew, pruned, loss, self.width)
 
     def _compiled_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
@@ -481,10 +466,12 @@ class DevdanModel:
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
         the numpy step would raise there)."""
-        k = self._flat().kernel
+        # looked up at every call: the mask generator may have been rebound
         bitgen = kernel.bitgen_address(self.mask.rng)
-        if k is None or bitgen is None:
+        flat = None if bitgen is None else self._flat()
+        if flat is None:
             return None
+        k = flat.kernel
         cfg, n, gen = self.config, self.n_in, labels is None
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         charts = (self.gen_bias, self.gen_var) if gen else (self.disc_bias, self.disc_var)
@@ -536,15 +523,22 @@ class DevdanModel:
         """Single-epoch pass: generative phase over every row, then the
         discriminative phase over the rows whose labels are revealed. With
         the compiled step, each phase is one call into the compiled loop,
-        plus one more per structural edit."""
+        plus one more per structural edit. A revealed label that is not an
+        integer is refused before any row trains."""
         if batch.labeled_mask is None:
             raise ConfigError("batch has no labeled mask: choose its labels before training")
+        labels = np.asarray(batch.labels)
+        labeled = np.flatnonzero(np.asarray(batch.labeled_mask, dtype=bool))
+        if labels.ndim == 1 and not np.can_cast(labels.dtype, np.int64):
+            for t in labeled[labeled < labels.shape[0]]:
+                try:
+                    _class_index(labels[t])
+                except ShapeError as err:
+                    raise ShapeError(f"sample {t}: {err}") from None
         feats = np.asarray(batch.features, dtype=np.float64)
         rows = np.arange(feats.shape[0] if self.config.enable_generative else 0)
         gen_losses, gen_grows, gen_prunes = self._train_rows(feats, rows)
-        labels = np.asarray(batch.labels)
-        rows = np.flatnonzero(np.asarray(batch.labeled_mask, dtype=bool))
-        disc_losses, disc_grows, disc_prunes = self._train_rows(feats, rows, labels)
+        disc_losses, disc_grows, disc_prunes = self._train_rows(feats, labeled, labels)
         return BatchReport(
             generative_loss=float(np.mean(gen_losses)) if len(gen_losses) else float("nan"),
             discriminative_loss=float(np.mean(disc_losses)) if len(disc_losses) else float("nan"),
@@ -581,7 +575,7 @@ class DevdanModel:
                 if labels is None:
                     rep = self.generative_step(feats[t])
                 else:
-                    rep = self.discriminative_step(feats[t], int(labels[t]))
+                    rep = self.discriminative_step(feats[t], labels[t])
             except NumericError as err:
                 raise NumericError(f"sample {t}: {err}") from err
             grows += rep.grew

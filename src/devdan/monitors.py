@@ -22,10 +22,10 @@ from .numerics import RunningMoment, sigmoid, softmax_row
 _PROBIT_SCALE = math.pi / 8.0
 
 
-def _probit_arg(mu, sigma, out=None):
+def _probit_arg(mu, sigma):
     """mu / sqrt(1 + pi/8 * sigma^2): E[sigmoid(A)] for A ~ N(mu, sigma^2) is
     sigmoid of this, by the probit approximation."""
-    return np.divide(mu, np.sqrt(1.0 + _PROBIT_SCALE * sigma * sigma), out=out)
+    return mu / np.sqrt(1.0 + _PROBIT_SCALE * sigma * sigma)
 
 
 def expected_activation(mu, sigma):
@@ -60,14 +60,10 @@ class NodeStats:
         """Fold one pre-activation vector (length = width) into the moments."""
         if a.shape != self.mean.shape:
             raise ShapeError(f"stats width {self.width} does not match input {a.shape}")
-        mean = self.mean
         self.count += 1
-        delta = a - mean
-        step = delta / self.count
-        mean += step
-        np.subtract(a, mean, step)
-        step *= delta
-        self.m2 += step
+        delta = a - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (a - self.mean)
 
     def stds(self) -> np.ndarray:
         """Population std per node, 0 before a node's second update.
@@ -175,16 +171,11 @@ class NsSnapshot(NamedTuple):
     ey  : expected hidden activations (length = width)
     bias2, variance : squared bias and variance of the expected outputs,
         each a mean over the output dimensions
-    hidden, output : the training step's forward pass, sigmoid(a) and the
-        squashed output it gives, when the snapshot was passed the step's
-        pre-activation a; None otherwise
     """
 
     ey: np.ndarray
     bias2: float
     variance: float
-    hidden: np.ndarray | None = None
-    output: np.ndarray | None = None
 
 
 def _require_updated(stats: NodeStats) -> None:
@@ -196,68 +187,33 @@ def _require_updated(stats: NodeStats) -> None:
         )
 
 
-def _snapshot(stats: NodeStats, weight, bias, squash, target, a=None) -> NsSnapshot:
-    """Expected hidden activations ey, expected outputs squash(ey @ weight +
-    bias) and squash((ey*ey) @ weight + bias), then the mean squared bias
-    against target and the mean variance. The expected outputs stay inside.
-
-    Given a, the step's hidden pre-activation, the forward pass rides along in
-    the same nonlinearity calls: sigmoid(a) is the row above the probit
-    argument, and squash(sigmoid(a) @ weight + bias) the row above the two
-    expected outputs (sigmoid and squash act row by row). Each product stays
-    its own matrix-vector product, which rounds differently from one matrix
-    product. The means are np.mean's own arithmetic: one add.reduce, then a
-    divide.
-    """
+def _snapshot(stats: NodeStats, weight, bias, squash, target) -> NsSnapshot:
+    """Expected hidden activations ey, expected outputs ez = squash(ey @
+    weight + bias) and ez2 = squash((ey*ey) @ weight + bias), then the mean
+    squared bias of ez against target and the mean variance ez2 - ez^2."""
     _require_updated(stats)
-    rows = 1 if a is None else 2
-    hid = np.empty((rows, stats.width))
-    if a is not None:
-        hid[0] = a
-    _probit_arg(stats.mean, stats.stds(), hid[-1])
-    hid = sigmoid(hid)
-    ey = hid[-1]
-    n = bias.shape[0]
-    pre = np.empty((rows + 1, n))
-    if a is not None:
-        np.matmul(hid[0], weight, pre[0])
-    np.matmul(ey, weight, pre[-2])
-    np.matmul(ey * ey, weight, pre[-1])
-    pre += bias
-    out = squash(pre)
-    ez, ez2 = out[-2], out[-1]
-    d = target - ez
-    d *= d
-    bias2 = float(np.add.reduce(d)) / n
-    np.multiply(ez, ez, d)
-    np.subtract(ez2, d, d)
-    variance = float(np.add.reduce(d)) / n
-    forward = () if a is None else (hid[0], out[0])
-    return NsSnapshot(ey, bias2, variance, *forward)
+    ey = stats.expected_activations()
+    ez = squash(ey @ weight + bias)
+    ez2 = squash((ey * ey) @ weight + bias)
+    return NsSnapshot(ey, float(np.mean((target - ez) ** 2)), float(np.mean(ez2 - ez * ez)))
 
 
-def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray, a=None) -> NsSnapshot:
+def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray) -> NsSnapshot:
     """Bias/variance of the reconstruction against clean input x.
 
     ez  = sigmoid(ey @ w.T + c)
     ez2 = sigmoid((ey * ey) @ w.T + c)
     bias2 = mean_j (x_j - ez_j)^2, variance = mean_j (ez2_j - ez_j^2).
-    Given the step's pre-activation a, also the forward pass: hidden =
-    sigmoid(a) and output = the reconstruction sigmoid(hidden @ w.T + c).
     """
     if stats.width != layer.width:
         raise ShapeError(f"stats width {stats.width} does not match layer {layer.width}")
-    return _snapshot(stats, layer.w.T, layer.c, sigmoid, x, a)
+    return _snapshot(stats, layer.w.T, layer.c, sigmoid, x)
 
 
 def ns_snapshot_discriminative(
-    theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray, a=None
+    theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray
 ) -> NsSnapshot:
-    """Bias/variance of the class-probability output against a 0-1 target.
-
-    Given the step's pre-activation a, also the forward pass: hidden =
-    sigmoid(a) and output = the class probabilities softmax(hidden @ theta +
-    eta)."""
+    """Bias/variance of the class-probability output against a 0-1 target."""
     if stats.width != theta.shape[0]:
         raise ShapeError(f"stats width {stats.width} does not match head {theta.shape}")
-    return _snapshot(stats, theta, eta, softmax_row, onehot, a)
+    return _snapshot(stats, theta, eta, softmax_row, onehot)

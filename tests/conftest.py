@@ -38,8 +38,9 @@ def pytest_terminal_summary(terminalreporter):
 def each_backend():
     """Runs a loop body once per training step available here: "numpy", then
     "compiled" unless the kernel is unavailable (the report header says why).
-    Models should be built and trained inside the body: a model takes the
-    step that was chosen when its flat state was last built."""
+    Models should be built and trained inside the body: the numpy step runs
+    while `kernel.library()` is None, but a model that has already built its
+    flat vectors keeps the compiled step until they fall behind."""
     with mock.patch.object(kernel, "library", lambda: None):
         yield "numpy"
     if kernel.library() is not None:

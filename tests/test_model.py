@@ -2,7 +2,6 @@
 central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
 import copy
-import dataclasses
 import json
 import math
 import pickle
@@ -20,7 +19,6 @@ from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
 from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel
-from devdan.monitors import NsSnapshot
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_sea
 
@@ -537,18 +535,18 @@ def test_copies_train_without_touching_the_original(tmp_path):
 
 
 def test_pickle_and_copy_leave_out_the_flat_vectors():
-    """The next step rebuilds the flat vectors and the compiled step's
+    """The compiled step's next call rebuilds the flat vectors and its
     context of raw pointers, so a pickle or deep copy of a trained model
-    carries neither; the original keeps its own."""
+    carries neither; the original keeps its own. The numpy step never
+    builds them."""
     feats, labels = gen_sea(200, rng=np.random.default_rng(72))
     for backend in each_backend():
         model = DevdanModel(3, 2, DevdanConfig(seed=72))
         train(model, feats, labels)
-        assert (model._flat_state.kernel is not None) == (backend == "compiled")
+        assert (model._flat_state is not None) == (backend == "compiled")
         data = pickle.dumps(model)
         assert b"FlatState" not in data and b"StepContext" not in data
         assert copy.deepcopy(model)._flat_state is None
-        assert model._flat_state is not None
 
 
 @pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean"])
@@ -594,9 +592,9 @@ def rebound_run(path, rebound) -> str:
 
 @pytest.mark.parametrize("block, index", [("w", 0), ("b", 1), ("c", 2)])
 def test_nonfinite_gradient_through_generative_step(monkeypatch, block, index):
-    """The numpy step's one-vector update still names the bad block and
-    leaves the layer untouched. (The compiled step never calls
-    dae.generative_gradients; test_nonfinite_parity covers it.)"""
+    """The numpy step's update names the bad block and leaves the layer
+    untouched. (The compiled step never calls dae.generative_gradients;
+    test_nonfinite_parity covers it.)"""
     monkeypatch.setattr(kernel, "library", lambda: None)
     rng = np.random.default_rng(79)
     model = DevdanModel(3, 2, frozen_config(seed=79))
@@ -697,6 +695,70 @@ def test_mid_batch_error_names_the_sample_on_both_steps(case):
     assert len(set(ends.values())) == 1, ends
 
 
+@pytest.mark.parametrize("label", [1.7, float("nan"), "1", None])
+def test_non_integer_labels_are_refused_on_both_steps(label):
+    """discriminative_step and train_batch refuse a label that is not an
+    integer with the same ShapeError on either step, naming the label and,
+    in a batch, the sample. Neither trains anything first."""
+    feats, labels = gen_sea(40, rng=np.random.default_rng(87))
+    batch_labels = labels.astype(float if isinstance(label, float) else object)
+    batch_labels[27] = label
+    ends = {}
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=87))
+        train(model, feats[:20], labels[:20])
+        before = state_hash(model)
+        with pytest.raises(ShapeError) as single:
+            model.discriminative_step(feats[20], label)
+        with pytest.raises(ShapeError) as batch:
+            model.train_batch(StreamBatch(feats, batch_labels, np.ones(40, dtype=bool), 0))
+        assert state_hash(model) == before
+        ends[backend] = (str(single.value), str(batch.value))
+    assert ends["numpy"] == (f"label {label} is not an integer",
+                             f"sample 27: label {label} is not an integer")
+    assert len(set(ends.values())) == 1, ends
+
+
+def test_integer_valued_labels_train_alike():
+    """Labels given as int, np.int32 or an integer-valued float, to single
+    steps and in a batch's label array, train the same on both steps."""
+    feats, labels = gen_sea(60, rng=np.random.default_rng(88))
+    ends = set()
+    for backend in each_backend():
+        for kind in (int, np.int32, float):
+            model = DevdanModel(3, 2, DevdanConfig(seed=88))
+            for x, label in zip(feats[:30], labels[:30]):
+                model.generative_step(x)
+                model.discriminative_step(x, kind(label))
+            model.train_batch(StreamBatch(feats[30:], labels[30:].astype(kind),
+                                          np.ones(30, dtype=bool), 0))
+            ends.add(state_hash(model))
+    assert len(ends) == 1, ends
+
+
+class WrappedGenerator(np.random.Generator):
+    """A Generator subclass, whose bit generator the compiled loop does not
+    draw from."""
+
+
+def test_generator_subclass_takes_the_numpy_step(compiled_step):
+    """With the compiled library loaded, a model whose generator is not a
+    numpy Generator trains on the numpy step, single steps and a half-labeled
+    batch alike, without building the flat vectors, and ends where a model
+    on the same plain generator ends."""
+    feats, labels = gen_sea(200, rng=np.random.default_rng(89))
+    labeled = np.arange(100) % 2 == 0
+    models = []
+    for rng in (WrappedGenerator(np.random.PCG64(9)), np.random.default_rng(9)):
+        model = DevdanModel(3, 2, DevdanConfig(), rng=rng)
+        train(model, feats[:100], labels[:100])
+        model.train_batch(StreamBatch(feats[100:], labels[100:], labeled, 0))
+        models.append(model)
+    wrapped, plain = models
+    assert wrapped._flat_state is None and plain._flat_state is not None
+    assert state_hash(wrapped) == state_hash(plain)
+
+
 @pytest.mark.parametrize("reset_mode, rows", [("standard", 3000), ("reset_all", 400)])
 def test_edit_dense_batches_match_on_both_steps(reset_mode, rows):
     """SEA with the concept flipping every 200 rows, in batches of 100 or 500
@@ -718,125 +780,33 @@ def test_edit_dense_batches_match_on_both_steps(reset_mode, rows):
     assert len(set(ends.values())) == 1, ends
 
 
-# ---------------------------------------------------------------------------
-# Reference steps: both phases written plainly, with separate nonlinearity
-# calls, np.outer, np.mean and one update per parameter block. The model's
-# steps must reach the same state bit for bit.
-
-
-def plain_sigmoid(v):
-    return np.exp(-np.logaddexp(0.0, -v))
-
-
-def plain_softmax(v):
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def plain_stats_update(stats, a):
-    stats.count = stats.count + 1
-    delta = a - stats.mean
-    stats.mean = stats.mean + delta / stats.count
-    stats.m2 = stats.m2 + delta * (a - stats.mean)
-
-
-def plain_snapshot(stats, weight, bias, squash, target):
-    sd = np.zeros_like(stats.mean)
-    np.divide(stats.m2, stats.count, out=sd, where=stats.count > 1)
-    sd = np.sqrt(sd)
-    ey = plain_sigmoid(stats.mean / np.sqrt(1.0 + math.pi / 8.0 * sd * sd))
-    ez = squash(ey @ weight + bias)
-    ez2 = squash((ey * ey) @ weight + bias)
-    bias2 = float(np.mean((target - ez) ** 2))
-    variance = float(np.mean(ez2 - ez * ez))
-    return NsSnapshot(ey, bias2, variance)
-
-
-def plain_generative_step(model, x):
-    layer = model.layer
-    x_tilde = dae.mask_input(x, model.mask)
-    a = x_tilde @ layer.w + layer.b
-    y = plain_sigmoid(a)
-    z = plain_sigmoid(y @ layer.w.T + layer.c)
-    plain_stats_update(model.gen_stats, a)
-    snap = plain_snapshot(model.gen_stats, layer.w.T, layer.c, plain_sigmoid, x)
-    edits = model._evolve(model.gen_bias, model.gen_var, snap,
-                          lambda: model._grow_generative(x - z))
-    if any(edits):
-        y = plain_sigmoid(x_tilde @ layer.w + layer.b)
-        z = plain_sigmoid(y @ layer.w.T + layer.c)
-    du = (z - x) * z * (1.0 - z)
-    da = (du @ layer.w) * y * (1.0 - y)
-    grads = {"w": np.outer(du, y) + np.outer(x_tilde, da), "b": da, "c": du}
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter block '{name}'")
-    lr = model.config.lr_generative
-    for name, g in grads.items():
-        setattr(layer, name, getattr(layer, name) - lr * g)
-    return edits
-
-
-def plain_discriminative_step(model, x, label):
-    layer, head = model.layer, model.head
-    onehot = np.eye(model.n_classes)[label]
-    a = x @ layer.w + layer.b
-    h = plain_sigmoid(a)
-    probs = plain_softmax(h @ head.theta + head.eta)
-    plain_stats_update(model.disc_stats, a)
-    snap = plain_snapshot(model.disc_stats, head.theta, head.eta, plain_softmax, onehot)
-    edits = model._evolve(model.disc_bias, model.disc_var, snap, model._grow_discriminative)
-    if any(edits):
-        h = plain_sigmoid(x @ layer.w + layer.b)
-        probs = plain_softmax(h @ head.theta + head.eta)
-    dlogits = probs - onehot
-    da = (head.theta @ dlogits) * h * (1.0 - h)
-    mom, lr = model.config.momentum, model.config.lr_discriminative
-    head.vel_theta = mom * head.vel_theta + np.outer(h, dlogits)
-    head.vel_eta = mom * head.vel_eta + dlogits
-    model.vel_w = mom * model.vel_w + np.outer(x, da)
-    model.vel_b = mom * model.vel_b + da
-    head.theta = head.theta - lr * head.vel_theta
-    head.eta = head.eta - lr * head.vel_eta
-    layer.w = layer.w - lr * model.vel_w
-    layer.b = layer.b - lr * model.vel_b
-    return edits
-
-
 @pytest.mark.parametrize("momentum", [0.95, 0.0])
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 2), (20, 10)])
 def test_steps_match_plain_reference(n, m, momentum):
     """300 rows of both phases, with the concept flipped half way and grows
-    and prunes forced between steps, end on the reference's state hash.
-    With m = 10 the softmax sums take numpy's pairwise path. Both training
-    steps run."""
+    and prunes forced between steps: the compiled step makes the same edits,
+    reports the same losses to the bit and ends on the same state hash as the
+    numpy step, the plain reference. With m = 10 the softmax sums take
+    numpy's pairwise path."""
     ends = {backend: reference_run(n, m, momentum) for backend in each_backend()}
     assert len(set(ends.values())) == 1, ends
 
 
-def reference_run(n, m, momentum) -> str:
-    cfg = DevdanConfig(seed=n + m, momentum=momentum)
-    model = DevdanModel(n, m, cfg)
-    ref = DevdanModel(n, m, dataclasses.replace(cfg))
+def reference_run(n, m, momentum):
+    model = DevdanModel(n, m, DevdanConfig(seed=n + m, momentum=momentum))
     rng = np.random.default_rng(n * m)
     concepts = rng.normal(size=(2, n, m))
     events = np.zeros(2, dtype=int)
+    reports = []
     for t in range(300):
         x = rng.uniform(size=n)
         label = int(np.argmax(x @ concepts[t // 150]))
-        rep = model.generative_step(x)
-        assert (rep.grew, rep.pruned) == plain_generative_step(ref, x)
-        events += (rep.grew, rep.pruned)
-        rep = model.discriminative_step(x, label)
-        assert (rep.grew, rep.pruned) == plain_discriminative_step(ref, x, label)
-        events += (rep.grew, rep.pruned)
+        for rep in (model.generative_step(x), model.discriminative_step(x, label)):
+            reports.append(rep)
+            events += (rep.grew, rep.pruned)
         if t % 50 == 20:
-            for mdl in (model, ref):
-                mdl._grow_discriminative()
+            model._grow_discriminative()
         elif t % 50 == 45 and model.width >= 2:
-            index = t % model.width
-            for mdl in (model, ref):
-                mdl._prune(index)
+            model._prune(t % model.width)
     assert events.all()  # the charts also grew and pruned inside the steps
-    assert state_hash(model) == state_hash(ref)
-    return state_hash(model)
+    return repr(reports), state_hash(model)

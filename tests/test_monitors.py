@@ -427,16 +427,3 @@ def test_snapshots_bit_identical_to_plain_formulas(n):
         for got, want in ((snap, ref), (dsnap, dref)):
             assert np.array_equal(got.ey, want.ey), width
             assert (got.bias2, got.variance) == (want.bias2, want.variance), width
-        # given the step's pre-activation, the forward pass shares the
-        # nonlinearity calls and the estimate stays the same
-        a = rng.normal(scale=3.0, size=width)
-        hidden = plain_sigmoid(a)
-        for got, alone, weight, bias, squash in (
-            (ns_snapshot_generative(layer, stats, x, a), snap, layer.w.T, layer.c, plain_sigmoid),
-            (ns_snapshot_discriminative(theta, eta, stats, onehot, a), dsnap, theta, eta,
-             plain_softmax),
-        ):
-            assert np.array_equal(got.hidden, hidden), width
-            assert np.array_equal(got.output, squash(hidden @ weight + bias)), width
-            for field in ("ey", "bias2", "variance"):
-                assert np.array_equal(getattr(got, field), getattr(alone, field)), (width, field)
