@@ -5,10 +5,11 @@ float64 features, the int64 label ids and the label names. It lives in
 `cache_dir()`, the directory the compiled step is built into, as
 csv-<sha256>.npz. The key covers everything a parse depends on: the reader's
 source (streams.py and this module), the interpreter, numpy's version, the
-label column, csv's field limit and the file's bytes. The newest ENTRIES
-entries are kept, by mtime, within MAX_BYTES in all, and a hit refreshes its
-entry's mtime; a parse larger than MAX_BYTES // 4 is not stored. `load_csv`
-imports this module at its first call, so `import devdan` does not.
+label column, csv's field limit and the file's bytes, which `load` hashes
+in chunks, so that a hit never holds them. The newest ENTRIES entries are
+kept, by mtime, within MAX_BYTES in all, and a hit refreshes its entry's
+mtime; a parse larger than MAX_BYTES // 4 is not stored. `load_csv` imports
+this module at its first call, so `import devdan` does not.
 """
 from __future__ import annotations
 
@@ -16,21 +17,17 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import streams
-from .kernel import cache_dir
-
-ENTRIES = 16
-MAX_BYTES = 1 << 30
-STALE_TMP_S = 3600  # a temporary file this old was left by a killed writer
+from .kernel import ENTRIES, MAX_BYTES, cache_dir, evict
 
 
 @functools.cache
@@ -46,19 +43,46 @@ def _reader_version() -> bytes | None:
     return key.digest()
 
 
-def entry(data: bytes, label_column: int) -> Path | None:
-    """Where a parse of data is kept, or None when it cannot be cached."""
-    version = _reader_version()
-    if version is None:
-        return None
-    key = hashlib.sha256(version)
+def load(path, fh, label_column: int):
+    """`streams._parse_csv`'s parse of the binary file fh, read from the
+    cache or parsed and stored. The key pass hashes the file in chunks. On a
+    miss the parse pass hashes it again; if the digests differ, the file
+    changed in between, and its bytes are read once into memory and loaded
+    from there."""
+    digest = key(label_column)
+    for chunk in iter(lambda: fh.read(streams._CHUNK), b""):
+        digest.update(chunk)
+    where = entry(digest)
+    parsed = read(where)
+    if parsed is None:
+        fh.seek(0)
+        parsed, digest = streams._parse_csv(path, fh, label_column, key(label_column))
+        if entry(digest) != where:
+            fh.seek(0)
+            return load(path, io.BytesIO(fh.read()), label_column)
+        write(where, *parsed)
+    return parsed
+
+
+def key(label_column: int):
+    """A sha256 fed with all a parse depends on but the file's bytes, which
+    the caller feeds next: the reader's source, the interpreter, numpy's
+    version, the label column and csv's field limit."""
+    key = hashlib.sha256(_reader_version() or b"")
     for part in (sys.implementation.cache_tag or "", np.__version__, str(label_column),
                  str(csv.field_size_limit())):
         key.update(b"\0" + part.encode())
     key.update(b"\0")
-    key.update(data)
+    return key
+
+
+def entry(digest) -> Path | None:
+    """Where the parse of the bytes fed to digest (a key()) is kept, or None
+    when it cannot be cached."""
+    if _reader_version() is None:
+        return None
     try:
-        return cache_dir() / f"csv-{key.hexdigest()}.npz"
+        return cache_dir() / f"csv-{digest.hexdigest()}.npz"
     except RuntimeError:  # no home directory
         return None
 
@@ -89,7 +113,7 @@ def read(entry: Path | None):
 def write(entry: Path | None, feats, labels, names) -> None:
     """Stores a parse that succeeded through a temporary file renamed into
     place, so that a concurrent reader sees no file or a whole one, then
-    evicts. A cache that cannot be written is skipped."""
+    evicts (`kernel.evict`). A cache that cannot be written is skipped."""
     if entry is None or feats.nbytes + labels.nbytes > MAX_BYTES // 4:
         return
     try:
@@ -103,28 +127,6 @@ def write(entry: Path | None, feats, labels, names) -> None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        _evict(entry)
+        evict(entry, "csv-*.npz", ENTRIES, MAX_BYTES)
     except OSError:
         pass
-
-
-def _evict(keep: Path) -> None:
-    """Removes all but the newest ENTRIES entries, and then the oldest until
-    the rest fit in MAX_BYTES; keep, the entry just written, stays. Also
-    removes temporary files that killed writers left behind."""
-    dated = []
-    for other in keep.parent.glob("csv-*.npz"):
-        with contextlib.suppress(OSError):  # another process may evict it first
-            st = other.stat()
-            dated.append((other != keep, -st.st_mtime_ns, st.st_size, other))
-    dated.sort()
-    total = 0
-    for rank, (_, _, size, other) in enumerate(dated):
-        total += size
-        if rank >= ENTRIES or total > MAX_BYTES:
-            with contextlib.suppress(OSError):
-                other.unlink()
-    for tmp in keep.parent.glob(".csv-*.tmp"):
-        with contextlib.suppress(OSError):
-            if tmp.stat().st_mtime < time.time() - STALE_TMP_S:
-                tmp.unlink()

@@ -3,21 +3,24 @@
 The C file is built once into a per-user cache (`cache_dir()`:
 $XDG_CACHE_HOME/devdan when that is absolute, else ~/.cache/devdan) under a
 name keyed by its source and the numerics stack, and loaded with ctypes at
-the first training step. It reproduces the numpy step
-bit for bit by calling numpy's own float64 exp, logaddexp, add and log loops,
-read here from the ufunc loop tables, the dgemv/ddot of the OpenBLAS that
-numpy bundles, and the model generator's own bitgen_t for the mask draw. A
-load-time self-check compares every product orientation, both squashes, a
-mask-draw sequence and a control-chart sequence with numpy and Python; if the
-build, the load or the check fails, every model keeps the numpy step, and
-`step_backend()` says why.
+the first training step; a load refreshes the build's mtime, and a new build
+evicts the oldest (`evict`, as the CSV parse cache does). It reproduces the
+numpy step bit for bit by calling numpy's own float64 exp, logaddexp, add and
+log loops, read here from the ufunc loop tables, the dgemv/ddot of the
+OpenBLAS that numpy bundles, and the model generator's own bitgen_t for the
+mask draw. A load-time self-check compares every product orientation, both
+squashes, a mask-draw sequence and a control-chart sequence with numpy and
+Python; if the build, the load or the check fails, every model keeps the
+numpy step, and `step_backend()` says why.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,11 @@ from .numerics import sigmoid, softmax_row
 SOURCE = Path(__file__).with_name("_step.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# cache_dir() keeps the newest ENTRIES files of each kind (builds, parsed CSV
+# files) within MAX_BYTES in all (`evict`)
+ENTRIES = 16
+MAX_BYTES = 1 << 30
+STALE_TMP_S = 3600  # a temporary file this old was left by a killed writer
 
 _NPY_DOUBLE = 12  # numpy's type number for float64 in the ufunc type tables
 
@@ -153,14 +161,38 @@ def _library_path() -> Path:
     return cache_dir() / f"step-{key.hexdigest()[:16]}.so"
 
 
+def evict(keep: Path, pattern: str, entries: int, max_bytes: int) -> None:
+    """Removes all but the newest `entries` files matching pattern in keep's
+    directory, by mtime, and then the oldest until the rest fit in max_bytes;
+    keep, the file just written, stays. Also removes the temporary files of
+    that kind (".<pattern up to its *>*.tmp") that killed writers left."""
+    dated = []
+    for other in keep.parent.glob(pattern):
+        with contextlib.suppress(OSError):  # another process may evict it first
+            st = other.stat()
+            dated.append((other != keep, -st.st_mtime_ns, st.st_size, other))
+    dated.sort()
+    total = 0
+    for rank, (_, _, size, other) in enumerate(dated):
+        total += size
+        if rank >= entries or total > max_bytes:
+            with contextlib.suppress(OSError):
+                other.unlink()
+    for tmp in keep.parent.glob("." + pattern.partition("*")[0] + "*.tmp"):
+        with contextlib.suppress(OSError):
+            if tmp.stat().st_mtime < time.time() - STALE_TMP_S:
+                tmp.unlink()
+
+
 def _build(target: Path) -> None:
     """Compile into a temporary file beside target, then move it into place,
-    so a concurrent build or load sees either no file or a whole one."""
+    so a concurrent build or load sees either no file or a whole one, and
+    evict older builds."""
     import subprocess  # imported here: a process that never trains never builds
     import tempfile
 
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp", dir=target.parent)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.stem}.", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
         proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
@@ -169,6 +201,7 @@ def _build(target: Path) -> None:
             first = (proc.stderr.strip().splitlines() or ["no output"])[0]
             raise KernelUnavailable(f"build failed: {first}")
         os.replace(tmp, target)
+        evict(target, "step-*.so", ENTRIES, MAX_BYTES)
     except OSError as err:
         raise KernelUnavailable(f"build failed: {err}") from err
     finally:
@@ -362,6 +395,8 @@ def _load():
     target = _library_path()
     if not target.exists():
         _build(target)
+    with contextlib.suppress(OSError):
+        os.utime(target)  # in use: the newest build, last to be evicted
     try:
         lib = ctypes.CDLL(str(target))
         _declare(lib)

@@ -524,17 +524,24 @@ class DevdanModel:
         discriminative phase over the rows whose labels are revealed. With
         the compiled step, each phase is one call into the compiled loop,
         plus one more per structural edit. A revealed label that is not an
-        integer is refused before any row trains."""
+        integer is refused before any row trains; integer-valued labels of any
+        dtype take the compiled loop as int64."""
         if batch.labeled_mask is None:
             raise ConfigError("batch has no labeled mask: choose its labels before training")
         labels = np.asarray(batch.labels)
         labeled = np.flatnonzero(np.asarray(batch.labeled_mask, dtype=bool))
         if labels.ndim == 1 and not np.can_cast(labels.dtype, np.int64):
+            ids, fits = np.zeros(labels.shape, dtype=np.int64), True  # unrevealed ones stay 0
             for t in labeled[labeled < labels.shape[0]]:
                 try:
-                    _class_index(labels[t])
+                    label = _class_index(labels[t])
                 except ShapeError as err:
                     raise ShapeError(f"sample {t}: {err}") from None
+                try:
+                    ids[t] = label
+                except OverflowError:  # beyond int64: the per-row step names it out of range
+                    fits = False
+            labels = ids if fits else labels
         feats = np.asarray(batch.features, dtype=np.float64)
         rows = np.arange(feats.shape[0] if self.config.enable_generative else 0)
         gen_losses, gen_grows, gen_prunes = self._train_rows(feats, rows)

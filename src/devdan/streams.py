@@ -1,21 +1,23 @@
 """Data sources and batching.
 
 Synthetic drift generators (SEA threshold flips, gradually mixed hyperplanes),
-min-max-normalized CSV ingestion with a per-user parse cache, IDX image
-ingestion with optional pixel permutation drift, and the batching step that
-groups rows into per-timestamp batches and decides which labels are revealed.
+min-max-normalized CSV ingestion that streams plain files through numpy's
+reader with a per-user parse cache, IDX image ingestion with optional pixel
+permutation drift, and the batching step that groups rows into per-timestamp
+batches and decides which labels are revealed.
 """
 from __future__ import annotations
 
 import csv as _csv
 import io
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, IdxFormatError, StructureError
+from .errors import ConfigError, CsvFormatError, DevdanError, IdxFormatError, StructureError
 
 SEA_DEFAULT_SCHEDULE = ((0, 4.0), (25_000, 7.0), (50_000, 4.0), (75_000, 7.0))
 
@@ -109,9 +111,10 @@ def gen_hyperplane(
 
 # --------------------------------------------------------------- file ingestion
 
-# Bytes that csv.reader with float(), str.splitlines and np.loadtxt all read
-# alike: printable ASCII except the quote character, plus tab, CR and LF.
+# Bytes that csv.reader with float(), universal newlines and np.loadtxt all
+# read alike: printable ASCII except the quote character, plus tab, CR and LF.
 _PLAIN_CSV_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+_CHUNK = 1 << 16  # bytes per read of a CSV file
 
 
 def _label_index(path, label_column: int, cells) -> int:
@@ -126,13 +129,11 @@ def _is_header(path, cells, label_column: int) -> bool:
     """A first row is a header when any feature cell fails to parse as a
     number (the label column is categorical and does not count)."""
     lab_idx = _label_index(path, label_column, cells)
-    for j, cell in enumerate(cells):
-        if j == lab_idx:
-            continue
-        try:
+    try:
+        for cell in cells[:lab_idx] + cells[lab_idx + 1:]:
             float(cell)
-        except ValueError:
-            return True
+    except ValueError:
+        return True
     return False
 
 
@@ -157,11 +158,8 @@ def _read_exact(path, data: bytes, label_column: int):
     line_no = 0
     try:
         for line_no, cells in enumerate(_csv.reader(io.StringIO(text, newline="")), start=1):
-            if not cells:
-                continue
-            if line_no == 1 and _is_header(path, cells, label_column):
-                continue
-            rows.append((line_no, cells))
+            if cells and not (line_no == 1 and _is_header(path, cells, label_column)):
+                rows.append((line_no, cells))
     except _csv.Error as exc:
         raise CsvFormatError(f"{path}:{line_no + 1}: {exc}") from None
     if not rows:
@@ -172,19 +170,13 @@ def _read_exact(path, data: bytes, label_column: int):
     raw_labels = []
     for r, (line_no, cells) in enumerate(rows):
         if len(cells) != width:
-            raise CsvFormatError(
-                f"{path}:{line_no}: expected {width} cells, found {len(cells)}"
-            )
-        k = 0
-        for j, cell in enumerate(cells):
-            if j == lab_idx:
-                raw_labels.append(cell.strip())
-                continue
+            raise CsvFormatError(f"{path}:{line_no}: expected {width} cells, found {len(cells)}")
+        raw_labels.append(cells.pop(lab_idx).strip())
+        for k, cell in enumerate(cells):
             try:
                 feats[r, k] = float(cell)
             except ValueError:
                 raise CsvFormatError(f"{path}:{line_no}: non-numeric cell {cell!r}") from None
-            k += 1
     finite = np.isfinite(feats)
     if not finite.all():
         r, k = np.argwhere(~finite)[0]
@@ -192,33 +184,47 @@ def _read_exact(path, data: bytes, label_column: int):
     return feats, raw_labels
 
 
-def _read_fast(path, data: bytes, label_column: int):
-    """(features, raw_labels) from numpy's C reader, or None to hand the file
-    to _read_exact.
+def _plain_lines(fh, digest):
+    """The lines of the binary file fh from its start, without their ends
+    (CR and CRLF read as LF), read in chunks that are fed to digest. Raises
+    ValueError at a byte outside _PLAIN_CSV_BYTES or a line longer than the
+    csv field limit: the file is not plain."""
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    limit, tail = _csv.field_size_limit(), ""
+    for chunk in iter(lambda: fh.read(_CHUNK), b""):
+        digest.update(chunk)
+        if chunk.translate(None, _PLAIN_CSV_BYTES):
+            raise ValueError("not a plain file")
+        *lines, tail = (tail + newlines.decode(chunk.decode("ascii"))).split("\n")
+        if len(tail) > limit or max(map(len, lines), default=0) > limit:
+            raise ValueError("a line longer than the csv field limit")
+        yield from lines
+    yield tail  # the decoder may still hold a CR that ended this line
 
-    Only plain files qualify (_PLAIN_CSV_BYTES, no line longer than the csv
-    field limit); on those, csv.reader splits a line exactly as str.split(",")
-    does and loadtxt parses a float exactly as float() does. Anything the exact
-    loop would reject (a reader error, a non-finite cell, no data rows, on
-    which loadtxt would warn) returns None, so that only _read_exact names a
-    line in an error."""
-    if data.translate(None, _PLAIN_CSV_BYTES):
-        return None
-    lines = data.decode("ascii").splitlines()
-    if max(map(len, lines), default=0) > _csv.field_size_limit():
-        return None
-    start = 1 if lines and lines[0] and _is_header(path, lines[0].split(","), label_column) else 0
-    body = lines[start:]
-    first = next((line for line in body if line), None)
-    if first is None:
-        return None
-    cells = first.split(",")
-    lab_idx = _feature_layout(path, cells, label_column)
-    layout = [("left", np.float64, (lab_idx,)), ("label", object),
-              ("right", np.float64, (len(cells) - 1 - lab_idx,))]
+
+def _read_fast(path, fh, label_column: int, digest):
+    """(features, raw_labels) from numpy's C reader, streamed from the binary
+    file fh from its start, or None to hand the file to _read_exact. digest
+    is fed with the bytes read.
+
+    Only plain files qualify (see _plain_lines); on those, csv.reader splits
+    a line exactly as str.split(",") does and loadtxt parses a float exactly
+    as float() does. Anything the exact loop would reject (a bad label
+    column, a reader error, a non-finite cell, no data rows, on which
+    loadtxt would warn) returns None, so that only _read_exact raises."""
+    lines = _plain_lines(fh, digest)
     try:
-        table = np.loadtxt(body, dtype=layout, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+        first = next(lines)
+        header = first and _is_header(path, first.split(","), label_column)
+        rows = lines if header else itertools.chain([first], lines)
+        row = next((line for line in rows if line), "")  # "": no data rows
+        cells = row.split(",")
+        lab_idx = _feature_layout(path, cells, label_column)
+        layout = [("left", np.float64, (lab_idx,)), ("label", object),
+                  ("right", np.float64, (len(cells) - 1 - lab_idx,))]
+        table = np.loadtxt(itertools.chain([row], rows), dtype=layout, delimiter=",",
+                           comments=None, ndmin=1)
+    except (ValueError, DevdanError):  # not plain, or an error the exact loop may meet first
         return None
     feats = np.concatenate([table["left"], table["right"]], axis=1)
     if not np.isfinite(feats).all():
@@ -226,15 +232,24 @@ def _read_fast(path, data: bytes, label_column: int):
     return feats, [name.strip() for name in table["label"]]
 
 
-def _parse_csv(path, data: bytes, label_column: int):
-    """(features, label ids, label names) of a file's bytes, before scaling."""
-    parsed = _read_fast(path, data, label_column)
-    feats, raw_labels = parsed if parsed is not None else _read_exact(path, data, label_column)
-    name_to_id: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for r, name in enumerate(raw_labels):
-        labels[r] = name_to_id.setdefault(name, len(name_to_id))
-    return feats, labels, list(name_to_id)
+def _parse_csv(path, fh, label_column: int, key):
+    """(features, label ids, label names) of the binary file fh from its
+    start, before scaling, and a copy of the hash key fed with the bytes
+    parsed. Plain files stream through numpy's reader; the rest are read
+    into memory for the exact loop."""
+    digest = key.copy()
+    parsed = _read_fast(path, fh, label_column, digest)
+    if parsed is None:
+        fh.seek(0)
+        data = fh.read()
+        digest = key.copy()
+        digest.update(data)
+        parsed = _read_exact(path, data, label_column)
+    feats, raw_labels = parsed
+    ids: dict[str, int] = {}  # label name -> id, in order of first appearance
+    labels = np.fromiter((ids.setdefault(name, len(ids)) for name in raw_labels), np.int64,
+                         len(raw_labels))
+    return (feats, labels, list(ids)), digest
 
 
 def _scaling_bounds(path, bounds, feats: np.ndarray):
@@ -262,25 +277,21 @@ def load_csv(path, label_column: int = -1, bounds=None):
     zero-range columns scale to 0. Labels map to dense ids 0..m-1 in order of
     first appearance. An optional header row is skipped if it fails to parse
     as numbers. Non-finite feature cells (nan, inf) are rejected. Plain files
-    are parsed by numpy's C reader, the rest cell by cell; both give the same
-    bytes. A parse is cached per user, keyed by the file's bytes, and a cached
-    parse gives the same bytes too. Returns (features, labels, label_names,
-    (mins, maxs))."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    stream from the open file through numpy's C reader; the rest are read
+    into memory and parsed cell by cell. Both give the same bytes. A parse is
+    cached per user, keyed by the file's bytes (hashed in chunks), and a
+    cached parse gives the same bytes too; neither holds the file's text.
+    Returns (features, labels, label_names, (mins, maxs))."""
     from . import csv_cache  # imported at the first load: most runs read no CSV file
 
-    entry = csv_cache.entry(data, label_column)
-    parsed = csv_cache.read(entry)
-    if parsed is None:
-        parsed = _parse_csv(path, data, label_column)
-        csv_cache.write(entry, *parsed)
-    feats, labels, label_names = parsed
+    with open(path, "rb") as fh:
+        feats, labels, label_names = csv_cache.load(path, fh, label_column)
     mins, maxs = _scaling_bounds(path, bounds, feats)
     span = maxs - mins
-    scaled = np.zeros_like(feats)
-    np.divide(feats - mins, span, out=scaled, where=span != 0)
-    return scaled, labels, label_names, (mins, maxs)
+    feats -= mins  # in place: the parse is stored or a fresh copy of the stored one
+    np.divide(feats, span, out=feats, where=span != 0)
+    feats[:, span == 0] = 0.0
+    return feats, labels, label_names, (mins, maxs)
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -294,35 +305,29 @@ def _read_be32(fh, path):
     return struct.unpack(">I", data)[0]
 
 
+def _read_idx(path, magic: int, n_dims: int, what: str):
+    """(dimensions, uint8 payload) of an IDX file of the given magic."""
+    with open(path, "rb") as fh:
+        found = _read_be32(fh, path)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic 0x{found:08x}")
+        dims = [_read_be32(fh, path) for _ in range(n_dims)]
+        payload = fh.read(math.prod(dims))
+    if len(payload) != math.prod(dims):
+        raise IdxFormatError(f"{path}: truncated {what} data")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path):
     """IDX image/label pair to (features, labels); pixels scaled by 1/255.
 
     Images flatten row-major to rows of length rows*cols."""
-    with open(images_path, "rb") as fh:
-        magic = _read_be32(fh, images_path)
-        if magic != _IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{images_path}: bad magic 0x{magic:08x}")
-        count = _read_be32(fh, images_path)
-        n_rows = _read_be32(fh, images_path)
-        n_cols = _read_be32(fh, images_path)
-        payload = fh.read(count * n_rows * n_cols)
-        if len(payload) != count * n_rows * n_cols:
-            raise IdxFormatError(f"{images_path}: truncated pixel data")
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, n_rows * n_cols)
-    with open(labels_path, "rb") as fh:
-        magic = _read_be32(fh, labels_path)
-        if magic != _IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-        lab_count = _read_be32(fh, labels_path)
-        payload = fh.read(lab_count)
-        if len(payload) != lab_count:
-            raise IdxFormatError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    (count, n_rows, n_cols), pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3, "pixel")
+    (lab_count,), labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1, "label")
     if lab_count != count:
-        raise IdxFormatError(
-            f"image count {count} does not match label count {lab_count}"
-        )
-    return pixels.astype(np.float64) / 255.0, labels
+        raise IdxFormatError(f"image count {count} does not match label count {lab_count}")
+    pixels = pixels.reshape(count, n_rows * n_cols)
+    return pixels.astype(np.float64) / 255.0, labels.astype(np.int64)
 
 
 def permute_drift(rows: np.ndarray, schedule) -> np.ndarray:

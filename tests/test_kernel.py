@@ -292,3 +292,25 @@ def test_concurrent_builds_into_one_empty_cache_both_load(compiled_step, tmp_pat
     assert [out.strip() for out, _ in outs] == ["compiled", "compiled"], outs
     files = [p.name for p in (tmp_path / "devdan").iterdir()]
     assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+def test_builds_are_evicted_and_a_load_refreshes_its_build(compiled_step, tmp_path, monkeypatch):
+    """A new build evicts all but the newest kernel.ENTRIES builds by mtime,
+    through the routine that evicts parsed CSV files, and a killed build's
+    stale temporary file; other kinds of file stay. A load makes its build
+    the newest."""
+    monkeypatch.setattr(kernel, "cache_dir", lambda: tmp_path)
+    old = [tmp_path / f"step-{i:016x}.so" for i in range(kernel.ENTRIES)]
+    stale, fresh = tmp_path / ".step-killed.tmp", tmp_path / ".step-building.tmp"
+    parsed = tmp_path / f"csv-{0:064x}.npz"
+    for i, path in enumerate(old + [stale, parsed, fresh]):
+        path.write_bytes(b"")
+        if path != fresh:
+            os.utime(path, (i + 1, i + 1))
+    kernel._load()
+    (target,) = set(tmp_path.glob("step-*.so")) - set(old)
+    assert sorted(tmp_path.glob("step-*.so")) == sorted(old[1:] + [target])
+    assert not stale.exists() and fresh.exists() and parsed.exists()
+    os.utime(target, (1, 1))
+    kernel._load()
+    assert target.stat().st_mtime > kernel.ENTRIES + 3

@@ -7,6 +7,7 @@ import math
 import pickle
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -734,6 +735,33 @@ def test_integer_valued_labels_train_alike():
                                           np.ones(30, dtype=bool), 0))
             ends.add(state_hash(model))
     assert len(ends) == 1, ends
+
+
+def test_float_label_arrays_take_the_compiled_loop(compiled_step):
+    """Integer-valued float labels, NaN or beyond int64 where unrevealed,
+    train in the compiled loop (no per-row step runs) and end where int64
+    labels end. A revealed label beyond int64 is refused as out of range."""
+    feats, labels = gen_sea(2000, rng=np.random.default_rng(90))
+    revealed = np.arange(500) % 2 == 0
+    no_step = mock.Mock(side_effect=AssertionError("a per-row step ran"))
+    ends = []
+    for as_float in (False, True):
+        model = DevdanModel(3, 2, DevdanConfig(seed=90))
+        reports = []
+        for k in range(4):
+            lab = labels[500 * k:500 * (k + 1)]
+            if as_float:
+                lab = np.where(revealed, lab, np.nan)
+                lab[1] = 1e20
+            with mock.patch.object(model, "discriminative_step", no_step):
+                reports.append(model.train_batch(
+                    StreamBatch(feats[500 * k:500 * (k + 1)], lab, revealed, k)))
+        ends.append((state_hash(model), reports))
+    assert ends[0] == ends[1]
+    lab = labels[:500].astype(np.float64)
+    lab[10] = 1e20
+    with pytest.raises(ShapeError, match=r"^label 100000000000000000000 out of range \[0, 2\)$"):
+        model.train_batch(StreamBatch(feats[:500], lab, revealed, 4))
 
 
 class WrappedGenerator(np.random.Generator):
