@@ -17,7 +17,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -46,21 +45,17 @@ def _reader_version() -> bytes | None:
 def load(path, fh, label_column: int):
     """`streams._parse_csv`'s parse of the binary file fh, read from the
     cache or parsed and stored. The key pass hashes the file in chunks. On a
-    miss the parse pass hashes it again; if the digests differ, the file
-    changed in between, and its bytes are read once into memory and loaded
-    from there."""
+    miss the parse pass hashes the bytes it parses, and the parse is stored
+    under that digest: if the file changed between the passes, under its new
+    bytes' key, not the key that missed."""
     digest = key(label_column)
     for chunk in iter(lambda: fh.read(streams._CHUNK), b""):
         digest.update(chunk)
-    where = entry(digest)
-    parsed = read(where)
+    parsed = read(entry(digest))
     if parsed is None:
         fh.seek(0)
         parsed, digest = streams._parse_csv(path, fh, label_column, key(label_column))
-        if entry(digest) != where:
-            fh.seek(0)
-            return load(path, io.BytesIO(fh.read()), label_column)
-        write(where, *parsed)
+        write(entry(digest), *parsed)
     return parsed
 
 

@@ -130,6 +130,9 @@ STATE_SLOTS = (
     StateSlot("disc_stats.mean", "disc_stats", "mean", 0),
     StateSlot("disc_stats.m2", "disc_stats", "m2", 0),
 )
+# a model's STATE_SLOTS arrays, in table order, fetched in one call
+_state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
+                                      for s in STATE_SLOTS))
 
 
 class FlatState:
@@ -140,14 +143,14 @@ class FlatState:
     params : [c | w | b | theta | eta]
     vel    : [vel_w | vel_b | vel_theta | vel_eta], in line with params[n:]
     grads  : the compiled loop's gradient buffer, in the params layout
-    stats  : the six node-statistics arrays it was built with
+    arrays : every STATE_SLOTS array, as it was bound when these were built
     kernel : the compiled step's context
 
     Derived state: built from the live arrays only where the compiled step
     runs, and never checkpointed, hashed, pickled or copied.
     """
 
-    __slots__ = ("params", "vel", "grads", "stats", "kernel")
+    __slots__ = ("params", "vel", "grads", "arrays", "kernel")
 
     def __init__(self, model: "DevdanModel", lib):
         layer, head = model.layer, model.head
@@ -158,24 +161,16 @@ class FlatState:
         self.vel = np.concatenate([arr.ravel() for arr in vels], dtype=np.float64)
         model.vel_w, model.vel_b, head.vel_theta, head.vel_eta = _views(self.vel, vels)
         self.grads = np.empty_like(self.params)
-        gs, ds = model.gen_stats, model.disc_stats
-        self.stats = (gs.count, gs.mean, gs.m2, ds.count, ds.mean, ds.m2)
+        self.arrays = _state_arrays(model)
         self.kernel = kernel.StepContext(lib, layer.n_in, layer.width, head.n_classes,
-                                         self.params, self.vel, self.grads, gs, ds)
+                                         self.params, self.vel, self.grads,
+                                         model.gen_stats, model.disc_stats)
 
     def is_behind(self, model: "DevdanModel") -> bool:
-        """True when any live parameter or momentum array is not a view of
-        these vectors, or a node-statistics array is not the one it was built
-        with: after a grow or prune, a checkpoint load, a copy or pickle
-        (which copy views as arrays of their own), or an assignment."""
-        layer, head, p, v = model.layer, model.head, self.params, self.vel
-        gs, ds, stats = model.gen_stats, model.disc_stats, self.stats
-        return not (layer.c.base is p and layer.w.base is p and layer.b.base is p
-                    and head.theta.base is p and head.eta.base is p
-                    and model.vel_w.base is v and model.vel_b.base is v
-                    and head.vel_theta.base is v and head.vel_eta.base is v
-                    and gs.count is stats[0] and gs.mean is stats[1] and gs.m2 is stats[2]
-                    and ds.count is stats[3] and ds.mean is stats[4] and ds.m2 is stats[5])
+        """True when any state array is not the one bound at build time:
+        after a grow or prune, a checkpoint load, a copy or pickle (which copy
+        views as arrays of their own), or an assignment."""
+        return any(map(operator.is_not, _state_arrays(model), self.arrays))
 
 
 def _kernel_ready(model: "DevdanModel") -> bool:
@@ -214,14 +209,6 @@ class StepReport(NamedTuple):
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)  # the row list of a single step
-
-
-def _step_report(done, width: int) -> StepReport:
-    """The StepReport of a one-row run of the compiled loop."""
-    losses, grows, prunes, failure = done
-    if failure is not None:
-        raise failure[1]
-    return StepReport(grows > 0, prunes > 0, float(losses[0]), width)
 
 
 @dataclass
@@ -291,6 +278,12 @@ class DevdanModel:
             raise ShapeError(f"input shape {x.shape} does not match n={self.n_in}")
         return x
 
+    def _as_batch(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != self.n_in:
+            raise ShapeError(f"batch shape {xs.shape} does not match n={self.n_in}")
+        return xs
+
     def predict(self, x: np.ndarray):
         """Class probabilities and predicted class for one sample."""
         x = self._as_input(x)
@@ -300,9 +293,7 @@ class DevdanModel:
 
     def predict_batch(self, xs: np.ndarray):
         """Vectorized predict over the rows of xs; returns (probs, classes)."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.n_in:
-            raise ShapeError(f"batch shape {xs.shape} does not match n={self.n_in}")
+        xs = self._as_batch(xs)
         h = sigmoid(xs @ self.layer.w + self.layer.b)
         probs = softmax_row(h @ self.head.theta + self.head.eta)
         return probs, np.argmax(probs, axis=1)
@@ -391,10 +382,47 @@ class DevdanModel:
 
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
+        losses, grows, prunes, failure = self._rows(self._as_input(x)[None], _ONE_ROW)
+        if failure is not None:
+            raise failure[1]
+        return StepReport(grows > 0, prunes > 0, float(losses[0]), self.width)
+
+    def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
+        """One supervised update: predict, evolve from prediction bias/variance,
+        then momentum-descend encoder and head through the cross-entropy loss."""
         x = self._as_input(x)
-        done = self._compiled_rows(x[None], _ONE_ROW)
+        label = _class_index(label)
+        if not 0 <= label < self.n_classes:
+            raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
+        losses, grows, prunes, failure = self._rows(x[None], _ONE_ROW, np.array([label], np.int64))
+        if failure is not None:
+            raise failure[1]
+        return StepReport(grows > 0, prunes > 0, float(losses[0]), self.width)
+
+    def _rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
+        """Trains one phase over feats[rows]: the generative phase, or given
+        labels (int64 class indices, one per row of feats) the discriminative
+        one. The compiled loop runs the phase where it can, else the numpy
+        step runs it row by row. Returns (losses, grows, prunes, failure),
+        failure being None or (position in rows, the NumericError raised
+        there), the rows before it trained."""
+        done = self._compiled_rows(feats, rows, labels)
         if done is not None:
-            return _step_report(done, self.width)
+            return done
+        losses, grows, prunes = [], 0, 0
+        for pos, t in enumerate(rows):
+            try:
+                loss, grew, pruned = (self._generative_row(feats[t]) if labels is None
+                                      else self._discriminative_row(feats[t], labels[t]))
+            except NumericError as err:
+                return losses, grows, prunes, (pos, err)
+            losses.append(loss)
+            grows += grew
+            prunes += pruned
+        return losses, grows, prunes, None
+
+    def _generative_row(self, x: np.ndarray) -> tuple[float, bool, bool]:
+        """The numpy step's generative update of one row: (loss, grew, pruned)."""
         layer = self.layer
         x_tilde = dae.mask_input(x, self.mask)
         a = x_tilde @ layer.w + layer.b
@@ -412,20 +440,11 @@ class DevdanModel:
         if not math.isfinite(loss):
             raise NumericError(f"non-finite generative loss {loss!r}")
         dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative)
-        return StepReport(grew, pruned, loss, self.width)
+        return loss, grew, pruned
 
-    def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
-        """One supervised update: predict, evolve from prediction bias/variance,
-        then momentum-descend encoder and head through the cross-entropy loss."""
-        cfg = self.config
-        x = self._as_input(x)
-        label = _class_index(label)
-        if not 0 <= label < self.n_classes:
-            raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
-        done = self._compiled_rows(x[None], _ONE_ROW, np.array([label], dtype=np.int64))
-        if done is not None:
-            return _step_report(done, self.width)
-        layer, head = self.layer, self.head
+    def _discriminative_row(self, x: np.ndarray, label: int) -> tuple[float, bool, bool]:
+        """The numpy step's discriminative update of one row: (loss, grew, pruned)."""
+        cfg, layer, head = self.config, self.layer, self.head
         onehot = self._onehot[label]
         a = x @ layer.w + layer.b
         self.disc_stats.update(a)
@@ -452,7 +471,7 @@ class DevdanModel:
             vel *= cfg.momentum
             vel += grad
             param -= cfg.lr_discriminative * vel
-        return StepReport(grew, pruned, loss, self.width)
+        return loss, grew, pruned
 
     def _compiled_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
         """Trains one phase over feats[rows] in the compiled loop: the
@@ -523,29 +542,29 @@ class DevdanModel:
         """Single-epoch pass: generative phase over every row, then the
         discriminative phase over the rows whose labels are revealed. With
         the compiled step, each phase is one call into the compiled loop,
-        plus one more per structural edit. A revealed label that is not an
-        integer is refused before any row trains; integer-valued labels of any
-        dtype take the compiled loop as int64."""
+        plus one more per structural edit. The batch is checked before any
+        row trains: features (T, n), labels and labeled_mask of length T, and
+        every revealed label an integer in [0, m), of any dtype; anything
+        else raises a ShapeError. A NumericError names the sample it
+        happened at."""
         if batch.labeled_mask is None:
             raise ConfigError("batch has no labeled mask: choose its labels before training")
-        labels = np.asarray(batch.labels)
-        labeled = np.flatnonzero(np.asarray(batch.labeled_mask, dtype=bool))
-        if labels.ndim == 1 and not np.can_cast(labels.dtype, np.int64):
-            ids, fits = np.zeros(labels.shape, dtype=np.int64), True  # unrevealed ones stay 0
-            for t in labeled[labeled < labels.shape[0]]:
-                try:
-                    label = _class_index(labels[t])
-                except ShapeError as err:
-                    raise ShapeError(f"sample {t}: {err}") from None
-                try:
-                    ids[t] = label
-                except OverflowError:  # beyond int64: the per-row step names it out of range
-                    fits = False
-            labels = ids if fits else labels
-        feats = np.asarray(batch.features, dtype=np.float64)
-        rows = np.arange(feats.shape[0] if self.config.enable_generative else 0)
-        gen_losses, gen_grows, gen_prunes = self._train_rows(feats, rows)
-        disc_losses, disc_grows, disc_prunes = self._train_rows(feats, labeled, labels)
+        feats = self._as_batch(batch.features)
+        labels, mask = np.asarray(batch.labels), np.asarray(batch.labeled_mask, dtype=bool)
+        if labels.shape != feats.shape[:1] or mask.shape != feats.shape[:1]:
+            raise ShapeError(f"batch of {feats.shape[0]} rows has labels of shape "
+                             f"{labels.shape} and a labeled mask of shape {mask.shape}")
+        labeled = np.flatnonzero(mask)
+        phases = ((np.arange(feats.shape[0] if self.config.enable_generative else 0), None),
+                  (labeled, self._class_ids(labels, labeled)))
+        done = []
+        for rows, ids in phases:
+            losses, grows, prunes, failure = self._rows(feats, rows, ids)
+            if failure is not None:
+                pos, err = failure
+                raise type(err)(f"sample {rows[pos]}: {err}") from err
+            done.append((losses, grows, prunes))
+        (gen_losses, gen_grows, gen_prunes), (disc_losses, disc_grows, disc_prunes) = done
         return BatchReport(
             generative_loss=float(np.mean(gen_losses)) if len(gen_losses) else float("nan"),
             discriminative_loss=float(np.mean(disc_losses)) if len(disc_losses) else float("nan"),
@@ -556,36 +575,22 @@ class DevdanModel:
             discriminative_steps=len(disc_losses),
         )
 
-    def _train_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
-        """One phase of train_batch over feats[rows]: (losses, grows, prunes).
-        A NumericError names the sample it happened at."""
-        done = None
-        if (feats.ndim == 2 and feats.shape[1] == self.n_in
-                and (rows.shape[0] == 0 or rows[-1] < feats.shape[0])):
-            if labels is None:
-                done = self._compiled_rows(feats, rows)
-            elif (labels.ndim == 1 and np.can_cast(labels.dtype, np.int64)
-                  and (rows.shape[0] == 0 or rows[-1] < labels.shape[0])):
-                done = self._compiled_rows(feats, rows, np.ascontiguousarray(labels, np.int64))
-        if done is not None:
-            losses, grows, prunes, failure = done
-            if failure is None:
-                return losses, grows, prunes
-            pos, err = failure
-            if isinstance(err, NumericError):
-                raise NumericError(f"sample {rows[pos]}: {err}") from err
-            raise err
-        # the numpy step, or input that only the step's own checks reject
-        losses, grows, prunes = [], 0, 0
-        for t in rows:
-            try:
-                if labels is None:
-                    rep = self.generative_step(feats[t])
-                else:
-                    rep = self.discriminative_step(feats[t], labels[t])
-            except NumericError as err:
-                raise NumericError(f"sample {t}: {err}") from err
-            grows += rep.grew
-            prunes += rep.pruned
-            losses.append(rep.loss)
-        return losses, grows, prunes
+    def _class_ids(self, labels: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+        """labels as int64 class indices, 0 where unrevealed. A revealed label
+        that is not an integer raises a ShapeError naming its sample, one
+        outside [0, m) a ShapeError naming the label."""
+        if np.can_cast(labels.dtype, np.int64):
+            revealed = labels[labeled].astype(np.int64)
+        else:
+            revealed = np.empty(len(labeled), dtype=object)
+            for i, t in enumerate(labeled):
+                try:
+                    revealed[i] = _class_index(labels[t])
+                except ShapeError as err:
+                    raise ShapeError(f"sample {t}: {err}") from None
+        wrong = revealed[(revealed < 0) | (revealed >= self.n_classes)]
+        if len(wrong):
+            raise ShapeError(f"label {wrong[0]} out of range [0, {self.n_classes})")
+        ids = np.zeros(labels.shape, dtype=np.int64)
+        ids[labeled] = revealed
+        return ids

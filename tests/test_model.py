@@ -672,7 +672,8 @@ def test_mid_batch_error_names_the_sample_on_both_steps(case):
     """A batch that goes non-finite at row 17 (the 12th labeled row) raises
     "sample 17: ..." with either step, after training the rows before it
     alike: the state after the raise, the charts synced back included, has
-    the same hash. A label out of range there raises the step's ShapeError."""
+    the same hash. A label out of range there is refused with a ShapeError
+    before any row trains."""
     feats, labels = gen_sea(40, rng=np.random.default_rng(83))
     if case == "generative":
         feats[17] = (1e200, 0.0, 0.0)
@@ -686,14 +687,44 @@ def test_mid_batch_error_names_the_sample_on_both_steps(case):
     for backend in each_backend():
         model = DevdanModel(3, 2, DevdanConfig(seed=83, enable_generative=case != "discriminative"))
         model.train_batch(StreamBatch(warm_feats, warm_labels, np.ones(300, dtype=bool), 0))
+        before = state_hash(model)
         with pytest.raises((NumericError, ShapeError)) as err:
             model.train_batch(StreamBatch(feats, labels, labeled, 1))
+        if case == "label":
+            assert state_hash(model) == before
         ends[backend] = (type(err.value), str(err.value), state_hash(model))
     expected = {"generative": "sample 17: non-finite generative loss inf",
                 "discriminative": "sample 17: non-finite discriminative loss nan",
                 "label": "label 5 out of range [0, 2)"}[case]
     assert ends["numpy"][1] == expected
     assert len(set(ends.values())) == 1, ends
+
+
+@pytest.mark.parametrize("case", ["short labels", "long mask", "short mask", "wide features",
+                                  "2-D labels"])
+def test_malformed_batches_are_refused_before_training(case):
+    """A batch whose features are not (T, n), or whose labels or labeled
+    mask are not of length T, raises a ShapeError on either step before any
+    row trains."""
+    feats, labels = gen_sea(40, rng=np.random.default_rng(91))
+    mask = np.arange(40) % 3 != 1
+    if case == "short labels":
+        labels = labels[:30]
+    elif case == "long mask":
+        mask = np.ones(45, dtype=bool)
+    elif case == "short mask":
+        mask = mask[:30]
+    elif case == "wide features":
+        feats = np.column_stack([feats, feats[:, 0]])
+    else:
+        labels = labels[:, None]
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=91))
+        train(model, *gen_sea(50, rng=np.random.default_rng(92)))
+        before = state_hash(model)
+        with pytest.raises(ShapeError):
+            model.train_batch(StreamBatch(feats, labels, mask, 0))
+        assert state_hash(model) == before, backend
 
 
 @pytest.mark.parametrize("label", [1.7, float("nan"), "1", None])
