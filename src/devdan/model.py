@@ -404,8 +404,8 @@ class DevdanModel:
         labels (int64 class indices, one per row of feats) the discriminative
         one. The compiled loop runs the phase where it can, else the numpy
         step runs it row by row. Returns (losses, grows, prunes, failure),
-        failure being None or (position in rows, the NumericError raised
-        there), the rows before it trained."""
+        failure being None or (position in rows, the error raised there),
+        the rows before it trained."""
         done = self._compiled_rows(feats, rows, labels)
         if done is not None:
             return done
