@@ -22,7 +22,6 @@ from .errors import (
 from .kernel import step_backend
 from .model import BatchReport, DevdanConfig, DevdanModel, SoftmaxHead, StepReport
 from .monitors import NodeStats, NsSnapshot, SpcTracker
-from .numerics import RunningMoment
 from .prequential import (
     BatchMetrics,
     PrequentialReport,
@@ -65,7 +64,6 @@ __all__ = [
     "NsSnapshot",
     "NumericError",
     "PrequentialReport",
-    "RunningMoment",
     "ShapeError",
     "SoftmaxHead",
     "SpcTracker",

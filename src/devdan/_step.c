@@ -11,18 +11,18 @@
  *     numpy itself uses;
  *   - the mask draw is Generator.permutation's Fisher-Yates shuffle on the
  *     model generator's own bitgen_t, so it draws what numpy would;
- *   - the control charts repeat RunningMoment, SpcTracker, kappa,
- *     should_grow and should_prune operation for operation, with libm's exp
- *     and sqrt, which math.exp and math.sqrt call;
+ *   - the control charts repeat SpcTracker.update, kappa, should_grow and
+ *     should_prune operation for operation, with libm's exp and sqrt, which
+ *     math.exp and math.sqrt call;
  *   - the rest is elementwise + - * / and sqrt, each rounded once, in the
  *     order the numpy step writes them. Build with -ffp-contract=off and
  *     without -ffast-math so that no two of them fuse.
  *
  * devdan_train_rows runs one phase over a run of rows and returns to Python
- * when the rows run out, at a non-finite result, at a bad label, or when a
- * chart fires; Python then makes the structural edit, which draws from the
- * generator, and resumes at the same row. The model struct points into the
- * model's own arrays.
+ * when the rows run out, at a non-finite result, or when a chart fires;
+ * Python then makes the structural edit, which draws from the generator, and
+ * resumes at the same row. The model struct points into the model's own
+ * arrays, its charts included.
  */
 #include <math.h>
 #include <stddef.h>
@@ -56,12 +56,15 @@ void devdan_set_numerics(const struct numerics *numerics) { np_ = *numerics; }
  * order: x (n), x_tilde (n), hid (2 width: the hidden activation, then the
  * expected activation ey), pre (3 k: the output, ez and ez2 rows, k = n in
  * the generative and m in the discriminative step), tmp (max(n, m, width))
- * and the three scalars bias2, variance, loss. */
+ * and the three scalars bias2, variance, loss. charts is DevdanModel.charts:
+ * four rows of CHART_FIELDS, the generative bias and variance charts, then
+ * the discriminative ones. */
 struct model {
     int64_t n, width, m;
     double *params, *vel, *grads;
     int64_t *gen_count, *disc_count;
     double *gen_mean, *gen_m2, *disc_mean, *disc_m2;
+    double *charts;
     double *work;
 };
 
@@ -429,27 +432,22 @@ void devdan_mask(void *bitgen, const double *x, double *out, int64_t n, int64_t 
 
 /* --------------------------------------------------------------- charts */
 
-/* One SpcTracker: its RunningMoment, minima and re-seed flag as Python
- * holds them, then std and the last test's limit, which this file writes
- * (NaN when the test did not run) */
-enum { COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, STD, LIMIT, CHART_FIELDS };
+/* One SpcTracker row, in the column order of monitors.py */
+enum { COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, CHART_FIELDS };
 enum { GROW = 1, PRUNE = 2, RAISES = 4 };
 
-/* SpcTracker.update; returns 1 where math.sqrt would raise */
-static int chart_update(double *c, double x)
+/* SpcTracker.update; returns the chart's std, or -1 where math.sqrt would
+ * raise */
+static double chart_update(double *c, double x)
 {
     c[COUNT] = c[COUNT] + 1.0;
     double delta = x - c[MEAN];
     c[MEAN] = c[MEAN] + delta / c[COUNT];
     c[M2] = c[M2] + delta * (x - c[MEAN]);
-    double std = 0.0;
-    if (c[COUNT] > 1.0) {
-        double q = c[M2] / c[COUNT];
-        if (q < 0.0)
-            return 1;
-        std = sqrt(q);
-    }
-    c[STD] = std;
+    double q = c[COUNT] > 1.0 ? c[M2] / c[COUNT] : 0.0;
+    if (q < 0.0)
+        return -1.0;
+    double std = sqrt(q);
     if (c[RESEED] != 0.0) {
         c[MIN_MEAN] = c[MEAN];
         c[MIN_STD] = std;
@@ -460,67 +458,66 @@ static int chart_update(double *c, double x)
         if (std < c[MIN_STD])
             c[MIN_STD] = std;
     }
-    return 0;
+    return std;
 }
 
-/* mean + std >= min_mean + scale * kappa(level) * min_std, where kappa(level)
- * = 1.3 exp(-level) + 0.7; sets *raises where math.exp would overflow */
-static int chart_fires(double *c, double level, double scale, int *raises)
+/* monitors.kappa, or -1 where math.exp would overflow */
+static double kappa(double level)
 {
     double e = exp(-level);
-    if (isinf(e) && !isinf(level)) {
-        *raises = 1;
-        return 0;
-    }
-    double kappa = 1.3 * e + 0.7;
-    c[LIMIT] = c[MIN_MEAN] + scale * kappa * c[MIN_STD];  /* 1.0 * kappa is kappa */
-    return c[MEAN] + c[STD] >= c[LIMIT];
+    return isinf(e) && !isinf(level) ? -1.0 : 1.3 * e + 0.7;
 }
 
 /* DevdanModel._evolve's chart work for one row, without the edits and the
  * resets: the bias chart takes bias2 and may call for a grow, then the
  * variance chart takes variance and may call for a prune. Returns GROW,
- * PRUNE or RAISES where a Python call would raise. */
+ * PRUNE or RAISES where a Python call would raise; limits gets each test's
+ * limit, NaN where the test did not run. */
 static int charts_step(double *bias, double *var, double bias2, double variance, int64_t width,
-                       int64_t enable_grow, int64_t enable_prune)
+                       int64_t enable_grow, int64_t enable_prune, double *limits)
 {
-    int raises = 0, out = 0;
-    bias[LIMIT] = var[LIMIT] = NAN;
-    if (chart_update(bias, bias2))
+    int out = 0;
+    double std = chart_update(bias, bias2), k;
+    limits[0] = limits[1] = NAN;
+    if (std < 0.0)
         return RAISES;
-    if (enable_grow && chart_fires(bias, bias2, 1.0, &raises))
-        out |= GROW;
-    if (raises || chart_update(var, variance))
+    if (enable_grow) {
+        if ((k = kappa(bias2)) < 0.0)
+            return RAISES;
+        limits[0] = bias[MIN_MEAN] + k * bias[MIN_STD];
+        out = bias[MEAN] + std >= limits[0] ? GROW : 0;
+    }
+    if ((std = chart_update(var, variance)) < 0.0)
         return RAISES;
     if (enable_prune && !out && width > 1) {
-        double level = 0.0 > variance ? 0.0 : variance;  /* max(variance, 0.0) */
-        if (chart_fires(var, level, 2.0, &raises))
-            out |= PRUNE;
+        if ((k = kappa(0.0 > variance ? 0.0 : variance)) < 0.0)  /* max(variance, 0.0) */
+            return RAISES;
+        limits[1] = var[MIN_MEAN] + 2.0 * k * var[MIN_STD];
+        out = var[MEAN] + std >= limits[1] ? PRUNE : 0;
     }
-    return raises ? RAISES : out;
+    return out;
 }
 
 int devdan_charts(double *charts, double bias2, double variance, int64_t width,
-                  int64_t enable_grow, int64_t enable_prune)
+                  int64_t enable_grow, int64_t enable_prune, double *limits)
 {
     return charts_step(charts, charts + CHART_FIELDS, bias2, variance, width, enable_grow,
-                       enable_prune);
+                       enable_prune, limits);
 }
 
 /* ------------------------------------------------------------ row loop */
 
 /* One phase over a run of rows. feats is a C-order (rows, n) array; index
- * lists the rows to train, in order; labels (per feats row) is NULL for the
- * generative phase. pos is where to start, and on return the row that
- * returned; resume tells whether that row starts afresh or, after Python
- * handled a chart that fired, goes on to its update, recomputing the forward
- * pass first when Python edited the layer. */
+ * lists the rows to train, in order; labels (per feats row, each in [0, m),
+ * which the caller checks) is NULL for the generative phase. pos is where to
+ * start, and on return the row that returned; resume tells whether that row
+ * starts afresh or, after Python handled a chart that fired, goes on to its
+ * update, recomputing the forward pass first when Python edited the layer. */
 struct rows {
     const double *feats;
     const int64_t *index, *labels;
     int64_t count, pos, resume;
     double *losses;   /* per index entry */
-    double *charts;   /* the phase's bias and variance charts */
     void *bitgen;     /* the model generator's bitgen_t */
     int64_t *perm;    /* n int64 scratch for the mask draw */
     int64_t n_masked, enable_grow, enable_prune;
@@ -528,18 +525,19 @@ struct rows {
 };
 
 enum { FRESH, UPDATE, REFRESH };
-enum { DONE, CHART, BAD_LABEL, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
+enum { DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
 
-/* The row's charts on a copy, kept only when neither fires: Python redoes a
- * row whose chart fires, or where a Python call would raise. */
-static int row_charts(const struct model *md, struct rows *r)
+/* The phase's two charts on a copy, kept only when neither fires: Python
+ * redoes a row whose chart fires, or where a Python call would raise. */
+static int row_charts(const struct model *md, const struct rows *r)
 {
-    double next[2 * CHART_FIELDS], *scalars = view_of(md).scalars;
-    memcpy(next, r->charts, sizeof next);
+    double next[2 * CHART_FIELDS], limits[2], *scalars = view_of(md).scalars;
+    double *charts = md->charts + (r->labels ? 2 * CHART_FIELDS : 0);
+    memcpy(next, charts, sizeof next);
     if (charts_step(next, next + CHART_FIELDS, scalars[BIAS2], scalars[VARIANCE], md->width,
-                    r->enable_grow, r->enable_prune))
+                    r->enable_grow, r->enable_prune, limits))
         return CHART;
-    memcpy(r->charts, next, sizeof next);
+    memcpy(charts, next, sizeof next);
     return DONE;
 }
 
@@ -571,8 +569,6 @@ static int discriminative_rows(const struct model *md, struct rows *r)
         int64_t resume = r->resume, row = r->index[r->pos], label = r->labels[row];
         r->resume = FRESH;
         if (resume == FRESH) {
-            if (label < 0 || label >= s.m)
-                return BAD_LABEL;
             memcpy(s.x, r->feats + row * s.n, s.n * sizeof(double));
             disc_forward(md, label);
             if (row_charts(md, r) != DONE)

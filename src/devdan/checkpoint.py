@@ -3,7 +3,7 @@
 Checkpoints are JSON: self-describing, diff-able, and exact, since Python
 serializes floats with shortest round-trip precision. Everything needed to
 resume bit-identically is included: parameters, momentum slots, node
-statistics, control trackers, config, and the RNG state.
+statistics, control charts, config, and the RNG state.
 """
 from __future__ import annotations
 
@@ -14,26 +14,10 @@ import json
 import numpy as np
 
 from .errors import CheckpointError
-from .model import STATE_SLOTS, DevdanConfig, DevdanModel
+from .model import CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
 from .monitors import SpcTracker
-from .numerics import RunningMoment
 
 FORMAT_VERSION = 1
-
-_TRACKERS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
-
-
-def _moment_to_dict(m: RunningMoment) -> dict:
-    return {"count": m.count, "mean": m.mean, "m2": m.m2}
-
-
-def _tracker_to_dict(t: SpcTracker) -> dict:
-    return {
-        "current": _moment_to_dict(t.current),
-        "min_mean": t.min_mean,
-        "min_std": t.min_std,
-        "reseed": t._reseed,
-    }
 
 
 def _nest(doc: dict, key: str, value) -> None:
@@ -59,8 +43,10 @@ def model_to_dict(model: DevdanModel) -> dict:
     }
     for slot in STATE_SLOTS:
         _nest(doc, slot.key, slot.get(model).tolist())
-    for name in _TRACKERS:
-        doc[name] = _tracker_to_dict(getattr(model, name))
+    for name, row in zip(CHARTS, model.charts):
+        count, mean, m2, min_mean, min_std, reseed = SpcTracker(row).values()
+        doc[name] = {"current": {"count": count, "mean": mean, "m2": m2},
+                     "min_mean": min_mean, "min_std": min_std, "reseed": reseed}
     doc["rng_state"] = model.rng.bit_generator.state
     return doc
 
@@ -69,19 +55,6 @@ def save_checkpoint(model: DevdanModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=1)
         fh.write("\n")
-
-
-def _moment_from_dict(d: dict) -> RunningMoment:
-    return RunningMoment(int(d["count"]), float(d["mean"]), float(d["m2"]))
-
-
-def _tracker_from_dict(d: dict) -> SpcTracker:
-    t = SpcTracker()
-    t.current = _moment_from_dict(d["current"])
-    t.min_mean = float(d["min_mean"])
-    t.min_std = float(d["min_std"])
-    t._reseed = bool(d["reseed"])
-    return t
 
 
 def load_checkpoint(path) -> DevdanModel:
@@ -112,8 +85,10 @@ def load_checkpoint(path) -> DevdanModel:
                     f"{path}: {slot.key} has shape {arr.shape}, expected {tuple(shape)}"
                 )
             slot.set(model, arr)
-        for name in _TRACKERS:
-            setattr(model, name, _tracker_from_dict(doc[name]))
+        for name, row in zip(CHARTS, model.charts):
+            chart, moment = doc[name], doc[name]["current"]
+            row[:] = (int(moment["count"]), float(moment["mean"]), float(moment["m2"]),
+                      float(chart["min_mean"]), float(chart["min_std"]), bool(chart["reseed"]))
         model.rng.bit_generator.state = doc["rng_state"]
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint ({err})") from err
@@ -125,7 +100,7 @@ def state_hash(model: DevdanModel) -> str:
     h = hashlib.sha256()
     for slot in STATE_SLOTS:
         h.update(np.ascontiguousarray(slot.get(model)).tobytes())
-    for name in _TRACKERS:
-        h.update(repr(getattr(model, name).values()).encode())
+    for row in model.charts:
+        h.update(repr(SpcTracker(row).values()).encode())
     h.update(repr(model.rng.bit_generator.state).encode())
     return h.hexdigest()

@@ -190,9 +190,9 @@ def cmd_inspect(args) -> int:
 
     def tracker_summary(t):
         return {
-            "count": t.current.count,
-            "mean": t.current.mean,
-            "std": t.current.std,
+            "count": t.count,
+            "mean": t.mean,
+            "std": t.std,
             "min_mean": t.min_mean,
             "min_std": t.min_std,
         }

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dae import MaskSpec, mask_input
-from .monitors import SpcTracker, kappa, should_grow, should_prune
+from .monitors import CHART_FIELDS, SpcTracker, kappa, should_grow, should_prune
 from .numerics import sigmoid, softmax_row
 
 SOURCE = Path(__file__).with_name("_step.c")
@@ -78,7 +78,7 @@ class _Model(ctypes.Structure):
         ("m", ctypes.c_int64),
         *((name, ctypes.c_void_p) for name in (
             "params", "vel", "grads", "gen_count", "disc_count",
-            "gen_mean", "gen_m2", "disc_mean", "disc_m2", "work")),
+            "gen_mean", "gen_m2", "disc_mean", "disc_m2", "charts", "work")),
     ]
 
 
@@ -93,7 +93,6 @@ class Rows(ctypes.Structure):
         ("pos", ctypes.c_int64),
         ("resume", ctypes.c_int64),
         ("losses", ctypes.c_void_p),
-        ("charts", ctypes.c_void_p),
         ("bitgen", ctypes.c_void_p),
         ("perm", ctypes.c_void_p),
         ("n_masked", ctypes.c_int64),
@@ -104,12 +103,10 @@ class Rows(ctypes.Structure):
     ]
 
 
-# A chart row: SpcTracker.values(), then std and the last test's limit
-CHART_FIELDS = 8
 GROW, PRUNE, RAISES = 1, 2, 4
 # where a resumed row starts, and why devdan_train_rows returned
 FRESH, UPDATE, REFRESH = 0, 1, 2
-DONE, CHART, BAD_LABEL, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS = range(8)
+DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS = range(7)
 
 
 class KernelUnavailable(Exception):
@@ -219,7 +216,7 @@ def _declare(lib) -> None:
         "devdan_vecmat": ([p, p, i64, i64, i64, i64, p], None),
         "devdan_matvec": ([p, p, i64, i64, p], None),
         "devdan_mask": ([v, p, p, i64, i64, v], None),
-        "devdan_charts": ([p, d, d, i64, i64, i64], ctypes.c_int),
+        "devdan_charts": ([p, d, d, i64, i64, i64, p], ctypes.c_int),
         "devdan_train_rows": ([v, v], ctypes.c_int),
     }
     for name, (args, res) in signatures.items():
@@ -283,24 +280,18 @@ def mask_draw(lib, rng: np.random.Generator, x: np.ndarray, k: int) -> np.ndarra
     return out
 
 
-def charts_in(trackers) -> np.ndarray:
-    """A (len(trackers), CHART_FIELDS) chart buffer holding the trackers' values."""
-    buf = np.full((len(trackers), CHART_FIELDS), np.nan)
-    for row, tracker in zip(buf, trackers):
-        row[:6] = tracker.values()
-    return buf
-
-
-def charts_out(buf: np.ndarray, trackers) -> None:
-    for row, tracker in zip(buf.tolist(), trackers):
-        tracker.set_values(row[:6])
-
-
-def charts_step(lib, buf: np.ndarray, bias2: float, variance: float, width: int,
-                enable_grow: bool = True, enable_prune: bool = True) -> int:
-    """One row of DevdanModel._evolve's chart work on a (2, CHART_FIELDS)
-    buffer, without the edits and resets; returns GROW, PRUNE or RAISES."""
-    return lib.devdan_charts(_ptr(buf), bias2, variance, width, enable_grow, enable_prune)
+def charts_step(lib, charts: np.ndarray, bias2: float, variance: float, width: int,
+                enable_grow: bool = True, enable_prune: bool = True) -> tuple[int, np.ndarray]:
+    """One row of DevdanModel._evolve's chart work, in place on a C-order
+    (2, CHART_FIELDS) bias and variance chart pair, without the edits and
+    resets. Returns GROW, PRUNE or RAISES, and each test's limit (NaN where
+    it did not run)."""
+    if charts.shape != (2, CHART_FIELDS) or not charts.flags.c_contiguous:
+        raise ValueError("the kernel takes a C-order (2, CHART_FIELDS) chart pair")
+    limits = np.empty(2)
+    flags = lib.devdan_charts(_ptr(charts), bias2, variance, width, enable_grow, enable_prune,
+                              _ptr(limits))
+    return flags, limits
 
 
 def _same(a, b) -> bool:
@@ -366,27 +357,26 @@ def _check_charts(lib, rng) -> None:
     and should_prune: every moment, minimum, flag, decision and limit. A
     chart that fires is reset and reloaded, as the model does."""
     bias, var = SpcTracker(), SpcTracker()
-    buf = charts_in((bias, var))
+    pair = np.stack([bias.row, var.row])
     for t, (b2, v) in enumerate(rng.exponential([0.05, 0.02], size=(200, 2))):
         if t % 50 == 25:  # a drift: both streams jump
             b2, v = 10.0 * b2, 10.0 * v
-        flags = charts_step(lib, buf, b2, v, 3)
+        flags, limits = charts_step(lib, pair, b2, v, 3)
         bias.update(b2)
         grew = should_grow(bias, b2)
         var.update(v)
         pruned = should_prune(var, v, grew, 3)
-        limits = (bias.min_mean + kappa(b2) * bias.min_std,
-                  var.min_mean + 2.0 * kappa(v) * var.min_std if not grew else np.nan)
+        want = (bias.min_mean + kappa(b2) * bias.min_std,
+                var.min_mean + 2.0 * kappa(v) * var.min_std if not grew else np.nan)
         if (flags != GROW * grew + PRUNE * pruned
-                or not _same(buf[:, :6], charts_in((bias, var))[:, :6])
-                or not _same(buf[:, 7], limits)):
+                or not _same(pair, np.stack([bias.row, var.row])) or not _same(limits, want)):
             raise KernelUnavailable(f"self-check: control chart (row {t})")
         if grew:
             bias.reset_min()
         if pruned:
             var.reset_min()
         if flags:
-            buf = charts_in((bias, var))
+            pair = np.stack([bias.row, var.row])
 
 
 def _load():
@@ -433,13 +423,14 @@ def step_backend() -> str:
 
 class StepContext:
     """One model's handle on the kernel: pointers into the flat parameter,
-    momentum and gradient vectors and the node-statistics arrays, plus a
-    work vector whose views carry the inputs and the results. Holds
-    raw pointers, so it lives only inside FlatState and is rebuilt with it."""
+    momentum and gradient vectors, the node-statistics arrays and the
+    (4, CHART_FIELDS) chart array, plus a work vector whose views carry the
+    inputs and the results. Holds raw pointers, so it lives only inside
+    FlatState and is rebuilt with it."""
 
     __slots__ = ("model", "addr", "work", "ey", "gen_output", "scalars", "train_rows")
 
-    def __init__(self, lib, n, width, m, params, vel, grads, gen_stats, disc_stats):
+    def __init__(self, lib, n, width, m, params, vel, grads, gen_stats, disc_stats, charts):
         k = max(n, m)
         self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width) + 3)
         # the layout that view_of() in _step.c reads
@@ -450,7 +441,7 @@ class StepContext:
             n, width, m,
             *(arr.ctypes.data for arr in (
                 params, vel, grads, gen_stats.count, disc_stats.count,
-                gen_stats.mean, gen_stats.m2, disc_stats.mean, disc_stats.m2, s)),
+                gen_stats.mean, gen_stats.m2, disc_stats.mean, disc_stats.m2, charts, s)),
         )
         self.addr = ctypes.addressof(self.model)
         self.train_rows = lib.devdan_train_rows

@@ -22,9 +22,11 @@ import numpy as np
 from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
+    CHART_FIELDS,
     NodeStats,
     NsSnapshot,
     SpcTracker,
+    fresh_charts,
     ns_snapshot_discriminative,
     ns_snapshot_generative,
     should_grow,
@@ -55,14 +57,17 @@ class DevdanConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr_generative < 0 or self.lr_discriminative < 0:
-            raise ConfigError("learning rates must be non-negative")
+        if not all(math.isfinite(lr) and lr >= 0
+                   for lr in (self.lr_generative, self.lr_discriminative)):
+            raise ConfigError("learning rates must be finite and non-negative")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ConfigError("mask_fraction must lie in [0, 1]")
         if self.reset_mode not in ("standard", "reset_all"):
             raise ConfigError(f"unknown reset_mode {self.reset_mode!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 class SoftmaxHead:
@@ -130,20 +135,25 @@ STATE_SLOTS = (
     StateSlot("disc_stats.mean", "disc_stats", "mean", 0),
     StateSlot("disc_stats.m2", "disc_stats", "m2", 0),
 )
-# a model's STATE_SLOTS arrays, in table order, fetched in one call
+# The rows of a model's chart array (`DevdanModel.charts`), each the model
+# attribute that views it; checkpoints and the state hash follow this order.
+CHARTS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
+# a model's STATE_SLOTS arrays, in table order, then its chart array, fetched
+# in one call
 _state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
-                                      for s in STATE_SLOTS))
+                                      for s in STATE_SLOTS), "charts")
 
 
 class FlatState:
     """The compiled step's hold on a model: vectors that the parameter and
     momentum arrays are rebound as views of, and the kernel context that
-    points into them and into the node statistics.
+    points into them, into the node statistics and into the chart array.
 
     params : [c | w | b | theta | eta]
     vel    : [vel_w | vel_b | vel_theta | vel_eta], in line with params[n:]
     grads  : the compiled loop's gradient buffer, in the params layout
-    arrays : every STATE_SLOTS array, as it was bound when these were built
+    arrays : every STATE_SLOTS array and the chart array, as they were bound
+             when these were built
     kernel : the compiled step's context
 
     Derived state: built from the live arrays only where the compiled step
@@ -164,10 +174,10 @@ class FlatState:
         self.arrays = _state_arrays(model)
         self.kernel = kernel.StepContext(lib, layer.n_in, layer.width, head.n_classes,
                                          self.params, self.vel, self.grads,
-                                         model.gen_stats, model.disc_stats)
+                                         model.gen_stats, model.disc_stats, model.charts)
 
     def is_behind(self, model: "DevdanModel") -> bool:
-        """True when any state array is not the one bound at build time:
+        """True when any state or chart array is not the one bound at build time:
         after a grow or prune, a checkpoint load, a copy or pickle (which copy
         views as arrays of their own), or an assignment."""
         return any(map(operator.is_not, _state_arrays(model), self.arrays))
@@ -175,10 +185,13 @@ class FlatState:
 
 def _kernel_ready(model: "DevdanModel") -> bool:
     """The compiled step reads counts as int64 and moments as float64, each
-    one contiguous value per node."""
-    return all(arr.flags.c_contiguous and arr.shape == (model.width,) and arr.dtype == dtype
-               for s in (model.gen_stats, model.disc_stats)
-               for arr, dtype in ((s.count, np.int64), (s.mean, np.float64), (s.m2, np.float64)))
+    one contiguous value per node, and the charts as one C-order float64 row
+    per chart."""
+    arrays = [(arr, (model.width,), dtype) for s in (model.gen_stats, model.disc_stats)
+              for arr, dtype in ((s.count, np.int64), (s.mean, np.float64), (s.m2, np.float64))]
+    arrays.append((model.charts, (len(CHARTS), CHART_FIELDS), np.float64))
+    return all(arr.flags.c_contiguous and arr.shape == shape and arr.dtype == dtype
+               for arr, shape, dtype in arrays)
 
 
 def _views(vec: np.ndarray, like) -> list:
@@ -238,6 +251,9 @@ class DevdanModel:
         config: DevdanConfig | None = None,
         rng: np.random.Generator | None = None,
     ):
+        if n_in < 1 or n_classes < 2:
+            raise ConfigError(f"a model needs at least 1 input and 2 classes, "
+                              f"not {n_in} and {n_classes}")
         self.config = config or DevdanConfig()
         self.config.validate()
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
@@ -246,10 +262,8 @@ class DevdanModel:
         self.mask = dae.MaskSpec(self.config.mask_fraction, self.rng)
         self.gen_stats = NodeStats(self.layer.width)
         self.disc_stats = NodeStats(self.layer.width)
-        self.gen_bias = SpcTracker()
-        self.gen_var = SpcTracker()
-        self.disc_bias = SpcTracker()
-        self.disc_var = SpcTracker()
+        # the four control charts, one row each, in CHARTS order
+        self.charts = fresh_charts(len(CHARTS))
         # discriminative-phase momentum slots for the shared encoder
         self.vel_w = np.zeros_like(self.layer.w)
         self.vel_b = np.zeros_like(self.layer.b)
@@ -257,6 +271,14 @@ class DevdanModel:
         self._onehot = np.eye(n_classes)
         self._onehot.flags.writeable = False
         self._flat_state = None
+
+    # each a view of its row of the current chart array, made at every
+    # access, so that it follows the array through copies, pickles, loads and
+    # assignments
+    gen_bias = property(lambda self: SpcTracker(self.charts[0]))
+    gen_var = property(lambda self: SpcTracker(self.charts[1]))
+    disc_bias = property(lambda self: SpcTracker(self.charts[2]))
+    disc_var = property(lambda self: SpcTracker(self.charts[3]))
 
     @property
     def n_in(self) -> int:
@@ -479,8 +501,7 @@ class DevdanModel:
         discriminative one. The loop returns to Python only where a chart
         fires, for _evolve to make the edit, which draws from the generator;
         it then resumes at the same row, recomputing the forward pass against
-        the edited layer. The charts stay SpcTracker objects, copied into the
-        loop at each call and back at each return.
+        the edited layer. The loop updates the rows of self.charts in place.
 
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
@@ -493,24 +514,21 @@ class DevdanModel:
         k = flat.kernel
         cfg, n, gen = self.config, self.n_in, labels is None
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
-        charts = (self.gen_bias, self.gen_var) if gen else (self.disc_bias, self.disc_var)
         losses = np.empty(rows.shape[0])
         perm = np.empty(n, dtype=np.int64)
         job = kernel.Rows(
             feats.ctypes.data, rows.ctypes.data, None if gen else labels.ctypes.data,
-            rows.shape[0], 0, kernel.FRESH, losses.ctypes.data, None, bitgen, perm.ctypes.data,
+            rows.shape[0], 0, kernel.FRESH, losses.ctypes.data, bitgen, perm.ctypes.data,
             min(self.mask.n_masked(n), n), cfg.enable_grow, cfg.enable_prune,
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0
         while True:
-            buf = kernel.charts_in(charts)
-            job.charts = buf.ctypes.data
             status = k.train_rows(k.addr, ctypes.byref(job))
-            kernel.charts_out(buf, charts)
             if status != kernel.CHART:
                 break
             x, output = feats[rows[job.pos]], k.gen_output
+            charts = (self.gen_bias, self.gen_var) if gen else (self.disc_bias, self.disc_var)
             grew, pruned = self._evolve(
                 *charts, NsSnapshot(k.ey, *k.scalars[:2].tolist()),
                 (lambda: self._grow_generative(x - output)) if gen else self._grow_discriminative,
@@ -525,9 +543,7 @@ class DevdanModel:
         if status == kernel.DONE:
             return losses, grows, prunes, None
         pos = job.pos
-        if status == kernel.BAD_LABEL:
-            err = ShapeError(f"label {labels[rows[pos]]} out of range [0, {self.n_classes})")
-        elif status == kernel.GEN_LOSS:
+        if status == kernel.GEN_LOSS:
             err = NumericError(f"non-finite generative loss {float(losses[pos])!r}")
         elif status == kernel.DISC_LOSS:
             err = NumericError(f"non-finite discriminative loss {float(losses[pos])!r}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MonitorOrderError, ShapeError, StructureError
-from .numerics import RunningMoment, sigmoid, softmax_row
+from .numerics import sigmoid, softmax_row
 
 _PROBIT_SCALE = math.pi / 8.0
 
@@ -78,55 +78,94 @@ class NodeStats:
         return expected_activation(self.mean, self.stds())
 
 
+# The columns of a chart row: the running moment of the watched stream, the
+# lowest mean and std since the last reset, and whether the next observation
+# re-seeds those minima (1.0) or not (0.0). The compiled loop reads the same
+# layout.
+COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, CHART_FIELDS = range(7)
+
+
+def fresh_charts(rows: int) -> np.ndarray:
+    """`rows` chart rows that have seen nothing, each re-seeding its minima
+    from its first observation."""
+    charts = np.zeros((rows, CHART_FIELDS))
+    charts[:, RESEED] = 1.0
+    return charts
+
+
+def _std(count: float, m2: float) -> float:
+    """Population std of a running moment, 0 before its second sample."""
+    return 0.0 if count <= 1 else math.sqrt(m2 / count)
+
+
 class SpcTracker:
     """Control chart over a scalar quality stream (squared bias or variance).
 
-    Tracks the running mean/std of the stream plus the lowest mean and lowest
-    std observed since the last reset. After a reset the minima re-seed from
+    Tracks the one-pass (Welford) mean and population std of the stream, each
+    sample folded in exactly once, plus the lowest mean and lowest std
+    observed since the last reset. After a reset the minima re-seed from
     the next observation instead of from infinity sentinels, which is what
     lets the chart find a new reference level after a drift.
+
+    The state is one float64 row in the column layout above: a row of a
+    model's chart array, which the tracker then views, or a fresh row of its
+    own.
     """
 
-    __slots__ = ("current", "min_mean", "min_std", "_reseed")
+    __slots__ = ("row",)
 
-    def __init__(self):
-        self.current = RunningMoment()
-        self.min_mean = 0.0
-        self.min_std = 0.0
-        self._reseed = True
+    def __init__(self, row: np.ndarray | None = None):
+        self.row = fresh_charts(1)[0] if row is None else row
 
     def update(self, x: float) -> None:
-        cur = self.current
-        cur.update(x)
-        mean, std = cur.mean, cur.std
-        if self._reseed:
-            self.min_mean, self.min_std = mean, std
-            self._reseed = False
+        count, mean, m2, min_mean, min_std, reseed = self.row.tolist()
+        count += 1.0
+        delta = x - mean
+        mean += delta / count
+        m2 += delta * (x - mean)
+        std = _std(count, m2)
+        if reseed:
+            min_mean, min_std = mean, std
         else:
-            if mean < self.min_mean:
-                self.min_mean = mean
-            if std < self.min_std:
-                self.min_std = std
+            if mean < min_mean:
+                min_mean = mean
+            if std < min_std:
+                min_std = std
+        self.row[:] = (count, mean, m2, min_mean, min_std, 0.0)
 
     def values(self) -> tuple:
         """The whole chart state: (count, mean, m2, min_mean, min_std, reseed)."""
-        cur = self.current
-        return (cur.count, cur.mean, cur.m2, self.min_mean, self.min_std, self._reseed)
+        count, mean, m2, min_mean, min_std, reseed = self.row.tolist()
+        return (int(count), mean, m2, min_mean, min_std, bool(reseed))
 
-    def set_values(self, values) -> None:
-        cur = self.current
-        count, cur.mean, cur.m2, self.min_mean, self.min_std, reseed = values
-        cur.count = int(count)
-        self._reseed = bool(reseed)
+    @property
+    def count(self) -> int:
+        return int(self.row[COUNT])
+
+    @property
+    def mean(self) -> float:
+        return float(self.row[MEAN])
+
+    @property
+    def std(self) -> float:
+        return _std(float(self.row[COUNT]), float(self.row[M2]))
+
+    @property
+    def min_mean(self) -> float:
+        return float(self.row[MIN_MEAN])
+
+    @property
+    def min_std(self) -> float:
+        return float(self.row[MIN_STD])
 
     def reset_min(self, mode: str = "standard") -> None:
         """Arm a re-seed of the minima; 'reset_all' additionally zeroes the
         running moments (the empirically inferior variant kept as a switch)."""
         if mode not in ("standard", "reset_all"):
             raise StructureError(f"unknown reset mode {mode!r}")
-        self._reseed = True
+        self.row[RESEED] = 1.0
         if mode == "reset_all":
-            self.current = RunningMoment()
+            self.row[COUNT:M2 + 1] = 0.0
 
 
 def kappa(level: float) -> float:
@@ -140,8 +179,8 @@ def should_grow(tracker: SpcTracker, bias2_now: float) -> bool:
     scaled by the adaptive confidence factor. The tracker must already have
     absorbed bias2_now. Inclusive inequality; the caller resets the minima
     when this fires."""
-    cur = tracker.current
-    return cur.mean + cur.std >= tracker.min_mean + kappa(bias2_now) * tracker.min_std
+    count, mean, m2, min_mean, min_std, _ = tracker.row.tolist()
+    return mean + _std(count, m2) >= min_mean + kappa(bias2_now) * min_std
 
 
 def should_prune(tracker: SpcTracker, variance_now: float, grew_this_step: bool, width: int) -> bool:
@@ -152,9 +191,9 @@ def should_prune(tracker: SpcTracker, variance_now: float, grew_this_step: bool,
     minima when this fires."""
     if grew_this_step or width <= 1:
         return False
-    cur = tracker.current
-    limit = tracker.min_mean + 2.0 * kappa(max(variance_now, 0.0)) * tracker.min_std
-    return cur.mean + cur.std >= limit
+    count, mean, m2, min_mean, min_std, _ = tracker.row.tolist()
+    limit = min_mean + 2.0 * kappa(max(variance_now, 0.0)) * min_std
+    return mean + _std(count, m2) >= limit
 
 
 def weakest_node(hs) -> int:

@@ -1,9 +1,5 @@
-"""Small numerical kernels: stable nonlinearities, running moments, Xavier draws.
-
-Everything runs in 64-bit floats. The running-moment recurrence is one-pass
-(Welford) with population normalization, which is what the drift monitors
-assume: every incoming sample updates the estimate exactly once.
-"""
+"""Small numerical kernels: stable nonlinearities and Xavier draws, in 64-bit
+floats."""
 from __future__ import annotations
 
 import math
@@ -35,36 +31,6 @@ def softmax_row(logits):
     np.exp(e, e)
     e /= np.add.reduce(e, -1, keepdims=True)
     return e
-
-
-class RunningMoment:
-    """One-pass mean and standard deviation of a scalar stream.
-
-    std is the population form sqrt(m2 / count); it is 0 until the second
-    sample arrives.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def std(self) -> float:
-        if self.count <= 1:
-            return 0.0
-        return math.sqrt(self.m2 / self.count)
-
-    def __repr__(self):
-        return f"RunningMoment(count={self.count}, mean={self.mean}, m2={self.m2})"
 
 
 def xavier_bound(fan_in: int, fan_out: int) -> float:

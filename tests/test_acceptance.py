@@ -15,7 +15,8 @@ import pytest
 import conftest
 
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.numerics import RunningMoment, sigmoid
+from devdan.monitors import SpcTracker
+from devdan.numerics import sigmoid
 from devdan.prequential import run_single, write_batch_csv
 from devdan.streams import DatasetSpec
 
@@ -214,7 +215,7 @@ def test_criterion_6_gradient_oracles():
 
 def test_criterion_7_running_statistics_oracle():
     xs = np.random.default_rng(123).normal(loc=3.0, scale=1.7, size=1_000_000)
-    s = RunningMoment()
+    s = SpcTracker()  # the running moment of each control chart
     for x in xs:
         s.update(x)
     mean = xs.sum() / xs.size

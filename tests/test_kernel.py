@@ -3,6 +3,7 @@ squashes and sums against numpy's own operators, its mask draw against
 dae.mask_input, its control charts against SpcTracker and the chart tests,
 whole runs against the numpy step, and the loader's fallback, self-check and
 concurrent builds."""
+import copy
 import math
 import os
 import shutil
@@ -15,12 +16,12 @@ import pytest
 from conftest import each_backend
 
 from devdan import kernel, step_backend
-from devdan.checkpoint import state_hash
+from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import MaskSpec, mask_input
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import SpcTracker, kappa, should_grow, should_prune
-from devdan.numerics import RunningMoment, sigmoid, softmax_row
-from devdan.streams import gen_hyperplane, gen_sea
+from devdan.numerics import sigmoid, softmax_row
+from devdan.streams import StreamBatch, gen_hyperplane, gen_sea
 
 EXTREMES = np.array([745.0, -745.0, 1e308, -1e308, 709.0, -709.0, 0.0, -0.0])
 
@@ -147,28 +148,28 @@ def test_charts_match_python(lib, reset_mode, width, enable):
     fired = 0
     for name, bias2, variance in chart_streams(rng):
         bias, var = SpcTracker(), SpcTracker()
-        buf = kernel.charts_in((bias, var))
+        pair = np.stack([bias.row, var.row])
         for t, (b2, v) in enumerate(zip(bias2.tolist(), variance.tolist())):
-            flags = kernel.charts_step(lib, buf, b2, v, width, enable_grow, enable_prune)
+            flags, limits = kernel.charts_step(lib, pair, b2, v, width, enable_grow, enable_prune)
             bias.update(b2)
             grew = enable_grow and should_grow(bias, b2)
             var.update(v)
             pruned = enable_prune and should_prune(var, v, grew, width)
             assert flags == kernel.GROW * grew + kernel.PRUNE * pruned, (name, t)
-            assert same(buf[:, :6], kernel.charts_in((bias, var))[:, :6]), (name, t)
+            assert same(pair, np.stack([bias.row, var.row])), (name, t)
             if enable_grow:
                 limit = bias.min_mean + kappa(b2) * bias.min_std
-                assert same_limit(buf[0, 7], limit), (name, t)
+                assert same_limit(limits[0], limit), (name, t)
             if enable_prune and not grew and width > 1:
                 limit = var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
-                assert same_limit(buf[1, 7], limit), (name, t)
+                assert same_limit(limits[1], limit), (name, t)
             if grew:
                 bias.reset_min(reset_mode)
             if pruned:
                 var.reset_min(reset_mode)
             if flags:
                 fired += 1
-                buf = kernel.charts_in((bias, var))
+                pair = np.stack([bias.row, var.row])
     assert fired > 3 or not (enable_grow or width > 1)  # width 1 never prunes
 
 
@@ -176,19 +177,17 @@ def test_charts_report_where_python_raises(lib):
     """Where math.sqrt (a negative m2) or math.exp (an overflowing kappa)
     would raise, the kernel says so instead of deciding."""
     bias, var = SpcTracker(), SpcTracker()
-    bias.current = RunningMoment(3, 0.5, -1.0)
-    buf = kernel.charts_in((bias, var))
-    assert kernel.charts_step(lib, buf, 0.1, 0.1, 3) == kernel.RAISES
+    bias.row[:3] = (3, 0.5, -1.0)  # count, mean and a negative m2
+    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), 0.1, 0.1, 3)[0] == kernel.RAISES
     with pytest.raises(ValueError):
         bias.update(0.1)
     bias = SpcTracker()
-    buf = kernel.charts_in((bias, var))
-    assert kernel.charts_step(lib, buf, -1000.0, 0.1, 3) == kernel.RAISES
+    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), -1000.0, 0.1, 3)[0] == kernel.RAISES
     bias.update(-1000.0)
     with pytest.raises(OverflowError):
         should_grow(bias, -1000.0)
-    fresh = kernel.charts_in((SpcTracker(), SpcTracker()))
-    assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False) == 0
+    fresh = np.stack([SpcTracker().row, SpcTracker().row])
+    assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False)[0] == 0
 
 
 def test_discriminative_loss_is_numpys_log(compiled_step):
@@ -276,6 +275,67 @@ def test_self_check_covers_mask_draw_and_charts(monkeypatch, compiled_step):
     monkeypatch.setattr(kernel, "kappa", lambda level: np.nextafter(kappa(level), 9.0))
     assert kernel.library() is None
     assert step_backend().startswith("numpy (self-check: control chart")
+
+
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
+
+
+def sanitizer_scenario(folder) -> tuple[str, int]:
+    """Every way the compiled loop's pointers get rebound: SEA batches whose
+    concept flips every 200 rows (edits inside the loop), single steps, a
+    checkpoint reload, a deep copy and a rebound chart array. Returns the
+    final state hash and the number of edits made in the batches."""
+    schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(10))
+    feats, labels = gen_sea(2000, schedule, np.random.default_rng(61))
+    labeled = np.random.default_rng(62).uniform(size=2000) < 0.5
+    model = DevdanModel(3, 2, DevdanConfig(seed=61))
+    edits = 0
+    for k in range(0, 1200, 300):
+        report = model.train_batch(StreamBatch(feats[k:k + 300], labels[k:k + 300],
+                                               labeled[k:k + 300], k // 300))
+        edits += report.grow_events + report.prune_events
+    train(model, feats[1200:1400], labels[1200:1400])
+    path = Path(folder) / "m.ckpt.json"
+    save_checkpoint(model, path)
+    model = load_checkpoint(path)
+    train(model, feats[1400:1600], labels[1400:1600])
+    model = copy.deepcopy(model)
+    train(model, feats[1600:1800], labels[1600:1800])
+    model.charts = model.charts.copy()
+    train(model, feats[1800:], labels[1800:])
+    return state_hash(model), edits
+
+
+def test_sanitized_kernel_runs_clean(compiled_step, tmp_path):
+    """The kernel built with AddressSanitizer and UBSan, in a fresh cache,
+    loads, passes its self-check and runs sanitizer_scenario without a
+    report, ending on the plain build's hash."""
+    try:
+        runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True, timeout=60, check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError) as err:
+        pytest.skip(f"no gcc to ask for a sanitizer runtime: {err}")
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("gcc has no AddressSanitizer runtime (libasan.so)")
+    tests, src = Path(__file__).resolve().parent, Path(kernel.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path[:0] = [{str(tests)!r}, {str(src)!r}]\n"
+            f"from devdan import kernel\n"
+            f"kernel.FLAGS += {SANITIZE!r}\n"
+            f"import test_kernel\n"
+            f"print(kernel.step_backend())\n"
+            f"print(*test_kernel.sanitizer_scenario({str(tmp_path)!r}))\n")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "LD_PRELOAD": runtime,
+           "ASAN_OPTIONS": "detect_leaks=0"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600, check=False)
+    assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr[-3000:]
+    assert "runtime error" not in proc.stderr, proc.stderr[-3000:]
+    backend, digest, edits = proc.stdout.split()
+    assert backend == "compiled", proc.stdout
+    (build,) = (tmp_path / "cache" / "devdan").glob("step-*.so")
+    assert b"__asan_report" in build.read_bytes()
+    assert (digest, int(edits)) == sanitizer_scenario(tmp_path)
+    assert int(edits) > 5
 
 
 def test_concurrent_builds_into_one_empty_cache_both_load(compiled_step, tmp_path):

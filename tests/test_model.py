@@ -19,7 +19,8 @@ from devdan import dae, kernel
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
-from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel
+from devdan.model import CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
+from devdan.monitors import SpcTracker
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_sea
 
@@ -182,13 +183,15 @@ class TestDiscriminativeGradients:
         np.testing.assert_array_equal(model.head.eta, eta)
 
     def test_exact_prediction_leaves_parameters_alone(self):
-        # with a single class the softmax output equals the target exactly,
-        # so the fused residual and every gradient vanish
-        model = DevdanModel(3, 1, frozen_config(seed=13))
+        # with class 1's logit 800 below class 0's, exp underflows to 0 and
+        # the softmax output equals the target exactly, so the fused residual
+        # and every gradient vanish
+        model = DevdanModel(3, 2, frozen_config(seed=13))
+        model.head.eta = np.array([800.0, 0.0])
         w0, theta0 = model.layer.w.copy(), model.head.theta.copy()
         rep = model.discriminative_step(np.array([0.2, 0.5, 0.8]), 0)
         assert rep.loss == 0.0
-        np.testing.assert_array_equal(model.head.eta, np.zeros(1))
+        np.testing.assert_array_equal(model.head.eta, [800.0, 0.0])
         np.testing.assert_array_equal(model.head.theta, theta0)
         np.testing.assert_array_equal(model.layer.w, w0)
         assert np.all(model.vel_b == 0.0)
@@ -364,6 +367,21 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             DevdanModel(3, 2).discriminative_step(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr_generative", float("nan"), "learning rates"),
+        ("lr_discriminative", float("inf"), "learning rates"),
+        ("lr_generative", -0.1, "learning rates"),
+        ("seed", -1, "seed"), ("seed", "a", "seed"), ("seed", 1.5, "seed"),
+    ])
+    def test_bad_config_value(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            DevdanModel(3, 2, DevdanConfig(**{field: value}))
+
+    @pytest.mark.parametrize("n_in, n_classes", [(0, 2), (3, 1), (3, 0), (-1, 2)])
+    def test_model_needs_an_input_and_two_classes(self, n_in, n_classes):
+        with pytest.raises(ConfigError, match="at least 1 input and 2 classes"):
+            DevdanModel(n_in, n_classes)
+
 
 class TestCheckpoint:
     def trained_model(self, seed=47):
@@ -447,7 +465,7 @@ class TestCheckpoint:
 
 
 PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune",
-                "batch")
+                "batch", "checkpoint", "copy", "malformed")
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,47 +483,85 @@ PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discrim
     ),
 )
 def test_random_step_sequences_keep_state_in_step(seed, ops):
-    """Any mix of single steps, batches of any size and label mask, and
-    forced edits leaves every per-node array of the state table at the
-    model's width, a checkpoint keeps the hash, and both training steps end
-    on the same hash."""
+    """Any mix of single steps, batches of any size and label mask, forced
+    edits, checkpoint reloads, copies and pickles (training goes on with the
+    copy) and malformed batches (refused without a trace) leaves every
+    per-node array of the state table at the model's width, and both training
+    steps on the same hash after every op."""
     hashes = {backend: run_step_sequence(seed, ops) for backend in each_backend()}
-    assert len(set(hashes.values())) == 1, hashes
+    assert len({tuple(h) for h in hashes.values()}) == 1, hashes
 
 
-def run_step_sequence(seed, ops) -> str:
+def malformed_batch(rng, size, kind):
+    """A batch of size + 1 rows that train_batch refuses: short labels, a
+    long mask, narrow features, a label out of range or one not an integer."""
+    feats, labels = rng.uniform(size=(size + 1, 3)), rng.integers(2, size=size + 1)
+    mask = np.ones(size + 1, dtype=bool)
+    if kind == 0:
+        labels = labels[:-1]
+    elif kind == 1:
+        mask = np.ones(size + 2, dtype=bool)
+    elif kind == 2:
+        feats = feats[:, :2]
+    elif kind == 3:
+        labels[-1] = 2
+    else:
+        labels = labels.astype(float)
+        labels[-1] = 0.5
+    return StreamBatch(feats, labels, mask, 0)
+
+
+def run_step_sequence(seed, ops) -> list:
+    """The state hash after each op."""
     model = DevdanModel(3, 2, DevdanConfig(seed=seed))
-    for i, (kind, x, label, index, labeled) in enumerate(ops):
-        x = np.array(x)
-        if kind == "batch":  # rows and labels drawn from the op's own seed
-            rng = np.random.default_rng([seed, i])
-            size = len(labeled)
-            model.train_batch(StreamBatch(rng.uniform(size=(size, 3)), rng.integers(2, size=size),
-                                          np.array(labeled, dtype=bool), i))
-        elif kind == "generative":
-            model.generative_step(x)
-        elif kind == "discriminative":
-            model.discriminative_step(x, label)
-        elif kind == "grow_generative":
-            model._grow_generative(x - 0.5)
-        elif kind == "grow_discriminative":
-            model._grow_discriminative()
-        elif model.width >= 2 and index < model.width:
-            model._prune(index)
-        else:
-            with pytest.raises(StructureError):
-                model._prune(index)
-        widths = {
-            slot.get(model).shape[slot.node_axis]
-            for slot in STATE_SLOTS
-            if slot.node_axis is not None
-        }
-        assert widths == {model.width} and model.width >= 1
+    hashes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt.json"
+        for i, (kind, x, label, index, labeled) in enumerate(ops):
+            x = np.array(x)
+            rng = np.random.default_rng([seed, i])  # rows and labels of the op's batch
+            if kind == "batch":
+                size = len(labeled)
+                model.train_batch(StreamBatch(rng.uniform(size=(size, 3)),
+                                              rng.integers(2, size=size),
+                                              np.array(labeled, dtype=bool), i))
+            elif kind == "generative":
+                model.generative_step(x)
+            elif kind == "discriminative":
+                model.discriminative_step(x, label)
+            elif kind == "grow_generative":
+                model._grow_generative(x - 0.5)
+            elif kind == "grow_discriminative":
+                model._grow_discriminative()
+            elif kind == "checkpoint":
+                save_checkpoint(model, path)
+                twin = load_checkpoint(path)
+                assert state_hash(twin) == state_hash(model)
+                model = twin
+            elif kind == "copy":
+                twin = copy.deepcopy(model) if label else pickle.loads(pickle.dumps(model))
+                assert state_hash(twin) == state_hash(model)
+                model = twin
+            elif kind == "malformed":
+                before = state_hash(model)
+                with pytest.raises(ShapeError):
+                    model.train_batch(malformed_batch(rng, len(labeled), index % 5))
+                assert state_hash(model) == before
+            elif model.width >= 2 and index < model.width:
+                model._prune(index)
+            else:
+                with pytest.raises(StructureError):
+                    model._prune(index)
+            widths = {
+                slot.get(model).shape[slot.node_axis]
+                for slot in STATE_SLOTS
+                if slot.node_axis is not None
+            }
+            assert widths == {model.width} and model.width >= 1
+            hashes.append(state_hash(model))
         save_checkpoint(model, path)
         assert state_hash(load_checkpoint(path)) == state_hash(model)
-    return state_hash(model)
+    return hashes
 
 
 def train(model, feats, labels):
@@ -550,11 +606,11 @@ def test_pickle_and_copy_leave_out_the_flat_vectors():
         assert copy.deepcopy(model)._flat_state is None
 
 
-@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean"])
+@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean", "charts"])
 def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
-    """Assigning a parameter or node-statistics array, or the whole layer, of
-    a model that has trained hands the new values to the next step, with
-    either step."""
+    """Assigning a parameter, node-statistics or chart array, or the whole
+    layer, of a model that has trained hands the new values to the next step,
+    with either step."""
     ends = {backend: rebound_run(tmp_path / f"{backend}.ckpt.json", rebound)
             for backend in each_backend()}
     assert len(set(ends.values())) == 1, ends
@@ -577,6 +633,16 @@ def rebound_run(path, rebound) -> str:
         new = {"mean": rng.normal(size=model.width)}
         model.gen_stats.mean = new["mean"].copy()
         doc["gen_stats"]["mean"] = new.pop("mean").tolist()
+    elif rebound == "charts":
+        # each chart's moments and minima moved, its count kept, and a re-seed
+        # armed, so that no chart fires (and rebuilds the flat state) at once
+        new = {}
+        model.charts = model.charts + rng.uniform(size=(4, 6)) * [0, 0.1, 0.01, 0.1, 0.01, 0]
+        model.charts[:, -1] = 1.0
+        for name, row in zip(CHARTS, model.charts):
+            count, mean, m2, min_mean, min_std, reseed = SpcTracker(row).values()
+            doc[name] = {"current": {"count": count, "mean": mean, "m2": m2},
+                         "min_mean": min_mean, "min_std": min_std, "reseed": reseed}
     else:
         new = {"w": rng.normal(size=model.layer.w.shape),
                "b": rng.normal(size=model.width), "c": rng.normal(size=3)}

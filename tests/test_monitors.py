@@ -1,6 +1,7 @@
 """Monitor checks: probit-approximated expectations against Monte Carlo,
-control-chart semantics traced by hand, and the bias/variance snapshot
-against an independently coded evaluation."""
+a chart's running moment against two-pass statistics, control-chart
+semantics traced by hand, and the bias/variance snapshot against an
+independently coded evaluation."""
 import math
 
 import numpy as np
@@ -99,16 +100,49 @@ class TestKappaChi:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def two_pass_stats(xs):
+    """Batch mean and population std, the classic two-pass way."""
+    xs = np.asarray(xs, dtype=np.float64)
+    mean = xs.sum() / xs.size
+    return mean, math.sqrt(((xs - mean) ** 2).sum() / xs.size)
+
+
+class TestRunningMoment:
+    """The one-pass mean and std that a chart keeps of its stream."""
+
+    def test_single_sample(self):
+        s = SpcTracker()
+        s.update(5.0)
+        assert (s.count, s.mean, s.std) == (1, 5.0, 0.0)
+
+    def test_small_sequence_vs_two_pass(self):
+        s = SpcTracker()
+        for x in (1.0, 2.0, 3.0, 4.0):
+            s.update(x)
+        mean, std = two_pass_stats([1.0, 2.0, 3.0, 4.0])
+        assert mean == 2.5 and std == math.sqrt(1.25)
+        assert abs(s.mean - mean) < 1e-15
+        assert abs(s.std - std) < 1e-15
+
+    def test_gaussian_stream_vs_two_pass(self):
+        xs = np.random.default_rng(17).normal(size=10_000)
+        s = SpcTracker()
+        for x in xs:
+            s.update(x)
+        mean, std = two_pass_stats(xs)
+        assert abs(s.mean - mean) <= 1e-9 * max(abs(mean), 1.0)
+        assert abs(s.std - std) <= 1e-9 * std
+
+    def test_m2_nonnegative(self):
+        s = SpcTracker()
+        for x in np.random.default_rng(19).uniform(-1, 1, size=1000):
+            s.update(x)
+            assert s.values()[2] >= 0.0
+
+
 def tracker_with(count, mean, std, min_mean, min_std):
     """Forge a tracker in a given state (tests of the decision rule only)."""
-    t = SpcTracker()
-    t.current.count = count
-    t.current.mean = mean
-    t.current.m2 = std * std * count
-    t.min_mean = min_mean
-    t.min_std = min_std
-    t._reseed = False
-    return t
+    return SpcTracker(np.array([count, mean, std * std * count, min_mean, min_std, 0.0]))
 
 
 class TestShouldGrow:
@@ -133,8 +167,8 @@ class TestShouldGrow:
             t.update(v)
         t.reset_min()
         t.update(0.4)
-        assert t.min_mean == t.current.mean and t.min_std == t.current.std
-        assert t.current.std > 0
+        assert t.min_mean == t.mean and t.min_std == t.std
+        assert t.std > 0
         assert not should_grow(t, 0.0)
 
 
@@ -164,16 +198,16 @@ class TestResetSemantics:
         t = SpcTracker()
         for v in (0.1, 0.2, 0.3):
             t.update(v)
-        count_before = t.current.count
+        count_before = t.count
         t.reset_min("standard")
-        assert t.current.count == count_before
+        assert t.count == count_before
 
     def test_reset_all_zeroes_running_moments(self):
         t = SpcTracker()
         for v in (0.1, 0.2, 0.3):
             t.update(v)
         t.reset_min("reset_all")
-        assert t.current.count == 0
+        assert t.count == 0
 
     def test_reseed_from_next_observation(self):
         t = SpcTracker()
@@ -181,8 +215,8 @@ class TestResetSemantics:
             t.update(v)
         t.reset_min()
         t.update(0.9)
-        assert t.min_mean == t.current.mean
-        assert t.min_std == t.current.std
+        assert t.min_mean == t.mean
+        assert t.min_std == t.std
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(StructureError):
@@ -193,7 +227,7 @@ class TestResetSemantics:
         t = SpcTracker()
         for i, v in enumerate(rng.uniform(size=500)):
             t.update(v)
-            assert t.min_mean <= t.current.mean + 1e-15
+            assert t.min_mean <= t.mean + 1e-15
             if i == 250:
                 t.reset_min()
 

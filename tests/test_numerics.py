@@ -1,19 +1,12 @@
-"""Kernel-level checks against independent oracles: two-pass batch
-statistics and Monte Carlo draws."""
+"""Kernel-level checks against independent oracles: plain formulas and Monte
+Carlo draws."""
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devdan.numerics import RunningMoment, sigmoid, softmax_row, xavier, xavier_bound
-
-
-def two_pass_stats(xs):
-    """Batch mean and population std, the classic two-pass way."""
-    xs = np.asarray(xs, dtype=np.float64)
-    mean = xs.sum() / xs.size
-    return mean, math.sqrt(((xs - mean) ** 2).sum() / xs.size)
+from devdan.numerics import sigmoid, softmax_row, xavier, xavier_bound
 
 
 class TestSigmoid:
@@ -51,37 +44,6 @@ class TestSoftmaxRow:
         rng = np.random.default_rng(13)
         v = rng.normal(size=6)
         np.testing.assert_allclose(softmax_row(v), softmax_row(v + 37.5), atol=1e-12)
-
-
-class TestRunningMoment:
-    def test_single_sample(self):
-        s = RunningMoment()
-        s.update(5.0)
-        assert (s.count, s.mean, s.std) == (1, 5.0, 0.0)
-
-    def test_small_sequence_vs_two_pass(self):
-        s = RunningMoment()
-        for x in (1.0, 2.0, 3.0, 4.0):
-            s.update(x)
-        mean, std = two_pass_stats([1.0, 2.0, 3.0, 4.0])
-        assert mean == 2.5 and std == math.sqrt(1.25)
-        assert abs(s.mean - mean) < 1e-15
-        assert abs(s.std - std) < 1e-15
-
-    def test_gaussian_stream_vs_two_pass(self):
-        xs = np.random.default_rng(17).normal(size=10_000)
-        s = RunningMoment()
-        for x in xs:
-            s.update(x)
-        mean, std = two_pass_stats(xs)
-        assert abs(s.mean - mean) <= 1e-9 * max(abs(mean), 1.0)
-        assert abs(s.std - std) <= 1e-9 * std
-
-    def test_m2_nonnegative(self):
-        s = RunningMoment()
-        for x in np.random.default_rng(19).uniform(-1, 1, size=1000):
-            s.update(x)
-            assert s.m2 >= 0.0
 
 
 class TestXavier:
