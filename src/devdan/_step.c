@@ -21,8 +21,8 @@
  * devdan_train_rows runs one phase over a run of rows and returns to Python
  * when the rows run out, at a non-finite result, or when a chart fires;
  * Python then makes the structural edit, which draws from the generator, and
- * resumes at the same row. The model struct points into the model's own
- * arrays, its charts included.
+ * resumes at the same row. The model struct points at the model's own
+ * arrays, its charts included, which both steps update in place.
  */
 #include <math.h>
 #include <stddef.h>
@@ -50,20 +50,23 @@ static struct numerics np_;
 
 void devdan_set_numerics(const struct numerics *numerics) { np_ = *numerics; }
 
-/* One model: n inputs, width hidden nodes, m classes. params is
- * [c | w | b | theta | eta], grads the same layout, vel [w | b | theta | eta];
- * w is (n, width) and theta (width, m), both in C order. work holds, in
- * order: x (n), x_tilde (n), hid (2 width: the hidden activation, then the
- * expected activation ey), pre (3 k: the output, ez and ez2 rows, k = n in
- * the generative and m in the discriminative step), tmp (max(n, m, width))
- * and the three scalars bias2, variance, loss. charts is DevdanModel.charts:
- * four rows of CHART_FIELDS, the generative bias and variance charts, then
- * the discriminative ones. */
+/* One model: n inputs, width hidden nodes, m classes, then one pointer per
+ * array of STATE_SLOTS in model.py, in its order and of its shape and dtype,
+ * each C order (w is (n, width), theta and vel_theta (width, m)). charts is
+ * DevdanModel.charts: four rows of CHART_FIELDS, the generative bias and
+ * variance charts, then the discriminative ones. work holds, in order: x (n),
+ * x_tilde (n), hid (2 width: the hidden activation, then the expected
+ * activation ey), pre (3 k: the output, ez and ez2 rows, k = n in the
+ * generative and m in the discriminative step), tmp (max(n, m, width)), grad
+ * (the gradients [c | w | b | theta | eta]) and the three scalars bias2,
+ * variance, loss. */
 struct model {
     int64_t n, width, m;
-    double *params, *vel, *grads;
-    int64_t *gen_count, *disc_count;
-    double *gen_mean, *gen_m2, *disc_mean, *disc_m2;
+    double *w, *b, *c, *theta, *eta, *vel_theta, *vel_eta, *vel_w, *vel_b;
+    int64_t *gen_stats_count;
+    double *gen_stats_mean, *gen_stats_m2;
+    int64_t *disc_stats_count;
+    double *disc_stats_mean, *disc_stats_m2;
     double *charts;
     double *work;
 };
@@ -172,10 +175,10 @@ void devdan_matvec(const double *mat, const double *v, int64_t rows, int64_t k, 
 
 /* ---------------------------------------------------------------- steps */
 
+/* The extents and the parts of the work vector */
 struct view {
     ptrdiff_t n, width, m;
-    double *c, *w, *b, *theta, *eta;
-    double *x, *xt, *hid, *ey, *pre, *tmp, *scalars;
+    double *x, *xt, *hid, *ey, *pre, *tmp, *grad, *scalars;
 };
 
 static struct view view_of(const struct model *md)
@@ -183,27 +186,23 @@ static struct view view_of(const struct model *md)
     struct view s;
     ptrdiff_t n = md->n, width = md->width, m = md->m, k = n > m ? n : m;
     s.n = n, s.width = width, s.m = m;
-    s.c = md->params;
-    s.w = s.c + n;
-    s.b = s.w + n * width;
-    s.theta = s.b + width;
-    s.eta = s.theta + width * m;
     s.x = md->work;
     s.xt = s.x + n;
     s.hid = s.xt + n;
     s.ey = s.hid + width;
     s.pre = s.ey + width;
     s.tmp = s.pre + 3 * k;
-    s.scalars = s.tmp + (width > k ? width : k);
+    s.grad = s.tmp + (width > k ? width : k);
+    s.scalars = s.grad + n + n * width + width + width * m + m;
     return s;
 }
 
 /* a = input @ w + b into hid[0:width] */
-static void encode(const struct view *s, const double *input)
+static void encode(const struct model *md, const struct view *s, const double *input)
 {
-    vecmat(input, s->w, s->n, s->width, s->width, 1, s->hid);
+    vecmat(input, md->w, s->n, s->width, s->width, 1, s->hid);
     for (ptrdiff_t j = 0; j < s->width; j++)
-        s->hid[j] = s->hid[j] + s->b[j];
+        s->hid[j] = s->hid[j] + md->b[j];
 }
 
 /* NodeStats.update with the pre-activation a */
@@ -266,17 +265,17 @@ static void bias_variance(const struct view *s, ptrdiff_t k, int64_t label)
 static void gen_forward(const struct model *md)
 {
     struct view s = view_of(md);
-    encode(&s, s.xt);
-    stats_update(s.width, md->gen_count, md->gen_mean, md->gen_m2, s.hid);
-    probit_arg(&s, md->gen_count, md->gen_mean, md->gen_m2);
+    encode(md, &s, s.xt);
+    stats_update(s.width, md->gen_stats_count, md->gen_stats_mean, md->gen_stats_m2, s.hid);
+    probit_arg(&s, md->gen_stats_count, md->gen_stats_mean, md->gen_stats_m2);
     sigmoid(s.hid, 2 * s.width);
-    output_rows(&s, s.w, s.n, 1, s.width, s.c);
+    output_rows(&s, md->w, s.n, 1, s.width, md->c);
     sigmoid(s.pre, 3 * s.n);
     bias_variance(&s, s.n, -1);
 }
 
 /* Generative step after the charts: gradients of the reconstruction loss and
- * the plain update of [c | w | b]. refresh recomputes the forward pass after
+ * the plain update of w, b and c. refresh recomputes the forward pass after
  * a structural edit. Returns 0, or without touching the parameters 1 for a
  * non-finite loss and 2, 3, 4 for a non-finite gradient of w, b, c. */
 static int gen_update(const struct model *md, double lr, int refresh)
@@ -284,18 +283,18 @@ static int gen_update(const struct model *md, double lr, int refresh)
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width;
     double *y = s.hid, *z = s.pre;
-    double *dc = md->grads, *dw = dc + n, *db = dw + n * width;
+    double *dc = s.grad, *dw = dc + n, *db = dw + n * width;
     if (refresh) {
-        encode(&s, s.xt);
+        encode(md, &s, s.xt);
         sigmoid(y, width);
-        vecmat(y, s.w, width, n, 1, width, z);
+        vecmat(y, md->w, width, n, 1, width, z);
         for (ptrdiff_t i = 0; i < n; i++)
-            z[i] = z[i] + s.c[i];
+            z[i] = z[i] + md->c[i];
         sigmoid(z, n);
     }
     for (ptrdiff_t i = 0; i < n; i++)
         dc[i] = ((z[i] - s.x[i]) * z[i]) * (1.0 - z[i]);
-    vecmat(dc, s.w, n, width, width, 1, db);
+    vecmat(dc, md->w, n, width, width, 1, db);
     for (ptrdiff_t j = 0; j < width; j++)
         db[j] = (db[j] * y[j]) * (1.0 - y[j]);
     for (ptrdiff_t i = 0; i < n; i++)
@@ -306,14 +305,16 @@ static int gen_update(const struct model *md, double lr, int refresh)
     s.scalars[LOSS] = 0.5 * (0.0 + np_.dot(n, s.tmp, 1, s.tmp, 1));
     if (!isfinite(s.scalars[LOSS]))
         return 1;
+    double *params[3] = {md->w, md->b, md->c};
     const double *blocks[3] = {dw, db, dc};
     const ptrdiff_t sizes[3] = {n * width, width, n};
     for (int k = 0; k < 3; k++)
         for (ptrdiff_t i = 0; i < sizes[k]; i++)
             if (!isfinite(blocks[k][i]))
                 return 2 + k;
-    for (ptrdiff_t i = 0, end = n + n * width + width; i < end; i++)
-        md->params[i] = md->params[i] - lr * md->grads[i];
+    for (int k = 0; k < 3; k++)
+        for (ptrdiff_t i = 0; i < sizes[k]; i++)
+            params[k][i] = params[k][i] - lr * blocks[k][i];
     return 0;
 }
 
@@ -322,11 +323,11 @@ static int gen_update(const struct model *md, double lr, int refresh)
 static void disc_forward(const struct model *md, int64_t label)
 {
     struct view s = view_of(md);
-    encode(&s, s.x);
-    stats_update(s.width, md->disc_count, md->disc_mean, md->disc_m2, s.hid);
-    probit_arg(&s, md->disc_count, md->disc_mean, md->disc_m2);
+    encode(md, &s, s.x);
+    stats_update(s.width, md->disc_stats_count, md->disc_stats_mean, md->disc_stats_m2, s.hid);
+    probit_arg(&s, md->disc_stats_count, md->disc_stats_mean, md->disc_stats_m2);
     sigmoid(s.hid, 2 * s.width);
-    output_rows(&s, s.theta, s.m, s.m, 1, s.eta);
+    output_rows(&s, md->theta, s.m, s.m, 1, md->eta);
     softmax(s.pre, 3, s.m);
     bias_variance(&s, s.m, label);
 }
@@ -336,41 +337,45 @@ static void disc_forward(const struct model *md, int64_t label)
 static void disc_refresh(const struct model *md)
 {
     struct view s = view_of(md);
-    encode(&s, s.x);
+    encode(md, &s, s.x);
     sigmoid(s.hid, s.width);
-    vecmat(s.hid, s.theta, s.width, s.m, s.m, 1, s.pre);
+    vecmat(s.hid, md->theta, s.width, s.m, s.m, 1, s.pre);
     for (ptrdiff_t k = 0; k < s.m; k++)
-        s.pre[k] = s.pre[k] + s.eta[k];
+        s.pre[k] = s.pre[k] + md->eta[k];
     softmax(s.pre, 1, s.m);
 }
 
 /* Discriminative step after the charts and the loss: softmax cross-entropy
- * gradients back through head and encoder, then momentum descent over
- * [w | b | theta | eta]. */
+ * gradients back through head and encoder, then momentum descent of w, b,
+ * theta and eta. */
 static void disc_update(const struct model *md, int64_t label, double lr, double momentum)
 {
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width, m = s.m;
     const double *h = s.hid, *probs = s.pre;
-    double *dw = md->grads + n, *da = dw + n * width, *dtheta = da + width;
+    double *dw = s.grad + n, *da = dw + n * width, *dtheta = da + width;
     double *dlogits = dtheta + width * m;
     for (ptrdiff_t k = 0; k < m; k++)
         dlogits[k] = probs[k] - (k == label ? 1.0 : 0.0);
     for (ptrdiff_t j = 0; j < width; j++)
         for (ptrdiff_t k = 0; k < m; k++)
             dtheta[j * m + k] = h[j] * dlogits[k];
-    matvec(s.theta, dlogits, width, m, da);
+    matvec(md->theta, dlogits, width, m, da);
     for (ptrdiff_t j = 0; j < width; j++)
         da[j] = (da[j] * h[j]) * (1.0 - h[j]);
     for (ptrdiff_t i = 0; i < n; i++)
         for (ptrdiff_t j = 0; j < width; j++)
             dw[i * width + j] = s.x[i] * da[j];
-    double *p = md->params + n, *g = md->grads + n, *v = md->vel;
-    for (ptrdiff_t i = 0, end = n * width + width + width * m + m; i < end; i++) {
-        v[i] = v[i] * momentum;
-        v[i] = v[i] + g[i];
-        p[i] = p[i] - lr * v[i];
-    }
+    double *params[4] = {md->w, md->b, md->theta, md->eta};
+    double *vels[4] = {md->vel_w, md->vel_b, md->vel_theta, md->vel_eta};
+    const double *grads[4] = {dw, da, dtheta, dlogits};
+    const ptrdiff_t sizes[4] = {n * width, width, width * m, m};
+    for (int k = 0; k < 4; k++)
+        for (ptrdiff_t i = 0; i < sizes[k]; i++) {
+            vels[k][i] = vels[k][i] * momentum;
+            vels[k][i] = vels[k][i] + grads[k][i];
+            params[k][i] = params[k][i] - lr * vels[k][i];
+        }
 }
 
 /* ------------------------------------------------------------ mask draw */

@@ -73,17 +73,12 @@ def load_checkpoint(path) -> DevdanModel:
         width = doc["width"]
         if not isinstance(width, int) or width < 1:
             raise CheckpointError(f"{path}: width {width!r} is not a positive integer")
+        sizes = {"n": model.n_in, "width": width, "m": model.n_classes}
         for slot in STATE_SLOTS:
-            # a fresh model has the right dtype and every non-node extent
-            fresh = slot.get(model)
-            shape = list(fresh.shape)
-            if slot.node_axis is not None:
-                shape[slot.node_axis] = width
-            arr = np.asarray(_lookup(doc, slot.key), dtype=fresh.dtype)
-            if arr.shape != tuple(shape):
-                raise CheckpointError(
-                    f"{path}: {slot.key} has shape {arr.shape}, expected {tuple(shape)}"
-                )
+            shape = slot.shape(sizes)
+            arr = np.asarray(_lookup(doc, slot.key), dtype=slot.dtype)
+            if arr.shape != shape:
+                raise CheckpointError(f"{path}: {slot.key} has shape {arr.shape}, expected {shape}")
             slot.set(model, arr)
         for name, row in zip(CHARTS, model.charts):
             chart, moment = doc[name], doc[name]["current"]
@@ -99,7 +94,8 @@ def state_hash(model: DevdanModel) -> str:
     """SHA-256 over every mutable piece of model state, RNG included."""
     h = hashlib.sha256()
     for slot in STATE_SLOTS:
-        h.update(np.ascontiguousarray(slot.get(model)).tobytes())
+        # as the slot's dtype, which training casts every array to
+        h.update(np.ascontiguousarray(slot.get(model), dtype=slot.dtype).tobytes())
     for row in model.charts:
         h.update(repr(SpcTracker(row).values()).encode())
     h.update(repr(model.rng.bit_generator.state).encode())

@@ -71,17 +71,6 @@ class _Numerics(ctypes.Structure):
         *(u.__name__ for u in _UFUNCS), *(u.__name__ + "_data" for u in _UFUNCS), "gemv", "dot")]
 
 
-class _Model(ctypes.Structure):
-    _fields_ = [
-        ("n", ctypes.c_int64),
-        ("width", ctypes.c_int64),
-        ("m", ctypes.c_int64),
-        *((name, ctypes.c_void_p) for name in (
-            "params", "vel", "grads", "gen_count", "disc_count",
-            "gen_mean", "gen_m2", "disc_mean", "disc_m2", "charts", "work")),
-    ]
-
-
 class Rows(ctypes.Structure):
     """struct rows in _step.c: one phase's run of rows."""
 
@@ -419,29 +408,3 @@ def step_backend() -> str:
     """Which training step runs: "compiled" or "numpy (<reason>)"."""
     library()
     return _state[1]
-
-
-class StepContext:
-    """One model's handle on the kernel: pointers into the flat parameter,
-    momentum and gradient vectors, the node-statistics arrays and the
-    (4, CHART_FIELDS) chart array, plus a work vector whose views carry the
-    inputs and the results. Holds raw pointers, so it lives only inside
-    FlatState and is rebuilt with it."""
-
-    __slots__ = ("model", "addr", "work", "ey", "gen_output", "scalars", "train_rows")
-
-    def __init__(self, lib, n, width, m, params, vel, grads, gen_stats, disc_stats, charts):
-        k = max(n, m)
-        self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width) + 3)
-        # the layout that view_of() in _step.c reads
-        self.ey = s[2 * n + width:2 * n + 2 * width]
-        self.gen_output = s[2 * n + 2 * width:2 * n + 2 * width + n]
-        self.scalars = s[-3:]
-        self.model = _Model(
-            n, width, m,
-            *(arr.ctypes.data for arr in (
-                params, vel, grads, gen_stats.count, disc_stats.count,
-                gen_stats.mean, gen_stats.m2, disc_stats.mean, disc_stats.m2, charts, s)),
-        )
-        self.addr = ctypes.addressof(self.model)
-        self.train_rows = lib.devdan_train_rows

@@ -93,17 +93,29 @@ class SoftmaxHead:
 class StateSlot(NamedTuple):
     """One model-state array.
 
-    key       : checkpoint key; a dot nests it ("gen_stats.count")
-    owner     : model attribute that holds the array, None for the model itself
-    attr      : attribute name on the owner
-    node_axis : axis that runs over hidden nodes, None if the array's shape
-                does not depend on the width
+    key     : checkpoint key; a dot nests it ("gen_stats.count")
+    owner   : model attribute that holds the array, None for the model itself
+    attr    : attribute name on the owner
+    extents : the array's shape, each a size name ("n" inputs, "width"
+              hidden nodes, "m" classes) or a fixed size
+    dtype   : the array's dtype
     """
 
     key: str
     owner: str | None
     attr: str
-    node_axis: int | None
+    extents: tuple
+    dtype: type = np.float64
+
+    @property
+    def node_axis(self) -> int | None:
+        """The axis that runs over hidden nodes, None if there is none."""
+        return self.extents.index("width") if "width" in self.extents else None
+
+    def shape(self, sizes: dict) -> tuple:
+        """The shape with each named extent looked up in sizes (which maps
+        "n", "width" and "m" to a size) and each fixed size as it is."""
+        return tuple(map(sizes.get, self.extents, self.extents))
 
     def get(self, model) -> np.ndarray:
         return getattr(self._holder(model), self.attr)
@@ -116,91 +128,88 @@ class StateSlot(NamedTuple):
 
 
 # Every array of model state, in checkpoint and state-hash order. Grow, prune,
-# checkpoints and the hash all walk this table, so per-node state declared
-# here stays in step everywhere.
+# checkpoints, the hash, the compiled loop's struct model and the shape and
+# dtype check before training all walk this table, so per-node state
+# declared here stays in step everywhere.
 STATE_SLOTS = (
-    StateSlot("w", "layer", "w", 1),
-    StateSlot("b", "layer", "b", 0),
-    StateSlot("c", "layer", "c", None),
-    StateSlot("theta", "head", "theta", 0),
-    StateSlot("eta", "head", "eta", None),
-    StateSlot("vel_theta", "head", "vel_theta", 0),
-    StateSlot("vel_eta", "head", "vel_eta", None),
-    StateSlot("vel_w", None, "vel_w", 1),
-    StateSlot("vel_b", None, "vel_b", 0),
-    StateSlot("gen_stats.count", "gen_stats", "count", 0),
-    StateSlot("gen_stats.mean", "gen_stats", "mean", 0),
-    StateSlot("gen_stats.m2", "gen_stats", "m2", 0),
-    StateSlot("disc_stats.count", "disc_stats", "count", 0),
-    StateSlot("disc_stats.mean", "disc_stats", "mean", 0),
-    StateSlot("disc_stats.m2", "disc_stats", "m2", 0),
+    StateSlot("w", "layer", "w", ("n", "width")),
+    StateSlot("b", "layer", "b", ("width",)),
+    StateSlot("c", "layer", "c", ("n",)),
+    StateSlot("theta", "head", "theta", ("width", "m")),
+    StateSlot("eta", "head", "eta", ("m",)),
+    StateSlot("vel_theta", "head", "vel_theta", ("width", "m")),
+    StateSlot("vel_eta", "head", "vel_eta", ("m",)),
+    StateSlot("vel_w", None, "vel_w", ("n", "width")),
+    StateSlot("vel_b", None, "vel_b", ("width",)),
+    StateSlot("gen_stats.count", "gen_stats", "count", ("width",), np.int64),
+    StateSlot("gen_stats.mean", "gen_stats", "mean", ("width",)),
+    StateSlot("gen_stats.m2", "gen_stats", "m2", ("width",)),
+    StateSlot("disc_stats.count", "disc_stats", "count", ("width",), np.int64),
+    StateSlot("disc_stats.mean", "disc_stats", "mean", ("width",)),
+    StateSlot("disc_stats.m2", "disc_stats", "m2", ("width",)),
 )
 # The rows of a model's chart array (`DevdanModel.charts`), each the model
 # attribute that views it; checkpoints and the state hash follow this order.
 CHARTS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
+# the chart array, which checkpoints and the hash store row by row
+CHART_SLOT = StateSlot("charts", None, "charts", (len(CHARTS), CHART_FIELDS))
 # a model's STATE_SLOTS arrays, in table order, then its chart array, fetched
 # in one call
 _state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
-                                      for s in STATE_SLOTS), "charts")
+                                      for s in (*STATE_SLOTS, CHART_SLOT)))
 
 
-class FlatState:
-    """The compiled step's hold on a model: vectors that the parameter and
-    momentum arrays are rebound as views of, and the kernel context that
-    points into them, into the node statistics and into the chart array.
+class KernelModel(ctypes.Structure):
+    """struct model in _step.c: the extents, one pointer per STATE_SLOTS
+    array in table order, then the chart array and the work vector."""
 
-    params : [c | w | b | theta | eta]
-    vel    : [vel_w | vel_b | vel_theta | vel_eta], in line with params[n:]
-    grads  : the compiled loop's gradient buffer, in the params layout
+    _fields_ = [*((name, ctypes.c_int64) for name in ("n", "width", "m")),
+                *((s.key.replace(".", "_"), ctypes.c_void_p) for s in STATE_SLOTS),
+                ("charts", ctypes.c_void_p), ("work", ctypes.c_void_p)]
+
+
+class KernelState:
+    """The compiled step's hold on a model: a struct model that points at
+    the model's own arrays, which the loop updates in place, and a work
+    vector whose views carry the inputs and the results (the layout that
+    view_of() in _step.c reads).
+
     arrays : every STATE_SLOTS array and the chart array, as they were bound
-             when these were built
-    kernel : the compiled step's context
+             when this was built
 
-    Derived state: built from the live arrays only where the compiled step
-    runs, and never checkpointed, hashed, pickled or copied.
+    Holds raw pointers, so it is derived state: built only where the
+    compiled step runs, and never checkpointed, hashed, pickled or copied.
     """
 
-    __slots__ = ("params", "vel", "grads", "arrays", "kernel")
+    __slots__ = ("arrays", "struct", "addr", "work", "ey", "gen_output", "scalars", "train_rows")
 
     def __init__(self, model: "DevdanModel", lib):
-        layer, head = model.layer, model.head
-        live = (layer.c, layer.w, layer.b, head.theta, head.eta)
-        self.params = np.concatenate([arr.ravel() for arr in live], dtype=np.float64)
-        layer.c, layer.w, layer.b, head.theta, head.eta = _views(self.params, live)
-        vels = (model.vel_w, model.vel_b, head.vel_theta, head.vel_eta)
-        self.vel = np.concatenate([arr.ravel() for arr in vels], dtype=np.float64)
-        model.vel_w, model.vel_b, head.vel_theta, head.vel_eta = _views(self.vel, vels)
-        self.grads = np.empty_like(self.params)
+        n, width, m = model.n_in, model.width, model.n_classes
+        k = max(n, m)
         self.arrays = _state_arrays(model)
-        self.kernel = kernel.StepContext(lib, layer.n_in, layer.width, head.n_classes,
-                                         self.params, self.vel, self.grads,
-                                         model.gen_stats, model.disc_stats, model.charts)
+        self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width)
+                                 + n + n * width + width + width * m + m + 3)
+        self.ey = s[2 * n + width:2 * n + 2 * width]
+        self.gen_output = s[2 * n + 2 * width:2 * n + 2 * width + n]
+        self.scalars = s[-3:]
+        self.struct = KernelModel(n, width, m, *(arr.ctypes.data for arr in (*self.arrays, s)))
+        self.addr = ctypes.addressof(self.struct)
+        self.train_rows = lib.devdan_train_rows
 
     def is_behind(self, model: "DevdanModel") -> bool:
         """True when any state or chart array is not the one bound at build time:
-        after a grow or prune, a checkpoint load, a copy or pickle (which copy
-        views as arrays of their own), or an assignment."""
+        after a grow or prune, a checkpoint load, a copy or pickle, or an
+        assignment."""
         return any(map(operator.is_not, _state_arrays(model), self.arrays))
 
 
-def _kernel_ready(model: "DevdanModel") -> bool:
-    """The compiled step reads counts as int64 and moments as float64, each
-    one contiguous value per node, and the charts as one C-order float64 row
-    per chart."""
-    arrays = [(arr, (model.width,), dtype) for s in (model.gen_stats, model.disc_stats)
-              for arr, dtype in ((s.count, np.int64), (s.mean, np.float64), (s.m2, np.float64))]
-    arrays.append((model.charts, (len(CHARTS), CHART_FIELDS), np.float64))
-    return all(arr.flags.c_contiguous and arr.shape == shape and arr.dtype == dtype
-               for arr, shape, dtype in arrays)
-
-
-def _views(vec: np.ndarray, like) -> list:
-    """Consecutive views of vec, shaped like the arrays in `like`."""
-    views, start = [], 0
-    for arr in like:
-        views.append(vec[start:start + arr.size].reshape(arr.shape))
-        start += arr.size
-    return views
+def _as_floats(values, what: str) -> np.ndarray:
+    """values as a float64 array; anything that is not numbers, or rows of
+    unequal length, raises a ShapeError naming what."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ShapeError(f"{what} are not numbers in rows of one length ({err})") from None
 
 
 def _class_index(label) -> int:
@@ -254,6 +263,7 @@ class DevdanModel:
         if n_in < 1 or n_classes < 2:
             raise ConfigError(f"a model needs at least 1 input and 2 classes, "
                               f"not {n_in} and {n_classes}")
+        self.n_in, self.n_classes = n_in, n_classes
         self.config = config or DevdanConfig()
         self.config.validate()
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
@@ -270,7 +280,7 @@ class DevdanModel:
         # row k is the 0-1 target of label k; shared by every step, so read-only
         self._onehot = np.eye(n_classes)
         self._onehot.flags.writeable = False
-        self._flat_state = None
+        self._kernel_state = None
 
     # each a view of its row of the current chart array, made at every
     # access, so that it follows the array through copies, pickles, loads and
@@ -281,27 +291,19 @@ class DevdanModel:
     disc_var = property(lambda self: SpcTracker(self.charts[3]))
 
     @property
-    def n_in(self) -> int:
-        return self.layer.n_in
-
-    @property
-    def n_classes(self) -> int:
-        return self.head.n_classes
-
-    @property
     def width(self) -> int:
         return self.layer.width
 
     # ------------------------------------------------------------------ predict
 
     def _as_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_floats(x, "input features")
         if x.shape != (self.n_in,):
             raise ShapeError(f"input shape {x.shape} does not match n={self.n_in}")
         return x
 
     def _as_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = _as_floats(xs, "batch features")
         if xs.ndim != 2 or xs.shape[1] != self.n_in:
             raise ShapeError(f"batch shape {xs.shape} does not match n={self.n_in}")
         return xs
@@ -339,13 +341,11 @@ class DevdanModel:
         for slot in STATE_SLOTS:
             if slot.node_axis is None:
                 continue
-            arr = slot.get(self)
             part = new.get(slot.key)
             if part is None:
-                shape = list(arr.shape)
-                shape[slot.node_axis] = 1
-                part = np.zeros(shape, dtype=arr.dtype)
-            slot.set(self, np.concatenate([arr, part], axis=slot.node_axis))
+                part = np.zeros(slot.shape({"n": self.n_in, "width": 1, "m": self.n_classes}),
+                                slot.dtype)
+            slot.set(self, np.concatenate([slot.get(self), part], axis=slot.node_axis))
 
     def _prune(self, index: int) -> None:
         """Remove hidden node `index`, preserving the order of the survivors."""
@@ -387,20 +387,42 @@ class DevdanModel:
     # -------------------------------------------------------------- train steps
 
     def __getstate__(self):
-        # copies and pickles leave out the flat vectors; the next step
-        # rebuilds them from the live arrays
-        return {**self.__dict__, "_flat_state": None}
+        # copies and pickles leave out the compiled step's raw pointers; the
+        # next step rebuilds them from the live arrays
+        return {**self.__dict__, "_kernel_state": None}
 
-    def _flat(self) -> FlatState | None:
-        """The flat vectors of the live arrays, rebuilt when they fell behind;
-        None where the compiled step cannot run on them."""
-        f = self._flat_state
-        if f is None or f.is_behind(self):
+    def _check_state(self) -> None:
+        """The rule both steps apply before any row of a training call trains:
+        an array whose shape is not its slot's raises a ShapeError naming the
+        slot; one of another dtype or memory order, or read-only, is replaced
+        by a C-order copy of the slot's dtype, after every shape has passed."""
+        w = np.asarray(self.layer.w)
+        width = w.shape[1] if w.ndim == 2 else -1  # any other w is named below
+        sizes = {"n": self.n_in, "width": width, "m": self.n_classes}
+        copies = []
+        for slot, was in zip((*STATE_SLOTS, CHART_SLOT), _state_arrays(self)):
+            arr = np.asarray(was)
+            if arr.shape != slot.shape(sizes) or arr.dtype.kind not in "biuf":
+                raise ShapeError(f"{slot.key} is a {arr.dtype} array of shape {arr.shape}, "
+                                 f"expected {np.dtype(slot.dtype)} of shape {slot.shape(sizes)}")
+            if (arr is not was or arr.dtype != slot.dtype
+                    or not (arr.flags.c_contiguous and arr.flags.writeable)):
+                copies.append((slot, np.array(arr, dtype=slot.dtype, order="C")))
+        for slot, arr in copies:
+            slot.set(self, arr)
+
+    def _kernel(self) -> KernelState | None:
+        """The compiled step's hold on the live arrays, rebuilt after the rule
+        of _check_state when any of them was rebound; None where the kernel
+        is unavailable."""
+        k = self._kernel_state
+        if k is None or k.is_behind(self):
             lib = kernel.library()
-            if lib is None or not _kernel_ready(self):
+            if lib is None:
                 return None
-            f = self._flat_state = FlatState(self, lib)
-        return f
+            self._check_state()
+            k = self._kernel_state = KernelState(self, lib)
+        return k
 
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
@@ -431,6 +453,7 @@ class DevdanModel:
         done = self._compiled_rows(feats, rows, labels)
         if done is not None:
             return done
+        self._check_state()
         losses, grows, prunes = [], 0, 0
         for pos, t in enumerate(rows):
             try:
@@ -508,10 +531,9 @@ class DevdanModel:
         the numpy step would raise there)."""
         # looked up at every call: the mask generator may have been rebound
         bitgen = kernel.bitgen_address(self.mask.rng)
-        flat = None if bitgen is None else self._flat()
-        if flat is None:
+        k = None if bitgen is None else self._kernel()
+        if k is None:
             return None
-        k = flat.kernel
         cfg, n, gen = self.config, self.n_in, labels is None
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         losses = np.empty(rows.shape[0])
@@ -537,7 +559,7 @@ class DevdanModel:
             prunes += pruned
             job.resume = kernel.UPDATE
             if grew or pruned:
-                old, k = k, self._flat().kernel
+                old, k = k, self._kernel()
                 k.work[:2 * n] = old.work[:2 * n]  # x and x_tilde, drawn once
                 job.resume = kernel.REFRESH
         if status == kernel.DONE:

@@ -39,8 +39,9 @@ def each_backend():
     """Runs a loop body once per training step available here: "numpy", then
     "compiled" unless the kernel is unavailable (the report header says why).
     Models should be built and trained inside the body: the numpy step runs
-    while `kernel.library()` is None, but a model that has already built its
-    flat vectors keeps the compiled step until they fall behind."""
+    while `kernel.library()` is None, but a model that has already pointed
+    the compiled loop at its arrays keeps the compiled step until one of
+    them is rebound."""
     with mock.patch.object(kernel, "library", lambda: None):
         yield "numpy"
     if kernel.library() is not None:

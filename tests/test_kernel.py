@@ -6,6 +6,7 @@ concurrent builds."""
 import copy
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from conftest import each_backend
 from devdan import kernel, step_backend
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import MaskSpec, mask_input
-from devdan.model import DevdanConfig, DevdanModel
+from devdan.errors import ShapeError
+from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel, KernelModel
 from devdan.monitors import SpcTracker, kappa, should_grow, should_prune
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_hyperplane, gen_sea
@@ -190,6 +192,26 @@ def test_charts_report_where_python_raises(lib):
     assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False)[0] == 0
 
 
+def test_struct_model_matches_the_state_table():
+    """struct model in _step.c declares, in order, the fields that
+    KernelModel generates from STATE_SLOTS, and each slot's pointer has the
+    slot's dtype: a slot added without its C pointer fails here."""
+    body = re.search(r"struct model \{(.*?)\};", kernel.SOURCE.read_text(), re.S).group(1)
+    declared = []
+    for decl in filter(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")):
+        ctype, names = decl.split(None, 1)
+        declared += [(name.strip(" *"), ctype) for name in names.split(",")]
+    generated = [name for name, _ in KernelModel._fields_]
+    assert [name for name, _ in declared] == generated, (
+        f"struct model in {kernel.SOURCE.name} declares {[name for name, _ in declared]}, "
+        f"but model.KernelModel generates {generated}: declare one pointer per STATE_SLOTS "
+        f"entry there, in table order")
+    ctypes_of = dict(declared)
+    for slot in STATE_SLOTS:
+        want = {np.float64: "double", np.int64: "int64_t"}[slot.dtype]
+        assert ctypes_of[slot.key.replace(".", "_")] == want, slot.key
+
+
 def test_discriminative_loss_is_numpys_log(compiled_step):
     """-log(max(p, 1e-300)) through numpy's scalar log, which differs in the
     last bit from libm's (math.log) on a fraction of a percent of arguments:
@@ -242,7 +264,7 @@ def test_missing_compiler_falls_back_to_numpy(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     model = DevdanModel(3, 2, DevdanConfig(seed=4))
     train(model, feats, labels)
-    assert model._flat_state is None
+    assert model._kernel_state is None
     assert step_backend().startswith("numpy (build failed")
     assert kernel.library() is None and len(builds) == 1
     assert state_hash(model) == state_hash(expected)
@@ -283,8 +305,9 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
 def sanitizer_scenario(folder) -> tuple[str, int]:
     """Every way the compiled loop's pointers get rebound: SEA batches whose
     concept flips every 200 rows (edits inside the loop), single steps, a
-    checkpoint reload, a deep copy and a rebound chart array. Returns the
-    final state hash and the number of edits made in the batches."""
+    checkpoint reload, a deep copy and a rebound chart array, then a head
+    bias one class short, which is refused. Returns the final state hash and
+    the number of edits made in the batches."""
     schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(10))
     feats, labels = gen_sea(2000, schedule, np.random.default_rng(61))
     labeled = np.random.default_rng(62).uniform(size=2000) < 0.5
@@ -303,6 +326,9 @@ def sanitizer_scenario(folder) -> tuple[str, int]:
     train(model, feats[1600:1800], labels[1600:1800])
     model.charts = model.charts.copy()
     train(model, feats[1800:], labels[1800:])
+    model.head.eta = model.head.eta[:-1].copy()
+    with pytest.raises(ShapeError, match="^eta "):
+        model.train_batch(StreamBatch(feats[:300], labels[:300], labeled[:300], 7))
     return state_hash(model), edits
 
 

@@ -19,7 +19,7 @@ from devdan import dae, kernel
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
-from devdan.model import CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
+from devdan.model import CHART_SLOT, CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
 from devdan.monitors import SpcTracker
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_sea
@@ -465,65 +465,79 @@ class TestCheckpoint:
 
 
 PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune",
-                "batch", "checkpoint", "copy", "malformed")
+                "batch", "checkpoint", "copy", "malformed", "rebind")
+REBOUND = (*STATE_SLOTS, CHART_SLOT)
+REBINDINGS = (  # the copies a rebind op assigns
+    lambda arr: arr.copy(),
+    lambda arr: np.asfortranarray(arr.copy()),
+    lambda arr: arr.astype(np.float32),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from((1, 3, 8)),
+    m=st.sampled_from((2, 3, 5)),
+    reset_all=st.booleans(),
     ops=st.lists(
         st.tuples(
             st.sampled_from(PROPERTY_OPS),
-            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-            st.integers(0, 1),
+            st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+            st.integers(0, 4),
             st.integers(0, 6),
             st.lists(st.booleans(), max_size=12),
+            st.integers(0, len(REBOUND) * len(REBINDINGS) - 1),
         ),
         max_size=40,
     ),
 )
-def test_random_step_sequences_keep_state_in_step(seed, ops):
+def test_random_step_sequences_keep_state_in_step(seed, n, m, reset_all, ops):
     """Any mix of single steps, batches of any size and label mask, forced
     edits, checkpoint reloads, copies and pickles (training goes on with the
-    copy) and malformed batches (refused without a trace) leaves every
-    per-node array of the state table at the model's width, and both training
-    steps on the same hash after every op."""
-    hashes = {backend: run_step_sequence(seed, ops) for backend in each_backend()}
+    copy), malformed batches (refused without a trace) and state or chart
+    arrays rebound as C-order, Fortran-order or float32 copies, with n inputs,
+    m classes and either reset mode, leaves every per-node array of the state
+    table at the model's width, and both training steps on the same hash
+    after every op."""
+    hashes = {backend: run_step_sequence(seed, ops, n, m, reset_all)
+              for backend in each_backend()}
     assert len({tuple(h) for h in hashes.values()}) == 1, hashes
 
 
-def malformed_batch(rng, size, kind):
+def malformed_batch(rng, size, kind, n=3, m=2):
     """A batch of size + 1 rows that train_batch refuses: short labels, a
     long mask, narrow features, a label out of range or one not an integer."""
-    feats, labels = rng.uniform(size=(size + 1, 3)), rng.integers(2, size=size + 1)
+    feats, labels = rng.uniform(size=(size + 1, n)), rng.integers(m, size=size + 1)
     mask = np.ones(size + 1, dtype=bool)
     if kind == 0:
         labels = labels[:-1]
     elif kind == 1:
         mask = np.ones(size + 2, dtype=bool)
     elif kind == 2:
-        feats = feats[:, :2]
+        feats = feats[:, :-1]
     elif kind == 3:
-        labels[-1] = 2
+        labels[-1] = m
     else:
         labels = labels.astype(float)
         labels[-1] = 0.5
     return StreamBatch(feats, labels, mask, 0)
 
 
-def run_step_sequence(seed, ops) -> list:
+def run_step_sequence(seed, ops, n=3, m=2, reset_all=False) -> list:
     """The state hash after each op."""
-    model = DevdanModel(3, 2, DevdanConfig(seed=seed))
+    config = DevdanConfig(seed=seed, reset_mode="reset_all" if reset_all else "standard")
+    model = DevdanModel(n, m, config)
     hashes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt.json"
-        for i, (kind, x, label, index, labeled) in enumerate(ops):
-            x = np.array(x)
+        for i, (kind, x, label, index, labeled, pick) in enumerate(ops):
+            x, label = np.array(x[:n]), label % m
             rng = np.random.default_rng([seed, i])  # rows and labels of the op's batch
             if kind == "batch":
                 size = len(labeled)
-                model.train_batch(StreamBatch(rng.uniform(size=(size, 3)),
-                                              rng.integers(2, size=size),
+                model.train_batch(StreamBatch(rng.uniform(size=(size, n)),
+                                              rng.integers(m, size=size),
                                               np.array(labeled, dtype=bool), i))
             elif kind == "generative":
                 model.generative_step(x)
@@ -545,8 +559,11 @@ def run_step_sequence(seed, ops) -> list:
             elif kind == "malformed":
                 before = state_hash(model)
                 with pytest.raises(ShapeError):
-                    model.train_batch(malformed_batch(rng, len(labeled), index % 5))
+                    model.train_batch(malformed_batch(rng, len(labeled), index % 5, n, m))
                 assert state_hash(model) == before
+            elif kind == "rebind":
+                slot = REBOUND[pick % len(REBOUND)]
+                slot.set(model, REBINDINGS[pick // len(REBOUND)](slot.get(model)))
             elif model.width >= 2 and index < model.width:
                 model._prune(index)
             else:
@@ -592,25 +609,26 @@ def test_copies_train_without_touching_the_original(tmp_path):
 
 
 def test_pickle_and_copy_leave_out_the_flat_vectors():
-    """The compiled step's next call rebuilds the flat vectors and its
-    context of raw pointers, so a pickle or deep copy of a trained model
-    carries neither; the original keeps its own. The numpy step never
-    builds them."""
+    """The compiled step's next call rebuilds its struct of raw pointers into
+    the model's arrays, so a pickle or deep copy of a trained model does not
+    carry it; the original keeps its own. The numpy step never builds it."""
     feats, labels = gen_sea(200, rng=np.random.default_rng(72))
     for backend in each_backend():
         model = DevdanModel(3, 2, DevdanConfig(seed=72))
         train(model, feats, labels)
-        assert (model._flat_state is not None) == (backend == "compiled")
+        assert (model._kernel_state is not None) == (backend == "compiled")
         data = pickle.dumps(model)
-        assert b"FlatState" not in data and b"StepContext" not in data
-        assert copy.deepcopy(model)._flat_state is None
+        assert b"KernelState" not in data and b"KernelModel" not in data
+        assert copy.deepcopy(model)._kernel_state is None
 
 
-@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean", "charts"])
+@pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean", "charts",
+                                     "layer.w float32", "layer.w Fortran"])
 def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
     """Assigning a parameter, node-statistics or chart array, or the whole
     layer, of a model that has trained hands the new values to the next step,
-    with either step."""
+    with either step. A float32 or Fortran-order array trains as the C-order
+    float64 copy that both steps replace it by."""
     ends = {backend: rebound_run(tmp_path / f"{backend}.ckpt.json", rebound)
             for backend in each_backend()}
     assert len(set(ends.values())) == 1, ends
@@ -626,6 +644,13 @@ def rebound_run(path, rebound) -> str:
     if rebound == "layer.w":
         new = {"w": rng.normal(size=model.layer.w.shape)}
         model.layer.w = new["w"].copy()
+    elif rebound == "layer.w float32":
+        new = {"w": model.layer.w.astype(np.float32)}
+        model.layer.w = new["w"]
+    elif rebound == "layer.w Fortran":
+        assert model.width > 1  # else the Fortran-order copy is C order too
+        new = {}
+        model.layer.w = np.asfortranarray(model.layer.w)
     elif rebound == "head.theta":
         new = {"theta": rng.normal(size=model.head.theta.shape)}
         model.head.theta = new["theta"].copy()
@@ -635,7 +660,7 @@ def rebound_run(path, rebound) -> str:
         doc["gen_stats"]["mean"] = new.pop("mean").tolist()
     elif rebound == "charts":
         # each chart's moments and minima moved, its count kept, and a re-seed
-        # armed, so that no chart fires (and rebuilds the flat state) at once
+        # armed, so that no chart fires (and repoints the compiled loop) at once
         new = {}
         model.charts = model.charts + rng.uniform(size=(4, 6)) * [0, 0.1, 0.01, 0.1, 0.01, 0]
         model.charts[:, -1] = 1.0
@@ -793,6 +818,75 @@ def test_malformed_batches_are_refused_before_training(case):
         assert state_hash(model) == before, backend
 
 
+WRONG_SHAPES = {
+    "eta": lambda model: model.head.eta[:-1].copy(),
+    "b": lambda model: model.layer.b[:-1].copy(),
+    "vel_w": lambda model: model.vel_w.T.copy(),
+    "gen_stats.count": lambda model: model.gen_stats.count[:-1].copy(),
+    "charts": lambda model: np.zeros((4, 5)),
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_SHAPES))
+def test_wrongly_shaped_state_is_refused_on_both_steps(key):
+    """A state array of the wrong shape, assigned to a trained model, makes
+    train_batch, generative_step and discriminative_step raise a ShapeError
+    that names its slot, with either step, before any row trains: with the
+    right array put back, the hash is the one before the call."""
+    slot = next(s for s in (*STATE_SLOTS, CHART_SLOT) if s.key == key)
+    feats, labels = gen_sea(60, rng=np.random.default_rng(93))
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=93))
+        train(model, feats[:40], labels[:40])
+        assert model.width != model.n_in  # so that the transpose has another shape
+        right, wrong, before = slot.get(model), WRONG_SHAPES[key](model), state_hash(model)
+        calls = {
+            "train_batch": lambda: model.train_batch(
+                StreamBatch(feats[40:], labels[40:], np.ones(20, dtype=bool), 0)),
+            "generative_step": lambda: model.generative_step(feats[40]),
+            "discriminative_step": lambda: model.discriminative_step(feats[40], int(labels[40])),
+        }
+        for name, call in calls.items():
+            slot.set(model, wrong)
+            with pytest.raises(ShapeError, match=f"^{key} is a .* array of shape "):
+                call()
+            assert slot.get(model) is wrong
+            slot.set(model, right)
+            assert state_hash(model) == before, (backend, name)
+
+
+BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input
+    "predict": (["0.1", "a", "0.3"], [0.1, [0.2, 0.3], 0.4]),
+    "predict_batch": ([[0.1, 0.2, 0.3], [0.1, "a", 0.3]], [[0.1, 0.2, 0.3], [0.1, 0.2]]),
+    "generative_step": (["0.1", "a", "0.3"], [0.1, [0.2, 0.3], 0.4]),
+    "discriminative_step": (["0.1", "a", "0.3"], [0.1, [0.2, 0.3], 0.4]),
+    "train_batch": ([[0.1, 0.2, 0.3], [0.1, "a", 0.3]], [[0.1, 0.2, 0.3], [0.1, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_FEATURES))
+def test_non_numeric_or_ragged_features_are_refused(entry):
+    """Features that are not numbers, or rows of unequal length, raise a
+    ShapeError at every entry point that takes features, on either step,
+    and leave the model as it was."""
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=94))
+        train(model, *gen_sea(30, rng=np.random.default_rng(94)))
+        before = state_hash(model)
+        for feats in BAD_FEATURES[entry]:
+            call = {
+                "predict": lambda: model.predict(feats),
+                "predict_batch": lambda: model.predict_batch(feats),
+                "generative_step": lambda: model.generative_step(feats),
+                "discriminative_step": lambda: model.discriminative_step(feats, 0),
+                "train_batch": lambda: model.train_batch(
+                    StreamBatch(feats, np.zeros(2, dtype=int), np.ones(2, dtype=bool), 0)),
+            }[entry]
+            with pytest.raises(ShapeError, match="features are not numbers"):
+                call()
+            assert state_hash(model) == before, (backend, feats)
+
+
 @pytest.mark.parametrize("label", [1.7, float("nan"), "1", None])
 def test_non_integer_labels_are_refused_on_both_steps(label):
     """discriminative_step and train_batch refuse a label that is not an
@@ -869,8 +963,8 @@ class WrappedGenerator(np.random.Generator):
 def test_generator_subclass_takes_the_numpy_step(compiled_step):
     """With the compiled library loaded, a model whose generator is not a
     numpy Generator trains on the numpy step, single steps and a half-labeled
-    batch alike, without building the flat vectors, and ends where a model
-    on the same plain generator ends."""
+    batch alike, without pointing the compiled loop at its arrays, and ends
+    where a model on the same plain generator ends."""
     feats, labels = gen_sea(200, rng=np.random.default_rng(89))
     labeled = np.arange(100) % 2 == 0
     models = []
@@ -880,7 +974,7 @@ def test_generator_subclass_takes_the_numpy_step(compiled_step):
         model.train_batch(StreamBatch(feats[100:], labels[100:], labeled, 0))
         models.append(model)
     wrapped, plain = models
-    assert wrapped._flat_state is None and plain._flat_state is not None
+    assert wrapped._kernel_state is None and plain._kernel_state is not None
     assert state_hash(wrapped) == state_hash(plain)
 
 
