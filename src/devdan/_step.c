@@ -18,11 +18,12 @@
  *     order the numpy step writes them. Build with -ffp-contract=off and
  *     without -ffast-math so that no two of them fuse.
  *
- * devdan_train_rows runs one phase over a run of rows and returns to Python
- * when the rows run out, at a non-finite result, or when a chart fires;
- * Python then makes the structural edit, which draws from the generator, and
- * resumes at the same row. The model struct points at the model's own
- * arrays, its charts included, which both steps update in place.
+ * devdan_train_rows is the one row loop of both phases (phase_of holds what
+ * differs). It returns to Python when the rows run out, at a non-finite
+ * result, or when a chart fires; Python then makes the structural edit,
+ * which draws from the generator, and resumes at the same row, whose forward
+ * pass is redone against the edited layer. The model struct points at the
+ * model's own arrays, its charts included, which both steps update in place.
  */
 #include <math.h>
 #include <stddef.h>
@@ -72,6 +73,8 @@ struct model {
 };
 
 enum { BIAS2, VARIANCE, LOSS };
+/* why devdan_train_rows returned */
+enum { DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
 
 /* ---------------------------------------------------------------- numpy */
 
@@ -197,6 +200,26 @@ static struct view view_of(const struct model *md)
     return s;
 }
 
+/* What differs between the phases, label < 0 being the generative one: the
+ * encoded input (x_tilde or x), the node statistics, and the output layer,
+ * weight (width, k) with strides (rs, cs) plus bias (k): the reconstruction
+ * through w.T and c, or the head theta and eta. */
+struct phase {
+    const double *input, *weight, *bias;
+    int64_t *count;
+    double *mean, *m2;
+    ptrdiff_t k, rs, cs;
+};
+
+static struct phase phase_of(const struct model *md, const struct view *s, int64_t label)
+{
+    if (label < 0)
+        return (struct phase){s->xt, md->w, md->c, md->gen_stats_count, md->gen_stats_mean,
+                              md->gen_stats_m2, s->n, 1, s->width};
+    return (struct phase){s->x, md->theta, md->eta, md->disc_stats_count, md->disc_stats_mean,
+                          md->disc_stats_m2, s->m, s->m, 1};
+}
+
 /* a = input @ w + b into hid[0:width] */
 static void encode(const struct model *md, const struct view *s, const double *input)
 {
@@ -229,19 +252,22 @@ static void probit_arg(const struct view *s, const int64_t *count, const double 
     }
 }
 
-/* The three output rows pre[r] = row_r @ weight + bias for row_r the hidden
- * activation, ey and ey * ey; weight is (width, k) with strides (rs, cs). */
-static void output_rows(const struct view *s, const double *weight, ptrdiff_t k,
-                        ptrdiff_t rs, ptrdiff_t cs, const double *bias)
+/* The first `rows` of the output rows pre[r] = squash(row_r @ weight + bias),
+ * row_r being the hidden activation, ey and ey * ey (in tmp), and squash the
+ * phase's: sigmoid, or softmax row by row. */
+static void output_rows(const struct view *s, const struct phase *p, ptrdiff_t rows,
+                        int64_t label)
 {
-    for (ptrdiff_t j = 0; j < s->width; j++)
-        s->tmp[j] = s->ey[j] * s->ey[j];
-    vecmat(s->hid, weight, s->width, k, rs, cs, s->pre);
-    vecmat(s->ey, weight, s->width, k, rs, cs, s->pre + k);
-    vecmat(s->tmp, weight, s->width, k, rs, cs, s->pre + 2 * k);
-    for (ptrdiff_t r = 0; r < 3; r++)
-        for (ptrdiff_t i = 0; i < k; i++)
-            s->pre[r * k + i] = s->pre[r * k + i] + bias[i];
+    const double *from[3] = {s->hid, s->ey, s->tmp};
+    for (ptrdiff_t r = 0; r < rows; r++)
+        vecmat(from[r], p->weight, s->width, p->k, p->rs, p->cs, s->pre + r * p->k);
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t i = 0; i < p->k; i++)
+            s->pre[r * p->k + i] = s->pre[r * p->k + i] + p->bias[i];
+    if (label < 0)
+        sigmoid(s->pre, rows * p->k);
+    else
+        softmax(s->pre, rows, p->k);
 }
 
 /* bias2 and variance of the expected outputs ez = pre[k:2k], ez2 = pre[2k:]
@@ -260,38 +286,44 @@ static void bias_variance(const struct view *s, ptrdiff_t k, int64_t label)
     s->scalars[VARIANCE] = sum(s->tmp, k) / (double)k;
 }
 
-/* Generative step before the charts: encode x_tilde, update the node
- * statistics, then the snapshot with the forward pass riding along. */
-static void gen_forward(const struct model *md)
+/* A row before the charts: encode the phase's input, update its node
+ * statistics, then the snapshot, with the forward pass riding along as its
+ * first output row. */
+static void forward(const struct model *md, int64_t label)
 {
     struct view s = view_of(md);
-    encode(md, &s, s.xt);
-    stats_update(s.width, md->gen_stats_count, md->gen_stats_mean, md->gen_stats_m2, s.hid);
-    probit_arg(&s, md->gen_stats_count, md->gen_stats_mean, md->gen_stats_m2);
+    struct phase p = phase_of(md, &s, label);
+    encode(md, &s, p.input);
+    stats_update(s.width, p.count, p.mean, p.m2, s.hid);
+    probit_arg(&s, p.count, p.mean, p.m2);
     sigmoid(s.hid, 2 * s.width);
-    output_rows(&s, md->w, s.n, 1, s.width, md->c);
-    sigmoid(s.pre, 3 * s.n);
-    bias_variance(&s, s.n, -1);
+    for (ptrdiff_t j = 0; j < s.width; j++)
+        s.tmp[j] = s.ey[j] * s.ey[j];
+    output_rows(&s, &p, 3, label);
+    bias_variance(&s, p.k, label);
+}
+
+/* The forward pass again, after a structural edit: the hidden activation
+ * and the first output row. */
+static void refresh(const struct model *md, int64_t label)
+{
+    struct view s = view_of(md);
+    struct phase p = phase_of(md, &s, label);
+    encode(md, &s, p.input);
+    sigmoid(s.hid, s.width);
+    output_rows(&s, &p, 1, label);
 }
 
 /* Generative step after the charts: gradients of the reconstruction loss and
- * the plain update of w, b and c. refresh recomputes the forward pass after
- * a structural edit. Returns 0, or without touching the parameters 1 for a
- * non-finite loss and 2, 3, 4 for a non-finite gradient of w, b, c. */
-static int gen_update(const struct model *md, double lr, int refresh)
+ * the plain update of w, b and c. Returns DONE, or without touching the
+ * parameters GEN_LOSS for a non-finite loss and GRAD_W, GRAD_B, GRAD_C for a
+ * non-finite gradient of w, b, c. */
+static int gen_update(const struct model *md, double lr)
 {
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width;
-    double *y = s.hid, *z = s.pre;
+    const double *y = s.hid, *z = s.pre;
     double *dc = s.grad, *dw = dc + n, *db = dw + n * width;
-    if (refresh) {
-        encode(md, &s, s.xt);
-        sigmoid(y, width);
-        vecmat(y, md->w, width, n, 1, width, z);
-        for (ptrdiff_t i = 0; i < n; i++)
-            z[i] = z[i] + md->c[i];
-        sigmoid(z, n);
-    }
     for (ptrdiff_t i = 0; i < n; i++)
         dc[i] = ((z[i] - s.x[i]) * z[i]) * (1.0 - z[i]);
     vecmat(dc, md->w, n, width, width, 1, db);
@@ -304,57 +336,35 @@ static int gen_update(const struct model *md, double lr, int refresh)
         s.tmp[i] = s.x[i] - z[i];
     s.scalars[LOSS] = 0.5 * (0.0 + np_.dot(n, s.tmp, 1, s.tmp, 1));
     if (!isfinite(s.scalars[LOSS]))
-        return 1;
+        return GEN_LOSS;
     double *params[3] = {md->w, md->b, md->c};
     const double *blocks[3] = {dw, db, dc};
     const ptrdiff_t sizes[3] = {n * width, width, n};
     for (int k = 0; k < 3; k++)
         for (ptrdiff_t i = 0; i < sizes[k]; i++)
             if (!isfinite(blocks[k][i]))
-                return 2 + k;
+                return GRAD_W + k;
     for (int k = 0; k < 3; k++)
         for (ptrdiff_t i = 0; i < sizes[k]; i++)
             params[k][i] = params[k][i] - lr * blocks[k][i];
-    return 0;
+    return DONE;
 }
 
-/* Discriminative step before the charts: encode x, update the node
- * statistics, then the snapshot with the class probabilities riding along. */
-static void disc_forward(const struct model *md, int64_t label)
-{
-    struct view s = view_of(md);
-    encode(md, &s, s.x);
-    stats_update(s.width, md->disc_stats_count, md->disc_stats_mean, md->disc_stats_m2, s.hid);
-    probit_arg(&s, md->disc_stats_count, md->disc_stats_mean, md->disc_stats_m2);
-    sigmoid(s.hid, 2 * s.width);
-    output_rows(&s, md->theta, s.m, s.m, 1, md->eta);
-    softmax(s.pre, 3, s.m);
-    bias_variance(&s, s.m, label);
-}
-
-/* The hidden activation and class probabilities again, after a structural
- * edit. */
-static void disc_refresh(const struct model *md)
-{
-    struct view s = view_of(md);
-    encode(md, &s, s.x);
-    sigmoid(s.hid, s.width);
-    vecmat(s.hid, md->theta, s.width, s.m, s.m, 1, s.pre);
-    for (ptrdiff_t k = 0; k < s.m; k++)
-        s.pre[k] = s.pre[k] + md->eta[k];
-    softmax(s.pre, 1, s.m);
-}
-
-/* Discriminative step after the charts and the loss: softmax cross-entropy
- * gradients back through head and encoder, then momentum descent of w, b,
- * theta and eta. */
-static void disc_update(const struct model *md, int64_t label, double lr, double momentum)
+/* Discriminative step after the charts: the loss -log(max(p, 1e-300)) of the
+ * label's probability p, then softmax cross-entropy gradients back through
+ * head and encoder, and momentum descent of w, b, theta and eta. Returns
+ * DONE, or DISC_LOSS without touching the parameters for a non-finite loss. */
+static int disc_update(const struct model *md, int64_t label, double lr, double momentum)
 {
     struct view s = view_of(md);
     ptrdiff_t n = s.n, width = s.width, m = s.m;
     const double *h = s.hid, *probs = s.pre;
     double *dw = s.grad + n, *da = dw + n * width, *dtheta = da + width;
     double *dlogits = dtheta + width * m;
+    double p = probs[label];
+    s.scalars[LOSS] = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
+    if (!isfinite(s.scalars[LOSS]))
+        return DISC_LOSS;
     for (ptrdiff_t k = 0; k < m; k++)
         dlogits[k] = probs[k] - (k == label ? 1.0 : 0.0);
     for (ptrdiff_t j = 0; j < width; j++)
@@ -376,6 +386,7 @@ static void disc_update(const struct model *md, int64_t label, double lr, double
             vels[k][i] = vels[k][i] + grads[k][i];
             params[k][i] = params[k][i] - lr * vels[k][i];
         }
+    return DONE;
 }
 
 /* ------------------------------------------------------------ mask draw */
@@ -515,9 +526,9 @@ int devdan_charts(double *charts, double bias2, double variance, int64_t width,
 /* One phase over a run of rows. feats is a C-order (rows, n) array; index
  * lists the rows to train, in order; labels (per feats row, each in [0, m),
  * which the caller checks) is NULL for the generative phase. pos is where to
- * start, and on return the row that returned; resume tells whether that row
- * starts afresh or, after Python handled a chart that fired, goes on to its
- * update, recomputing the forward pass first when Python edited the layer. */
+ * start, and on return the row that returned. resume is set when that row's
+ * chart fired and Python edited the layer: the row then goes on to its
+ * update, recomputing the forward pass against the edited layer first. */
 struct rows {
     const double *feats;
     const int64_t *index, *labels;
@@ -528,9 +539,6 @@ struct rows {
     int64_t n_masked, enable_grow, enable_prune;
     double lr, momentum;
 };
-
-enum { FRESH, UPDATE, REFRESH };
-enum { DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
 
 /* The phase's two charts on a copy, kept only when neither fires: Python
  * redoes a row whose chart fires, or where a Python call would raise. */
@@ -546,52 +554,27 @@ static int row_charts(const struct model *md, const struct rows *r)
     return DONE;
 }
 
-static int generative_rows(const struct model *md, struct rows *r)
-{
-    struct view s = view_of(md);
-    for (; r->pos < r->count; r->pos++) {
-        int64_t resume = r->resume;
-        r->resume = FRESH;
-        if (resume == FRESH) {
-            memcpy(s.x, r->feats + r->index[r->pos] * s.n, s.n * sizeof(double));
-            mask_draw(r->bitgen, s.x, s.xt, s.n, r->n_masked, r->perm);
-            gen_forward(md);
-            if (row_charts(md, r) != DONE)
-                return CHART;
-        }
-        int status = gen_update(md, r->lr, resume == REFRESH);
-        r->losses[r->pos] = s.scalars[LOSS];
-        if (status)
-            return GEN_LOSS + status - 1;
-    }
-    return DONE;
-}
-
-static int discriminative_rows(const struct model *md, struct rows *r)
-{
-    struct view s = view_of(md);
-    for (; r->pos < r->count; r->pos++) {
-        int64_t resume = r->resume, row = r->index[r->pos], label = r->labels[row];
-        r->resume = FRESH;
-        if (resume == FRESH) {
-            memcpy(s.x, r->feats + row * s.n, s.n * sizeof(double));
-            disc_forward(md, label);
-            if (row_charts(md, r) != DONE)
-                return CHART;
-        } else if (resume == REFRESH) {
-            disc_refresh(md);
-        }
-        double p = s.pre[label];
-        double loss = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
-        r->losses[r->pos] = loss;
-        if (!isfinite(loss))
-            return DISC_LOSS;
-        disc_update(md, label, r->lr, r->momentum);
-    }
-    return DONE;
-}
-
 int devdan_train_rows(const struct model *md, struct rows *r)
 {
-    return r->labels ? discriminative_rows(md, r) : generative_rows(md, r);
+    struct view s = view_of(md);
+    for (; r->pos < r->count; r->pos++) {
+        int64_t row = r->index[r->pos], label = r->labels ? r->labels[row] : -1;
+        if (r->resume) {
+            r->resume = 0;
+            refresh(md, label);
+        } else {
+            memcpy(s.x, r->feats + row * s.n, s.n * sizeof(double));
+            if (label < 0)
+                mask_draw(r->bitgen, s.x, s.xt, s.n, r->n_masked, r->perm);
+            forward(md, label);
+            if (row_charts(md, r) != DONE)
+                return CHART;
+        }
+        int status = label < 0 ? gen_update(md, r->lr)
+                               : disc_update(md, label, r->lr, r->momentum);
+        r->losses[r->pos] = s.scalars[LOSS];
+        if (status != DONE)
+            return status;
+    }
+    return DONE;
 }

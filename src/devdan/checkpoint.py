@@ -33,7 +33,27 @@ def _lookup(doc: dict, key: str):
     return doc
 
 
+def _number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# Each chart column's key in a checkpoint's chart entry, in column order, with
+# what training needs of its value; NaN passes, since a model that trained on
+# NaN input holds it
+_CHART_ENTRIES = (
+    ("current.count", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    ("current.mean", _number, "a number"),
+    ("current.m2", lambda v: _number(v) and not v < 0, "a non-negative number"),
+    ("min_mean", _number, "a number"),
+    ("min_std", lambda v: _number(v) and not v < 0, "a non-negative number"),
+    ("reseed", lambda v: type(v) is bool, "true or false"),
+)
+
+
 def model_to_dict(model: DevdanModel) -> dict:
+    """The checkpoint document of model; a wrongly shaped state or chart
+    array raises the ShapeError that training would."""
+    *arrays, charts = model.checked_state()
     doc = {
         "format_version": FORMAT_VERSION,
         "n_in": model.n_in,
@@ -41,19 +61,19 @@ def model_to_dict(model: DevdanModel) -> dict:
         "width": model.width,
         "config": dataclasses.asdict(model.config),
     }
-    for slot in STATE_SLOTS:
-        _nest(doc, slot.key, slot.get(model).tolist())
-    for name, row in zip(CHARTS, model.charts):
-        count, mean, m2, min_mean, min_std, reseed = SpcTracker(row).values()
-        doc[name] = {"current": {"count": count, "mean": mean, "m2": m2},
-                     "min_mean": min_mean, "min_std": min_std, "reseed": reseed}
+    for slot, arr in zip(STATE_SLOTS, arrays):
+        _nest(doc, slot.key, arr.tolist())
+    for name, row in zip(CHARTS, charts):
+        for (key, _, _), value in zip(_CHART_ENTRIES, SpcTracker(row).values()):
+            _nest(doc, f"{name}.{key}", value)
     doc["rng_state"] = model.rng.bit_generator.state
     return doc
 
 
 def save_checkpoint(model: DevdanModel, path) -> None:
+    doc = model_to_dict(model)  # before the file opens: a refused model writes nothing
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
@@ -81,22 +101,28 @@ def load_checkpoint(path) -> DevdanModel:
                 raise CheckpointError(f"{path}: {slot.key} has shape {arr.shape}, expected {shape}")
             slot.set(model, arr)
         for name, row in zip(CHARTS, model.charts):
-            chart, moment = doc[name], doc[name]["current"]
-            row[:] = (int(moment["count"]), float(moment["mean"]), float(moment["m2"]),
-                      float(chart["min_mean"]), float(chart["min_std"]), bool(chart["reseed"]))
+            for col, (key, usable, expected) in enumerate(_CHART_ENTRIES):
+                value = _lookup(doc, f"{name}.{key}")
+                if not usable(value):
+                    raise CheckpointError(f"{path}: {name}.{key} is {value!r}, "
+                                          f"expected {expected}")
+                row[col] = value
         model.rng.bit_generator.state = doc["rng_state"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint ({err})") from err
     return model
 
 
 def state_hash(model: DevdanModel) -> str:
-    """SHA-256 over every mutable piece of model state, RNG included."""
+    """SHA-256 over every mutable piece of model state, RNG included; a
+    wrongly shaped state or chart array raises the ShapeError that training
+    would."""
     h = hashlib.sha256()
-    for slot in STATE_SLOTS:
+    *arrays, charts = model.checked_state()
+    for slot, arr in zip(STATE_SLOTS, arrays):
         # as the slot's dtype, which training casts every array to
-        h.update(np.ascontiguousarray(slot.get(model), dtype=slot.dtype).tobytes())
-    for row in model.charts:
+        h.update(np.ascontiguousarray(arr, dtype=slot.dtype).tobytes())
+    for row in charts:
         h.update(repr(SpcTracker(row).values()).encode())
     h.update(repr(model.rng.bit_generator.state).encode())
     return h.hexdigest()

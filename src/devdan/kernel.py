@@ -93,8 +93,7 @@ class Rows(ctypes.Structure):
 
 
 GROW, PRUNE, RAISES = 1, 2, 4
-# where a resumed row starts, and why devdan_train_rows returned
-FRESH, UPDATE, REFRESH = 0, 1, 2
+# why devdan_train_rows returned
 DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS = range(7)
 
 

@@ -15,7 +15,7 @@ import ctypes
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -357,22 +357,22 @@ class DevdanModel:
             if slot.node_axis is not None:
                 slot.set(self, np.delete(slot.get(self), index, axis=slot.node_axis))
 
-    def _evolve(
-        self,
-        bias_chart: SpcTracker,
-        var_chart: SpcTracker,
-        snap: NsSnapshot,
-        grow: Callable[[], None],
-    ) -> tuple[bool, bool]:
-        """One phase's structural step: the bias chart may grow a node with the
-        phase's initialiser, then the variance chart may prune the node with
-        the lowest expected activation. A chart that fires re-seeds its minima.
-        Returns (grew, pruned)."""
-        cfg = self.config
+    def _evolve(self, snap: NsSnapshot, residual: np.ndarray | None = None) -> tuple[bool, bool]:
+        """One phase's structural step: the generative one given the
+        reconstruction residual, else the discriminative one. The phase's bias
+        chart may grow a node with the phase's initialiser, then its variance
+        chart may prune the node with the lowest expected activation. A chart
+        that fires re-seeds its minima. Returns (grew, pruned)."""
+        cfg, gen = self.config, residual is not None
+        # CHARTS order: the generative bias and variance charts, then the others
+        bias_chart, var_chart = map(SpcTracker, self.charts[:2] if gen else self.charts[2:])
         bias_chart.update(snap.bias2)
         grew = cfg.enable_grow and should_grow(bias_chart, snap.bias2)
         if grew:
-            grow()
+            if gen:
+                self._grow_generative(residual)
+            else:
+                self._grow_discriminative()
             bias_chart.reset_min(cfg.reset_mode)
 
         var_chart.update(snap.variance)
@@ -391,25 +391,30 @@ class DevdanModel:
         # next step rebuilds them from the live arrays
         return {**self.__dict__, "_kernel_state": None}
 
-    def _check_state(self) -> None:
-        """The rule both steps apply before any row of a training call trains:
-        an array whose shape is not its slot's raises a ShapeError naming the
-        slot; one of another dtype or memory order, or read-only, is replaced
-        by a C-order copy of the slot's dtype, after every shape has passed."""
+    def checked_state(self) -> tuple[np.ndarray, ...]:
+        """Every STATE_SLOTS array, then the chart array, as np.asarray gives
+        it, with nothing rebound. One whose shape is not its slot's, or whose
+        dtype is not a number, raises a ShapeError naming the slot."""
         w = np.asarray(self.layer.w)
         width = w.shape[1] if w.ndim == 2 else -1  # any other w is named below
         sizes = {"n": self.n_in, "width": width, "m": self.n_classes}
-        copies = []
-        for slot, was in zip((*STATE_SLOTS, CHART_SLOT), _state_arrays(self)):
-            arr = np.asarray(was)
+        arrays = tuple(map(np.asarray, _state_arrays(self)))
+        for slot, arr in zip((*STATE_SLOTS, CHART_SLOT), arrays):
             if arr.shape != slot.shape(sizes) or arr.dtype.kind not in "biuf":
                 raise ShapeError(f"{slot.key} is a {arr.dtype} array of shape {arr.shape}, "
                                  f"expected {np.dtype(slot.dtype)} of shape {slot.shape(sizes)}")
+        return arrays
+
+    def _check_state(self) -> None:
+        """The rule both steps apply before any row of a training call trains:
+        the shapes of checked_state, then, once every shape has passed, an
+        array of another dtype or memory order, or read-only, is replaced by
+        a C-order copy of the slot's dtype."""
+        for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), _state_arrays(self),
+                                  self.checked_state()):
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
-                copies.append((slot, np.array(arr, dtype=slot.dtype, order="C")))
-        for slot, arr in copies:
-            slot.set(self, arr)
+                slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
 
     def _kernel(self) -> KernelState | None:
         """The compiled step's hold on the live arrays, rebuilt after the rule
@@ -476,9 +481,7 @@ class DevdanModel:
         self.gen_stats.update(a)
         snap = ns_snapshot_generative(layer, self.gen_stats, x)
         # the residual x - z is the pre-edit one: z is replaced only below
-        grew, pruned = self._evolve(
-            self.gen_bias, self.gen_var, snap, lambda: self._grow_generative(x - z)
-        )
+        grew, pruned = self._evolve(snap, x - z)
         if grew or pruned:
             y = z = None  # the forward pass again, through the edited layer
         loss, dw, db, dc = dae.generative_gradients(layer, x, x_tilde, y=y, z=z)
@@ -494,9 +497,7 @@ class DevdanModel:
         a = x @ layer.w + layer.b
         self.disc_stats.update(a)
         snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot)
-        grew, pruned = self._evolve(
-            self.disc_bias, self.disc_var, snap, self._grow_discriminative
-        )
+        grew, pruned = self._evolve(snap)
         if grew or pruned:
             a = x @ layer.w + layer.b  # the forward pass again, through the edited layer
         h = sigmoid(a)
@@ -522,9 +523,10 @@ class DevdanModel:
         """Trains one phase over feats[rows] in the compiled loop: the
         generative phase, or given labels (int64, one per row of feats) the
         discriminative one. The loop returns to Python only where a chart
-        fires, for _evolve to make the edit, which draws from the generator;
-        it then resumes at the same row, recomputing the forward pass against
-        the edited layer. The loop updates the rows of self.charts in place.
+        fires, for _evolve to make the edit, which draws from the generator
+        (a chart that fires always ends in an edit, or _evolve raises); it
+        then resumes at the same row (job.resume), recomputing the forward
+        pass against the edited layer. The loop updates self.charts in place.
 
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
@@ -540,28 +542,19 @@ class DevdanModel:
         perm = np.empty(n, dtype=np.int64)
         job = kernel.Rows(
             feats.ctypes.data, rows.ctypes.data, None if gen else labels.ctypes.data,
-            rows.shape[0], 0, kernel.FRESH, losses.ctypes.data, bitgen, perm.ctypes.data,
+            rows.shape[0], 0, 0, losses.ctypes.data, bitgen, perm.ctypes.data,
             min(self.mask.n_masked(n), n), cfg.enable_grow, cfg.enable_prune,
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0
-        while True:
-            status = k.train_rows(k.addr, ctypes.byref(job))
-            if status != kernel.CHART:
-                break
-            x, output = feats[rows[job.pos]], k.gen_output
-            charts = (self.gen_bias, self.gen_var) if gen else (self.disc_bias, self.disc_var)
-            grew, pruned = self._evolve(
-                *charts, NsSnapshot(k.ey, *k.scalars[:2].tolist()),
-                (lambda: self._grow_generative(x - output)) if gen else self._grow_discriminative,
-            )
+        while (status := k.train_rows(k.addr, ctypes.byref(job))) == kernel.CHART:
+            residual = feats[rows[job.pos]] - k.gen_output if gen else None
+            grew, pruned = self._evolve(NsSnapshot(k.ey, *k.scalars[:2].tolist()), residual)
             grows += grew
             prunes += pruned
-            job.resume = kernel.UPDATE
-            if grew or pruned:
-                old, k = k, self._kernel()
-                k.work[:2 * n] = old.work[:2 * n]  # x and x_tilde, drawn once
-                job.resume = kernel.REFRESH
+            old, k = k, self._kernel()
+            k.work[:2 * n] = old.work[:2 * n]  # x and x_tilde, drawn once
+            job.resume = 1
         if status == kernel.DONE:
             return losses, grows, prunes, None
         pos = job.pos

@@ -3,7 +3,9 @@ squashes and sums against numpy's own operators, its mask draw against
 dae.mask_input, its control charts against SpcTracker and the chart tests,
 whole runs against the numpy step, and the loader's fallback, self-check and
 concurrent builds."""
+import ast
 import copy
+import ctypes
 import math
 import os
 import re
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from conftest import each_backend
 
-from devdan import kernel, step_backend
+from devdan import kernel, monitors, step_backend
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import MaskSpec, mask_input
 from devdan.errors import ShapeError
@@ -192,15 +194,37 @@ def test_charts_report_where_python_raises(lib):
     assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False)[0] == 0
 
 
+def c_fields(struct: str) -> list[tuple[str, str]]:
+    """(name, type) of each member of `struct <struct>` in _step.c, in order;
+    the type is the base type without const, then " *" for a pointer."""
+    body = re.search(rf"struct {struct} \{{(.*?)\}};", kernel.SOURCE.read_text(), re.S).group(1)
+    fields = []
+    for decl in filter(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")):
+        base, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", decl, re.S).groups()
+        fields += [(name.strip(" *"), base + " *" * ("*" in name)) for name in names.split(",")]
+    return fields
+
+
+def c_enum(member: str) -> dict[str, int]:
+    """Name and value of each member of the enum in _step.c that declares
+    member."""
+    for body in re.findall(r"enum \{(.*?)\};", kernel.SOURCE.read_text(), re.S):
+        parts = [part.partition("=") for part in body.split(",")]
+        if member in (name.strip() for name, _, _ in parts):
+            values, value = {}, 0
+            for name, _, given in parts:
+                value = int(given) if given else value
+                values[name.strip()] = value
+                value += 1
+            return values
+    raise AssertionError(f"no enum in {kernel.SOURCE.name} declares {member}")
+
+
 def test_struct_model_matches_the_state_table():
     """struct model in _step.c declares, in order, the fields that
     KernelModel generates from STATE_SLOTS, and each slot's pointer has the
     slot's dtype: a slot added without its C pointer fails here."""
-    body = re.search(r"struct model \{(.*?)\};", kernel.SOURCE.read_text(), re.S).group(1)
-    declared = []
-    for decl in filter(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")):
-        ctype, names = decl.split(None, 1)
-        declared += [(name.strip(" *"), ctype) for name in names.split(",")]
+    declared = c_fields("model")
     generated = [name for name, _ in KernelModel._fields_]
     assert [name for name, _ in declared] == generated, (
         f"struct model in {kernel.SOURCE.name} declares {[name for name, _ in declared]}, "
@@ -208,8 +232,21 @@ def test_struct_model_matches_the_state_table():
         f"entry there, in table order")
     ctypes_of = dict(declared)
     for slot in STATE_SLOTS:
-        want = {np.float64: "double", np.int64: "int64_t"}[slot.dtype]
+        want = {np.float64: "double *", np.int64: "int64_t *"}[slot.dtype]
         assert ctypes_of[slot.key.replace(".", "_")] == want, slot.key
+
+
+def test_struct_rows_and_enums_match_the_python_side():
+    """struct rows in _step.c declares kernel.Rows' fields, in order and of
+    matching types; the loop's status codes and chart decisions carry the
+    values kernel.py gives them, and the chart columns monitors.py's."""
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    declared = [(name, ctypes.c_void_p if ctype.endswith("*") else scalar[ctype])
+                for name, ctype in c_fields("rows")]
+    assert declared == kernel.Rows._fields_, (declared, kernel.Rows._fields_)
+    for member, module in (("DONE", kernel), ("GROW", kernel), ("COUNT", monitors)):
+        values = c_enum(member)
+        assert values == {name: getattr(module, name, None) for name in values}, member
 
 
 def test_discriminative_loss_is_numpys_log(compiled_step):
@@ -302,21 +339,39 @@ def test_self_check_covers_mask_draw_and_charts(monkeypatch, compiled_step):
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
 
 
-def sanitizer_scenario(folder) -> tuple[str, int]:
+def drifting_stream(rows: int, n: int, m: int, seed: int):
+    """rows of U[0, 1]^n, each labeled by the largest of x @ W over m
+    classes, with W redrawn every 200 rows."""
+    rng = np.random.default_rng(seed)
+    feats = rng.uniform(size=(rows, n))
+    weights = rng.normal(size=(rows // 200 + 1, n, m))
+    labels = np.einsum("tn,tnm->tm", feats, weights[np.arange(rows) // 200]).argmax(axis=1)
+    return feats, labels
+
+
+def train_batches(model, feats, labels, labeled, size) -> int:
+    """train_batch over feats in batches of size; returns the edits made."""
+    edits = 0
+    for k in range(0, len(feats), size):
+        report = model.train_batch(StreamBatch(feats[k:k + size], labels[k:k + size],
+                                               labeled[k:k + size], k // size))
+        edits += report.grow_events + report.prune_events
+    return edits
+
+
+def sanitizer_scenario(folder) -> list[tuple[str, int]]:
     """Every way the compiled loop's pointers get rebound: SEA batches whose
     concept flips every 200 rows (edits inside the loop), single steps, a
     checkpoint reload, a deep copy and a rebound chart array, then a head
-    bias one class short, which is refused. Returns the final state hash and
-    the number of edits made in the batches."""
+    bias one class short, which is refused. Then batches with edits at both
+    lengths of the output rows: n=40 inputs and m=3 classes, and m > n
+    (n=2, m=5). Returns each model's final state hash and the number of
+    edits made in its batches."""
     schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(10))
     feats, labels = gen_sea(2000, schedule, np.random.default_rng(61))
     labeled = np.random.default_rng(62).uniform(size=2000) < 0.5
     model = DevdanModel(3, 2, DevdanConfig(seed=61))
-    edits = 0
-    for k in range(0, 1200, 300):
-        report = model.train_batch(StreamBatch(feats[k:k + 300], labels[k:k + 300],
-                                               labeled[k:k + 300], k // 300))
-        edits += report.grow_events + report.prune_events
+    edits = train_batches(model, feats[:1200], labels[:1200], labeled[:1200], 300)
     train(model, feats[1200:1400], labels[1200:1400])
     path = Path(folder) / "m.ckpt.json"
     save_checkpoint(model, path)
@@ -326,16 +381,24 @@ def sanitizer_scenario(folder) -> tuple[str, int]:
     train(model, feats[1600:1800], labels[1600:1800])
     model.charts = model.charts.copy()
     train(model, feats[1800:], labels[1800:])
-    model.head.eta = model.head.eta[:-1].copy()
+    eta, model.head.eta = model.head.eta, model.head.eta[:-1].copy()
     with pytest.raises(ShapeError, match="^eta "):
         model.train_batch(StreamBatch(feats[:300], labels[:300], labeled[:300], 7))
-    return state_hash(model), edits
+    model.head.eta = eta
+    ends = [(state_hash(model), edits)]
+    for n, m, seed in ((40, 3, 63), (2, 5, 64)):
+        feats, labels = drifting_stream(600, n, m, seed)
+        labeled = np.random.default_rng(seed).uniform(size=600) < 0.5
+        model = DevdanModel(n, m, DevdanConfig(seed=seed))
+        edits = train_batches(model, feats, labels, labeled, 200)
+        ends.append((state_hash(model), edits))
+    return ends
 
 
 def test_sanitized_kernel_runs_clean(compiled_step, tmp_path):
     """The kernel built with AddressSanitizer and UBSan, in a fresh cache,
     loads, passes its self-check and runs sanitizer_scenario without a
-    report, ending on the plain build's hash."""
+    report, ending on the plain build's hashes."""
     try:
         runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
                                  text=True, timeout=60, check=True).stdout.strip()
@@ -349,19 +412,20 @@ def test_sanitized_kernel_runs_clean(compiled_step, tmp_path):
             f"kernel.FLAGS += {SANITIZE!r}\n"
             f"import test_kernel\n"
             f"print(kernel.step_backend())\n"
-            f"print(*test_kernel.sanitizer_scenario({str(tmp_path)!r}))\n")
+            f"print(test_kernel.sanitizer_scenario({str(tmp_path)!r}))\n")
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "LD_PRELOAD": runtime,
            "ASAN_OPTIONS": "detect_leaks=0"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=600, check=False)
     assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr[-3000:]
     assert "runtime error" not in proc.stderr, proc.stderr[-3000:]
-    backend, digest, edits = proc.stdout.split()
+    backend, ends = proc.stdout.splitlines()
     assert backend == "compiled", proc.stdout
     (build,) = (tmp_path / "cache" / "devdan").glob("step-*.so")
     assert b"__asan_report" in build.read_bytes()
-    assert (digest, int(edits)) == sanitizer_scenario(tmp_path)
-    assert int(edits) > 5
+    ends = ast.literal_eval(ends)
+    assert ends == sanitizer_scenario(tmp_path)
+    assert ends[0][1] > 5 and all(edits > 0 for _, edits in ends[1:]), ends
 
 
 def test_concurrent_builds_into_one_empty_cache_both_load(compiled_step, tmp_path):

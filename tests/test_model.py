@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devdan import dae, kernel
-from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
+from devdan.checkpoint import load_checkpoint, model_to_dict, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
 from devdan.model import CHART_SLOT, CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
@@ -453,6 +453,56 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=f"{key} has shape"):
                 load_checkpoint(path)
 
+    def test_unusable_chart_entry_rejected(self, tmp_path):
+        """A chart entry that training could not use is refused at the load,
+        naming the chart: a count that is not a non-negative integer, a
+        negative m2 or min_std, a value that is not a number, or a reseed
+        that is not a JSON boolean. A number beyond float64 is malformed."""
+        model = self.trained_model()
+        path = tmp_path / "c.ckpt.json"
+        save_checkpoint(model, path)
+        good = path.read_text()
+        corruptions = {
+            "gen_bias.current.m2": -1,
+            "disc_var.min_std": -0.5,
+            "gen_var.current.count": -1,
+            "disc_bias.current.count": 2.5,
+            "gen_bias.current.mean": "0.5",
+            "disc_bias.reseed": "no",
+            "gen_var.reseed": 1,
+        }
+        for key, value in corruptions.items():
+            doc = json.loads(good)
+            *parents, leaf = key.split(".")
+            entry = doc
+            for name in parents:
+                entry = entry[name]
+            entry[leaf] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=rf"{key} is {value!r}, expected "):
+                load_checkpoint(path)
+        doc = json.loads(good)
+        doc["gen_bias"]["current"]["mean"] = 10 ** 400  # beyond float64
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    def test_nan_chart_values_load(self, tmp_path):
+        """A model that trained on a NaN feature holds NaN in its node
+        statistics and charts; it saves, loads and saves again to the same
+        bytes and hash."""
+        model = self.trained_model()
+        with pytest.raises(NumericError):
+            model.train_batch(StreamBatch(np.array([[np.nan, 0.5, 0.5]]), np.array([1]),
+                                          np.ones(1, dtype=bool), 0))
+        assert np.isnan(model.charts).any()
+        p1, p2 = tmp_path / "a.ckpt.json", tmp_path / "b.ckpt.json"
+        save_checkpoint(model, p1)
+        loaded = load_checkpoint(p1)
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert state_hash(loaded) == state_hash(model)
+
     def test_wrong_version_rejected(self, tmp_path):
         model = self.trained_model()
         path = tmp_path / "v.ckpt.json"
@@ -828,11 +878,13 @@ WRONG_SHAPES = {
 
 
 @pytest.mark.parametrize("key", list(WRONG_SHAPES))
-def test_wrongly_shaped_state_is_refused_on_both_steps(key):
+def test_wrongly_shaped_state_is_refused_on_both_steps(key, tmp_path):
     """A state array of the wrong shape, assigned to a trained model, makes
     train_batch, generative_step and discriminative_step raise a ShapeError
     that names its slot, with either step, before any row trains: with the
-    right array put back, the hash is the one before the call."""
+    right array put back, the hash is the one before the call. state_hash,
+    model_to_dict and save_checkpoint raise the same error, and the save
+    writes no file."""
     slot = next(s for s in (*STATE_SLOTS, CHART_SLOT) if s.key == key)
     feats, labels = gen_sea(60, rng=np.random.default_rng(93))
     for backend in each_backend():
@@ -846,6 +898,9 @@ def test_wrongly_shaped_state_is_refused_on_both_steps(key):
             "generative_step": lambda: model.generative_step(feats[40]),
             "discriminative_step": lambda: model.discriminative_step(feats[40], int(labels[40])),
         }
+        calls.update(state_hash=lambda: state_hash(model),
+                     model_to_dict=lambda: model_to_dict(model),
+                     save_checkpoint=lambda: save_checkpoint(model, tmp_path / "m.ckpt.json"))
         for name, call in calls.items():
             slot.set(model, wrong)
             with pytest.raises(ShapeError, match=f"^{key} is a .* array of shape "):
@@ -853,6 +908,7 @@ def test_wrongly_shaped_state_is_refused_on_both_steps(key):
             assert slot.get(model) is wrong
             slot.set(model, right)
             assert state_hash(model) == before, (backend, name)
+        assert not (tmp_path / "m.ckpt.json").exists()
 
 
 BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input
