@@ -150,18 +150,6 @@ static void vecmat(const double *v, const double *mat, ptrdiff_t k, ptrdiff_t le
         np_.gemv(COL_MAJOR, TRANS, k, len, 1.0, mat, cs, v, 1, 0.0, out, 1);
 }
 
-/* out = M @ v for a C-order (rows, k) matrix M */
-static void matvec(const double *mat, const double *v, ptrdiff_t rows, ptrdiff_t k, double *out)
-{
-    if (rows == 1)
-        out[0] = 0.0 + np_.dot(k, mat, 1, v, 1);
-    else if (k == 1)
-        for (ptrdiff_t r = 0; r < rows; r++)
-            out[r] = 0.0 + mat[r] * v[0];
-    else
-        np_.gemv(COL_MAJOR, TRANS, k, rows, 1.0, mat, k, v, 1, 0.0, out, 1);
-}
-
 /* The primitives on their own, for the load-time self-check and the tests. */
 void devdan_sum(const double *v, int64_t len, double *out) { *out = sum(v, len); }
 void devdan_sigmoid(double *v, int64_t len) { sigmoid(v, len); }
@@ -170,10 +158,6 @@ void devdan_vecmat(const double *v, const double *mat, int64_t k, int64_t len,
                    int64_t rs, int64_t cs, double *out)
 {
     vecmat(v, mat, k, len, rs, cs, out);
-}
-void devdan_matvec(const double *mat, const double *v, int64_t rows, int64_t k, double *out)
-{
-    matvec(mat, v, rows, k, out);
 }
 
 /* ---------------------------------------------------------------- steps */
@@ -370,7 +354,7 @@ static int disc_update(const struct model *md, int64_t label, double lr, double 
     for (ptrdiff_t j = 0; j < width; j++)
         for (ptrdiff_t k = 0; k < m; k++)
             dtheta[j * m + k] = h[j] * dlogits[k];
-    matvec(md->theta, dlogits, width, m, da);
+    vecmat(dlogits, md->theta, m, width, 1, m, da);  /* theta @ dlogits */
     for (ptrdiff_t j = 0; j < width; j++)
         da[j] = (da[j] * h[j]) * (1.0 - h[j]);
     for (ptrdiff_t i = 0; i < n; i++)

@@ -59,7 +59,9 @@ def model_to_dict(model: DevdanModel) -> dict:
         "n_in": model.n_in,
         "n_classes": model.n_classes,
         "width": model.width,
-        "config": dataclasses.asdict(model.config),
+        # a numpy seed or switch as the JSON number or boolean it holds
+        "config": {key: value.item() if isinstance(value, np.generic) else value
+                   for key, value in dataclasses.asdict(model.config).items()},
     }
     for slot, arr in zip(STATE_SLOTS, arrays):
         _nest(doc, slot.key, arr.tolist())

@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import CheckpointError, ConfigError, DevdanError
+from .errors import ConfigError, DevdanError
 from .model import DevdanConfig
 from .prequential import (
     parameter_count,
@@ -32,34 +34,81 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-# config-file keys and their CLI twins; every flag has a file equivalent
-_CONFIG_KEYS = {
-    "dataset": "sea",
-    "samples": 100_000,
-    "batch": 1000,
-    "seeds": 5,
-    "seed_base": None,  # resolved from DEVDAN_SEED, then 0
-    "label_fraction": 1.0,
-    "selection": "random",
-    "delta": 0.7,
-    "lr_generative": 0.001,
-    "lr_discriminative": 0.01,
-    "momentum": 0.95,
-    "mask_fraction": 0.10,
-    "no_generative": False,
-    "no_grow": False,
-    "no_prune": False,
-    "reset_all": False,
-    "csv_path": None,
-    "label_column": -1,
-    "idx_images": None,
-    "idx_labels": None,
-    "permutations": None,  # config-file only: [[start, [perm...]], ...]
-    "out": ".",
-    "prefix": "run",
-    "checkpoint_out": None,
-    "jobs": 1,
-}
+
+class Setting(NamedTuple):
+    """One `devdan run` setting: a config-file key and, unless file-only, the
+    flag --key with dashes; a setting whose default is False is an on/off flag."""
+
+    key: str
+    default: object
+    kind: object  # int, float, str, bool, a tuple of allowed strings, or a converter
+    field: str | None = None  # the DatasetSpec or DevdanConfig field it sets
+    to_field: Callable = lambda value: value  # that field's value from the setting's
+    help: str | None = None
+    flag: bool = True
+
+
+# the JSON types that a value of each plain kind may have (so a bool is no
+# number), and the words for them
+_PLAIN = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
+def _plain(kind, value):
+    types, expected = _PLAIN[kind]
+    if type(value) not in types:
+        raise ValueError(expected)
+    return kind(value)
+
+
+def _seeds(value):
+    """A seed count, or the list of seeds itself."""
+    if type(value) is int or type(value) is list and all(type(s) is int for s in value):
+        return value
+    raise ValueError("a seed count or a list of seeds")
+
+
+def _permutations(value):
+    """[[start, [index, ...]], ...] as ((start, [index, ...]), ...)."""
+    try:
+        return tuple((_plain(int, start), [_plain(int, i) for i in perm])
+                     for start, perm in value)
+    except (TypeError, ValueError):
+        raise ValueError("a list of [start, [index, ...]] pairs") from None
+
+
+# the settings of `devdan run` in flag and summary order; every flag has a config-file twin
+SETTINGS = {s.key: s for s in (
+    Setting("dataset", "sea", ("sea", "hyperplane", "csv", "idx"), "source"),
+    Setting("samples", 100_000, int, "total_samples"),
+    Setting("batch", 1000, int, "batch_size"),
+    Setting("seeds", 5, _seeds, help="number of consecutive seeds"),
+    Setting("seed_base", None, int),  # resolved from DEVDAN_SEED, then 0
+    Setting("label_fraction", 1.0, float, "label_fraction"),
+    Setting("selection", "random", ("random", "confidence"), "selection_mode"),
+    Setting("delta", 0.7, float, "delta"),
+    Setting("lr_generative", 0.001, float, "lr_generative"),
+    Setting("lr_discriminative", 0.01, float, "lr_discriminative"),
+    Setting("momentum", 0.95, float, "momentum"),
+    Setting("mask_fraction", 0.10, float, "mask_fraction"),
+    Setting("no_generative", False, bool, "enable_generative", operator.not_),
+    Setting("no_grow", False, bool, "enable_grow", operator.not_),
+    Setting("no_prune", False, bool, "enable_prune", operator.not_),
+    Setting("reset_all", False, bool, "reset_mode",
+            lambda on: "reset_all" if on else "standard"),
+    Setting("csv_path", None, str, "csv_path"),
+    Setting("label_column", -1, int, "label_column"),
+    Setting("idx_images", None, str, "idx_images"),
+    Setting("idx_labels", None, str, "idx_labels"),
+    # config-file only: [[start, [perm...]], ...]
+    Setting("permutations", None, _permutations, "permutations", flag=False),
+    Setting("out", ".", str),
+    Setting("prefix", "run", str),
+    Setting("checkpoint_out", None, str),
+    Setting("jobs", 1, int),
+)}
+# the argparse type of the flags of each kind other than str, bool and the choices
+_FLAG_TYPES = {int: int, float: float, _seeds: int}
 
 
 def _load_config_file(path) -> dict:
@@ -70,78 +119,72 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"{path}: cannot read config ({err})") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(set(doc) - set(SETTINGS))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return doc
 
 
 def _effective_config(args) -> dict:
-    cfg = dict(_CONFIG_KEYS)
-    if args.config:
-        cfg.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    given = _load_config_file(args.config) if args.config else {}
+    for key in SETTINGS:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    cfg = {key: _convert(s, given.get(key, s.default)) for key, s in SETTINGS.items()}
     if cfg["seed_base"] is None:
-        cfg["seed_base"] = int(os.environ.get("DEVDAN_SEED", "0"))
+        cfg["seed_base"] = _env_seed()
     return cfg
+
+
+def _convert(setting: Setting, value):
+    """value as the setting's kind, or a ConfigError that names the setting;
+    the file's values, the flags' and the defaults all pass here."""
+    kind = setting.kind
+    if value is None and setting.default is None:
+        return None
+    try:
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError("one of " + ", ".join(kind))
+            return value
+        return _plain(kind, value) if kind in _PLAIN else kind(value)
+    except ValueError as err:
+        raise ConfigError(f"{setting.key} is {json.dumps(value)}, expected {err}") from None
+
+
+def _env_seed() -> int:
+    """DEVDAN_SEED, the seed that `run` and `gen` fall back to; 0 when unset."""
+    value = os.environ.get("DEVDAN_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"DEVDAN_SEED is {value!r}, expected an integer") from None
 
 
 def _seed_list(cfg) -> list[int]:
     seeds = cfg["seeds"]
     if isinstance(seeds, int):
         return [cfg["seed_base"] + i for i in range(seeds)]
-    return [int(s) for s in seeds]
+    return seeds
 
 
-def _dataset_spec(cfg) -> DatasetSpec:
-    permutations = cfg["permutations"]
-    if permutations is not None:
-        permutations = tuple((int(start), list(perm)) for start, perm in permutations)
-    spec = DatasetSpec(
-        source=cfg["dataset"],
-        total_samples=int(cfg["samples"]),
-        batch_size=int(cfg["batch"]),
-        label_fraction=float(cfg["label_fraction"]),
-        selection_mode=cfg["selection"],
-        delta=float(cfg["delta"]),
-        csv_path=cfg["csv_path"],
-        label_column=int(cfg["label_column"]),
-        idx_images=cfg["idx_images"],
-        idx_labels=cfg["idx_labels"],
-        permutations=permutations,
-    )
-    spec.validate()
-    return spec
-
-
-def _model_config(cfg, seed: int = 0) -> DevdanConfig:
-    model_cfg = DevdanConfig(
-        lr_generative=float(cfg["lr_generative"]),
-        lr_discriminative=float(cfg["lr_discriminative"]),
-        momentum=float(cfg["momentum"]),
-        mask_fraction=float(cfg["mask_fraction"]),
-        reset_mode="reset_all" if cfg["reset_all"] else "standard",
-        enable_generative=not cfg["no_generative"],
-        enable_grow=not cfg["no_grow"],
-        enable_prune=not cfg["no_prune"],
-        seed=seed,
-    )
-    model_cfg.validate()
-    return model_cfg
+def _build(cls, cfg):
+    """The DatasetSpec or DevdanConfig whose fields the settings in cfg set."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    obj = cls(**{s.field: s.to_field(cfg[s.key]) for s in SETTINGS.values() if s.field in names})
+    obj.validate()
+    return obj
 
 
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     seeds = _seed_list(cfg)
-    dataset = _dataset_spec(cfg)
-    model_cfg = _model_config(cfg)
+    dataset = _build(DatasetSpec, cfg)
+    model_cfg = _build(DevdanConfig, cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_suite(dataset, model_cfg, seeds, jobs=int(cfg["jobs"]))
+    result = run_suite(dataset, model_cfg, seeds, jobs=cfg["jobs"])
     ck_dir = Path(cfg["checkpoint_out"]) if cfg["checkpoint_out"] else None
     if ck_dir is not None:
         ck_dir.mkdir(parents=True, exist_ok=True)
@@ -155,7 +198,7 @@ def cmd_run(args) -> int:
         write_batch_csv(row.report, csv_path)
         if ck_dir is not None:
             # the suite ran every seed under one config; each file records its own seed
-            row.model.config = _model_config(cfg, row.seed)
+            row.model.config = dataclasses.replace(model_cfg, seed=row.seed)
             save_checkpoint(row.model, ck_dir / f"{cfg['prefix']}_seed{row.seed}.ckpt.json")
         print(
             f"seed {row.seed}: rate {row.report.mean_rate:.4f} "
@@ -169,7 +212,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    count, seed = args.count, args.seed
+    count = args.count
+    seed = _env_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     if args.dataset == "sea":
         feats, labels = gen_sea(count, rng=rng)
@@ -223,30 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a prequential experiment suite")
     run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--dataset", choices=("sea", "hyperplane", "csv", "idx"))
-    run.add_argument("--samples", type=int)
-    run.add_argument("--batch", type=int)
-    run.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    run.add_argument("--seed-base", type=int, dest="seed_base")
-    run.add_argument("--label-fraction", type=float, dest="label_fraction")
-    run.add_argument("--selection", choices=("random", "confidence"))
-    run.add_argument("--delta", type=float)
-    run.add_argument("--lr-generative", type=float, dest="lr_generative")
-    run.add_argument("--lr-discriminative", type=float, dest="lr_discriminative")
-    run.add_argument("--momentum", type=float)
-    run.add_argument("--mask-fraction", type=float, dest="mask_fraction")
-    run.add_argument("--no-generative", action="store_const", const=True, dest="no_generative")
-    run.add_argument("--no-grow", action="store_const", const=True, dest="no_grow")
-    run.add_argument("--no-prune", action="store_const", const=True, dest="no_prune")
-    run.add_argument("--reset-all", action="store_const", const=True, dest="reset_all")
-    run.add_argument("--csv-path", dest="csv_path")
-    run.add_argument("--label-column", type=int, dest="label_column")
-    run.add_argument("--idx-images", dest="idx_images")
-    run.add_argument("--idx-labels", dest="idx_labels")
-    run.add_argument("--out")
-    run.add_argument("--prefix")
-    run.add_argument("--checkpoint-out", dest="checkpoint_out")
-    run.add_argument("--jobs", type=int)
+    for s in SETTINGS.values():
+        flag = "--" + s.key.replace("_", "-")
+        if s.default is False:
+            run.add_argument(flag, action="store_const", const=True, help=s.help)
+        elif s.flag:
+            run.add_argument(flag, type=_FLAG_TYPES.get(s.kind), help=s.help,
+                             choices=s.kind if isinstance(s.kind, tuple) else None)
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="dump a generated stream as labeled CSV")
@@ -265,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "gen" and args.seed is None:
-        args.seed = int(os.environ.get("DEVDAN_SEED", "0"))
     try:
         return args.func(args)
     except ConfigError as err:

@@ -202,7 +202,6 @@ def _declare(lib) -> None:
         "devdan_sigmoid": ([p, i64], None),
         "devdan_softmax": ([p, i64, i64], None),
         "devdan_vecmat": ([p, p, i64, i64, i64, i64, p], None),
-        "devdan_matvec": ([p, p, i64, i64, p], None),
         "devdan_mask": ([v, p, p, i64, i64, v], None),
         "devdan_charts": ([p, d, d, i64, i64, i64, p], ctypes.c_int),
         "devdan_train_rows": ([v, v], ctypes.c_int),
@@ -225,13 +224,6 @@ def vecmat(lib, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
     rs, cs = (s // 8 for s in mat.strides)
     out = np.empty(length)
     lib.devdan_vecmat(_ptr(v), _ptr(mat), k, length, rs, cs, _ptr(out))
-    return out
-
-
-def matvec(lib, mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v through the kernel, for mat in C order."""
-    out = np.empty(mat.shape[0])
-    lib.devdan_matvec(_ptr(mat), _ptr(v), mat.shape[0], mat.shape[1], _ptr(out))
     return out
 
 
@@ -307,7 +299,7 @@ def _self_check(lib) -> None:
         if not _same(vecmat(lib, v, flipped), v @ flipped):
             raise KernelUnavailable(f"self-check: vector @ transposed matrix ({k}, {length})")
         w = rng.normal(size=length)
-        if not _same(matvec(lib, mat.T.copy(), v), mat.T.copy() @ v):
+        if not _same(vecmat(lib, v, mat.T.copy().T), mat.T.copy() @ v):
             raise KernelUnavailable(f"self-check: matrix @ vector ({length}, {k})")
         if not _same(vecmat(lib, w, mat.T), w @ mat.T):
             raise KernelUnavailable(f"self-check: vector @ transposed matrix ({length}, {k})")

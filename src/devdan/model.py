@@ -66,6 +66,9 @@ class DevdanConfig:
             raise ConfigError("mask_fraction must lie in [0, 1]")
         if self.reset_mode not in ("standard", "reset_all"):
             raise ConfigError(f"unknown reset_mode {self.reset_mode!r}")
+        for name in ("enable_generative", "enable_grow", "enable_prune"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a boolean, not {getattr(self, name)!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
 
@@ -543,7 +546,7 @@ class DevdanModel:
         job = kernel.Rows(
             feats.ctypes.data, rows.ctypes.data, None if gen else labels.ctypes.data,
             rows.shape[0], 0, 0, losses.ctypes.data, bitgen, perm.ctypes.data,
-            min(self.mask.n_masked(n), n), cfg.enable_grow, cfg.enable_prune,
+            min(self.mask.n_masked(n), n), bool(cfg.enable_grow), bool(cfg.enable_prune),
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0

@@ -37,14 +37,9 @@ class BatchMetrics:
     test_seconds: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v) if isinstance(v, float) else str(v)
-            for v in (
-                self.timestamp, self.classification_rate, self.generative_loss,
-                self.discriminative_loss, self.width_after, self.grow_events,
-                self.prune_events, self.train_seconds, self.test_seconds,
-            )
-        )
+        """The fields in CSV_HEADER order, floats at full precision."""
+        return ",".join(repr(v) if isinstance(v, float) else str(v)
+                        for v in dataclasses.astuple(self))
 
 
 @dataclass

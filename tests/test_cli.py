@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, flag/config precedence, file outputs."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from devdan import cli
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from devdan.model import DevdanConfig, DevdanModel
@@ -73,6 +75,41 @@ class TestRun:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"dataset": "sea", "bogus_knob": 7}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"lr_generative": None}, "lr_generative is null, expected a number"),
+        ({"jobs": "two"}, 'jobs is "two", expected an integer'),
+        ({"samples": True}, "samples is true, expected an integer"),
+        ({"prefix": 5}, "prefix is 5, expected a string"),
+        ({"no_grow": "no"}, 'no_grow is "no", expected true or false'),
+        ({"selection": "best"}, 'selection is "best", expected one of random, confidence'),
+        ({"seeds": 2.0}, "seeds is 2.0, expected a seed count or a list of seeds"),
+        ({"permutations": [[0]]},
+         "permutations is [[0]], expected a list of [start, [index, ...]] pairs"),
+    ])
+    def test_value_that_does_not_convert_is_config_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [("run", "--samples", "1000", "--batch", "500"),
+                                      ("gen", "sea", "10")])
+    def test_env_seed_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("DEVDAN_SEED", "abc")
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        expected = "config error: DEVDAN_SEED is 'abc', expected an integer\n"
+        assert capsys.readouterr().err == expected
+
+    def test_setting_defaults_are_the_dataclass_defaults(self):
+        """The table's defaults, through the one builder, give DatasetSpec()
+        and DevdanConfig(), and every field it names is one of theirs."""
+        cfg = {key: cli._convert(s, s.default) for key, s in cli.SETTINGS.items()}
+        assert cli._build(DatasetSpec, cfg) == DatasetSpec()
+        assert cli._build(DevdanConfig, cfg) == DevdanConfig()
+        fields = {f.name for cls in (DatasetSpec, DevdanConfig) for f in dataclasses.fields(cls)}
+        assert {s.field for s in cli.SETTINGS.values()} - {None} <= fields
 
     def test_invalid_dataset_in_config(self, tmp_path):
         cfg = tmp_path / "bad2.json"

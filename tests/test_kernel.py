@@ -81,7 +81,7 @@ def test_products_match_numpy(lib, n, width):
             assert same(kernel.vecmat(lib, x, w), x @ w)
             assert same(kernel.vecmat(lib, y, w.T), y @ w.T)
             assert same(kernel.vecmat(lib, y, theta), y @ theta)
-            assert same(kernel.matvec(lib, theta, d), theta @ d)
+            assert same(kernel.vecmat(lib, d, theta.T), theta @ d)
 
 
 def test_squashes_and_sums_match_numpy(lib):

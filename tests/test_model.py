@@ -372,10 +372,27 @@ class TestConfigValidation:
         ("lr_discriminative", float("inf"), "learning rates"),
         ("lr_generative", -0.1, "learning rates"),
         ("seed", -1, "seed"), ("seed", "a", "seed"), ("seed", 1.5, "seed"),
+        ("enable_generative", None, "enable_generative must be a boolean"),
+        ("enable_grow", "no", "enable_grow must be a boolean"),
+        ("enable_prune", 0, "enable_prune must be a boolean"),
     ])
     def test_bad_config_value(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             DevdanModel(3, 2, DevdanConfig(**{field: value}))
+
+    def test_numpy_switches_train_and_save_like_python_ones(self, tmp_path):
+        feats, labels = gen_sea(300, rng=np.random.default_rng(8))
+        for backend in each_backend():
+            hashes = []
+            for off in (False, np.False_):
+                model = DevdanModel(3, 2, DevdanConfig(enable_grow=off, enable_prune=off, seed=8))
+                for x, y in zip(feats, labels):
+                    model.generative_step(x)
+                    model.discriminative_step(x, int(y))
+                save_checkpoint(model, tmp_path / "m.ckpt.json")
+                assert load_checkpoint(tmp_path / "m.ckpt.json").config == model.config
+                hashes.append(state_hash(model))
+            assert hashes[0] == hashes[1], backend
 
     @pytest.mark.parametrize("n_in, n_classes", [(0, 2), (3, 1), (3, 0), (-1, 2)])
     def test_model_needs_an_input_and_two_classes(self, n_in, n_classes):
@@ -384,6 +401,15 @@ class TestConfigValidation:
 
 
 class TestCheckpoint:
+    def test_switch_that_is_not_a_boolean_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(DevdanModel(3, 2), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["enable_grow"] = "no"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="enable_grow must be a boolean"):
+            load_checkpoint(path)
+
     def trained_model(self, seed=47):
         rng = np.random.default_rng(seed)
         model = DevdanModel(3, 2, DevdanConfig(seed=seed))

@@ -140,6 +140,7 @@ class TestReportMath:
         write_batch_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
+        assert {len(line.split(",")) for line in lines} == {len(CSV_HEADER.split(","))}
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_array_equal(parsed, rates)
 
