@@ -23,58 +23,24 @@
  * result, or when a chart fires; Python then makes the structural edit,
  * which draws from the generator, and resumes at the same row, whose forward
  * pass is redone against the edited layer. The model struct points at the
- * model's own arrays, its charts included, which both steps update in place.
+ * model's own arrays, its charts included, which both steps update in place,
+ * and at the parts of a work vector that carries the row and the results.
+ *
+ * It is compiled after the header that kernel.header() renders from the Python
+ * tables: the enums (kernel.Status, Decision, Scalar, monitors.Column), struct
+ * numerics (kernel.NUMERICS), struct rows (ROWS), struct model (model_fields(),
+ * from state.STATE_SLOTS and work_lengths()) and each export's prototype
+ * (EXPORTS), with <stddef.h> and <stdint.h>.
  */
 #include <math.h>
-#include <stddef.h>
-#include <stdint.h>
 #include <string.h>
-
-typedef void (*loop_fn)(char **args, const ptrdiff_t *dims, const ptrdiff_t *steps, void *data);
-typedef void (*gemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
-                        const double *a, int64_t lda, const double *x, int64_t incx,
-                        double beta, double *y, int64_t incy);
-typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx,
-                         const double *y, int64_t incy);
 
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
 
 /* numpy's loops and BLAS entry points, set once per process by the loader */
-struct numerics {
-    loop_fn exp, logaddexp, add, log;
-    void *exp_data, *logaddexp_data, *add_data, *log_data;
-    gemv_fn gemv;
-    dot_fn dot;
-};
-
 static struct numerics np_;
 
 void devdan_set_numerics(const struct numerics *numerics) { np_ = *numerics; }
-
-/* One model: n inputs, width hidden nodes, m classes, then one pointer per
- * array of STATE_SLOTS in model.py, in its order and of its shape and dtype,
- * each C order (w is (n, width), theta and vel_theta (width, m)). charts is
- * DevdanModel.charts: four rows of CHART_FIELDS, the generative bias and
- * variance charts, then the discriminative ones. work holds, in order: x (n),
- * x_tilde (n), hid (2 width: the hidden activation, then the expected
- * activation ey), pre (3 k: the output, ez and ez2 rows, k = n in the
- * generative and m in the discriminative step), tmp (max(n, m, width)), grad
- * (the gradients [c | w | b | theta | eta]) and the three scalars bias2,
- * variance, loss. */
-struct model {
-    int64_t n, width, m;
-    double *w, *b, *c, *theta, *eta, *vel_theta, *vel_eta, *vel_w, *vel_b;
-    int64_t *gen_stats_count;
-    double *gen_stats_mean, *gen_stats_m2;
-    int64_t *disc_stats_count;
-    double *disc_stats_mean, *disc_stats_m2;
-    double *charts;
-    double *work;
-};
-
-enum { BIAS2, VARIANCE, LOSS };
-/* why devdan_train_rows returned */
-enum { DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS };
 
 /* ---------------------------------------------------------------- numpy */
 
@@ -162,28 +128,6 @@ void devdan_vecmat(const double *v, const double *mat, int64_t k, int64_t len,
 
 /* ---------------------------------------------------------------- steps */
 
-/* The extents and the parts of the work vector */
-struct view {
-    ptrdiff_t n, width, m;
-    double *x, *xt, *hid, *ey, *pre, *tmp, *grad, *scalars;
-};
-
-static struct view view_of(const struct model *md)
-{
-    struct view s;
-    ptrdiff_t n = md->n, width = md->width, m = md->m, k = n > m ? n : m;
-    s.n = n, s.width = width, s.m = m;
-    s.x = md->work;
-    s.xt = s.x + n;
-    s.hid = s.xt + n;
-    s.ey = s.hid + width;
-    s.pre = s.ey + width;
-    s.tmp = s.pre + 3 * k;
-    s.grad = s.tmp + (width > k ? width : k);
-    s.scalars = s.grad + n + n * width + width + width * m + m;
-    return s;
-}
-
 /* What differs between the phases, label < 0 being the generative one: the
  * encoded input (x_tilde or x), the node statistics, and the output layer,
  * weight (width, k) with strides (rs, cs) plus bias (k): the reconstruction
@@ -195,21 +139,21 @@ struct phase {
     ptrdiff_t k, rs, cs;
 };
 
-static struct phase phase_of(const struct model *md, const struct view *s, int64_t label)
+static struct phase phase_of(const struct model *md, int64_t label)
 {
     if (label < 0)
-        return (struct phase){s->xt, md->w, md->c, md->gen_stats_count, md->gen_stats_mean,
-                              md->gen_stats_m2, s->n, 1, s->width};
-    return (struct phase){s->x, md->theta, md->eta, md->disc_stats_count, md->disc_stats_mean,
-                          md->disc_stats_m2, s->m, s->m, 1};
+        return (struct phase){md->xt, md->w, md->c, md->gen_stats_count, md->gen_stats_mean,
+                              md->gen_stats_m2, md->n, 1, md->width};
+    return (struct phase){md->x, md->theta, md->eta, md->disc_stats_count, md->disc_stats_mean,
+                          md->disc_stats_m2, md->m, md->m, 1};
 }
 
-/* a = input @ w + b into hid[0:width] */
-static void encode(const struct model *md, const struct view *s, const double *input)
+/* a = input @ w + b into hid */
+static void encode(const struct model *md, const double *input)
 {
-    vecmat(input, md->w, s->n, s->width, s->width, 1, s->hid);
-    for (ptrdiff_t j = 0; j < s->width; j++)
-        s->hid[j] = s->hid[j] + md->b[j];
+    vecmat(input, md->w, md->n, md->width, md->width, 1, md->hid);
+    for (ptrdiff_t j = 0; j < md->width; j++)
+        md->hid[j] = md->hid[j] + md->b[j];
 }
 
 /* NodeStats.update with the pre-activation a */
@@ -225,49 +169,49 @@ static void stats_update(ptrdiff_t width, int64_t *count, double *mean, double *
 }
 
 /* ey = mu / sqrt(1 + pi/8 sigma^2), sigma = sqrt(m2 / max(count, 1)), into
- * hid[width:]; the caller squashes */
-static void probit_arg(const struct view *s, const int64_t *count, const double *mean,
+ * ey; the caller squashes */
+static void probit_arg(const struct model *md, const int64_t *count, const double *mean,
                        const double *m2)
 {
     const double scale = 3.14159265358979323846 / 8.0;  /* math.pi / 8 */
-    for (ptrdiff_t j = 0; j < s->width; j++) {
+    for (ptrdiff_t j = 0; j < md->width; j++) {
         double sd = sqrt(m2[j] / (double)(count[j] > 1 ? count[j] : 1));
-        s->ey[j] = mean[j] / sqrt(1.0 + scale * sd * sd);
+        md->ey[j] = mean[j] / sqrt(1.0 + scale * sd * sd);
     }
 }
 
 /* The first `rows` of the output rows pre[r] = squash(row_r @ weight + bias),
  * row_r being the hidden activation, ey and ey * ey (in tmp), and squash the
  * phase's: sigmoid, or softmax row by row. */
-static void output_rows(const struct view *s, const struct phase *p, ptrdiff_t rows,
+static void output_rows(const struct model *md, const struct phase *p, ptrdiff_t rows,
                         int64_t label)
 {
-    const double *from[3] = {s->hid, s->ey, s->tmp};
+    const double *from[3] = {md->hid, md->ey, md->tmp};
     for (ptrdiff_t r = 0; r < rows; r++)
-        vecmat(from[r], p->weight, s->width, p->k, p->rs, p->cs, s->pre + r * p->k);
+        vecmat(from[r], p->weight, md->width, p->k, p->rs, p->cs, md->pre + r * p->k);
     for (ptrdiff_t r = 0; r < rows; r++)
         for (ptrdiff_t i = 0; i < p->k; i++)
-            s->pre[r * p->k + i] = s->pre[r * p->k + i] + p->bias[i];
+            md->pre[r * p->k + i] = md->pre[r * p->k + i] + p->bias[i];
     if (label < 0)
-        sigmoid(s->pre, rows * p->k);
+        sigmoid(md->pre, rows * p->k);
     else
-        softmax(s->pre, rows, p->k);
+        softmax(md->pre, rows, p->k);
 }
 
 /* bias2 and variance of the expected outputs ez = pre[k:2k], ez2 = pre[2k:]
  * against target (label < 0: the clean input x; else the one-hot of label) */
-static void bias_variance(const struct view *s, ptrdiff_t k, int64_t label)
+static void bias_variance(const struct model *md, ptrdiff_t k, int64_t label)
 {
-    const double *ez = s->pre + k, *ez2 = s->pre + 2 * k;
+    const double *ez = md->pre + k, *ez2 = md->pre + 2 * k;
     for (ptrdiff_t i = 0; i < k; i++) {
-        double target = label < 0 ? s->x[i] : (i == label ? 1.0 : 0.0);
+        double target = label < 0 ? md->x[i] : (i == label ? 1.0 : 0.0);
         double d = target - ez[i];
-        s->tmp[i] = d * d;
+        md->tmp[i] = d * d;
     }
-    s->scalars[BIAS2] = sum(s->tmp, k) / (double)k;
+    md->scalars[BIAS2] = sum(md->tmp, k) / (double)k;
     for (ptrdiff_t i = 0; i < k; i++)
-        s->tmp[i] = ez2[i] - ez[i] * ez[i];
-    s->scalars[VARIANCE] = sum(s->tmp, k) / (double)k;
+        md->tmp[i] = ez2[i] - ez[i] * ez[i];
+    md->scalars[VARIANCE] = sum(md->tmp, k) / (double)k;
 }
 
 /* A row before the charts: encode the phase's input, update its node
@@ -275,27 +219,25 @@ static void bias_variance(const struct view *s, ptrdiff_t k, int64_t label)
  * first output row. */
 static void forward(const struct model *md, int64_t label)
 {
-    struct view s = view_of(md);
-    struct phase p = phase_of(md, &s, label);
-    encode(md, &s, p.input);
-    stats_update(s.width, p.count, p.mean, p.m2, s.hid);
-    probit_arg(&s, p.count, p.mean, p.m2);
-    sigmoid(s.hid, 2 * s.width);
-    for (ptrdiff_t j = 0; j < s.width; j++)
-        s.tmp[j] = s.ey[j] * s.ey[j];
-    output_rows(&s, &p, 3, label);
-    bias_variance(&s, p.k, label);
+    struct phase p = phase_of(md, label);
+    encode(md, p.input);
+    stats_update(md->width, p.count, p.mean, p.m2, md->hid);
+    probit_arg(md, p.count, p.mean, p.m2);
+    sigmoid(md->hid, 2 * md->width);  /* hid, then ey, which follows it */
+    for (ptrdiff_t j = 0; j < md->width; j++)
+        md->tmp[j] = md->ey[j] * md->ey[j];
+    output_rows(md, &p, 3, label);
+    bias_variance(md, p.k, label);
 }
 
 /* The forward pass again, after a structural edit: the hidden activation
  * and the first output row. */
 static void refresh(const struct model *md, int64_t label)
 {
-    struct view s = view_of(md);
-    struct phase p = phase_of(md, &s, label);
-    encode(md, &s, p.input);
-    sigmoid(s.hid, s.width);
-    output_rows(&s, &p, 1, label);
+    struct phase p = phase_of(md, label);
+    encode(md, p.input);
+    sigmoid(md->hid, md->width);
+    output_rows(md, &p, 1, label);
 }
 
 /* Generative step after the charts: gradients of the reconstruction loss and
@@ -304,22 +246,21 @@ static void refresh(const struct model *md, int64_t label)
  * non-finite gradient of w, b, c. */
 static int gen_update(const struct model *md, double lr)
 {
-    struct view s = view_of(md);
-    ptrdiff_t n = s.n, width = s.width;
-    const double *y = s.hid, *z = s.pre;
-    double *dc = s.grad, *dw = dc + n, *db = dw + n * width;
+    ptrdiff_t n = md->n, width = md->width;
+    const double *y = md->hid, *z = md->pre;
+    double *dc = md->grad, *dw = dc + n, *db = dw + n * width;
     for (ptrdiff_t i = 0; i < n; i++)
-        dc[i] = ((z[i] - s.x[i]) * z[i]) * (1.0 - z[i]);
+        dc[i] = ((z[i] - md->x[i]) * z[i]) * (1.0 - z[i]);
     vecmat(dc, md->w, n, width, width, 1, db);
     for (ptrdiff_t j = 0; j < width; j++)
         db[j] = (db[j] * y[j]) * (1.0 - y[j]);
     for (ptrdiff_t i = 0; i < n; i++)
         for (ptrdiff_t j = 0; j < width; j++)
-            dw[i * width + j] = dc[i] * y[j] + s.xt[i] * db[j];
+            dw[i * width + j] = dc[i] * y[j] + md->xt[i] * db[j];
     for (ptrdiff_t i = 0; i < n; i++)
-        s.tmp[i] = s.x[i] - z[i];
-    s.scalars[LOSS] = 0.5 * (0.0 + np_.dot(n, s.tmp, 1, s.tmp, 1));
-    if (!isfinite(s.scalars[LOSS]))
+        md->tmp[i] = md->x[i] - z[i];
+    md->scalars[LOSS] = 0.5 * (0.0 + np_.dot(n, md->tmp, 1, md->tmp, 1));
+    if (!isfinite(md->scalars[LOSS]))
         return GEN_LOSS;
     double *params[3] = {md->w, md->b, md->c};
     const double *blocks[3] = {dw, db, dc};
@@ -340,14 +281,13 @@ static int gen_update(const struct model *md, double lr)
  * DONE, or DISC_LOSS without touching the parameters for a non-finite loss. */
 static int disc_update(const struct model *md, int64_t label, double lr, double momentum)
 {
-    struct view s = view_of(md);
-    ptrdiff_t n = s.n, width = s.width, m = s.m;
-    const double *h = s.hid, *probs = s.pre;
-    double *dw = s.grad + n, *da = dw + n * width, *dtheta = da + width;
+    ptrdiff_t n = md->n, width = md->width, m = md->m;
+    const double *h = md->hid, *probs = md->pre;
+    double *dw = md->grad + n, *da = dw + n * width, *dtheta = da + width;
     double *dlogits = dtheta + width * m;
     double p = probs[label];
-    s.scalars[LOSS] = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
-    if (!isfinite(s.scalars[LOSS]))
+    md->scalars[LOSS] = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
+    if (!isfinite(md->scalars[LOSS]))
         return DISC_LOSS;
     for (ptrdiff_t k = 0; k < m; k++)
         dlogits[k] = probs[k] - (k == label ? 1.0 : 0.0);
@@ -359,7 +299,7 @@ static int disc_update(const struct model *md, int64_t label, double lr, double 
         da[j] = (da[j] * h[j]) * (1.0 - h[j]);
     for (ptrdiff_t i = 0; i < n; i++)
         for (ptrdiff_t j = 0; j < width; j++)
-            dw[i * width + j] = s.x[i] * da[j];
+            dw[i * width + j] = md->x[i] * da[j];
     double *params[4] = {md->w, md->b, md->theta, md->eta};
     double *vels[4] = {md->vel_w, md->vel_b, md->vel_theta, md->vel_eta};
     const double *grads[4] = {dw, da, dtheta, dlogits};
@@ -432,10 +372,6 @@ void devdan_mask(void *bitgen, const double *x, double *out, int64_t n, int64_t 
 
 /* --------------------------------------------------------------- charts */
 
-/* One SpcTracker row, in the column order of monitors.py */
-enum { COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, CHART_FIELDS };
-enum { GROW = 1, PRUNE = 2, RAISES = 4 };
-
 /* SpcTracker.update; returns the chart's std, or -1 where math.sqrt would
  * raise */
 static double chart_update(double *c, double x)
@@ -507,56 +443,39 @@ int devdan_charts(double *charts, double bias2, double variance, int64_t width,
 
 /* ------------------------------------------------------------ row loop */
 
-/* One phase over a run of rows. feats is a C-order (rows, n) array; index
- * lists the rows to train, in order; labels (per feats row, each in [0, m),
- * which the caller checks) is NULL for the generative phase. pos is where to
- * start, and on return the row that returned. resume is set when that row's
- * chart fired and Python edited the layer: the row then goes on to its
- * update, recomputing the forward pass against the edited layer first. */
-struct rows {
-    const double *feats;
-    const int64_t *index, *labels;
-    int64_t count, pos, resume;
-    double *losses;   /* per index entry */
-    void *bitgen;     /* the model generator's bitgen_t */
-    int64_t *perm;    /* n int64 scratch for the mask draw */
-    int64_t n_masked, enable_grow, enable_prune;
-    double lr, momentum;
-};
-
 /* The phase's two charts on a copy, kept only when neither fires: Python
  * redoes a row whose chart fires, or where a Python call would raise. */
 static int row_charts(const struct model *md, const struct rows *r)
 {
-    double next[2 * CHART_FIELDS], limits[2], *scalars = view_of(md).scalars;
+    double next[2 * CHART_FIELDS], limits[2];
     double *charts = md->charts + (r->labels ? 2 * CHART_FIELDS : 0);
     memcpy(next, charts, sizeof next);
-    if (charts_step(next, next + CHART_FIELDS, scalars[BIAS2], scalars[VARIANCE], md->width,
-                    r->enable_grow, r->enable_prune, limits))
+    if (charts_step(next, next + CHART_FIELDS, md->scalars[BIAS2], md->scalars[VARIANCE],
+                    md->width, r->enable_grow, r->enable_prune, limits))
         return CHART;
     memcpy(charts, next, sizeof next);
     return DONE;
 }
 
+/* One phase over a run of rows (struct rows) */
 int devdan_train_rows(const struct model *md, struct rows *r)
 {
-    struct view s = view_of(md);
     for (; r->pos < r->count; r->pos++) {
         int64_t row = r->index[r->pos], label = r->labels ? r->labels[row] : -1;
         if (r->resume) {
             r->resume = 0;
             refresh(md, label);
         } else {
-            memcpy(s.x, r->feats + row * s.n, s.n * sizeof(double));
+            memcpy(md->x, r->feats + row * md->n, md->n * sizeof(double));
             if (label < 0)
-                mask_draw(r->bitgen, s.x, s.xt, s.n, r->n_masked, r->perm);
+                mask_draw(r->bitgen, md->x, md->xt, md->n, r->n_masked, r->perm);
             forward(md, label);
             if (row_charts(md, r) != DONE)
                 return CHART;
         }
         int status = label < 0 ? gen_update(md, r->lr)
                                : disc_update(md, label, r->lr, r->momentum);
-        r->losses[r->pos] = s.scalars[LOSS];
+        r->losses[r->pos] = md->scalars[LOSS];
         if (status != DONE)
             return status;
     }

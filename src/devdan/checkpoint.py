@@ -14,8 +14,9 @@ import json
 import numpy as np
 
 from .errors import CheckpointError
-from .model import CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
+from .model import DevdanConfig, DevdanModel
 from .monitors import SpcTracker
+from .state import CHARTS, STATE_SLOTS
 
 FORMAT_VERSION = 1
 
@@ -90,8 +91,13 @@ def load_checkpoint(path) -> DevdanModel:
             raise CheckpointError(
                 f"{path}: format version {doc['format_version']} not supported"
             )
-        config = DevdanConfig(**doc["config"])
-        model = DevdanModel(doc["n_in"], doc["n_classes"], config)
+        config = dict(doc["config"])
+        # written while DevdanConfig had reset_mode: "standard" trained as
+        # every model trains now, "reset_all" cannot be resumed
+        mode = config.pop("reset_mode", "standard")
+        if mode != "standard":
+            raise CheckpointError(f"{path}: reset_mode {mode!r} is no longer supported")
+        model = DevdanModel(doc["n_in"], doc["n_classes"], DevdanConfig(**config))
         width = doc["width"]
         if not isinstance(width, int) or width < 1:
             raise CheckpointError(f"{path}: width {width!r} is not a positive integer")

@@ -61,11 +61,19 @@ def _plain(kind, value):
     return kind(value)
 
 
+def _seed(value):
+    """A seed of numpy's generators: an integer >= 0."""
+    if _plain(int, value) < 0:
+        raise ValueError("a non-negative integer")
+    return value
+
+
 def _seeds(value):
-    """A seed count, or the list of seeds itself."""
-    if type(value) is int or type(value) is list and all(type(s) is int for s in value):
+    """A seed count, or the list of seeds itself; either names at least one."""
+    if (type(value) is int and value > 0 or type(value) is list and value
+            and all(type(s) is int and s >= 0 for s in value)):
         return value
-    raise ValueError("a seed count or a list of seeds")
+    raise ValueError("a positive seed count or a non-empty list of non-negative seeds")
 
 
 def _permutations(value):
@@ -83,7 +91,7 @@ SETTINGS = {s.key: s for s in (
     Setting("samples", 100_000, int, "total_samples"),
     Setting("batch", 1000, int, "batch_size"),
     Setting("seeds", 5, _seeds, help="number of consecutive seeds"),
-    Setting("seed_base", None, int),  # resolved from DEVDAN_SEED, then 0
+    Setting("seed_base", None, _seed),  # resolved from DEVDAN_SEED, then 0
     Setting("label_fraction", 1.0, float, "label_fraction"),
     Setting("selection", "random", ("random", "confidence"), "selection_mode"),
     Setting("delta", 0.7, float, "delta"),
@@ -94,8 +102,6 @@ SETTINGS = {s.key: s for s in (
     Setting("no_generative", False, bool, "enable_generative", operator.not_),
     Setting("no_grow", False, bool, "enable_grow", operator.not_),
     Setting("no_prune", False, bool, "enable_prune", operator.not_),
-    Setting("reset_all", False, bool, "reset_mode",
-            lambda on: "reset_all" if on else "standard"),
     Setting("csv_path", None, str, "csv_path"),
     Setting("label_column", -1, int, "label_column"),
     Setting("idx_images", None, str, "idx_images"),
@@ -108,7 +114,7 @@ SETTINGS = {s.key: s for s in (
     Setting("jobs", 1, int),
 )}
 # the argparse type of the flags of each kind other than str, bool and the choices
-_FLAG_TYPES = {int: int, float: float, _seeds: int}
+_FLAG_TYPES = {int: int, float: float, _seed: int, _seeds: int}
 
 
 def _load_config_file(path) -> dict:
@@ -156,9 +162,9 @@ def _env_seed() -> int:
     """DEVDAN_SEED, the seed that `run` and `gen` fall back to; 0 when unset."""
     value = os.environ.get("DEVDAN_SEED", "0")
     try:
-        return int(value)
+        return _seed(int(value))
     except ValueError:
-        raise ConfigError(f"DEVDAN_SEED is {value!r}, expected an integer") from None
+        raise ConfigError(f"DEVDAN_SEED is {value!r}, expected a non-negative integer") from None
 
 
 def _seed_list(cfg) -> list[int]:
@@ -213,7 +219,7 @@ def cmd_run(args) -> int:
 
 def cmd_gen(args) -> int:
     count = args.count
-    seed = _env_seed() if args.seed is None else args.seed
+    seed = _env_seed() if args.seed is None else _convert(Setting("seed", None, _seed), args.seed)
     rng = np.random.default_rng(seed)
     if args.dataset == "sea":
         feats, labels = gen_sea(count, rng=rng)

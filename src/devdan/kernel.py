@@ -1,9 +1,16 @@
-"""Loader of the compiled training loop (`_step.c`).
+"""Interface and loader of the compiled training loop (`_step.c`).
 
-The C file is built once into a per-user cache (`cache_dir()`:
+Everything the loop and Python share is declared once, here: the enums
+Status, Decision and Scalar, the work vector (work_lengths), struct numerics
+(NUMERICS), struct rows (ROWS), struct model (model_fields, from the state
+table) and the exports (EXPORTS). header() renders them, with monitors'
+chart columns, as the C declarations that _step.c is compiled against, and
+the ctypes structures and argument types come from the same tables.
+
+The header and C file are built once into a per-user cache (`cache_dir()`:
 $XDG_CACHE_HOME/devdan when that is absolute, else ~/.cache/devdan) under a
-name keyed by its source and the numerics stack, and loaded with ctypes at
-the first training step; a load refreshes the build's mtime, and a new build
+name keyed by both and the numerics stack, and loaded with ctypes at the
+first training step; a load refreshes the build's mtime, and a new build
 evicts the oldest (`evict`, as the CSV parse cache does). It reproduces the
 numpy step bit for bit by calling numpy's own float64 exp, logaddexp, add and
 log loops, read here from the ufunc loop tables, the dgemv/ddot of the
@@ -17,7 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import enum
 import hashlib
+import operator
 import os
 import sys
 import time
@@ -26,12 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from .dae import MaskSpec, mask_input
-from .monitors import CHART_FIELDS, SpcTracker, kappa, should_grow, should_prune
+from .monitors import CHART_FIELDS, Column, SpcTracker, kappa, should_grow, should_prune
 from .numerics import sigmoid, softmax_row
+from .state import CHART_SLOT, STATE_SLOTS, state_arrays
 
 SOURCE = Path(__file__).with_name("_step.c")
 COMPILER = "cc"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared",
+         "-Werror=incompatible-pointer-types")
 # cache_dir() keeps the newest ENTRIES files of each kind (builds, parsed CSV
 # files) within MAX_BYTES in all (`evict`)
 ENTRIES = 16
@@ -40,7 +51,6 @@ STALE_TMP_S = 3600  # a temporary file this old was left by a killed writer
 
 _NPY_DOUBLE = 12  # numpy's type number for float64 in the ufunc type tables
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
 _state = None  # (library or None, backend description) after the one attempt
 
 
@@ -65,36 +75,149 @@ class _UFunc(ctypes.Structure):
 
 _UFUNCS = (np.exp, np.logaddexp, np.add, np.log)
 
+# ------------------------------------------------------------ the interface
+# Everything _step.c shares with Python is declared once, here and in the
+# state table, and header() renders it as the C declarations the file is
+# compiled against.
 
-class _Numerics(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        *(u.__name__ for u in _UFUNCS), *(u.__name__ + "_data" for u in _UFUNCS), "gemv", "dot")]
-
-
-class Rows(ctypes.Structure):
-    """struct rows in _step.c: one phase's run of rows."""
-
-    _fields_ = [
-        ("feats", ctypes.c_void_p),
-        ("index", ctypes.c_void_p),
-        ("labels", ctypes.c_void_p),
-        ("count", ctypes.c_int64),
-        ("pos", ctypes.c_int64),
-        ("resume", ctypes.c_int64),
-        ("losses", ctypes.c_void_p),
-        ("bitgen", ctypes.c_void_p),
-        ("perm", ctypes.c_void_p),
-        ("n_masked", ctypes.c_int64),
-        ("enable_grow", ctypes.c_int64),
-        ("enable_prune", ctypes.c_int64),
-        ("lr", ctypes.c_double),
-        ("momentum", ctypes.c_double),
-    ]
-
-
-GROW, PRUNE, RAISES = 1, 2, 4
 # why devdan_train_rows returned
-DONE, CHART, GEN_LOSS, GRAD_W, GRAD_B, GRAD_C, DISC_LOSS = range(7)
+Status = enum.IntEnum("Status", "DONE CHART GEN_LOSS GRAD_W GRAD_B GRAD_C DISC_LOSS", start=0)
+# what devdan_charts decided
+Decision = enum.IntFlag("Decision", "GROW PRUNE RAISES")
+# the slots of the work vector's scalars part
+Scalar = enum.IntEnum("Scalar", "BIAS2 VARIANCE LOSS", start=0)
+
+
+def work_lengths(n: int, width: int, m: int) -> dict[str, int]:
+    """The parts of a model's work vector, in order, and their lengths for n
+    inputs, width hidden nodes and m classes: the row x and its masked copy
+    xt; the hidden activation hid, then the expected activation ey (the
+    loop squashes the two in one call); pre, the output row, ez and ez2, each
+    k = max(n, m) long; scratch tmp; grad, the gradients [c | w | b | theta |
+    eta]; and the Scalar slots."""
+    k = max(n, m)
+    return {"x": n, "xt": n, "hid": width, "ey": width, "pre": 3 * k, "tmp": max(k, width),
+            "grad": n + n * width + width + width * m + m, "scalars": len(Scalar)}
+
+
+# numpy's float64 ufunc inner loop and the two BLAS entry points
+_TYPEDEFS = """\
+typedef void (*loop_fn)(char **args, const ptrdiff_t *dims, const ptrdiff_t *steps, void *data);
+typedef void (*gemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
+                        const double *a, int64_t lda, const double *x, int64_t incx,
+                        double beta, double *y, int64_t incy);
+typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx,
+                         const double *y, int64_t incy);
+"""
+# (field, C type) of struct numerics: the loops and data of _UFUNCS, then BLAS
+NUMERICS = (*((u.__name__, "loop_fn") for u in _UFUNCS),
+            *((u.__name__ + "_data", "void *") for u in _UFUNCS),
+            ("gemv", "gemv_fn"), ("dot", "dot_fn"))
+# struct rows, one phase's run of rows. feats is a C-order (rows, n) array;
+# index lists the rows to train, in order; labels (per feats row, each in
+# [0, m), which the caller checks) is NULL for the generative phase. pos is
+# where to start, and on return the row that returned. resume is set when
+# that row's chart fired and Python edited the layer: the row then goes on to
+# its update, recomputing the forward pass against the edited layer first.
+ROWS = (("feats", "const double *"), ("index", "const int64_t *"), ("labels", "const int64_t *"),
+        ("count", "int64_t"), ("pos", "int64_t"), ("resume", "int64_t"),
+        ("losses", "double *"),  # per index entry
+        ("bitgen", "void *"),  # the model generator's bitgen_t
+        ("perm", "int64_t *"),  # n int64 scratch for the mask draw
+        ("n_masked", "int64_t"), ("enable_grow", "int64_t"), ("enable_prune", "int64_t"),
+        ("lr", "double"), ("momentum", "double"))
+# The exported functions of _step.c: result and parameter C types. ctypes
+# passes what these say, and the header's prototypes make the compiler hold
+# each definition to them.
+EXPORTS = {
+    "devdan_set_numerics": ("void", ("const struct numerics *",)),
+    "devdan_sum": ("void", ("const double *", "int64_t", "double *")),
+    "devdan_sigmoid": ("void", ("double *", "int64_t")),
+    "devdan_softmax": ("void", ("double *", "int64_t", "int64_t")),
+    "devdan_vecmat": ("void", ("const double *", "const double *", *("int64_t",) * 4,
+                               "double *")),
+    "devdan_mask": ("void", ("void *", "const double *", "double *", "int64_t", "int64_t",
+                             "int64_t *")),
+    "devdan_charts": ("int", ("double *", "double", "double", *("int64_t",) * 3, "double *")),
+    "devdan_train_rows": ("int", ("const struct model *", "struct rows *")),
+}
+
+
+def model_fields() -> tuple:
+    """(field, C type) of struct model: the extents, one pointer per
+    STATE_SLOTS array in table order, of its dtype, the chart array, then one
+    per part of the work vector. Each array is C order (w is (n, width),
+    theta and vel_theta (width, m)); the charts are DevdanModel.charts."""
+    return (*((extent, "int64_t") for extent in ("n", "width", "m")),
+            *((s.key.replace(".", "_"), {np.float64: "double *", np.int64: "int64_t *"}[s.dtype])
+              for s in (*STATE_SLOTS, CHART_SLOT)),
+            *((part, "double *") for part in work_lengths(1, 1, 1)))
+
+
+def _ctype(decl: str):
+    """The ctypes type that passes a value of C type decl, c_void_p for any pointer."""
+    if decl.endswith(("*", "_fn")):
+        return ctypes.c_void_p
+    return {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int,
+            "void": None}[decl]
+
+
+def _structure(name: str, table) -> type:
+    """A ctypes structure with the fields of a (field, C type) table."""
+    return type(name, (ctypes.Structure,), {"_fields_": [(f, _ctype(c)) for f, c in table]})
+
+
+def header() -> str:
+    """The C declarations _step.c is compiled against, from the tables above,
+    the state table and monitors' chart columns: the enums, struct numerics,
+    struct model, struct rows and the prototype of every export."""
+    enums = (*(c.__members__.items() for c in (Status, Decision, Scalar)),
+             (*Column.__members__.items(), ("CHART_FIELDS", CHART_FIELDS)))
+    out = ["/* generated by devdan.kernel.header() */", "#include <stddef.h>",
+           "#include <stdint.h>", _TYPEDEFS]
+    out += ["enum { " + ", ".join(f"{k} = {int(v)}" for k, v in pairs) + " };" for pairs in enums]
+    for name, table in (("numerics", NUMERICS), ("model", model_fields()), ("rows", ROWS)):
+        out += [f"struct {name} {{", *(f"    {decl} {field};" for field, decl in table), "};"]
+    out += [f"{result} {name}({', '.join(params)});" for name, (result, params) in EXPORTS.items()]
+    return "\n".join(out) + "\n"
+
+
+_Numerics = _structure("_Numerics", NUMERICS)
+Rows = _structure("Rows", ROWS)
+KernelModel = _structure("KernelModel", model_fields())
+
+
+class KernelState:
+    """The compiled step's hold on a model: a struct model that points at
+    the model's own arrays, which the loop updates in place, and a work
+    vector whose parts (`parts`, named as in work_lengths) carry the inputs
+    and the results.
+
+    arrays : every STATE_SLOTS array and the chart array, as they were bound
+             when this was built
+
+    Holds raw pointers, so it is derived state: built only where the
+    compiled step runs, and never checkpointed, hashed, pickled or copied.
+    """
+
+    __slots__ = ("arrays", "struct", "addr", "parts", "train_rows")
+
+    def __init__(self, model, lib):
+        sizes = (model.n_in, model.width, model.n_classes)
+        lengths = work_lengths(*sizes)
+        ends = np.cumsum(list(lengths.values()))
+        self.arrays = state_arrays(model)
+        self.parts = dict(zip(lengths, np.split(np.zeros(ends[-1]), ends[:-1])))
+        pointers = (arr.ctypes.data for arr in (*self.arrays, *self.parts.values()))
+        self.struct = KernelModel(*sizes, *pointers)
+        self.addr = ctypes.addressof(self.struct)
+        self.train_rows = lib.devdan_train_rows
+
+    def is_behind(self, model) -> bool:
+        """True when any state or chart array is not the one bound at build time:
+        after a grow or prune, a checkpoint load, a copy or pickle, or an
+        assignment."""
+        return any(map(operator.is_not, state_arrays(model), self.arrays))
 
 
 class KernelUnavailable(Exception):
@@ -136,10 +259,16 @@ def cache_dir() -> Path:
     return Path(base) / "devdan"
 
 
+def _source() -> str:
+    """What the compiler reads: the header, then _step.c, whose lines keep
+    their numbers in compiler messages."""
+    return header() + f'#line 1 "{SOURCE.name}"\n' + SOURCE.read_text()
+
+
 def _library_path() -> Path:
     import platform
 
-    key = hashlib.sha256(SOURCE.read_bytes())
+    key = hashlib.sha256(_source().encode())
     for part in (" ".join(FLAGS), sys.implementation.cache_tag, platform.machine(),
                  np.__version__):
         key.update(b"\0" + part.encode())
@@ -180,10 +309,12 @@ def _build(target: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{target.stem}.", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
-                              capture_output=True, text=True, timeout=300, check=False)
+        proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+                              input=_source(), capture_output=True, text=True, timeout=300,
+                              check=False)
         if proc.returncode != 0:
-            first = (proc.stderr.strip().splitlines() or ["no output"])[0]
+            lines = proc.stderr.strip().splitlines() or ["no output"]
+            first = next((line for line in lines if "error" in line), lines[0])
             raise KernelUnavailable(f"build failed: {first}")
         os.replace(tmp, target)
         evict(target, "step-*.so", ENTRIES, MAX_BYTES)
@@ -195,26 +326,15 @@ def _build(target: Path) -> None:
 
 
 def _declare(lib) -> None:
-    v, p, i64, d = ctypes.c_void_p, _c_double_p, ctypes.c_int64, ctypes.c_double
-    signatures = {
-        "devdan_set_numerics": ([v], None),
-        "devdan_sum": ([p, i64, p], None),
-        "devdan_sigmoid": ([p, i64], None),
-        "devdan_softmax": ([p, i64, i64], None),
-        "devdan_vecmat": ([p, p, i64, i64, i64, i64, p], None),
-        "devdan_mask": ([v, p, p, i64, i64, v], None),
-        "devdan_charts": ([p, d, d, i64, i64, i64, p], ctypes.c_int),
-        "devdan_train_rows": ([v, v], ctypes.c_int),
-    }
-    for name, (args, res) in signatures.items():
+    for name, (result, params) in EXPORTS.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = args, res
+        fn.argtypes, fn.restype = list(map(_ctype, params)), _ctype(result)
 
 
 def _ptr(arr: np.ndarray):
     if arr.dtype != np.float64 or not (arr.flags.c_contiguous or arr.flags.f_contiguous):
         raise ValueError("the kernel takes contiguous float64 arrays")
-    return arr.ctypes.data_as(_c_double_p)
+    return arr.ctypes.data
 
 
 def vecmat(lib, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -348,7 +468,7 @@ def _check_charts(lib, rng) -> None:
         pruned = should_prune(var, v, grew, 3)
         want = (bias.min_mean + kappa(b2) * bias.min_std,
                 var.min_mean + 2.0 * kappa(v) * var.min_std if not grew else np.nan)
-        if (flags != GROW * grew + PRUNE * pruned
+        if (flags != Decision.GROW * grew + Decision.PRUNE * pruned
                 or not _same(pair, np.stack([bias.row, var.row])) or not _same(limits, want)):
             raise KernelUnavailable(f"self-check: control chart (row {t})")
         if grew:

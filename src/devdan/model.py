@@ -22,7 +22,6 @@ import numpy as np
 from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
-    CHART_FIELDS,
     NodeStats,
     NsSnapshot,
     SpcTracker,
@@ -34,6 +33,7 @@ from .monitors import (
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
+from .state import CHART_SLOT, CHARTS, STATE_SLOTS, state_arrays
 
 
 @dataclass
@@ -41,16 +41,13 @@ class DevdanConfig:
     """Hyperparameters and variant switches.
 
     Defaults: discriminative / generative learning rates 0.01 / 0.001,
-    momentum 0.95 (discriminative phase only), 10% masking noise. reset_mode
-    'reset_all' selects the variant that also zeroes the running tracker
-    moments on a trigger.
+    momentum 0.95 (discriminative phase only), 10% masking noise.
     """
 
     lr_generative: float = 0.001
     lr_discriminative: float = 0.01
     momentum: float = 0.95
     mask_fraction: float = 0.10
-    reset_mode: str = "standard"
     enable_generative: bool = True
     enable_grow: bool = True
     enable_prune: bool = True
@@ -64,8 +61,6 @@ class DevdanConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ConfigError("mask_fraction must lie in [0, 1]")
-        if self.reset_mode not in ("standard", "reset_all"):
-            raise ConfigError(f"unknown reset_mode {self.reset_mode!r}")
         for name in ("enable_generative", "enable_grow", "enable_prune"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ConfigError(f"{name} must be a boolean, not {getattr(self, name)!r}")
@@ -91,119 +86,6 @@ class SoftmaxHead:
     @property
     def width(self) -> int:
         return self.theta.shape[0]
-
-
-class StateSlot(NamedTuple):
-    """One model-state array.
-
-    key     : checkpoint key; a dot nests it ("gen_stats.count")
-    owner   : model attribute that holds the array, None for the model itself
-    attr    : attribute name on the owner
-    extents : the array's shape, each a size name ("n" inputs, "width"
-              hidden nodes, "m" classes) or a fixed size
-    dtype   : the array's dtype
-    """
-
-    key: str
-    owner: str | None
-    attr: str
-    extents: tuple
-    dtype: type = np.float64
-
-    @property
-    def node_axis(self) -> int | None:
-        """The axis that runs over hidden nodes, None if there is none."""
-        return self.extents.index("width") if "width" in self.extents else None
-
-    def shape(self, sizes: dict) -> tuple:
-        """The shape with each named extent looked up in sizes (which maps
-        "n", "width" and "m" to a size) and each fixed size as it is."""
-        return tuple(map(sizes.get, self.extents, self.extents))
-
-    def get(self, model) -> np.ndarray:
-        return getattr(self._holder(model), self.attr)
-
-    def set(self, model, value: np.ndarray) -> None:
-        setattr(self._holder(model), self.attr, value)
-
-    def _holder(self, model):
-        return model if self.owner is None else getattr(model, self.owner)
-
-
-# Every array of model state, in checkpoint and state-hash order. Grow, prune,
-# checkpoints, the hash, the compiled loop's struct model and the shape and
-# dtype check before training all walk this table, so per-node state
-# declared here stays in step everywhere.
-STATE_SLOTS = (
-    StateSlot("w", "layer", "w", ("n", "width")),
-    StateSlot("b", "layer", "b", ("width",)),
-    StateSlot("c", "layer", "c", ("n",)),
-    StateSlot("theta", "head", "theta", ("width", "m")),
-    StateSlot("eta", "head", "eta", ("m",)),
-    StateSlot("vel_theta", "head", "vel_theta", ("width", "m")),
-    StateSlot("vel_eta", "head", "vel_eta", ("m",)),
-    StateSlot("vel_w", None, "vel_w", ("n", "width")),
-    StateSlot("vel_b", None, "vel_b", ("width",)),
-    StateSlot("gen_stats.count", "gen_stats", "count", ("width",), np.int64),
-    StateSlot("gen_stats.mean", "gen_stats", "mean", ("width",)),
-    StateSlot("gen_stats.m2", "gen_stats", "m2", ("width",)),
-    StateSlot("disc_stats.count", "disc_stats", "count", ("width",), np.int64),
-    StateSlot("disc_stats.mean", "disc_stats", "mean", ("width",)),
-    StateSlot("disc_stats.m2", "disc_stats", "m2", ("width",)),
-)
-# The rows of a model's chart array (`DevdanModel.charts`), each the model
-# attribute that views it; checkpoints and the state hash follow this order.
-CHARTS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
-# the chart array, which checkpoints and the hash store row by row
-CHART_SLOT = StateSlot("charts", None, "charts", (len(CHARTS), CHART_FIELDS))
-# a model's STATE_SLOTS arrays, in table order, then its chart array, fetched
-# in one call
-_state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
-                                      for s in (*STATE_SLOTS, CHART_SLOT)))
-
-
-class KernelModel(ctypes.Structure):
-    """struct model in _step.c: the extents, one pointer per STATE_SLOTS
-    array in table order, then the chart array and the work vector."""
-
-    _fields_ = [*((name, ctypes.c_int64) for name in ("n", "width", "m")),
-                *((s.key.replace(".", "_"), ctypes.c_void_p) for s in STATE_SLOTS),
-                ("charts", ctypes.c_void_p), ("work", ctypes.c_void_p)]
-
-
-class KernelState:
-    """The compiled step's hold on a model: a struct model that points at
-    the model's own arrays, which the loop updates in place, and a work
-    vector whose views carry the inputs and the results (the layout that
-    view_of() in _step.c reads).
-
-    arrays : every STATE_SLOTS array and the chart array, as they were bound
-             when this was built
-
-    Holds raw pointers, so it is derived state: built only where the
-    compiled step runs, and never checkpointed, hashed, pickled or copied.
-    """
-
-    __slots__ = ("arrays", "struct", "addr", "work", "ey", "gen_output", "scalars", "train_rows")
-
-    def __init__(self, model: "DevdanModel", lib):
-        n, width, m = model.n_in, model.width, model.n_classes
-        k = max(n, m)
-        self.arrays = _state_arrays(model)
-        self.work = s = np.zeros(2 * n + 2 * width + 3 * k + max(k, width)
-                                 + n + n * width + width + width * m + m + 3)
-        self.ey = s[2 * n + width:2 * n + 2 * width]
-        self.gen_output = s[2 * n + 2 * width:2 * n + 2 * width + n]
-        self.scalars = s[-3:]
-        self.struct = KernelModel(n, width, m, *(arr.ctypes.data for arr in (*self.arrays, s)))
-        self.addr = ctypes.addressof(self.struct)
-        self.train_rows = lib.devdan_train_rows
-
-    def is_behind(self, model: "DevdanModel") -> bool:
-        """True when any state or chart array is not the one bound at build time:
-        after a grow or prune, a checkpoint load, a copy or pickle, or an
-        assignment."""
-        return any(map(operator.is_not, _state_arrays(model), self.arrays))
 
 
 def _as_floats(values, what: str) -> np.ndarray:
@@ -376,7 +258,7 @@ class DevdanModel:
                 self._grow_generative(residual)
             else:
                 self._grow_discriminative()
-            bias_chart.reset_min(cfg.reset_mode)
+            bias_chart.reset_min()
 
         var_chart.update(snap.variance)
         pruned = cfg.enable_prune and should_prune(var_chart, snap.variance, grew, self.width)
@@ -384,7 +266,7 @@ class DevdanModel:
             # a prune never follows a grow in the same step, so the node
             # statistics behind snap.ey are unchanged since the snapshot
             self._prune(weakest_node(snap.ey))
-            var_chart.reset_min(cfg.reset_mode)
+            var_chart.reset_min()
         return grew, pruned
 
     # -------------------------------------------------------------- train steps
@@ -401,7 +283,7 @@ class DevdanModel:
         w = np.asarray(self.layer.w)
         width = w.shape[1] if w.ndim == 2 else -1  # any other w is named below
         sizes = {"n": self.n_in, "width": width, "m": self.n_classes}
-        arrays = tuple(map(np.asarray, _state_arrays(self)))
+        arrays = tuple(map(np.asarray, state_arrays(self)))
         for slot, arr in zip((*STATE_SLOTS, CHART_SLOT), arrays):
             if arr.shape != slot.shape(sizes) or arr.dtype.kind not in "biuf":
                 raise ShapeError(f"{slot.key} is a {arr.dtype} array of shape {arr.shape}, "
@@ -413,13 +295,13 @@ class DevdanModel:
         the shapes of checked_state, then, once every shape has passed, an
         array of another dtype or memory order, or read-only, is replaced by
         a C-order copy of the slot's dtype."""
-        for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), _state_arrays(self),
+        for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), state_arrays(self),
                                   self.checked_state()):
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
                 slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
 
-    def _kernel(self) -> KernelState | None:
+    def _kernel(self) -> kernel.KernelState | None:
         """The compiled step's hold on the live arrays, rebuilt after the rule
         of _check_state when any of them was rebound; None where the kernel
         is unavailable."""
@@ -429,7 +311,7 @@ class DevdanModel:
             if lib is None:
                 return None
             self._check_state()
-            k = self._kernel_state = KernelState(self, lib)
+            k = self._kernel_state = kernel.KernelState(self, lib)
         return k
 
     def generative_step(self, x: np.ndarray) -> StepReport:
@@ -550,24 +432,26 @@ class DevdanModel:
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0
-        while (status := k.train_rows(k.addr, ctypes.byref(job))) == kernel.CHART:
-            residual = feats[rows[job.pos]] - k.gen_output if gen else None
-            grew, pruned = self._evolve(NsSnapshot(k.ey, *k.scalars[:2].tolist()), residual)
+        while (status := k.train_rows(k.addr, ctypes.byref(job))) == kernel.Status.CHART:
+            residual = feats[rows[job.pos]] - k.parts["pre"][:n] if gen else None
+            snap = NsSnapshot(k.parts["ey"], *k.parts["scalars"][:2].tolist())
+            grew, pruned = self._evolve(snap, residual)
             grows += grew
             prunes += pruned
             old, k = k, self._kernel()
-            k.work[:2 * n] = old.work[:2 * n]  # x and x_tilde, drawn once
+            for part in ("x", "xt"):  # drawn once
+                k.parts[part][:] = old.parts[part]
             job.resume = 1
-        if status == kernel.DONE:
+        if status == kernel.Status.DONE:
             return losses, grows, prunes, None
         pos = job.pos
-        if status == kernel.GEN_LOSS:
+        if status == kernel.Status.GEN_LOSS:
             err = NumericError(f"non-finite generative loss {float(losses[pos])!r}")
-        elif status == kernel.DISC_LOSS:
+        elif status == kernel.Status.DISC_LOSS:
             err = NumericError(f"non-finite discriminative loss {float(losses[pos])!r}")
         else:
-            err = NumericError(
-                f"non-finite gradient for parameter block '{'wbc'[status - kernel.GRAD_W]}'")
+            err = NumericError("non-finite gradient for parameter block "
+                               f"'{'wbc'[status - kernel.Status.GRAD_W]}'")
         return losses[:pos], grows, prunes, (pos, err)
 
     # -------------------------------------------------------------- batch level

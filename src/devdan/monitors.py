@@ -11,6 +11,7 @@ prunes (high variance) a hidden node.
 """
 from __future__ import annotations
 
+import enum
 import math
 from typing import NamedTuple
 
@@ -80,16 +81,17 @@ class NodeStats:
 
 # The columns of a chart row: the running moment of the watched stream, the
 # lowest mean and std since the last reset, and whether the next observation
-# re-seeds those minima (1.0) or not (0.0). The compiled loop reads the same
-# layout.
-COUNT, MEAN, M2, MIN_MEAN, MIN_STD, RESEED, CHART_FIELDS = range(7)
+# re-seeds those minima (1.0) or not (0.0). The compiled loop's header
+# declares the same names (kernel.header).
+Column = enum.IntEnum("Column", "COUNT MEAN M2 MIN_MEAN MIN_STD RESEED", start=0)
+CHART_FIELDS = len(Column)
 
 
 def fresh_charts(rows: int) -> np.ndarray:
     """`rows` chart rows that have seen nothing, each re-seeding its minima
     from its first observation."""
     charts = np.zeros((rows, CHART_FIELDS))
-    charts[:, RESEED] = 1.0
+    charts[:, Column.RESEED] = 1.0
     return charts
 
 
@@ -140,32 +142,27 @@ class SpcTracker:
 
     @property
     def count(self) -> int:
-        return int(self.row[COUNT])
+        return int(self.row[Column.COUNT])
 
     @property
     def mean(self) -> float:
-        return float(self.row[MEAN])
+        return float(self.row[Column.MEAN])
 
     @property
     def std(self) -> float:
-        return _std(float(self.row[COUNT]), float(self.row[M2]))
+        return _std(float(self.row[Column.COUNT]), float(self.row[Column.M2]))
 
     @property
     def min_mean(self) -> float:
-        return float(self.row[MIN_MEAN])
+        return float(self.row[Column.MIN_MEAN])
 
     @property
     def min_std(self) -> float:
-        return float(self.row[MIN_STD])
+        return float(self.row[Column.MIN_STD])
 
-    def reset_min(self, mode: str = "standard") -> None:
-        """Arm a re-seed of the minima; 'reset_all' additionally zeroes the
-        running moments (the empirically inferior variant kept as a switch)."""
-        if mode not in ("standard", "reset_all"):
-            raise StructureError(f"unknown reset mode {mode!r}")
-        self.row[RESEED] = 1.0
-        if mode == "reset_all":
-            self.row[COUNT:M2 + 1] = 0.0
+    def reset_min(self) -> None:
+        """Arm a re-seed of the minima from the next observation."""
+        self.row[Column.RESEED] = 1.0
 
 
 def kappa(level: float) -> float:

@@ -1,0 +1,78 @@
+"""The table of a model's state arrays (STATE_SLOTS) and of its charts."""
+from __future__ import annotations
+
+import operator
+from typing import NamedTuple
+
+import numpy as np
+
+from .monitors import CHART_FIELDS
+
+
+class StateSlot(NamedTuple):
+    """One model-state array.
+
+    key     : checkpoint key; a dot nests it ("gen_stats.count")
+    owner   : model attribute that holds the array, None for the model itself
+    attr    : attribute name on the owner
+    extents : the array's shape, each a size name ("n" inputs, "width"
+              hidden nodes, "m" classes) or a fixed size
+    dtype   : the array's dtype
+    """
+
+    key: str
+    owner: str | None
+    attr: str
+    extents: tuple
+    dtype: type = np.float64
+
+    @property
+    def node_axis(self) -> int | None:
+        """The axis that runs over hidden nodes, None if there is none."""
+        return self.extents.index("width") if "width" in self.extents else None
+
+    def shape(self, sizes: dict) -> tuple:
+        """The shape with each named extent looked up in sizes (which maps
+        "n", "width" and "m" to a size) and each fixed size as it is."""
+        return tuple(map(sizes.get, self.extents, self.extents))
+
+    def get(self, model) -> np.ndarray:
+        return getattr(self._holder(model), self.attr)
+
+    def set(self, model, value: np.ndarray) -> None:
+        setattr(self._holder(model), self.attr, value)
+
+    def _holder(self, model):
+        return model if self.owner is None else getattr(model, self.owner)
+
+
+# Every array of model state, in checkpoint and state-hash order. Grow, prune,
+# checkpoints, the hash, the compiled loop's struct model and the shape and
+# dtype check before training all walk this table, so per-node state
+# declared here stays in step everywhere.
+STATE_SLOTS = (
+    StateSlot("w", "layer", "w", ("n", "width")),
+    StateSlot("b", "layer", "b", ("width",)),
+    StateSlot("c", "layer", "c", ("n",)),
+    StateSlot("theta", "head", "theta", ("width", "m")),
+    StateSlot("eta", "head", "eta", ("m",)),
+    StateSlot("vel_theta", "head", "vel_theta", ("width", "m")),
+    StateSlot("vel_eta", "head", "vel_eta", ("m",)),
+    StateSlot("vel_w", None, "vel_w", ("n", "width")),
+    StateSlot("vel_b", None, "vel_b", ("width",)),
+    StateSlot("gen_stats.count", "gen_stats", "count", ("width",), np.int64),
+    StateSlot("gen_stats.mean", "gen_stats", "mean", ("width",)),
+    StateSlot("gen_stats.m2", "gen_stats", "m2", ("width",)),
+    StateSlot("disc_stats.count", "disc_stats", "count", ("width",), np.int64),
+    StateSlot("disc_stats.mean", "disc_stats", "mean", ("width",)),
+    StateSlot("disc_stats.m2", "disc_stats", "m2", ("width",)),
+)
+# The rows of a model's chart array (`DevdanModel.charts`), each the model
+# attribute that views it; checkpoints and the state hash follow this order.
+CHARTS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
+# the chart array, which checkpoints and the hash store row by row
+CHART_SLOT = StateSlot("charts", None, "charts", (len(CHARTS), CHART_FIELDS))
+# a model's STATE_SLOTS arrays, in table order, then its chart array, fetched
+# in one call
+state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
+                                     for s in (*STATE_SLOTS, CHART_SLOT)))

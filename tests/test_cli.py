@@ -51,13 +51,14 @@ class TestRun:
         assert doc["effective_config"]["no_generative"] is True
 
     def test_reset_all_flag(self, tmp_path):
-        code = run_cli(
-            "run", "--dataset", "sea", "--samples", "2000", "--batch", "1000",
-            "--seeds", "1", "--reset-all", "--out", str(tmp_path),
-        )
-        assert code == EXIT_OK
-        doc = json.loads((tmp_path / "run_summary.json").read_text())
-        assert doc["configs"]["default"]["reset_mode"] == "reset_all"
+        """The retired variant: the flag is unknown and so is the file key."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--reset-all", "--out", str(tmp_path))
+        assert exit_info.value.code == EXIT_CONFIG
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"reset_all": True}))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -83,7 +84,8 @@ class TestRun:
         ({"prefix": 5}, "prefix is 5, expected a string"),
         ({"no_grow": "no"}, 'no_grow is "no", expected true or false'),
         ({"selection": "best"}, 'selection is "best", expected one of random, confidence'),
-        ({"seeds": 2.0}, "seeds is 2.0, expected a seed count or a list of seeds"),
+        ({"seeds": 2.0}, "seeds is 2.0, expected a positive seed count or a non-empty list of "
+                         "non-negative seeds"),
         ({"permutations": [[0]]},
          "permutations is [[0]], expected a list of [start, [index, ...]] pairs"),
     ])
@@ -99,8 +101,24 @@ class TestRun:
     def test_env_seed_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("DEVDAN_SEED", "abc")
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
-        expected = "config error: DEVDAN_SEED is 'abc', expected an integer\n"
+        expected = "config error: DEVDAN_SEED is 'abc', expected a non-negative integer\n"
         assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (("gen", "sea", "5", "--seed", "-1"), None, "seed is -1, expected a non-negative integer"),
+        (("run", "--seed-base", "-3"), None, "seed_base is -3, expected a non-negative integer"),
+        (("run",), "-3", "DEVDAN_SEED is '-3', expected a non-negative integer"),
+        (("run", "--seeds", "0"), None, "seeds is 0, expected a positive seed count or a "
+                                        "non-empty list of non-negative seeds"),
+    ])
+    def test_bad_seed_is_config_error(self, tmp_path, monkeypatch, capsys, argv, env, message):
+        """A seed numpy refuses, or a seed count that trains nothing, exits 2
+        naming the setting, before anything is written."""
+        if env is not None:
+            monkeypatch.setenv("DEVDAN_SEED", env)
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_setting_defaults_are_the_dataclass_defaults(self):
         """The table's defaults, through the one builder, give DatasetSpec()

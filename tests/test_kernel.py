@@ -5,10 +5,8 @@ whole runs against the numpy step, and the loader's fallback, self-check and
 concurrent builds."""
 import ast
 import copy
-import ctypes
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -18,11 +16,11 @@ import numpy as np
 import pytest
 from conftest import each_backend
 
-from devdan import kernel, monitors, step_backend
+from devdan import kernel, step_backend
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import MaskSpec, mask_input
 from devdan.errors import ShapeError
-from devdan.model import STATE_SLOTS, DevdanConfig, DevdanModel, KernelModel
+from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import SpcTracker, kappa, should_grow, should_prune
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_hyperplane, gen_sea
@@ -139,15 +137,14 @@ def chart_streams(rng):
     return (("drift", bias2, variance), ("nan", *with_nan), ("zeros", *zeros))
 
 
-@pytest.mark.parametrize("reset_mode", ["standard", "reset_all"])
 @pytest.mark.parametrize("width", [1, 3])
 @pytest.mark.parametrize("enable", [(True, True), (False, True), (True, False)])
-def test_charts_match_python(lib, reset_mode, width, enable):
+def test_charts_match_python(lib, width, enable):
     """The kernel's chart step against SpcTracker.update, should_grow and
     should_prune on the same streams: equal moments, minima, re-seed flags,
     limits and decisions on every row, resetting a chart that fires as
     DevdanModel._evolve does."""
-    rng = np.random.default_rng(width * 7 + len(reset_mode))
+    rng = np.random.default_rng(width * 7 + 8)
     enable_grow, enable_prune = enable
     fired = 0
     for name, bias2, variance in chart_streams(rng):
@@ -159,7 +156,7 @@ def test_charts_match_python(lib, reset_mode, width, enable):
             grew = enable_grow and should_grow(bias, b2)
             var.update(v)
             pruned = enable_prune and should_prune(var, v, grew, width)
-            assert flags == kernel.GROW * grew + kernel.PRUNE * pruned, (name, t)
+            assert flags == kernel.Decision.GROW * grew + kernel.Decision.PRUNE * pruned, (name, t)
             assert same(pair, np.stack([bias.row, var.row])), (name, t)
             if enable_grow:
                 limit = bias.min_mean + kappa(b2) * bias.min_std
@@ -168,9 +165,9 @@ def test_charts_match_python(lib, reset_mode, width, enable):
                 limit = var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
                 assert same_limit(limits[1], limit), (name, t)
             if grew:
-                bias.reset_min(reset_mode)
+                bias.reset_min()
             if pruned:
-                var.reset_min(reset_mode)
+                var.reset_min()
             if flags:
                 fired += 1
                 pair = np.stack([bias.row, var.row])
@@ -180,73 +177,18 @@ def test_charts_match_python(lib, reset_mode, width, enable):
 def test_charts_report_where_python_raises(lib):
     """Where math.sqrt (a negative m2) or math.exp (an overflowing kappa)
     would raise, the kernel says so instead of deciding."""
-    bias, var = SpcTracker(), SpcTracker()
+    raises, bias, var = kernel.Decision.RAISES, SpcTracker(), SpcTracker()
     bias.row[:3] = (3, 0.5, -1.0)  # count, mean and a negative m2
-    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), 0.1, 0.1, 3)[0] == kernel.RAISES
+    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), 0.1, 0.1, 3)[0] == raises
     with pytest.raises(ValueError):
         bias.update(0.1)
     bias = SpcTracker()
-    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), -1000.0, 0.1, 3)[0] == kernel.RAISES
+    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), -1000.0, 0.1, 3)[0] == raises
     bias.update(-1000.0)
     with pytest.raises(OverflowError):
         should_grow(bias, -1000.0)
     fresh = np.stack([SpcTracker().row, SpcTracker().row])
     assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False)[0] == 0
-
-
-def c_fields(struct: str) -> list[tuple[str, str]]:
-    """(name, type) of each member of `struct <struct>` in _step.c, in order;
-    the type is the base type without const, then " *" for a pointer."""
-    body = re.search(rf"struct {struct} \{{(.*?)\}};", kernel.SOURCE.read_text(), re.S).group(1)
-    fields = []
-    for decl in filter(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")):
-        base, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", decl, re.S).groups()
-        fields += [(name.strip(" *"), base + " *" * ("*" in name)) for name in names.split(",")]
-    return fields
-
-
-def c_enum(member: str) -> dict[str, int]:
-    """Name and value of each member of the enum in _step.c that declares
-    member."""
-    for body in re.findall(r"enum \{(.*?)\};", kernel.SOURCE.read_text(), re.S):
-        parts = [part.partition("=") for part in body.split(",")]
-        if member in (name.strip() for name, _, _ in parts):
-            values, value = {}, 0
-            for name, _, given in parts:
-                value = int(given) if given else value
-                values[name.strip()] = value
-                value += 1
-            return values
-    raise AssertionError(f"no enum in {kernel.SOURCE.name} declares {member}")
-
-
-def test_struct_model_matches_the_state_table():
-    """struct model in _step.c declares, in order, the fields that
-    KernelModel generates from STATE_SLOTS, and each slot's pointer has the
-    slot's dtype: a slot added without its C pointer fails here."""
-    declared = c_fields("model")
-    generated = [name for name, _ in KernelModel._fields_]
-    assert [name for name, _ in declared] == generated, (
-        f"struct model in {kernel.SOURCE.name} declares {[name for name, _ in declared]}, "
-        f"but model.KernelModel generates {generated}: declare one pointer per STATE_SLOTS "
-        f"entry there, in table order")
-    ctypes_of = dict(declared)
-    for slot in STATE_SLOTS:
-        want = {np.float64: "double *", np.int64: "int64_t *"}[slot.dtype]
-        assert ctypes_of[slot.key.replace(".", "_")] == want, slot.key
-
-
-def test_struct_rows_and_enums_match_the_python_side():
-    """struct rows in _step.c declares kernel.Rows' fields, in order and of
-    matching types; the loop's status codes and chart decisions carry the
-    values kernel.py gives them, and the chart columns monitors.py's."""
-    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    declared = [(name, ctypes.c_void_p if ctype.endswith("*") else scalar[ctype])
-                for name, ctype in c_fields("rows")]
-    assert declared == kernel.Rows._fields_, (declared, kernel.Rows._fields_)
-    for member, module in (("DONE", kernel), ("GROW", kernel), ("COUNT", monitors)):
-        values = c_enum(member)
-        assert values == {name: getattr(module, name, None) for name in values}, member
 
 
 def test_discriminative_loss_is_numpys_log(compiled_step):
@@ -306,6 +248,27 @@ def test_missing_compiler_falls_back_to_numpy(monkeypatch, tmp_path):
     assert kernel.library() is None and len(builds) == 1
     assert state_hash(model) == state_hash(expected)
     assert not list((tmp_path / "devdan").iterdir())  # no temporary file left
+
+
+@pytest.mark.parametrize("table, change", [
+    ("ROWS", lambda rows: tuple(("position" if name == "pos" else name, decl)
+                                for name, decl in rows)),
+    ("STATE_SLOTS", lambda slots: tuple(s._replace(dtype=np.float64) if s.dtype == np.int64
+                                        else s for s in slots)),
+])
+def test_a_changed_table_entry_fails_the_build(compiled_step, tmp_path, monkeypatch, table,
+                                               change):
+    """A header rendered from a changed table does not compile with _step.c:
+    a struct rows field that the loop reads, renamed, or the node counts'
+    dtype flipped from int64 to float64. The build key changes with the
+    tables, so a build made from other tables is never loaded."""
+    monkeypatch.setattr(kernel, "cache_dir", lambda: tmp_path)
+    path = kernel._library_path()
+    monkeypatch.setattr(kernel, table, change(getattr(kernel, table)))
+    assert kernel._library_path() != path
+    with pytest.raises(kernel.KernelUnavailable, match="^build failed: .*error"):
+        kernel._load()
+    assert not list(tmp_path.iterdir())
 
 
 def test_failed_self_check_falls_back_to_numpy(monkeypatch, compiled_step):

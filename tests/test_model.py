@@ -19,9 +19,10 @@ from devdan import dae, kernel
 from devdan.checkpoint import load_checkpoint, model_to_dict, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
-from devdan.model import CHART_SLOT, CHARTS, STATE_SLOTS, DevdanConfig, DevdanModel
-from devdan.monitors import SpcTracker
+from devdan.model import DevdanConfig, DevdanModel
+from devdan.monitors import Column, SpcTracker
 from devdan.numerics import sigmoid, softmax_row
+from devdan.state import CHART_SLOT, CHARTS, STATE_SLOTS
 from devdan.streams import StreamBatch, gen_sea
 
 
@@ -350,9 +351,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DevdanConfig(mask_fraction=1.5).validate()
 
-    def test_bad_reset_mode(self):
-        with pytest.raises(ConfigError):
-            DevdanConfig(reset_mode="sometimes").validate()
+    def test_bad_reset_mode(self, tmp_path):
+        """A checkpoint from when reset modes existed: "standard" loads to the
+        same model, "reset_all" is refused."""
+        model, path = TestCheckpoint().trained_model(), tmp_path / "m.ckpt.json"
+        doc = model_to_dict(model)
+        path.write_text(json.dumps({**doc, "config": {**doc["config"], "reset_mode": "standard"}}))
+        assert state_hash(load_checkpoint(path)) == state_hash(model)
+        path.write_text(json.dumps({**doc, "config": {**doc["config"], "reset_mode": "reset_all"}}))
+        with pytest.raises(CheckpointError, match="reset_mode 'reset_all' is no longer supported"):
+            load_checkpoint(path)
 
     def test_label_out_of_range(self):
         model = DevdanModel(3, 2, frozen_config())
@@ -555,7 +563,6 @@ REBINDINGS = (  # the copies a rebind op assigns
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from((1, 3, 8)),
     m=st.sampled_from((2, 3, 5)),
-    reset_all=st.booleans(),
     ops=st.lists(
         st.tuples(
             st.sampled_from(PROPERTY_OPS),
@@ -568,15 +575,14 @@ REBINDINGS = (  # the copies a rebind op assigns
         max_size=40,
     ),
 )
-def test_random_step_sequences_keep_state_in_step(seed, n, m, reset_all, ops):
+def test_random_step_sequences_keep_state_in_step(seed, n, m, ops):
     """Any mix of single steps, batches of any size and label mask, forced
     edits, checkpoint reloads, copies and pickles (training goes on with the
     copy), malformed batches (refused without a trace) and state or chart
-    arrays rebound as C-order, Fortran-order or float32 copies, with n inputs,
-    m classes and either reset mode, leaves every per-node array of the state
-    table at the model's width, and both training steps on the same hash
-    after every op."""
-    hashes = {backend: run_step_sequence(seed, ops, n, m, reset_all)
+    arrays rebound as C-order, Fortran-order or float32 copies, with n inputs
+    and m classes, leaves every per-node array of the state table at the
+    model's width, and both training steps on the same hash after every op."""
+    hashes = {backend: run_step_sequence(seed, ops, n, m)
               for backend in each_backend()}
     assert len({tuple(h) for h in hashes.values()}) == 1, hashes
 
@@ -600,10 +606,9 @@ def malformed_batch(rng, size, kind, n=3, m=2):
     return StreamBatch(feats, labels, mask, 0)
 
 
-def run_step_sequence(seed, ops, n=3, m=2, reset_all=False) -> list:
+def run_step_sequence(seed, ops, n=3, m=2) -> list:
     """The state hash after each op."""
-    config = DevdanConfig(seed=seed, reset_mode="reset_all" if reset_all else "standard")
-    model = DevdanModel(n, m, config)
+    model = DevdanModel(n, m, DevdanConfig(seed=seed))
     hashes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt.json"
@@ -1060,24 +1065,31 @@ def test_generator_subclass_takes_the_numpy_step(compiled_step):
     assert state_hash(wrapped) == state_hash(plain)
 
 
-@pytest.mark.parametrize("reset_mode, rows", [("standard", 3000), ("reset_all", 400)])
-def test_edit_dense_batches_match_on_both_steps(reset_mode, rows):
-    """SEA with the concept flipping every 200 rows, in batches of 100 or 500
-    with about half the labels: many grows and prunes inside each batch (with
-    reset_all, a grow at nearly every row), and the same reports, losses to
-    the bit, and hash on both steps."""
+@pytest.mark.parametrize("charts, rows", [("standard", 3000), ("forged", 400)])
+def test_edit_dense_batches_match_on_both_steps(charts, rows):
+    """SEA with the concept flipping every 200 rows, with about half the
+    labels: many grows and prunes inside each batch, and the same reports,
+    losses to the bit, and hash on both steps. In batches of 500, or of 20
+    with the charts forged before each batch: the minima of every bias chart
+    (even batches) or variance chart (odd ones) set to -1 and 0, so that
+    their next test fires, a grow or a prune in each phase."""
     schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(15))
     feats, labels = gen_sea(rows, schedule, np.random.default_rng(85))
     labeled = np.random.default_rng(86).uniform(size=rows) < 0.5
-    size = min(500, rows // 4)
+    size = 500 if charts == "standard" else 20
     ends = {}
     for backend in each_backend():
-        model = DevdanModel(3, 2, DevdanConfig(seed=85, reset_mode=reset_mode))
-        reports = [model.train_batch(StreamBatch(feats[k:k + size], labels[k:k + size],
-                                                 labeled[k:k + size], k // size))
-                   for k in range(0, rows, size)]
+        model = DevdanModel(3, 2, DevdanConfig(seed=85))
+        reports = []
+        for k in range(0, rows, size):
+            if charts == "forged":  # columns min_mean, min_std and reseed
+                model.charts[k // size % 2::2, Column.MIN_MEAN:] = (-1.0, 0.0, 0.0)
+            reports.append(model.train_batch(StreamBatch(
+                feats[k:k + size], labels[k:k + size], labeled[k:k + size], k // size)))
         ends[backend] = (repr(reports), state_hash(model))
-    assert sum(r.grow_events + r.prune_events for r in reports) >= 15
+    edits = sum(r.grow_events + r.prune_events for r in reports)
+    # forged: at least one edit in each phase of each batch
+    assert edits >= (15 if charts == "standard" else 2 * rows // size), edits
     assert len(set(ends.values())) == 1, ends
 
 

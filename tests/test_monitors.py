@@ -199,15 +199,8 @@ class TestResetSemantics:
         for v in (0.1, 0.2, 0.3):
             t.update(v)
         count_before = t.count
-        t.reset_min("standard")
+        t.reset_min()
         assert t.count == count_before
-
-    def test_reset_all_zeroes_running_moments(self):
-        t = SpcTracker()
-        for v in (0.1, 0.2, 0.3):
-            t.update(v)
-        t.reset_min("reset_all")
-        assert t.count == 0
 
     def test_reseed_from_next_observation(self):
         t = SpcTracker()
@@ -217,10 +210,6 @@ class TestResetSemantics:
         t.update(0.9)
         assert t.min_mean == t.mean
         assert t.min_std == t.std
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(StructureError):
-            SpcTracker().reset_min("bogus")
 
     def test_min_mean_below_running_mean_between_resets(self):
         rng = np.random.default_rng(21)
