@@ -11,23 +11,24 @@
  *     numpy itself uses;
  *   - the mask draw is Generator.permutation's Fisher-Yates shuffle on the
  *     model generator's own bitgen_t, so it draws what numpy would;
- *   - the control charts repeat SpcTracker.update, kappa, should_grow and
- *     should_prune operation for operation, with libm's exp and sqrt, which
- *     math.exp and math.sqrt call;
+ *   - the control charts repeat monitors.update_charts operation for
+ *     operation, in place, with libm's exp and sqrt, which math.exp and
+ *     math.sqrt call;
  *   - the rest is elementwise + - * / and sqrt, each rounded once, in the
  *     order the numpy step writes them. Build with -ffp-contract=off and
  *     without -ffast-math so that no two of them fuse.
  *
  * devdan_train_rows is the one row loop of both phases (phase_of holds what
  * differs). It returns to Python when the rows run out, at a non-finite
- * result, or when a chart fires; Python then makes the structural edit,
- * which draws from the generator, and resumes at the same row, whose forward
- * pass is redone against the edited layer. The model struct points at the
- * model's own arrays, its charts included, which both steps update in place,
- * and at the parts of a work vector that carries the row and the results.
+ * result, or when a chart fires, with the edit (GROW or PRUNE) as its status;
+ * Python makes the edit, which draws from the generator, and resumes at the
+ * same row, whose forward pass is redone against the edited layer. The model
+ * struct points at the model's own arrays, its charts included, which both
+ * steps update in place, and at the parts of a work vector that carries the
+ * row and the results.
  *
  * It is compiled after the header that kernel.header() renders from the Python
- * tables: the enums (kernel.Status, Decision, Scalar, monitors.Column), struct
+ * tables: the enums (kernel.Status, Scalar, monitors.Column), struct
  * numerics (kernel.NUMERICS), struct rows (ROWS), struct model (model_fields(),
  * from state.STATE_SLOTS and work_lengths()) and each export's prototype
  * (EXPORTS), with <stddef.h> and <stdint.h>.
@@ -372,66 +373,47 @@ void devdan_mask(void *bitgen, const double *x, double *out, int64_t n, int64_t 
 
 /* --------------------------------------------------------------- charts */
 
-/* SpcTracker.update; returns the chart's std, or -1 where math.sqrt would
- * raise */
+/* SpcTracker.update; returns the chart's std */
 static double chart_update(double *c, double x)
 {
     c[COUNT] = c[COUNT] + 1.0;
     double delta = x - c[MEAN];
     c[MEAN] = c[MEAN] + delta / c[COUNT];
     c[M2] = c[M2] + delta * (x - c[MEAN]);
-    double q = c[COUNT] > 1.0 ? c[M2] / c[COUNT] : 0.0;
-    if (q < 0.0)
-        return -1.0;
-    double std = sqrt(q);
-    if (c[RESEED] != 0.0) {
+    double std = c[COUNT] > 1.0 ? sqrt(c[M2] / c[COUNT]) : 0.0;
+    if (c[RESEED] != 0.0 || c[MEAN] < c[MIN_MEAN])  /* a re-seed, or a new minimum */
         c[MIN_MEAN] = c[MEAN];
+    if (c[RESEED] != 0.0 || std < c[MIN_STD])
         c[MIN_STD] = std;
-        c[RESEED] = 0.0;
-    } else {
-        if (c[MEAN] < c[MIN_MEAN])
-            c[MIN_MEAN] = c[MEAN];
-        if (std < c[MIN_STD])
-            c[MIN_STD] = std;
-    }
+    c[RESEED] = 0.0;
     return std;
 }
 
-/* monitors.kappa, or -1 where math.exp would overflow */
-static double kappa(double level)
-{
-    double e = exp(-level);
-    return isinf(e) && !isinf(level) ? -1.0 : 1.3 * e + 0.7;
-}
+/* monitors.kappa */
+static double kappa(double level) { return 1.3 * exp(-level) + 0.7; }
 
-/* DevdanModel._evolve's chart work for one row, without the edits and the
- * resets: the bias chart takes bias2 and may call for a grow, then the
- * variance chart takes variance and may call for a prune. Returns GROW,
- * PRUNE or RAISES where a Python call would raise; limits gets each test's
- * limit, NaN where the test did not run. */
+/* monitors.update_charts, in place on a bias and a variance chart: the bias
+ * chart takes bias2 and its grow test, then the variance chart takes variance
+ * and its prune test. A chart that fires arms its re-seed (SpcTracker.
+ * reset_min), which its update has just cleared, so the flags are the
+ * decision: GROW, PRUNE or DONE. limits gets each test's limit, NaN where the
+ * test did not run. */
 static int charts_step(double *bias, double *var, double bias2, double variance, int64_t width,
                        int64_t enable_grow, int64_t enable_prune, double *limits)
 {
-    int out = 0;
-    double std = chart_update(bias, bias2), k;
+    double std = chart_update(bias, bias2);
     limits[0] = limits[1] = NAN;
-    if (std < 0.0)
-        return RAISES;
     if (enable_grow) {
-        if ((k = kappa(bias2)) < 0.0)
-            return RAISES;
-        limits[0] = bias[MIN_MEAN] + k * bias[MIN_STD];
-        out = bias[MEAN] + std >= limits[0] ? GROW : 0;
+        limits[0] = bias[MIN_MEAN] + kappa(bias2) * bias[MIN_STD];
+        bias[RESEED] = bias[MEAN] + std >= limits[0];
     }
-    if ((std = chart_update(var, variance)) < 0.0)
-        return RAISES;
-    if (enable_prune && !out && width > 1) {
-        if ((k = kappa(0.0 > variance ? 0.0 : variance)) < 0.0)  /* max(variance, 0.0) */
-            return RAISES;
-        limits[1] = var[MIN_MEAN] + 2.0 * k * var[MIN_STD];
-        out = var[MEAN] + std >= limits[1] ? PRUNE : 0;
+    std = chart_update(var, variance);
+    if (enable_prune && bias[RESEED] == 0.0 && width > 1) {
+        /* max(variance, 0.0) */
+        limits[1] = var[MIN_MEAN] + 2.0 * kappa(0.0 > variance ? 0.0 : variance) * var[MIN_STD];
+        var[RESEED] = var[MEAN] + std >= limits[1];
     }
-    return out;
+    return bias[RESEED] != 0.0 ? GROW : var[RESEED] != 0.0 ? PRUNE : DONE;
 }
 
 int devdan_charts(double *charts, double bias2, double variance, int64_t width,
@@ -442,20 +424,6 @@ int devdan_charts(double *charts, double bias2, double variance, int64_t width,
 }
 
 /* ------------------------------------------------------------ row loop */
-
-/* The phase's two charts on a copy, kept only when neither fires: Python
- * redoes a row whose chart fires, or where a Python call would raise. */
-static int row_charts(const struct model *md, const struct rows *r)
-{
-    double next[2 * CHART_FIELDS], limits[2];
-    double *charts = md->charts + (r->labels ? 2 * CHART_FIELDS : 0);
-    memcpy(next, charts, sizeof next);
-    if (charts_step(next, next + CHART_FIELDS, md->scalars[BIAS2], md->scalars[VARIANCE],
-                    md->width, r->enable_grow, r->enable_prune, limits))
-        return CHART;
-    memcpy(charts, next, sizeof next);
-    return DONE;
-}
 
 /* One phase over a run of rows (struct rows) */
 int devdan_train_rows(const struct model *md, struct rows *r)
@@ -470,8 +438,12 @@ int devdan_train_rows(const struct model *md, struct rows *r)
             if (label < 0)
                 mask_draw(r->bitgen, md->x, md->xt, md->n, r->n_masked, r->perm);
             forward(md, label);
-            if (row_charts(md, r) != DONE)
-                return CHART;
+            double *charts = md->charts + (label < 0 ? 0 : 2 * CHART_FIELDS), limits[2];
+            int edit = charts_step(charts, charts + CHART_FIELDS, md->scalars[BIAS2],
+                                   md->scalars[VARIANCE], md->width, r->enable_grow,
+                                   r->enable_prune, limits);
+            if (edit != DONE)  /* the phase's charts are committed, re-seeds included */
+                return edit;
         }
         int status = label < 0 ? gen_update(md, r->lr)
                                : disc_update(md, label, r->lr, r->momentum);

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .model import DevdanConfig, DevdanModel
-from .monitors import SpcTracker
+from .monitors import SpcTracker, negative_m2
 from .state import CHARTS, STATE_SLOTS
 
 FORMAT_VERSION = 1
@@ -44,7 +44,7 @@ def _number(value) -> bool:
 _CHART_ENTRIES = (
     ("current.count", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     ("current.mean", _number, "a number"),
-    ("current.m2", lambda v: _number(v) and not v < 0, "a non-negative number"),
+    ("current.m2", lambda v: _number(v) and not negative_m2(v), "a non-negative number"),
     ("min_mean", _number, "a number"),
     ("min_std", lambda v: _number(v) and not v < 0, "a non-negative number"),
     ("reseed", lambda v: type(v) is bool, "true or false"),

@@ -68,6 +68,13 @@ def _seed(value):
     return value
 
 
+def _count(value):
+    """A number of rows: an integer >= 1."""
+    if _plain(int, value) < 1:
+        raise ValueError("a positive integer")
+    return value
+
+
 def _seeds(value):
     """A seed count, or the list of seeds itself; either names at least one."""
     if (type(value) is int and value > 0 or type(value) is list and value
@@ -218,7 +225,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    count = args.count
+    count = _convert(Setting("count", None, _count), args.count)
     seed = _env_seed() if args.seed is None else _convert(Setting("seed", None, _seed), args.seed)
     rng = np.random.default_rng(seed)
     if args.dataset == "sea":

@@ -10,7 +10,8 @@ class ShapeError(DevdanError):
 
 
 class NumericError(DevdanError):
-    """A non-finite value appeared where finite arithmetic is required."""
+    """A value training's arithmetic cannot take: a non-finite one where
+    finite arithmetic is required, or a chart's negative m2."""
 
 
 class MonitorOrderError(DevdanError):

@@ -1,7 +1,7 @@
 """Interface and loader of the compiled training loop (`_step.c`).
 
 Everything the loop and Python share is declared once, here: the enums
-Status, Decision and Scalar, the work vector (work_lengths), struct numerics
+Status and Scalar, the work vector (work_lengths), struct numerics
 (NUMERICS), struct rows (ROWS), struct model (model_fields, from the state
 table) and the exports (EXPORTS). header() renders them, with monitors'
 chart columns, as the C declarations that _step.c is compiled against, and
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dae import MaskSpec, mask_input
-from .monitors import CHART_FIELDS, Column, SpcTracker, kappa, should_grow, should_prune
+from .monitors import CHART_FIELDS, Column, SpcTracker, kappa, update_charts
 from .numerics import sigmoid, softmax_row
 from .state import CHART_SLOT, STATE_SLOTS, state_arrays
 
@@ -80,10 +80,9 @@ _UFUNCS = (np.exp, np.logaddexp, np.add, np.log)
 # state table, and header() renders it as the C declarations the file is
 # compiled against.
 
-# why devdan_train_rows returned
-Status = enum.IntEnum("Status", "DONE CHART GEN_LOSS GRAD_W GRAD_B GRAD_C DISC_LOSS", start=0)
-# what devdan_charts decided
-Decision = enum.IntFlag("Decision", "GROW PRUNE RAISES")
+# why devdan_train_rows returned, GROW and PRUNE being the edit a chart called
+# for; devdan_charts returns DONE, GROW or PRUNE
+Status = enum.IntEnum("Status", "DONE GROW PRUNE GEN_LOSS GRAD_W GRAD_B GRAD_C DISC_LOSS", start=0)
 # the slots of the work vector's scalars part
 Scalar = enum.IntEnum("Scalar", "BIAS2 VARIANCE LOSS", start=0)
 
@@ -117,7 +116,7 @@ NUMERICS = (*((u.__name__, "loop_fn") for u in _UFUNCS),
 # index lists the rows to train, in order; labels (per feats row, each in
 # [0, m), which the caller checks) is NULL for the generative phase. pos is
 # where to start, and on return the row that returned. resume is set when
-# that row's chart fired and Python edited the layer: the row then goes on to
+# that row's chart fired and Python made its edit: the row then goes on to
 # its update, recomputing the forward pass against the edited layer first.
 ROWS = (("feats", "const double *"), ("index", "const int64_t *"), ("labels", "const int64_t *"),
         ("count", "int64_t"), ("pos", "int64_t"), ("resume", "int64_t"),
@@ -171,7 +170,7 @@ def header() -> str:
     """The C declarations _step.c is compiled against, from the tables above,
     the state table and monitors' chart columns: the enums, struct numerics,
     struct model, struct rows and the prototype of every export."""
-    enums = (*(c.__members__.items() for c in (Status, Decision, Scalar)),
+    enums = (*(c.__members__.items() for c in (Status, Scalar)),
              (*Column.__members__.items(), ("CHART_FIELDS", CHART_FIELDS)))
     out = ["/* generated by devdan.kernel.header() */", "#include <stddef.h>",
            "#include <stdint.h>", _TYPEDEFS]
@@ -382,10 +381,10 @@ def mask_draw(lib, rng: np.random.Generator, x: np.ndarray, k: int) -> np.ndarra
 
 def charts_step(lib, charts: np.ndarray, bias2: float, variance: float, width: int,
                 enable_grow: bool = True, enable_prune: bool = True) -> tuple[int, np.ndarray]:
-    """One row of DevdanModel._evolve's chart work, in place on a C-order
-    (2, CHART_FIELDS) bias and variance chart pair, without the edits and
-    resets. Returns GROW, PRUNE or RAISES, and each test's limit (NaN where
-    it did not run)."""
+    """monitors.update_charts through the kernel, in place on a C-order
+    (2, CHART_FIELDS) bias and variance chart pair, re-seeds included.
+    Returns Status.GROW, PRUNE or DONE, and each test's limit (NaN where it
+    did not run)."""
     if charts.shape != (2, CHART_FIELDS) or not charts.flags.c_contiguous:
         raise ValueError("the kernel takes a C-order (2, CHART_FIELDS) chart pair")
     limits = np.empty(2)
@@ -434,7 +433,9 @@ def _self_check(lib) -> None:
     if not _same(reduce_sum(lib, v[:297]), np.add.reduce(v[:297])):
         raise KernelUnavailable("self-check: add.reduce")
     _check_mask_draw(lib)
-    _check_charts(lib, rng)
+    streams = rng.exponential([0.05, 0.02], size=(200, 2))
+    streams[25::50] *= 10.0  # drifts: both streams jump
+    _check_charts(lib, *streams.T)
 
 
 def _check_mask_draw(lib) -> None:
@@ -452,31 +453,27 @@ def _check_mask_draw(lib) -> None:
             raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, generator state)")
 
 
-def _check_charts(lib, rng) -> None:
-    """A fixed stream through one chart pair against SpcTracker, should_grow
-    and should_prune: every moment, minimum, flag, decision and limit. A
-    chart that fires is reset and reloaded, as the model does."""
+def _check_charts(lib, bias2, variance, width=3, enable_grow=True, enable_prune=True) -> int:
+    """Streams of bias2 and variance through one chart pair, in the kernel and
+    in monitors.update_charts: every moment, minimum, re-seed flag, decision
+    and limit (NaN where its test did not run; NaN limits compare equal,
+    since which NaN an addition passes on depends on operand order). Returns
+    how many rows fired."""
     bias, var = SpcTracker(), SpcTracker()
     pair = np.stack([bias.row, var.row])
-    for t, (b2, v) in enumerate(rng.exponential([0.05, 0.02], size=(200, 2))):
-        if t % 50 == 25:  # a drift: both streams jump
-            b2, v = 10.0 * b2, 10.0 * v
-        flags, limits = charts_step(lib, pair, b2, v, 3)
-        bias.update(b2)
-        grew = should_grow(bias, b2)
-        var.update(v)
-        pruned = should_prune(var, v, grew, 3)
-        want = (bias.min_mean + kappa(b2) * bias.min_std,
-                var.min_mean + 2.0 * kappa(v) * var.min_std if not grew else np.nan)
-        if (flags != Decision.GROW * grew + Decision.PRUNE * pruned
-                or not _same(pair, np.stack([bias.row, var.row])) or not _same(limits, want)):
+    fired = 0
+    for t, (b2, v) in enumerate(zip(bias2, variance)):
+        status, limits = charts_step(lib, pair, b2, v, width, enable_grow, enable_prune)
+        grew, pruned = update_charts(bias, var, b2, v, width, enable_grow, enable_prune)
+        want = (bias.min_mean + kappa(b2) * bias.min_std if enable_grow else np.nan,
+                var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
+                if enable_prune and not grew and width > 1 else np.nan)
+        if (status != (Status.GROW if grew else Status.PRUNE if pruned else Status.DONE)
+                or not _same(pair, np.stack([bias.row, var.row]))
+                or not np.array_equal(limits, want, equal_nan=True)):
             raise KernelUnavailable(f"self-check: control chart (row {t})")
-        if grew:
-            bias.reset_min()
-        if pruned:
-            var.reset_min()
-        if flags:
-            pair = np.stack([bias.row, var.row])
+        fired += status != Status.DONE
+    return fired
 
 
 def _load():

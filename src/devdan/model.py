@@ -22,14 +22,15 @@ import numpy as np
 from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
+    Column,
     NodeStats,
     NsSnapshot,
     SpcTracker,
     fresh_charts,
+    negative_m2,
     ns_snapshot_discriminative,
     ns_snapshot_generative,
-    should_grow,
-    should_prune,
+    update_charts,
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
@@ -89,12 +90,19 @@ class SoftmaxHead:
 
 
 def _as_floats(values, what: str) -> np.ndarray:
-    """values as a float64 array; anything that is not numbers, or rows of
-    unequal length, raises a ShapeError naming what."""
+    """values as a float64 array. Anything that is not numbers, or rows of
+    unequal length, raises a ShapeError naming what; a NaN or infinity, a
+    NumericError naming the first one and, in rows of samples, its sample."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ShapeError(f"{what} are not numbers in rows of one length ({err})") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        where = np.unravel_index(np.argmin(finite), arr.shape)
+        sample = f"sample {where[0]}: " if arr.ndim == 2 else ""
+        raise NumericError(f"{sample}non-finite feature {float(arr[where])}")
+    return arr
 
 
 def _class_index(label) -> int:
@@ -116,6 +124,7 @@ class StepReport(NamedTuple):
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)  # the row list of a single step
+_EDITS = (kernel.Status.GROW, kernel.Status.PRUNE)  # the loop's returns that await an edit
 
 
 @dataclass
@@ -195,10 +204,8 @@ class DevdanModel:
 
     def predict(self, x: np.ndarray):
         """Class probabilities and predicted class for one sample."""
-        x = self._as_input(x)
-        h = sigmoid(x @ self.layer.w + self.layer.b)
-        probs = softmax_row(h @ self.head.theta + self.head.eta)
-        return probs, int(np.argmax(probs))
+        probs, classes = self.predict_batch(self._as_input(x)[None])
+        return probs[0], int(classes[0])
 
     def predict_batch(self, xs: np.ndarray):
         """Vectorized predict over the rows of xs; returns (probs, classes)."""
@@ -243,31 +250,30 @@ class DevdanModel:
                 slot.set(self, np.delete(slot.get(self), index, axis=slot.node_axis))
 
     def _evolve(self, snap: NsSnapshot, residual: np.ndarray | None = None) -> tuple[bool, bool]:
-        """One phase's structural step: the generative one given the
-        reconstruction residual, else the discriminative one. The phase's bias
-        chart may grow a node with the phase's initialiser, then its variance
-        chart may prune the node with the lowest expected activation. A chart
-        that fires re-seeds its minima. Returns (grew, pruned)."""
+        """The numpy step's structural step of one phase: the generative one
+        given the reconstruction residual, else the discriminative one. The
+        phase's two charts take the snapshot (monitors.update_charts), then
+        _edit makes the edit they called for. Returns (grew, pruned)."""
         cfg, gen = self.config, residual is not None
         # CHARTS order: the generative bias and variance charts, then the others
-        bias_chart, var_chart = map(SpcTracker, self.charts[:2] if gen else self.charts[2:])
-        bias_chart.update(snap.bias2)
-        grew = cfg.enable_grow and should_grow(bias_chart, snap.bias2)
+        charts = map(SpcTracker, self.charts[:2] if gen else self.charts[2:])
+        grew, pruned = update_charts(*charts, snap.bias2, snap.variance, self.width,
+                                     cfg.enable_grow, cfg.enable_prune)
+        self._edit(grew, pruned, snap.ey, residual)
+        return grew, pruned
+
+    def _edit(self, grew: bool, pruned: bool, ey: np.ndarray, residual: np.ndarray | None) -> None:
+        """The edit a row's charts called for, on either step: a grow with the
+        phase's initialiser (the generative one given the reconstruction
+        residual), or a prune of the node with the lowest expected activation
+        ey."""
         if grew:
-            if gen:
+            if residual is not None:
                 self._grow_generative(residual)
             else:
                 self._grow_discriminative()
-            bias_chart.reset_min()
-
-        var_chart.update(snap.variance)
-        pruned = cfg.enable_prune and should_prune(var_chart, snap.variance, grew, self.width)
-        if pruned:
-            # a prune never follows a grow in the same step, so the node
-            # statistics behind snap.ey are unchanged since the snapshot
-            self._prune(weakest_node(snap.ey))
-            var_chart.reset_min()
-        return grew, pruned
+        elif pruned:
+            self._prune(weakest_node(ey))
 
     # -------------------------------------------------------------- train steps
 
@@ -294,12 +300,22 @@ class DevdanModel:
         """The rule both steps apply before any row of a training call trains:
         the shapes of checked_state, then, once every shape has passed, an
         array of another dtype or memory order, or read-only, is replaced by
-        a C-order copy of the slot's dtype."""
+        a C-order copy of the slot's dtype; last, the charts' m2 check."""
         for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), state_arrays(self),
                                   self.checked_state()):
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
                 slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
+        self._check_m2()
+
+    def _check_m2(self) -> None:
+        """A chart whose m2 is negative (monitors.negative_m2), assigned or
+        written in place, raises a NumericError that names it."""
+        m2 = self.charts[:, Column.M2]
+        bad = np.flatnonzero(negative_m2(m2))
+        if bad.size:
+            raise NumericError(f"{CHARTS[bad[0]]}.current.m2 is {float(m2[bad[0]])!r}, "
+                               "expected a non-negative number")
 
     def _kernel(self) -> kernel.KernelState | None:
         """The compiled step's hold on the live arrays, rebuilt after the rule
@@ -407,11 +423,11 @@ class DevdanModel:
     def _compiled_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
         """Trains one phase over feats[rows] in the compiled loop: the
         generative phase, or given labels (int64, one per row of feats) the
-        discriminative one. The loop returns to Python only where a chart
-        fires, for _evolve to make the edit, which draws from the generator
-        (a chart that fires always ends in an edit, or _evolve raises); it
-        then resumes at the same row (job.resume), recomputing the forward
-        pass against the edited layer. The loop updates self.charts in place.
+        discriminative one. The loop runs each row's chart step on
+        self.charts in place, re-seeds included. Where a chart fires it
+        returns the edit (Status.GROW or PRUNE), which _edit makes, drawing
+        from the generator; the loop then resumes at the same row
+        (job.resume), recomputing the forward pass against the edited layer.
 
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
@@ -421,6 +437,7 @@ class DevdanModel:
         k = None if bitgen is None else self._kernel()
         if k is None:
             return None
+        self._check_m2()
         cfg, n, gen = self.config, self.n_in, labels is None
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         losses = np.empty(rows.shape[0])
@@ -432,12 +449,12 @@ class DevdanModel:
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0
-        while (status := k.train_rows(k.addr, ctypes.byref(job))) == kernel.Status.CHART:
+        while (status := k.train_rows(k.addr, ctypes.byref(job))) in _EDITS:
+            grew = status == kernel.Status.GROW
             residual = feats[rows[job.pos]] - k.parts["pre"][:n] if gen else None
-            snap = NsSnapshot(k.parts["ey"], *k.parts["scalars"][:2].tolist())
-            grew, pruned = self._evolve(snap, residual)
+            self._edit(grew, not grew, k.parts["ey"], residual)
             grows += grew
-            prunes += pruned
+            prunes += not grew
             old, k = k, self._kernel()
             for part in ("x", "xt"):  # drawn once
                 k.parts[part][:] = old.parts[part]

@@ -87,6 +87,12 @@ Column = enum.IntEnum("Column", "COUNT MEAN M2 MIN_MEAN MIN_STD RESEED", start=0
 CHART_FIELDS = len(Column)
 
 
+def negative_m2(m2):
+    """Where a chart's m2 is below zero (NaN is not), which no update makes;
+    training and load_checkpoint refuse such a chart."""
+    return np.less(m2, 0.0)
+
+
 def fresh_charts(rows: int) -> np.ndarray:
     """`rows` chart rows that have seen nothing, each re-seeding its minima
     from its first observation."""
@@ -191,6 +197,23 @@ def should_prune(tracker: SpcTracker, variance_now: float, grew_this_step: bool,
     count, mean, m2, min_mean, min_std, _ = tracker.row.tolist()
     limit = min_mean + 2.0 * kappa(max(variance_now, 0.0)) * min_std
     return mean + _std(count, m2) >= limit
+
+
+def update_charts(bias: SpcTracker, var: SpcTracker, bias2: float, variance: float, width: int,
+                  enable_grow: bool = True, enable_prune: bool = True) -> tuple[bool, bool]:
+    """One row's chart step: the bias chart takes bias2 and may call for a
+    grow, then the variance chart takes variance and may call for a prune of
+    a layer `width` wide; a chart that fires arms its re-seed. Returns
+    (grew, pruned), never both."""
+    bias.update(bias2)
+    grew = enable_grow and should_grow(bias, bias2)
+    if grew:
+        bias.reset_min()
+    var.update(variance)
+    pruned = enable_prune and should_prune(var, variance, grew, width)
+    if pruned:
+        var.reset_min()
+    return grew, pruned
 
 
 def weakest_node(hs) -> int:

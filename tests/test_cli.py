@@ -110,10 +110,13 @@ class TestRun:
         (("run",), "-3", "DEVDAN_SEED is '-3', expected a non-negative integer"),
         (("run", "--seeds", "0"), None, "seeds is 0, expected a positive seed count or a "
                                         "non-empty list of non-negative seeds"),
+        (("gen", "sea", "-5"), None, "count is -5, expected a positive integer"),
+        (("gen", "hyperplane", "0"), None, "count is 0, expected a positive integer"),
     ])
     def test_bad_seed_is_config_error(self, tmp_path, monkeypatch, capsys, argv, env, message):
-        """A seed numpy refuses, or a seed count that trains nothing, exits 2
-        naming the setting, before anything is written."""
+        """A seed numpy refuses, a seed count that trains nothing, or a gen
+        row count that writes none, exits 2 naming the setting, before
+        anything is written."""
         if env is not None:
             monkeypatch.setenv("DEVDAN_SEED", env)
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG

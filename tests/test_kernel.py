@@ -21,7 +21,7 @@ from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.dae import MaskSpec, mask_input
 from devdan.errors import ShapeError
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.monitors import SpcTracker, kappa, should_grow, should_prune
+from devdan.monitors import Column, kappa
 from devdan.numerics import sigmoid, softmax_row
 from devdan.streams import StreamBatch, gen_hyperplane, gen_sea
 
@@ -118,14 +118,8 @@ def test_mask_draw_matches_mask_input(lib, bits):
     assert kernel._same_state(ours.bit_generator.state, theirs.bit_generator.state)
 
 
-def same_limit(a, b) -> bool:
-    """Equal bits, or both NaN: which of two NaN operands an addition passes
-    on depends on operand order, and a NaN limit decides nothing."""
-    return same(a, b) or (np.isnan(a) and np.isnan(b))
-
-
 def chart_streams(rng):
-    """(name, bias2 stream, variance stream): drifting levels with negative
+    """(bias2 stream, variance stream) pairs: drifting levels with negative
     variances, NaN arriving mid-stream, and streams of signed zeros."""
     rows = 600
     level = np.repeat(rng.exponential(0.05, size=6), rows // 6)
@@ -133,62 +127,19 @@ def chart_streams(rng):
     variance = rng.normal(0.01, 0.02, size=rows)  # a third of them negative
     with_nan = bias2.copy(), variance.copy()
     with_nan[0][400], with_nan[1][450] = np.nan, np.nan
-    zeros = rng.choice([0.0, -0.0], size=(2, 50))
-    return (("drift", bias2, variance), ("nan", *with_nan), ("zeros", *zeros))
+    return ((bias2, variance), with_nan, rng.choice([0.0, -0.0], size=(2, 50)))
 
 
 @pytest.mark.parametrize("width", [1, 3])
 @pytest.mark.parametrize("enable", [(True, True), (False, True), (True, False)])
 def test_charts_match_python(lib, width, enable):
-    """The kernel's chart step against SpcTracker.update, should_grow and
-    should_prune on the same streams: equal moments, minima, re-seed flags,
-    limits and decisions on every row, resetting a chart that fires as
-    DevdanModel._evolve does."""
+    """The kernel's chart step against monitors.update_charts through the
+    loader's chart check, on streams the self-check does not try: equal
+    moments, minima, re-seed flags, limits and decisions on every row."""
     rng = np.random.default_rng(width * 7 + 8)
-    enable_grow, enable_prune = enable
-    fired = 0
-    for name, bias2, variance in chart_streams(rng):
-        bias, var = SpcTracker(), SpcTracker()
-        pair = np.stack([bias.row, var.row])
-        for t, (b2, v) in enumerate(zip(bias2.tolist(), variance.tolist())):
-            flags, limits = kernel.charts_step(lib, pair, b2, v, width, enable_grow, enable_prune)
-            bias.update(b2)
-            grew = enable_grow and should_grow(bias, b2)
-            var.update(v)
-            pruned = enable_prune and should_prune(var, v, grew, width)
-            assert flags == kernel.Decision.GROW * grew + kernel.Decision.PRUNE * pruned, (name, t)
-            assert same(pair, np.stack([bias.row, var.row])), (name, t)
-            if enable_grow:
-                limit = bias.min_mean + kappa(b2) * bias.min_std
-                assert same_limit(limits[0], limit), (name, t)
-            if enable_prune and not grew and width > 1:
-                limit = var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
-                assert same_limit(limits[1], limit), (name, t)
-            if grew:
-                bias.reset_min()
-            if pruned:
-                var.reset_min()
-            if flags:
-                fired += 1
-                pair = np.stack([bias.row, var.row])
-    assert fired > 3 or not (enable_grow or width > 1)  # width 1 never prunes
-
-
-def test_charts_report_where_python_raises(lib):
-    """Where math.sqrt (a negative m2) or math.exp (an overflowing kappa)
-    would raise, the kernel says so instead of deciding."""
-    raises, bias, var = kernel.Decision.RAISES, SpcTracker(), SpcTracker()
-    bias.row[:3] = (3, 0.5, -1.0)  # count, mean and a negative m2
-    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), 0.1, 0.1, 3)[0] == raises
-    with pytest.raises(ValueError):
-        bias.update(0.1)
-    bias = SpcTracker()
-    assert kernel.charts_step(lib, np.stack([bias.row, var.row]), -1000.0, 0.1, 3)[0] == raises
-    bias.update(-1000.0)
-    with pytest.raises(OverflowError):
-        should_grow(bias, -1000.0)
-    fresh = np.stack([SpcTracker().row, SpcTracker().row])
-    assert kernel.charts_step(lib, fresh, -1000.0, 0.1, 1, enable_grow=False)[0] == 0
+    fired = sum(kernel._check_charts(lib, bias2.tolist(), variance.tolist(), width, *enable)
+                for bias2, variance in chart_streams(rng))
+    assert fired > 3 or not (enable[0] or width > 1)  # width 1 never prunes
 
 
 def test_discriminative_loss_is_numpys_log(compiled_step):
@@ -324,17 +275,21 @@ def train_batches(model, feats, labels, labeled, size) -> int:
 
 def sanitizer_scenario(folder) -> list[tuple[str, int]]:
     """Every way the compiled loop's pointers get rebound: SEA batches whose
-    concept flips every 200 rows (edits inside the loop), single steps, a
-    checkpoint reload, a deep copy and a rebound chart array, then a head
-    bias one class short, which is refused. Then batches with edits at both
-    lengths of the output rows: n=40 inputs and m=3 classes, and m > n
-    (n=2, m=5). Returns each model's final state hash and the number of
-    edits made in its batches."""
+    concept flips every 200 rows (edits inside the loop), batches of 20 with
+    the charts forged to fire (the loop commits each fire and its re-seed),
+    single steps, a checkpoint reload, a deep copy and a rebound chart array,
+    then a head bias one class short, which is refused. Then batches with
+    edits at both lengths of the output rows: n=40 inputs and m=3 classes,
+    and m > n (n=2, m=5). Returns each model's final state hash and the
+    number of edits made in its batches."""
     schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(10))
     feats, labels = gen_sea(2000, schedule, np.random.default_rng(61))
     labeled = np.random.default_rng(62).uniform(size=2000) < 0.5
     model = DevdanModel(3, 2, DevdanConfig(seed=61))
     edits = train_batches(model, feats[:1200], labels[:1200], labeled[:1200], 300)
+    for k in range(0, 200, 20):  # the bias charts (even batches) or variance charts fire
+        model.charts[k // 20 % 2::2, Column.MIN_MEAN:] = (-1.0, 0.0, 0.0)
+        edits += train_batches(model, feats[k:k + 20], labels[k:k + 20], labeled[k:k + 20], 20)
     train(model, feats[1200:1400], labels[1200:1400])
     path = Path(folder) / "m.ckpt.json"
     save_checkpoint(model, path)

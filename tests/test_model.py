@@ -1,6 +1,7 @@
 """Whole-model checks: forward oracle, discriminative gradient oracle via
 central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
+import contextlib
 import copy
 import json
 import math
@@ -15,7 +16,7 @@ from conftest import each_backend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devdan import dae, kernel
+from devdan import dae, kernel, monitors
 from devdan.checkpoint import load_checkpoint, model_to_dict, save_checkpoint, state_hash
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
@@ -522,14 +523,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_nan_chart_values_load(self, tmp_path):
-        """A model that trained on a NaN feature holds NaN in its node
-        statistics and charts; it saves, loads and saves again to the same
-        bytes and hash."""
+        """A model whose charts hold NaN, as a row that overflowed leaves
+        them, saves, loads and saves again to the same bytes and hash."""
         model = self.trained_model()
-        with pytest.raises(NumericError):
-            model.train_batch(StreamBatch(np.array([[np.nan, 0.5, 0.5]]), np.array([1]),
-                                          np.ones(1, dtype=bool), 0))
-        assert np.isnan(model.charts).any()
+        model.charts[::3, Column.MEAN:Column.RESEED] = np.nan
         p1, p2 = tmp_path / "a.ckpt.json", tmp_path / "b.ckpt.json"
         save_checkpoint(model, p1)
         loaded = load_checkpoint(p1)
@@ -843,9 +840,9 @@ def test_nonfinite_parity(compiled_step, case, message):
 def test_mid_batch_error_names_the_sample_on_both_steps(case):
     """A batch that goes non-finite at row 17 (the 12th labeled row) raises
     "sample 17: ..." with either step, after training the rows before it
-    alike: the state after the raise, the charts synced back included, has
-    the same hash. A label out of range there is refused with a ShapeError
-    before any row trains."""
+    alike: the state after the raise, the charts included, has the same
+    hash. A NaN feature or a label out of range there is refused with a
+    NumericError or ShapeError before any row trains."""
     feats, labels = gen_sea(40, rng=np.random.default_rng(83))
     if case == "generative":
         feats[17] = (1e200, 0.0, 0.0)
@@ -862,11 +859,11 @@ def test_mid_batch_error_names_the_sample_on_both_steps(case):
         before = state_hash(model)
         with pytest.raises((NumericError, ShapeError)) as err:
             model.train_batch(StreamBatch(feats, labels, labeled, 1))
-        if case == "label":
+        if case != "generative":
             assert state_hash(model) == before
         ends[backend] = (type(err.value), str(err.value), state_hash(model))
     expected = {"generative": "sample 17: non-finite generative loss inf",
-                "discriminative": "sample 17: non-finite discriminative loss nan",
+                "discriminative": "sample 17: non-finite feature nan",
                 "label": "label 5 out of range [0, 2)"}[case]
     assert ends["numpy"][1] == expected
     assert len(set(ends.values())) == 1, ends
@@ -942,6 +939,32 @@ def test_wrongly_shaped_state_is_refused_on_both_steps(key, tmp_path):
         assert not (tmp_path / "m.ckpt.json").exists()
 
 
+@pytest.mark.parametrize("how", ["rebound", "in place"])
+def test_negative_chart_m2_is_refused_on_both_steps(how):
+    """A chart whose m2 is negative, which no update makes, assigned or
+    written in place, makes train_batch, generative_step and
+    discriminative_step raise a NumericError that names the chart, with
+    either step, before any row trains. With m2 put back, the call trains."""
+    feats, labels = gen_sea(60, rng=np.random.default_rng(95))
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=95))
+        train(model, feats[:40], labels[:40])
+        for row, name in enumerate(CHARTS):
+            for call in (lambda: model.train_batch(StreamBatch(feats, labels, labels >= 0, 0)),
+                         lambda: model.generative_step(feats[40]),
+                         lambda: model.discriminative_step(feats[40], 1)):
+                good = model.charts[row, Column.M2]
+                if how == "rebound":
+                    model.charts = model.charts.copy()
+                model.charts[row, Column.M2] = -0.25
+                before = state_hash(model)
+                with pytest.raises(NumericError, match=f"^{name}.current.m2 is -0.25, expected "):
+                    call()
+                assert state_hash(model) == before, (backend, name)
+                model.charts[row, Column.M2] = good
+                call()
+
+
 BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input
     "predict": (["0.1", "a", "0.3"], [0.1, [0.2, 0.3], 0.4]),
     "predict_batch": ([[0.1, 0.2, 0.3], [0.1, "a", 0.3]], [[0.1, 0.2, 0.3], [0.1, 0.2]]),
@@ -949,6 +972,19 @@ BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input
     "discriminative_step": (["0.1", "a", "0.3"], [0.1, [0.2, 0.3], 0.4]),
     "train_batch": ([[0.1, 0.2, 0.3], [0.1, "a", 0.3]], [[0.1, 0.2, 0.3], [0.1, 0.2]]),
 }
+
+
+def feature_call(model, entry, feats):
+    """A call of the model's entry point `entry` with features feats: one
+    sample, or for predict_batch and train_batch a batch of two."""
+    return {
+        "predict": lambda: model.predict(feats),
+        "predict_batch": lambda: model.predict_batch(feats),
+        "generative_step": lambda: model.generative_step(feats),
+        "discriminative_step": lambda: model.discriminative_step(feats, 0),
+        "train_batch": lambda: model.train_batch(
+            StreamBatch(feats, np.zeros(2, dtype=int), np.ones(2, dtype=bool), 0)),
+    }[entry]
 
 
 @pytest.mark.parametrize("entry", list(BAD_FEATURES))
@@ -961,17 +997,30 @@ def test_non_numeric_or_ragged_features_are_refused(entry):
         train(model, *gen_sea(30, rng=np.random.default_rng(94)))
         before = state_hash(model)
         for feats in BAD_FEATURES[entry]:
-            call = {
-                "predict": lambda: model.predict(feats),
-                "predict_batch": lambda: model.predict_batch(feats),
-                "generative_step": lambda: model.generative_step(feats),
-                "discriminative_step": lambda: model.discriminative_step(feats, 0),
-                "train_batch": lambda: model.train_batch(
-                    StreamBatch(feats, np.zeros(2, dtype=int), np.ones(2, dtype=bool), 0)),
-            }[entry]
             with pytest.raises(ShapeError, match="features are not numbers"):
-                call()
+                feature_call(model, entry, feats)()
             assert state_hash(model) == before, (backend, feats)
+
+
+NON_FINITE = {(0.1, np.nan, 0.3): "nan", (np.inf, 0.2, 0.3): "inf", (0.1, 0.2, -np.inf): "-inf"}
+
+
+@pytest.mark.parametrize("entry", list(BAD_FEATURES))
+def test_non_finite_features_are_refused(entry):
+    """A NaN or infinite feature raises a NumericError that names it at
+    every entry point that takes features, on either step, and in a batch
+    names its sample too; the model is left as it was."""
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=96))
+        train(model, *gen_sea(30, rng=np.random.default_rng(96)))
+        before = state_hash(model)
+        for sample, value in NON_FINITE.items():
+            batch = entry in ("predict_batch", "train_batch")
+            feats = [(0.5, 0.5, 0.5), sample] if batch else sample
+            message = f"^{'sample 1: ' if batch else ''}non-finite feature {value}$"
+            with pytest.raises(NumericError, match=message):
+                feature_call(model, entry, feats)()
+            assert state_hash(model) == before, (backend, sample)
 
 
 @pytest.mark.parametrize("label", [1.7, float("nan"), "1", None])
@@ -1072,20 +1121,28 @@ def test_edit_dense_batches_match_on_both_steps(charts, rows):
     losses to the bit, and hash on both steps. In batches of 500, or of 20
     with the charts forged before each batch: the minima of every bias chart
     (even batches) or variance chart (odd ones) set to -1 and 0, so that
-    their next test fires, a grow or a prune in each phase."""
+    their next test fires, a grow or a prune in each phase. The compiled
+    step runs with the Python chart code made to raise: the loop decides
+    every chart itself and hands back only the edit."""
     schedule = tuple((k * 200, 4.0 if k % 2 == 0 else 7.0) for k in range(15))
     feats, labels = gen_sea(rows, schedule, np.random.default_rng(85))
     labeled = np.random.default_rng(86).uniform(size=rows) < 0.5
     size = 500 if charts == "standard" else 20
+    no_chart = mock.Mock(side_effect=AssertionError("Python chart code ran"))
     ends = {}
     for backend in each_backend():
         model = DevdanModel(3, 2, DevdanConfig(seed=85))
         reports = []
-        for k in range(0, rows, size):
-            if charts == "forged":  # columns min_mean, min_std and reseed
-                model.charts[k // size % 2::2, Column.MIN_MEAN:] = (-1.0, 0.0, 0.0)
-            reports.append(model.train_batch(StreamBatch(
-                feats[k:k + size], labels[k:k + size], labeled[k:k + size], k // size)))
+        with contextlib.ExitStack() as stack:
+            if backend == "compiled":
+                stack.enter_context(mock.patch.object(SpcTracker, "update", no_chart))
+                stack.enter_context(mock.patch.multiple(monitors, should_grow=no_chart,
+                                                        should_prune=no_chart))
+            for k in range(0, rows, size):
+                if charts == "forged":  # columns min_mean, min_std and reseed
+                    model.charts[k // size % 2::2, Column.MIN_MEAN:] = (-1.0, 0.0, 0.0)
+                reports.append(model.train_batch(StreamBatch(
+                    feats[k:k + size], labels[k:k + size], labeled[k:k + size], k // size)))
         ends[backend] = (repr(reports), state_hash(model))
     edits = sum(r.grow_events + r.prune_events for r in reports)
     # forged: at least one edit in each phase of each batch
