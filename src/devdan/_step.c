@@ -25,13 +25,14 @@
  * same row, whose forward pass is redone against the edited layer. The model
  * struct points at the model's own arrays, its charts included, which both
  * steps update in place, and at the parts of a work vector that carries the
- * row and the results.
+ * row, its forward pass and its gradients. A row's bias2, variance and loss
+ * stay in C; the loss goes straight to the caller's losses.
  *
  * It is compiled after the header that kernel.header() renders from the Python
- * tables: the enums (kernel.Status, Scalar, monitors.Column), struct
- * numerics (kernel.NUMERICS), struct rows (ROWS), struct model (model_fields(),
- * from state.STATE_SLOTS and work_lengths()) and each export's prototype
- * (EXPORTS), with <stddef.h> and <stdint.h>.
+ * tables: the enums (kernel.Status, monitors.Column), struct numerics
+ * (kernel.NUMERICS), struct rows (ROWS), struct model (model_fields(), from
+ * state.STATE_SLOTS and work_lengths()) and each export's prototype (EXPORTS),
+ * with <stddef.h> and <stdint.h>.
  */
 #include <math.h>
 #include <string.h>
@@ -201,7 +202,8 @@ static void output_rows(const struct model *md, const struct phase *p, ptrdiff_t
 
 /* bias2 and variance of the expected outputs ez = pre[k:2k], ez2 = pre[2k:]
  * against target (label < 0: the clean input x; else the one-hot of label) */
-static void bias_variance(const struct model *md, ptrdiff_t k, int64_t label)
+static void bias_variance(const struct model *md, ptrdiff_t k, int64_t label, double *bias2,
+                          double *variance)
 {
     const double *ez = md->pre + k, *ez2 = md->pre + 2 * k;
     for (ptrdiff_t i = 0; i < k; i++) {
@@ -209,16 +211,16 @@ static void bias_variance(const struct model *md, ptrdiff_t k, int64_t label)
         double d = target - ez[i];
         md->tmp[i] = d * d;
     }
-    md->scalars[BIAS2] = sum(md->tmp, k) / (double)k;
+    *bias2 = sum(md->tmp, k) / (double)k;
     for (ptrdiff_t i = 0; i < k; i++)
         md->tmp[i] = ez2[i] - ez[i] * ez[i];
-    md->scalars[VARIANCE] = sum(md->tmp, k) / (double)k;
+    *variance = sum(md->tmp, k) / (double)k;
 }
 
 /* A row before the charts: encode the phase's input, update its node
  * statistics, then the snapshot, with the forward pass riding along as its
- * first output row. */
-static void forward(const struct model *md, int64_t label)
+ * first output row; hands back the snapshot's bias2 and variance. */
+static void forward(const struct model *md, int64_t label, double *bias2, double *variance)
 {
     struct phase p = phase_of(md, label);
     encode(md, p.input);
@@ -228,7 +230,7 @@ static void forward(const struct model *md, int64_t label)
     for (ptrdiff_t j = 0; j < md->width; j++)
         md->tmp[j] = md->ey[j] * md->ey[j];
     output_rows(md, &p, 3, label);
-    bias_variance(md, p.k, label);
+    bias_variance(md, p.k, label, bias2, variance);
 }
 
 /* The forward pass again, after a structural edit: the hidden activation
@@ -241,11 +243,11 @@ static void refresh(const struct model *md, int64_t label)
     output_rows(md, &p, 1, label);
 }
 
-/* Generative step after the charts: gradients of the reconstruction loss and
- * the plain update of w, b and c. Returns DONE, or without touching the
- * parameters GEN_LOSS for a non-finite loss and GRAD_W, GRAD_B, GRAD_C for a
- * non-finite gradient of w, b, c. */
-static int gen_update(const struct model *md, double lr)
+/* Generative step after the charts: the reconstruction loss *loss, its
+ * gradients and the plain update of w, b and c. Returns DONE, or without
+ * touching the parameters GEN_LOSS for a non-finite loss and GRAD_W, GRAD_B,
+ * GRAD_C for a non-finite gradient of w, b, c. */
+static int gen_update(const struct model *md, double lr, double *loss)
 {
     ptrdiff_t n = md->n, width = md->width;
     const double *y = md->hid, *z = md->pre;
@@ -260,8 +262,8 @@ static int gen_update(const struct model *md, double lr)
             dw[i * width + j] = dc[i] * y[j] + md->xt[i] * db[j];
     for (ptrdiff_t i = 0; i < n; i++)
         md->tmp[i] = md->x[i] - z[i];
-    md->scalars[LOSS] = 0.5 * (0.0 + np_.dot(n, md->tmp, 1, md->tmp, 1));
-    if (!isfinite(md->scalars[LOSS]))
+    *loss = 0.5 * (0.0 + np_.dot(n, md->tmp, 1, md->tmp, 1));
+    if (!isfinite(*loss))
         return GEN_LOSS;
     double *params[3] = {md->w, md->b, md->c};
     const double *blocks[3] = {dw, db, dc};
@@ -276,19 +278,20 @@ static int gen_update(const struct model *md, double lr)
     return DONE;
 }
 
-/* Discriminative step after the charts: the loss -log(max(p, 1e-300)) of the
+/* Discriminative step after the charts: *loss = -log(max(p, 1e-300)) of the
  * label's probability p, then softmax cross-entropy gradients back through
  * head and encoder, and momentum descent of w, b, theta and eta. Returns
  * DONE, or DISC_LOSS without touching the parameters for a non-finite loss. */
-static int disc_update(const struct model *md, int64_t label, double lr, double momentum)
+static int disc_update(const struct model *md, int64_t label, double lr, double momentum,
+                       double *loss)
 {
     ptrdiff_t n = md->n, width = md->width, m = md->m;
     const double *h = md->hid, *probs = md->pre;
     double *dw = md->grad + n, *da = dw + n * width, *dtheta = da + width;
     double *dlogits = dtheta + width * m;
     double p = probs[label];
-    md->scalars[LOSS] = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
-    if (!isfinite(md->scalars[LOSS]))
+    *loss = -log_one(1e-300 > p ? 1e-300 : p);  /* max(p, 1e-300) */
+    if (!isfinite(*loss))
         return DISC_LOSS;
     for (ptrdiff_t k = 0; k < m; k++)
         dlogits[k] = probs[k] - (k == label ? 1.0 : 0.0);
@@ -437,17 +440,16 @@ int devdan_train_rows(const struct model *md, struct rows *r)
             memcpy(md->x, r->feats + row * md->n, md->n * sizeof(double));
             if (label < 0)
                 mask_draw(r->bitgen, md->x, md->xt, md->n, r->n_masked, r->perm);
-            forward(md, label);
-            double *charts = md->charts + (label < 0 ? 0 : 2 * CHART_FIELDS), limits[2];
-            int edit = charts_step(charts, charts + CHART_FIELDS, md->scalars[BIAS2],
-                                   md->scalars[VARIANCE], md->width, r->enable_grow,
-                                   r->enable_prune, limits);
+            double bias2, variance, limits[2];
+            forward(md, label, &bias2, &variance);
+            double *charts = md->charts + (label < 0 ? 0 : 2 * CHART_FIELDS);
+            int edit = charts_step(charts, charts + CHART_FIELDS, bias2, variance, md->width,
+                                   r->enable_grow, r->enable_prune, limits);
             if (edit != DONE)  /* the phase's charts are committed, re-seeds included */
                 return edit;
         }
-        int status = label < 0 ? gen_update(md, r->lr)
-                               : disc_update(md, label, r->lr, r->momentum);
-        r->losses[r->pos] = md->scalars[LOSS];
+        int status = label < 0 ? gen_update(md, r->lr, r->losses + r->pos)
+                               : disc_update(md, label, r->lr, r->momentum, r->losses + r->pos);
         if (status != DONE)
             return status;
     }

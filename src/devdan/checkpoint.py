@@ -13,9 +13,9 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, NumericError, ShapeError
 from .model import DevdanConfig, DevdanModel
-from .monitors import SpcTracker, negative_m2
+from .monitors import CHART_ENTRIES, SpcTracker
 from .state import CHARTS, STATE_SLOTS
 
 FORMAT_VERSION = 1
@@ -34,26 +34,9 @@ def _lookup(doc: dict, key: str):
     return doc
 
 
-def _number(value) -> bool:
-    return type(value) in (int, float)
-
-
-# Each chart column's key in a checkpoint's chart entry, in column order, with
-# what training needs of its value; NaN passes, since a model that trained on
-# NaN input holds it
-_CHART_ENTRIES = (
-    ("current.count", lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    ("current.mean", _number, "a number"),
-    ("current.m2", lambda v: _number(v) and not negative_m2(v), "a non-negative number"),
-    ("min_mean", _number, "a number"),
-    ("min_std", lambda v: _number(v) and not v < 0, "a non-negative number"),
-    ("reseed", lambda v: type(v) is bool, "true or false"),
-)
-
-
 def model_to_dict(model: DevdanModel) -> dict:
-    """The checkpoint document of model; a wrongly shaped state or chart
-    array raises the ShapeError that training would."""
+    """The checkpoint document of model; a state that checked_state refuses
+    raises the error that training would."""
     *arrays, charts = model.checked_state()
     doc = {
         "format_version": FORMAT_VERSION,
@@ -67,7 +50,7 @@ def model_to_dict(model: DevdanModel) -> dict:
     for slot, arr in zip(STATE_SLOTS, arrays):
         _nest(doc, slot.key, arr.tolist())
     for name, row in zip(CHARTS, charts):
-        for (key, _, _), value in zip(_CHART_ENTRIES, SpcTracker(row).values()):
+        for (key, *_), value in zip(CHART_ENTRIES, SpcTracker(row).values()):
             _nest(doc, f"{name}.{key}", value)
     doc["rng_state"] = model.rng.bit_generator.state
     return doc
@@ -81,6 +64,9 @@ def save_checkpoint(model: DevdanModel, path) -> None:
 
 
 def load_checkpoint(path) -> DevdanModel:
+    """The model a checkpoint file holds. A file unreadable, malformed or of
+    another version, a chart value not of its JSON kind (CHART_ENTRIES) or a
+    state that checked_state refuses raises a CheckpointError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -98,24 +84,20 @@ def load_checkpoint(path) -> DevdanModel:
         if mode != "standard":
             raise CheckpointError(f"{path}: reset_mode {mode!r} is no longer supported")
         model = DevdanModel(doc["n_in"], doc["n_classes"], DevdanConfig(**config))
-        width = doc["width"]
-        if not isinstance(width, int) or width < 1:
-            raise CheckpointError(f"{path}: width {width!r} is not a positive integer")
-        sizes = {"n": model.n_in, "width": width, "m": model.n_classes}
         for slot in STATE_SLOTS:
-            shape = slot.shape(sizes)
-            arr = np.asarray(_lookup(doc, slot.key), dtype=slot.dtype)
-            if arr.shape != shape:
-                raise CheckpointError(f"{path}: {slot.key} has shape {arr.shape}, expected {shape}")
-            slot.set(model, arr)
+            slot.set(model, np.asarray(_lookup(doc, slot.key), dtype=slot.dtype))
         for name, row in zip(CHARTS, model.charts):
-            for col, (key, usable, expected) in enumerate(_CHART_ENTRIES):
+            for col, (key, kinds, _, words) in enumerate(CHART_ENTRIES):
                 value = _lookup(doc, f"{name}.{key}")
-                if not usable(value):
-                    raise CheckpointError(f"{path}: {name}.{key} is {value!r}, "
-                                          f"expected {expected}")
+                if type(value) not in kinds:
+                    raise CheckpointError(f"{path}: {name}.{key} is {value!r}, expected {words}")
                 row[col] = value
         model.rng.bit_generator.state = doc["rng_state"]
+        model.checked_state()
+        if doc["width"] != model.width:
+            raise CheckpointError(f"{path}: width {doc['width']!r} is not w's, {model.width}")
+    except (ShapeError, NumericError) as err:
+        raise CheckpointError(f"{path}: {err}") from err
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint ({err})") from err
     return model
@@ -123,8 +105,7 @@ def load_checkpoint(path) -> DevdanModel:
 
 def state_hash(model: DevdanModel) -> str:
     """SHA-256 over every mutable piece of model state, RNG included; a
-    wrongly shaped state or chart array raises the ShapeError that training
-    would."""
+    state that checked_state refuses raises the error that training would."""
     h = hashlib.sha256()
     *arrays, charts = model.checked_state()
     for slot, arr in zip(STATE_SLOTS, arrays):

@@ -11,7 +11,7 @@ class ShapeError(DevdanError):
 
 class NumericError(DevdanError):
     """A value training's arithmetic cannot take: a non-finite one where
-    finite arithmetic is required, or a chart's negative m2."""
+    finite arithmetic is required, or a chart entry training cannot use."""
 
 
 class MonitorOrderError(DevdanError):

@@ -1,7 +1,7 @@
 """Interface and loader of the compiled training loop (`_step.c`).
 
-Everything the loop and Python share is declared once, here: the enums
-Status and Scalar, the work vector (work_lengths), struct numerics
+Everything the loop and Python share is declared once, here: the enum
+Status, the work vector (work_lengths), struct numerics
 (NUMERICS), struct rows (ROWS), struct model (model_fields, from the state
 table) and the exports (EXPORTS). header() renders them, with monitors'
 chart columns, as the C declarations that _step.c is compiled against, and
@@ -83,8 +83,6 @@ _UFUNCS = (np.exp, np.logaddexp, np.add, np.log)
 # why devdan_train_rows returned, GROW and PRUNE being the edit a chart called
 # for; devdan_charts returns DONE, GROW or PRUNE
 Status = enum.IntEnum("Status", "DONE GROW PRUNE GEN_LOSS GRAD_W GRAD_B GRAD_C DISC_LOSS", start=0)
-# the slots of the work vector's scalars part
-Scalar = enum.IntEnum("Scalar", "BIAS2 VARIANCE LOSS", start=0)
 
 
 def work_lengths(n: int, width: int, m: int) -> dict[str, int]:
@@ -92,11 +90,11 @@ def work_lengths(n: int, width: int, m: int) -> dict[str, int]:
     inputs, width hidden nodes and m classes: the row x and its masked copy
     xt; the hidden activation hid, then the expected activation ey (the
     loop squashes the two in one call); pre, the output row, ez and ez2, each
-    k = max(n, m) long; scratch tmp; grad, the gradients [c | w | b | theta |
-    eta]; and the Scalar slots."""
+    k = max(n, m) long; scratch tmp; and grad, the gradients [c | w | b |
+    theta | eta]."""
     k = max(n, m)
     return {"x": n, "xt": n, "hid": width, "ey": width, "pre": 3 * k, "tmp": max(k, width),
-            "grad": n + n * width + width + width * m + m, "scalars": len(Scalar)}
+            "grad": n + n * width + width + width * m + m}
 
 
 # numpy's float64 ufunc inner loop and the two BLAS entry points
@@ -170,7 +168,7 @@ def header() -> str:
     """The C declarations _step.c is compiled against, from the tables above,
     the state table and monitors' chart columns: the enums, struct numerics,
     struct model, struct rows and the prototype of every export."""
-    enums = (*(c.__members__.items() for c in (Status, Scalar)),
+    enums = (Status.__members__.items(),
              (*Column.__members__.items(), ("CHART_FIELDS", CHART_FIELDS)))
     out = ["/* generated by devdan.kernel.header() */", "#include <stddef.h>",
            "#include <stdint.h>", _TYPEDEFS]

@@ -22,12 +22,11 @@ import numpy as np
 from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
-    Column,
+    CHART_ENTRIES,
     NodeStats,
     NsSnapshot,
     SpcTracker,
     fresh_charts,
-    negative_m2,
     ns_snapshot_discriminative,
     ns_snapshot_generative,
     update_charts,
@@ -116,6 +115,21 @@ def _class_index(label) -> int:
         raise ShapeError(f"label {label} is not an integer") from None
 
 
+_RULES = [usable for _, _, usable, _ in CHART_ENTRIES if usable]  # more than a number
+_ruled = operator.itemgetter(*(col for col, entry in enumerate(CHART_ENTRIES) if entry[2]))
+
+
+def _check_charts(charts: np.ndarray) -> None:
+    """checked_state's chart part: the first entry that training cannot use
+    (CHART_ENTRIES) raises "<chart>.<key> is <value>, expected <words>"."""
+    if not all(map(all, map(map, _RULES, _ruled(charts.T.tolist())))):
+        for name, row in zip(CHARTS, charts.tolist()):
+            for (key, _, usable, words), value in zip(CHART_ENTRIES, row):
+                if usable and not usable(value):
+                    shown = repr(value).removesuffix(".0")  # a whole number as JSON has it
+                    raise NumericError(f"{name}.{key} is {shown}, expected {words}")
+
+
 class StepReport(NamedTuple):
     grew: bool
     pruned: bool
@@ -163,7 +177,6 @@ class DevdanModel:
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
         self.layer = dae.DaeLayer.fresh(n_in, self.rng)
         self.head = SoftmaxHead(self.layer.width, n_classes, self.rng)
-        self.mask = dae.MaskSpec(self.config.mask_fraction, self.rng)
         self.gen_stats = NodeStats(self.layer.width)
         self.disc_stats = NodeStats(self.layer.width)
         # the four control charts, one row each, in CHARTS order
@@ -187,6 +200,9 @@ class DevdanModel:
     @property
     def width(self) -> int:
         return self.layer.width
+
+    # made at each access from the fraction and generator that checkpoints hold
+    mask = property(lambda self: dae.MaskSpec(self.config.mask_fraction, self.rng))
 
     # ------------------------------------------------------------------ predict
 
@@ -283,9 +299,10 @@ class DevdanModel:
         return {**self.__dict__, "_kernel_state": None}
 
     def checked_state(self) -> tuple[np.ndarray, ...]:
-        """Every STATE_SLOTS array, then the chart array, as np.asarray gives
-        it, with nothing rebound. One whose shape is not its slot's, or whose
-        dtype is not a number, raises a ShapeError naming the slot."""
+        """What a model may hold, one rule for training, the hash and checkpoints:
+        every STATE_SLOTS array, then the chart array, as np.asarray gives it,
+        nothing rebound. A shape not its slot's, a dtype not a number or a
+        layer of no node raises a ShapeError naming it; see _check_charts."""
         w = np.asarray(self.layer.w)
         width = w.shape[1] if w.ndim == 2 else -1  # any other w is named below
         sizes = {"n": self.n_in, "width": width, "m": self.n_classes}
@@ -294,28 +311,21 @@ class DevdanModel:
             if arr.shape != slot.shape(sizes) or arr.dtype.kind not in "biuf":
                 raise ShapeError(f"{slot.key} is a {arr.dtype} array of shape {arr.shape}, "
                                  f"expected {np.dtype(slot.dtype)} of shape {slot.shape(sizes)}")
+        if width < 1:
+            raise ShapeError(f"w is of shape {w.shape}, expected at least 1 hidden node")
+        _check_charts(arrays[-1])
         return arrays
 
     def _check_state(self) -> None:
         """The rule both steps apply before any row of a training call trains:
-        the shapes of checked_state, then, once every shape has passed, an
-        array of another dtype or memory order, or read-only, is replaced by
-        a C-order copy of the slot's dtype; last, the charts' m2 check."""
+        checked_state, then, once all of it has passed, an array of another
+        dtype or memory order, or read-only, is replaced by a C-order copy of
+        the slot's dtype."""
         for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), state_arrays(self),
                                   self.checked_state()):
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
                 slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
-        self._check_m2()
-
-    def _check_m2(self) -> None:
-        """A chart whose m2 is negative (monitors.negative_m2), assigned or
-        written in place, raises a NumericError that names it."""
-        m2 = self.charts[:, Column.M2]
-        bad = np.flatnonzero(negative_m2(m2))
-        if bad.size:
-            raise NumericError(f"{CHARTS[bad[0]]}.current.m2 is {float(m2[bad[0]])!r}, "
-                               "expected a non-negative number")
 
     def _kernel(self) -> kernel.KernelState | None:
         """The compiled step's hold on the live arrays, rebuilt after the rule
@@ -428,16 +438,17 @@ class DevdanModel:
         returns the edit (Status.GROW or PRUNE), which _edit makes, drawing
         from the generator; the loop then resumes at the same row
         (job.resume), recomputing the forward pass against the edited layer.
+        Before any row: checked_state where an array was rebound (_kernel), its
+        chart part at every call (a write in place rebinds nothing).
 
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
         the numpy step would raise there)."""
-        # looked up at every call: the mask generator may have been rebound
-        bitgen = kernel.bitgen_address(self.mask.rng)
+        bitgen = kernel.bitgen_address(self.rng)  # at every call: rng may have been rebound
         k = None if bitgen is None else self._kernel()
         if k is None:
             return None
-        self._check_m2()
+        _check_charts(self.charts)
         cfg, n, gen = self.config, self.n_in, labels is None
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         losses = np.empty(rows.shape[0])

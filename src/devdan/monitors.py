@@ -87,10 +87,17 @@ Column = enum.IntEnum("Column", "COUNT MEAN M2 MIN_MEAN MIN_STD RESEED", start=0
 CHART_FIELDS = len(Column)
 
 
-def negative_m2(m2):
-    """Where a chart's m2 is below zero (NaN is not), which no update makes;
-    training and load_checkpoint refuse such a chart."""
-    return np.less(m2, 0.0)
+# Each chart column in order: its checkpoint key under the chart's name, its
+# JSON types, whether training can use a value (None: any number), in words.
+# NaN passes where an overflowed row can leave it: mean, m2 and the minima.
+CHART_ENTRIES = (
+    ("current.count", (int,), lambda v: v >= 0 and v % 1 == 0, "a non-negative integer"),
+    ("current.mean", (int, float), None, "a number"),
+    ("current.m2", (int, float), lambda v: not v < 0, "a non-negative number"),
+    ("min_mean", (int, float), None, "a number"),
+    ("min_std", (int, float), lambda v: not v < 0, "a non-negative number"),
+    ("reseed", (bool,), lambda v: v == 0 or v == 1, "true or false"),
+)
 
 
 def fresh_charts(rows: int) -> np.ndarray:

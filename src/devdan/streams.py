@@ -435,6 +435,9 @@ class DatasetSpec:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.total_samples < 1 or self.batch_size < 1:
             raise ConfigError("total_samples and batch_size must be >= 1")
+        if self.total_samples < self.batch_size:
+            raise ConfigError(f"total_samples is {self.total_samples}, expected at least "
+                              f"batch_size ({self.batch_size})")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ConfigError("label_fraction must lie in (0, 1]")
         if self.selection_mode not in ("random", "confidence"):
@@ -448,7 +451,8 @@ class DatasetSpec:
 def materialize(spec: DatasetSpec, rng: np.random.Generator):
     """Rows for a DatasetSpec: (features, labels, n_in, n_classes).
 
-    The row count is truncated to a whole number of batches."""
+    The row count is truncated to a whole number of batches; a file that
+    holds no whole batch raises a ConfigError."""
     spec.validate()
     if spec.source == "sea":
         feats, labels = gen_sea(spec.total_samples, spec.sea_schedule, rng)
@@ -470,6 +474,8 @@ def materialize(spec: DatasetSpec, rng: np.random.Generator):
     if spec.permutations is not None:
         feats = permute_drift(feats, spec.permutations)
     usable = (feats.shape[0] // spec.batch_size) * spec.batch_size
+    if usable == 0:
+        raise ConfigError(f"the {spec.source} source holds {feats.shape[0]} rows, "
+                          f"fewer than batch_size ({spec.batch_size})")
     feats, labels = feats[:usable], labels[:usable]
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    return feats, labels, feats.shape[1], n_classes
+    return feats, labels, feats.shape[1], int(labels.max()) + 1

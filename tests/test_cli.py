@@ -112,16 +112,33 @@ class TestRun:
                                         "non-empty list of non-negative seeds"),
         (("gen", "sea", "-5"), None, "count is -5, expected a positive integer"),
         (("gen", "hyperplane", "0"), None, "count is 0, expected a positive integer"),
+        (("run", "--samples", "500", "--batch", "1000"), None,
+         "total_samples is 500, expected at least batch_size (1000)"),
     ])
     def test_bad_seed_is_config_error(self, tmp_path, monkeypatch, capsys, argv, env, message):
-        """A seed numpy refuses, a seed count that trains nothing, or a gen
-        row count that writes none, exits 2 naming the setting, before
-        anything is written."""
+        """A seed numpy refuses, a seed count that trains nothing, a gen row
+        count that writes none, or a stream shorter than one batch, exits 2
+        naming the setting, before anything is written."""
         if env is not None:
             monkeypatch.setenv("DEVDAN_SEED", env)
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_file_with_no_whole_batch_fails_each_seed(self, tmp_path, capsys):
+        """A CSV file shorter than one batch fails every seed with a
+        ConfigError naming its row count and the batch size; the summary
+        records each failure and the run exits 1."""
+        path = tmp_path / "two.csv"
+        path.write_text("a,b,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        code = run_cli("run", "--dataset", "csv", "--csv-path", str(path), "--batch", "10",
+                       "--seeds", "2", "--out", str(tmp_path / "out"))
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("ConfigError: the csv source holds 2 rows, fewer than "
+                         "batch_size (10)") == 2
+        doc = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+        assert doc["summary"]["default"]["failures"] == 2
 
     def test_setting_defaults_are_the_dataclass_defaults(self):
         """The table's defaults, through the one builder, give DatasetSpec()

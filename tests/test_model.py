@@ -485,8 +485,41 @@ class TestCheckpoint:
             doc = json.loads(good)
             corrupt(doc)
             path.write_text(json.dumps(doc))
-            with pytest.raises(CheckpointError, match=f"{key} has shape"):
+            with pytest.raises(CheckpointError, match=f": {key} is a .* array of shape "):
                 load_checkpoint(path)
+
+    def test_width_that_is_not_the_layer_is_refused(self, tmp_path):
+        """A checkpoint of no hidden node, every per-node array empty, or
+        whose width is not the width of w, is refused naming the file; so is
+        a model of no node by the hash and by training, on either step."""
+        model = DevdanModel(3, 2, DevdanConfig(seed=59))
+        widen(model, 2)
+        path = tmp_path / "w.ckpt.json"
+        save_checkpoint(model, path)
+        good = path.read_text()
+        empty = json.loads(good)
+        for slot in STATE_SLOTS:
+            if slot.node_axis is not None:
+                set_entry(empty, slot.key, np.zeros(slot.shape({"n": 3, "width": 0, "m": 2}),
+                                                    slot.dtype).tolist())
+        empty["width"] = 0
+        narrow = json.loads(good)
+        narrow["width"] = 2
+        # JSON holds an empty (0, m) array as [], of shape (0,)
+        for doc, message in ((empty, r"theta is a float64 array of shape \(0,\), expected "),
+                             (narrow, "width 2 is not w's, 3$")):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=f"^{path}: {message}"):
+                load_checkpoint(path)
+        for backend in each_backend():
+            model = DevdanModel(3, 2, DevdanConfig(seed=59))
+            for slot in STATE_SLOTS:
+                if slot.node_axis is not None:
+                    slot.set(model, np.delete(slot.get(model), 0, axis=slot.node_axis))
+            for call in (lambda: state_hash(model), lambda: model.generative_step(np.ones(3))):
+                with pytest.raises(ShapeError, match=r"^w is of shape \(3, 0\), expected at "
+                                                     "least 1 hidden node$"):
+                    call()
 
     def test_unusable_chart_entry_rejected(self, tmp_path):
         """A chart entry that training could not use is refused at the load,
@@ -508,11 +541,7 @@ class TestCheckpoint:
         }
         for key, value in corruptions.items():
             doc = json.loads(good)
-            *parents, leaf = key.split(".")
-            entry = doc
-            for name in parents:
-                entry = entry[name]
-            entry[leaf] = value
+            set_entry(doc, key, value)
             path.write_text(json.dumps(doc))
             with pytest.raises(CheckpointError, match=rf"{key} is {value!r}, expected "):
                 load_checkpoint(path)
@@ -546,7 +575,7 @@ class TestCheckpoint:
 
 
 PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune",
-                "batch", "checkpoint", "copy", "malformed", "rebind")
+                "batch", "checkpoint", "copy", "malformed", "rebind", "rng")
 REBOUND = (*STATE_SLOTS, CHART_SLOT)
 REBINDINGS = (  # the copies a rebind op assigns
     lambda arr: arr.copy(),
@@ -575,8 +604,9 @@ REBINDINGS = (  # the copies a rebind op assigns
 def test_random_step_sequences_keep_state_in_step(seed, n, m, ops):
     """Any mix of single steps, batches of any size and label mask, forced
     edits, checkpoint reloads, copies and pickles (training goes on with the
-    copy), malformed batches (refused without a trace) and state or chart
-    arrays rebound as C-order, Fortran-order or float32 copies, with n inputs
+    copy), malformed batches (refused without a trace), state or chart
+    arrays rebound as C-order, Fortran-order or float32 copies and a
+    generator rebound to a new one, with n inputs
     and m classes, leaves every per-node array of the state table at the
     model's width, and both training steps on the same hash after every op."""
     hashes = {backend: run_step_sequence(seed, ops, n, m)
@@ -642,6 +672,8 @@ def run_step_sequence(seed, ops, n=3, m=2) -> list:
             elif kind == "rebind":
                 slot = REBOUND[pick % len(REBOUND)]
                 slot.set(model, REBINDINGS[pick // len(REBOUND)](slot.get(model)))
+            elif kind == "rng":
+                model.rng = np.random.default_rng([seed, i, 1])
             elif model.width >= 2 and index < model.width:
                 model._prune(index)
             else:
@@ -684,6 +716,31 @@ def test_copies_train_without_touching_the_original(tmp_path):
         ends.update(state_hash(twin) for twin in twins)
         assert state_hash(twins[0]) != before
     assert len(ends) == 1
+
+
+@pytest.mark.parametrize("change", ["rng", "mask_fraction"])
+def test_mask_follows_the_generator_and_fraction(tmp_path, change):
+    """After model.rng is rebound or config.mask_fraction changed, the model,
+    its checkpoint reload and a deep copy mask with the new generator and
+    fraction, which the hash and the checkpoint hold, and go on to the same
+    hash, with either step."""
+    feats, labels = gen_sea(400, rng=np.random.default_rng(74))
+    ends = set()
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=74))
+        train(model, feats[:100], labels[:100])
+        if change == "rng":
+            model.rng = np.random.default_rng(77)
+        else:
+            model.config.mask_fraction = 0.5
+        assert model.mask == dae.MaskSpec(model.config.mask_fraction, model.rng)
+        path = tmp_path / f"{backend}.ckpt.json"
+        save_checkpoint(model, path)
+        twins = (model, load_checkpoint(path), copy.deepcopy(model))
+        for twin in twins:
+            train(twin, feats[100:], labels[100:])
+        ends.update(state_hash(twin) for twin in twins)
+    assert len(ends) == 1, ends
 
 
 def test_pickle_and_copy_leave_out_the_flat_vectors():
@@ -939,30 +996,72 @@ def test_wrongly_shaped_state_is_refused_on_both_steps(key, tmp_path):
         assert not (tmp_path / "m.ckpt.json").exists()
 
 
+def set_entry(doc: dict, key: str, value) -> None:
+    """Sets the entry of a checkpoint document that key names ("a.b" nests)."""
+    *parents, leaf = key.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[leaf] = value
+
+
+UNUSABLE_CHART_ENTRIES = (  # (column, value) that no update makes
+    (Column.COUNT, np.nan), (Column.COUNT, np.inf), (Column.COUNT, -1.0), (Column.COUNT, 2.5),
+    (Column.M2, -0.25), (Column.MIN_STD, -0.5), (Column.RESEED, 0.5),
+)
+
+
+def load_message(model, path, name, column, value) -> str:
+    """What load_checkpoint says, after the file's name, of model's checkpoint
+    with chart `name`'s entry in `column` set to value (a whole number as
+    the JSON integer a checkpoint writes)."""
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    set_entry(doc[name], monitors.CHART_ENTRIES[column][0],
+              int(value) if float(value).is_integer() else value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    path.unlink()
+    return str(info.value).removeprefix(f"{path}: ")
+
+
 @pytest.mark.parametrize("how", ["rebound", "in place"])
-def test_negative_chart_m2_is_refused_on_both_steps(how):
-    """A chart whose m2 is negative, which no update makes, assigned or
-    written in place, makes train_batch, generative_step and
-    discriminative_step raise a NumericError that names the chart, with
-    either step, before any row trains. With m2 put back, the call trains."""
+def test_unusable_chart_entry_is_refused_on_both_steps(how, tmp_path):
+    """A chart entry that training cannot use (monitors.CHART_ENTRIES: a count
+    that is not a non-negative whole number, a negative m2 or min_std, a
+    reseed other than 0 and 1), assigned or written in place, makes
+    train_batch, generative_step and discriminative_step raise a
+    NumericError with load_checkpoint's message for it, with either step,
+    before any row trains: with the entry put back, the hash is the one
+    before the call. state_hash and save_checkpoint raise the same error, and
+    the save writes no file. Once every entry is good, the model trains."""
     feats, labels = gen_sea(60, rng=np.random.default_rng(95))
+    saved = tmp_path / "m.ckpt.json"
     for backend in each_backend():
         model = DevdanModel(3, 2, DevdanConfig(seed=95))
         train(model, feats[:40], labels[:40])
+        before = state_hash(model)
+        calls = (lambda: model.train_batch(StreamBatch(feats, labels, labels >= 0, 0)),
+                 lambda: model.generative_step(feats[40]),
+                 lambda: model.discriminative_step(feats[40], 1),
+                 lambda: state_hash(model),
+                 lambda: save_checkpoint(model, saved))
         for row, name in enumerate(CHARTS):
-            for call in (lambda: model.train_batch(StreamBatch(feats, labels, labels >= 0, 0)),
-                         lambda: model.generative_step(feats[40]),
-                         lambda: model.discriminative_step(feats[40], 1)):
-                good = model.charts[row, Column.M2]
-                if how == "rebound":
-                    model.charts = model.charts.copy()
-                model.charts[row, Column.M2] = -0.25
-                before = state_hash(model)
-                with pytest.raises(NumericError, match=f"^{name}.current.m2 is -0.25, expected "):
-                    call()
-                assert state_hash(model) == before, (backend, name)
-                model.charts[row, Column.M2] = good
-                call()
+            for column, value in UNUSABLE_CHART_ENTRIES:
+                message = load_message(model, tmp_path / "bad.ckpt.json", name, column, value)
+                assert message.startswith(f"{name}.{monitors.CHART_ENTRIES[column][0]} is ")
+                for call in calls:
+                    if how == "rebound":
+                        model.charts = model.charts.copy()
+                    good = model.charts[row, column]
+                    model.charts[row, column] = value
+                    with pytest.raises(NumericError) as info:
+                        call()
+                    assert str(info.value) == message, (backend, name)
+                    model.charts[row, column] = good
+                    assert state_hash(model) == before, (backend, name)
+        assert not saved.exists()
+        calls[0]()
 
 
 BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input

@@ -911,6 +911,17 @@ class TestDatasetSpec:
             DatasetSpec(label_fraction=0.0).validate()
         with pytest.raises(ConfigError):
             DatasetSpec(source="csv").validate()
+        with pytest.raises(ConfigError, match=r"^total_samples is 500, expected at least "
+                                              r"batch_size \(1000\)$"):
+            DatasetSpec(total_samples=500, batch_size=1000).validate()
+
+    def test_file_with_no_whole_batch_is_config_error(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("a,b,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        spec = DatasetSpec(source="csv", csv_path=str(path), batch_size=10)
+        with pytest.raises(ConfigError, match=r"^the csv source holds 2 rows, fewer than "
+                                              r"batch_size \(10\)$"):
+            materialize(spec, np.random.default_rng(0))
 
     def test_materialize_with_permutations(self):
         perm = np.array([2, 0, 1])
