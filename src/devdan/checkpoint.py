@@ -13,10 +13,10 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .model import DevdanConfig, DevdanModel
 from .monitors import CHART_ENTRIES, SpcTracker
-from .state import CHARTS, STATE_SLOTS
+from .state import BIT_GENERATORS, CHARTS, STATE_SLOTS, plain
 
 FORMAT_VERSION = 1
 
@@ -43,30 +43,29 @@ def model_to_dict(model: DevdanModel) -> dict:
         "n_in": model.n_in,
         "n_classes": model.n_classes,
         "width": model.width,
-        # a numpy seed or switch as the JSON number or boolean it holds
-        "config": {key: value.item() if isinstance(value, np.generic) else value
-                   for key, value in dataclasses.asdict(model.config).items()},
+        "config": plain(dataclasses.asdict(model.config)),
     }
     for slot, arr in zip(STATE_SLOTS, arrays):
         _nest(doc, slot.key, arr.tolist())
     for name, row in zip(CHARTS, charts):
         for (key, *_), value in zip(CHART_ENTRIES, SpcTracker(row).values()):
             _nest(doc, f"{name}.{key}", value)
-    doc["rng_state"] = model.rng.bit_generator.state
+    doc["rng_state"] = plain(model.rng.bit_generator.state)
     return doc
 
 
 def save_checkpoint(model: DevdanModel, path) -> None:
-    doc = model_to_dict(model)  # before the file opens: a refused model writes nothing
+    # encoded before the file opens: a model that cannot be saved writes nothing
+    text = json.dumps(model_to_dict(model), indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_checkpoint(path) -> DevdanModel:
-    """The model a checkpoint file holds. A file unreadable, malformed or of
-    another version, a chart value not of its JSON kind (CHART_ENTRIES) or a
-    state that checked_state refuses raises a CheckpointError naming the file."""
+    """The model a checkpoint file holds, over the bit generator its rng_state
+    names. A file unreadable, malformed or of another version, a config or
+    size a model refuses, a chart value not of its JSON kind (CHART_ENTRIES)
+    or a state checked_state refuses raises a CheckpointError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -83,7 +82,11 @@ def load_checkpoint(path) -> DevdanModel:
         mode = config.pop("reset_mode", "standard")
         if mode != "standard":
             raise CheckpointError(f"{path}: reset_mode {mode!r} is no longer supported")
-        model = DevdanModel(doc["n_in"], doc["n_classes"], DevdanConfig(**config))
+        rng_state = doc["rng_state"]
+        if (bits := BIT_GENERATORS.get(rng_state["bit_generator"])) is None:
+            raise CheckpointError(f"{path}: rng_state names no numpy bit generator")
+        model = DevdanModel(doc["n_in"], doc["n_classes"], DevdanConfig(**config),
+                            rng=np.random.Generator(bits()))
         for slot in STATE_SLOTS:
             slot.set(model, np.asarray(_lookup(doc, slot.key), dtype=slot.dtype))
         for name, row in zip(CHARTS, model.charts):
@@ -92,11 +95,11 @@ def load_checkpoint(path) -> DevdanModel:
                 if type(value) not in kinds:
                     raise CheckpointError(f"{path}: {name}.{key} is {value!r}, expected {words}")
                 row[col] = value
-        model.rng.bit_generator.state = doc["rng_state"]
+        model.rng.bit_generator.state = rng_state
         model.checked_state()
         if doc["width"] != model.width:
             raise CheckpointError(f"{path}: width {doc['width']!r} is not w's, {model.width}")
-    except (ShapeError, NumericError) as err:
+    except (ShapeError, NumericError, ConfigError) as err:
         raise CheckpointError(f"{path}: {err}") from err
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint ({err})") from err
@@ -113,5 +116,5 @@ def state_hash(model: DevdanModel) -> str:
         h.update(np.ascontiguousarray(arr, dtype=slot.dtype).tobytes())
     for row in charts:
         h.update(repr(SpcTracker(row).values()).encode())
-    h.update(repr(model.rng.bit_generator.state).encode())
+    h.update(repr(plain(model.rng.bit_generator.state)).encode())
     return h.hexdigest()

@@ -28,7 +28,10 @@ from .prequential import (
     write_batch_csv,
     write_summary_json,
 )
-from .streams import DatasetSpec, gen_hyperplane, gen_sea
+from .streams import SELECTION_MODES, SOURCES, DatasetSpec, gen_hyperplane, gen_sea
+
+# the streams that `devdan gen` writes, each at its default concepts
+GENERATED = {"sea": gen_sea, "hyperplane": gen_hyperplane}
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -69,7 +72,7 @@ def _seed(value):
 
 
 def _count(value):
-    """A number of rows: an integer >= 1."""
+    """A number of rows or of jobs: an integer >= 1."""
     if _plain(int, value) < 1:
         raise ValueError("a positive integer")
     return value
@@ -94,13 +97,13 @@ def _permutations(value):
 
 # the settings of `devdan run` in flag and summary order; every flag has a config-file twin
 SETTINGS = {s.key: s for s in (
-    Setting("dataset", "sea", ("sea", "hyperplane", "csv", "idx"), "source"),
+    Setting("dataset", "sea", tuple(SOURCES), "source"),
     Setting("samples", 100_000, int, "total_samples"),
     Setting("batch", 1000, int, "batch_size"),
     Setting("seeds", 5, _seeds, help="number of consecutive seeds"),
     Setting("seed_base", None, _seed),  # resolved from DEVDAN_SEED, then 0
     Setting("label_fraction", 1.0, float, "label_fraction"),
-    Setting("selection", "random", ("random", "confidence"), "selection_mode"),
+    Setting("selection", "random", SELECTION_MODES, "selection_mode"),
     Setting("delta", 0.7, float, "delta"),
     Setting("lr_generative", 0.001, float, "lr_generative"),
     Setting("lr_discriminative", 0.01, float, "lr_discriminative"),
@@ -118,10 +121,10 @@ SETTINGS = {s.key: s for s in (
     Setting("out", ".", str),
     Setting("prefix", "run", str),
     Setting("checkpoint_out", None, str),
-    Setting("jobs", 1, int),
+    Setting("jobs", 1, _count),
 )}
 # the argparse type of the flags of each kind other than str, bool and the choices
-_FLAG_TYPES = {int: int, float: float, _seed: int, _seeds: int}
+_FLAG_TYPES = {int: int, float: float, _seed: int, _seeds: int, _count: int}
 
 
 def _load_config_file(path) -> dict:
@@ -184,9 +187,7 @@ def _seed_list(cfg) -> list[int]:
 def _build(cls, cfg):
     """The DatasetSpec or DevdanConfig whose fields the settings in cfg set."""
     names = {f.name for f in dataclasses.fields(cls)}
-    obj = cls(**{s.field: s.to_field(cfg[s.key]) for s in SETTINGS.values() if s.field in names})
-    obj.validate()
-    return obj
+    return cls(**{s.field: s.to_field(cfg[s.key]) for s in SETTINGS.values() if s.field in names})
 
 
 def cmd_run(args) -> int:
@@ -210,8 +211,6 @@ def cmd_run(args) -> int:
         csv_path = out_dir / f"{cfg['prefix']}_seed{row.seed}.csv"
         write_batch_csv(row.report, csv_path)
         if ck_dir is not None:
-            # the suite ran every seed under one config; each file records its own seed
-            row.model.config = dataclasses.replace(model_cfg, seed=row.seed)
             save_checkpoint(row.model, ck_dir / f"{cfg['prefix']}_seed{row.seed}.ckpt.json")
         print(
             f"seed {row.seed}: rate {row.report.mean_rate:.4f} "
@@ -227,13 +226,7 @@ def cmd_run(args) -> int:
 def cmd_gen(args) -> int:
     count = _convert(Setting("count", None, _count), args.count)
     seed = _env_seed() if args.seed is None else _convert(Setting("seed", None, _seed), args.seed)
-    rng = np.random.default_rng(seed)
-    if args.dataset == "sea":
-        feats, labels = gen_sea(count, rng=rng)
-    elif args.dataset == "hyperplane":
-        feats, labels = gen_hyperplane(count, rng=rng)
-    else:
-        raise ConfigError(f"gen supports sea|hyperplane, not {args.dataset!r}")
+    feats, labels = GENERATED[args.dataset](count, rng=np.random.default_rng(seed))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"f{j}" for j in range(feats.shape[1])) + ",label\n")
         for row, lab in zip(feats, labels):
@@ -244,28 +237,17 @@ def cmd_gen(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.checkpoint)
-
-    def tracker_summary(t):
-        return {
-            "count": t.count,
-            "mean": t.mean,
-            "std": t.std,
-            "min_mean": t.min_mean,
-            "min_std": t.min_std,
-        }
-
+    charts = {"generative_bias": model.gen_bias, "generative_variance": model.gen_var,
+              "discriminative_bias": model.disc_bias, "discriminative_variance": model.disc_var}
     doc = {
         "n_in": model.n_in,
         "n_classes": model.n_classes,
         "hidden_nodes": model.width,
         "parameter_count": parameter_count(model),
         "config": dataclasses.asdict(model.config),
-        "monitors": {
-            "generative_bias": tracker_summary(model.gen_bias),
-            "generative_variance": tracker_summary(model.gen_var),
-            "discriminative_bias": tracker_summary(model.disc_bias),
-            "discriminative_variance": tracker_summary(model.disc_var),
-        },
+        "monitors": {name: {key: getattr(chart, key)
+                            for key in ("count", "mean", "std", "min_mean", "min_std")}
+                     for name, chart in charts.items()},
     }
     print(json.dumps(doc, indent=1))
     return EXIT_OK
@@ -290,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="dump a generated stream as labeled CSV")
-    gen.add_argument("dataset", choices=("sea", "hyperplane"))
+    gen.add_argument("dataset", choices=tuple(GENERATED))
     gen.add_argument("count", type=int)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)

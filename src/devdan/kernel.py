@@ -37,7 +37,7 @@ import numpy as np
 from .dae import MaskSpec, mask_input
 from .monitors import CHART_FIELDS, Column, SpcTracker, kappa, update_charts
 from .numerics import sigmoid, softmax_row
-from .state import CHART_SLOT, STATE_SLOTS, state_arrays
+from .state import CHART_SLOT, STATE_SLOTS, plain, state_arrays
 
 SOURCE = Path(__file__).with_name("_step.c")
 COMPILER = "cc"
@@ -361,10 +361,8 @@ def reduce_sum(lib, v: np.ndarray) -> float:
     return float(out[0])
 
 
-def bitgen_address(rng) -> int | None:
-    """Address of a numpy Generator's bitgen_t, None for any other generator."""
-    if type(rng) is not np.random.Generator:
-        return None
+def bitgen_address(rng: np.random.Generator) -> int:
+    """Address of a numpy Generator's bitgen_t."""
     return rng.bit_generator.ctypes.bit_generator.value
 
 
@@ -393,13 +391,6 @@ def charts_step(lib, charts: np.ndarray, bias2: float, variance: float, width: i
 
 def _same(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
-def _same_state(a, b) -> bool:
-    """Equal bit-generator states: dicts whose values may be arrays."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
-    return _same(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 def _self_check(lib) -> None:
@@ -447,7 +438,7 @@ def _check_mask_draw(lib) -> None:
             spec = MaskSpec(fraction, theirs)
             if not _same(mask_draw(lib, ours, x, spec.n_masked(n)), mask_input(x, spec)):
                 raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, n={n})")
-        if not _same_state(ours.bit_generator.state, theirs.bit_generator.state):
+        if plain(ours.bit_generator.state) != plain(theirs.bit_generator.state):
             raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, generator state)")
 
 

@@ -33,12 +33,12 @@ from .monitors import (
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
-from .state import CHART_SLOT, CHARTS, STATE_SLOTS, state_arrays
+from .state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS, state_arrays
 
 
-@dataclass
+@dataclass(frozen=True)
 class DevdanConfig:
-    """Hyperparameters and variant switches.
+    """Hyperparameters and variant switches, checked when made (change: dataclasses.replace).
 
     Defaults: discriminative / generative learning rates 0.01 / 0.001,
     momentum 0.95 (discriminative phase only), 10% masking noise.
@@ -53,7 +53,7 @@ class DevdanConfig:
     enable_prune: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(math.isfinite(lr) and lr >= 0
                    for lr in (self.lr_generative, self.lr_discriminative)):
             raise ConfigError("learning rates must be finite and non-negative")
@@ -86,6 +86,16 @@ class SoftmaxHead:
     @property
     def width(self) -> int:
         return self.theta.shape[0]
+
+
+def _check_rng(rng) -> None:
+    """A ConfigError unless rng is a numpy Generator itself (a subclass may
+    override draws the compiled loop takes) over one of BIT_GENERATORS."""
+    if type(rng) is not np.random.Generator:
+        raise ConfigError(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
+    if type(rng.bit_generator) not in BIT_GENERATORS.values():
+        raise ConfigError(f"rng must draw from one of {', '.join(BIT_GENERATORS)}, "
+                          f"not {type(rng.bit_generator).__name__}")
 
 
 def _as_floats(values, what: str) -> np.ndarray:
@@ -173,8 +183,8 @@ class DevdanModel:
                               f"not {n_in} and {n_classes}")
         self.n_in, self.n_classes = n_in, n_classes
         self.config = config or DevdanConfig()
-        self.config.validate()
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
+        _check_rng(self.rng)
         self.layer = dae.DaeLayer.fresh(n_in, self.rng)
         self.head = SoftmaxHead(self.layer.width, n_classes, self.rng)
         self.gen_stats = NodeStats(self.layer.width)
@@ -301,8 +311,9 @@ class DevdanModel:
     def checked_state(self) -> tuple[np.ndarray, ...]:
         """What a model may hold, one rule for training, the hash and checkpoints:
         every STATE_SLOTS array, then the chart array, as np.asarray gives it,
-        nothing rebound. A shape not its slot's, a dtype not a number or a
-        layer of no node raises a ShapeError naming it; see _check_charts."""
+        nothing rebound. See _check_rng for the generator and _check_charts;
+        a shape not its slot's, a dtype not a number or no node is a ShapeError."""
+        _check_rng(self.rng)
         w = np.asarray(self.layer.w)
         width = w.shape[1] if w.ndim == 2 else -1  # any other w is named below
         sizes = {"n": self.n_in, "width": width, "m": self.n_classes}
@@ -439,17 +450,19 @@ class DevdanModel:
         from the generator; the loop then resumes at the same row
         (job.resume), recomputing the forward pass against the edited layer.
         Before any row: checked_state where an array was rebound (_kernel), its
-        chart part at every call (a write in place rebinds nothing).
+        generator and chart parts at every call (a rebound rng or a chart
+        written in place rebinds no array).
 
         Returns None where the numpy step has to run, else (losses, grows,
         prunes, failure), failure being None or (position in rows, the error
         the numpy step would raise there)."""
-        bitgen = kernel.bitgen_address(self.rng)  # at every call: rng may have been rebound
-        k = None if bitgen is None else self._kernel()
+        k = self._kernel()
         if k is None:
             return None
+        _check_rng(self.rng)
         _check_charts(self.charts)
         cfg, n, gen = self.config, self.n_in, labels is None
+        bitgen = kernel.bitgen_address(self.rng)
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         losses = np.empty(rows.shape[0])
         perm = np.empty(n, dtype=np.int64)

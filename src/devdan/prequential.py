@@ -19,6 +19,7 @@ import numpy as np
 from .checkpoint import state_hash
 from .errors import DevdanError
 from .model import DevdanConfig, DevdanModel
+from .state import plain
 from .streams import DatasetSpec, batchify, confidence_mask, materialize
 
 CSV_HEADER = "k,cr,gen_loss,disc_loss,R,grows,prunes,train_s,test_s"
@@ -141,7 +142,8 @@ def run_single(
     clock=time.perf_counter,
     verify_hygiene: bool = False,
 ):
-    """One seeded end-to-end run; returns (report, model).
+    """One seeded end-to-end run; returns (report, model), whose config is
+    config with the run's seed.
 
     The run seed spawns independent child generators for the stream and the
     model, so the two never share draws."""
@@ -149,7 +151,7 @@ def run_single(
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     )
     feats, labels, n_in, n_classes = materialize(dataset, stream_rng)
-    model = DevdanModel(n_in, n_classes, config, rng=model_rng)
+    model = DevdanModel(n_in, n_classes, dataclasses.replace(config, seed=seed), rng=model_rng)
     stream = batchify(
         feats,
         labels,
@@ -257,15 +259,6 @@ def write_summary_json(
     if effective_config is not None:
         doc["effective_config"] = effective_config
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, default=_jsonable)
+        json.dump(plain(doc), fh, indent=1)
         fh.write("\n")
 
-
-def _jsonable(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (tuple, np.ndarray)):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -1,4 +1,5 @@
-"""The table of a model's state arrays (STATE_SLOTS) and of its charts."""
+"""The tables of a model's state arrays (STATE_SLOTS), charts and bit
+generators, and plain(), which turns numpy values into JSON ones."""
 from __future__ import annotations
 
 import operator
@@ -76,3 +77,19 @@ CHART_SLOT = StateSlot("charts", None, "charts", (len(CHARTS), CHART_FIELDS))
 # in one call
 state_arrays = operator.attrgetter(*(f"{s.owner}.{s.attr}" if s.owner else s.attr
                                      for s in (*STATE_SLOTS, CHART_SLOT)))
+# the bit generators a model's numpy Generator may draw from, by the name its
+# state records, which is the name a checkpoint rebuilds it from
+BIT_GENERATORS = {bits.__name__: bits for bits in (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64)}
+
+
+def plain(value):
+    """value with every numpy array and scalar in it, through dicts, lists and
+    tuples (which become lists), as the JSON value that .tolist() gives."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value

@@ -26,6 +26,19 @@ HYPERPLANE_DEFAULT_CONCEPTS = (
     ((1.5, 1.0, 1.0, 0.5), 2.0),
 )
 
+# each source of a DatasetSpec and its reader: the rows (features, labels) for
+# a spec and the stream's generator, which materialize cuts to total_samples
+SOURCES = {
+    "sea": lambda spec, rng: gen_sea(spec.total_samples, spec.sea_schedule, rng),
+    "hyperplane": lambda spec, rng: gen_hyperplane(
+        spec.total_samples, spec.hyperplane_dim, spec.hyperplane_concepts,
+        spec.hyperplane_ramp, rng),
+    "csv": lambda spec, rng: load_csv(spec.csv_path, spec.label_column, spec.bounds)[:2],
+    "idx": lambda spec, rng: load_idx(spec.idx_images, spec.idx_labels),
+}
+# how batchify picks each batch's revealed labels
+SELECTION_MODES = ("random", "confidence")
+
 
 @dataclass
 class StreamBatch:
@@ -388,7 +401,7 @@ def batchify(
     model's prediction (see confidence_mask). Yields StreamBatch objects."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    if selection_mode not in ("random", "confidence"):
+    if selection_mode not in SELECTION_MODES:
         raise ConfigError(f"unknown selection_mode {selection_mode!r}")
     rng = rng if rng is not None else np.random.default_rng()
     features = np.asarray(features)
@@ -409,11 +422,11 @@ def batchify(
 
 # --------------------------------------------------------------- dataset specs
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
-    """Declarative description of one experiment's data source."""
+    """One experiment's data source, checked when made (change: dataclasses.replace)."""
 
-    source: str = "sea"                  # sea | hyperplane | csv | idx
+    source: str = "sea"                  # one of SOURCES
     total_samples: int = 100_000
     batch_size: int = 1000
     label_fraction: float = 1.0
@@ -430,8 +443,8 @@ class DatasetSpec:
     hyperplane_ramp: tuple = (0.4, 0.6)
     permutations: tuple | None = None    # optional (start, permutation) schedule
 
-    def validate(self) -> None:
-        if self.source not in ("sea", "hyperplane", "csv", "idx"):
+    def __post_init__(self) -> None:
+        if self.source not in SOURCES:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.total_samples < 1 or self.batch_size < 1:
             raise ConfigError("total_samples and batch_size must be >= 1")
@@ -440,8 +453,11 @@ class DatasetSpec:
                               f"batch_size ({self.batch_size})")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ConfigError("label_fraction must lie in (0, 1]")
-        if self.selection_mode not in ("random", "confidence"):
+        if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(f"unknown selection_mode {self.selection_mode!r}")
+        if not (math.isfinite(self.delta) and self.delta > 0.5):
+            # every confidence score is at least 0.5: such a delta reveals no label
+            raise ConfigError(f"delta is {self.delta}, expected a finite number above 0.5")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs csv_path")
         if self.source == "idx" and not (self.idx_images and self.idx_labels):
@@ -453,24 +469,8 @@ def materialize(spec: DatasetSpec, rng: np.random.Generator):
 
     The row count is truncated to a whole number of batches; a file that
     holds no whole batch raises a ConfigError."""
-    spec.validate()
-    if spec.source == "sea":
-        feats, labels = gen_sea(spec.total_samples, spec.sea_schedule, rng)
-    elif spec.source == "hyperplane":
-        feats, labels = gen_hyperplane(
-            spec.total_samples,
-            spec.hyperplane_dim,
-            spec.hyperplane_concepts,
-            spec.hyperplane_ramp,
-            rng,
-        )
-    elif spec.source == "csv":
-        feats, labels, _, _ = load_csv(spec.csv_path, spec.label_column, spec.bounds)
-    else:
-        feats, labels = load_idx(spec.idx_images, spec.idx_labels)
-    if spec.source in ("csv", "idx"):
-        feats = feats[: spec.total_samples]
-        labels = labels[: spec.total_samples]
+    feats, labels = SOURCES[spec.source](spec, rng)
+    feats, labels = feats[: spec.total_samples], labels[: spec.total_samples]
     if spec.permutations is not None:
         feats = permute_drift(feats, spec.permutations)
     usable = (feats.shape[0] // spec.batch_size) * spec.batch_size

@@ -8,6 +8,7 @@ import pytest
 from devdan import cli
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from devdan.errors import CheckpointError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.prequential import parameter_count, run_single
 from devdan.streams import DatasetSpec
@@ -114,10 +115,16 @@ class TestRun:
         (("gen", "hyperplane", "0"), None, "count is 0, expected a positive integer"),
         (("run", "--samples", "500", "--batch", "1000"), None,
          "total_samples is 500, expected at least batch_size (1000)"),
+        (("run", "--samples", "2000", "--batch", "500", "--seeds", "1", "--jobs", "0"), None,
+         "jobs is 0, expected a positive integer"),
+        (("run", "--samples", "2000", "--batch", "500", "--seeds", "1", "--selection",
+          "confidence", "--label-fraction", "0.5", "--delta", "nan"), None,
+         "delta is nan, expected a finite number above 0.5"),
     ])
     def test_bad_seed_is_config_error(self, tmp_path, monkeypatch, capsys, argv, env, message):
         """A seed numpy refuses, a seed count that trains nothing, a gen row
-        count that writes none, or a stream shorter than one batch, exits 2
+        count that writes none, a stream shorter than one batch, a job count
+        below 1 or a confidence threshold that reveals no label exits 2
         naming the setting, before anything is written."""
         if env is not None:
             monkeypatch.setenv("DEVDAN_SEED", env)
@@ -190,8 +197,8 @@ class TestRun:
         dataset = DatasetSpec(source="sea", total_samples=2000, batch_size=1000)
         for seed in (5, 6):
             saved = load_checkpoint(tmp_path / "ck" / f"run_seed{seed}.ckpt.json")
-            _, model = run_single(dataset, DevdanConfig(seed=seed), seed)
-            assert saved.config.seed == seed
+            _, model = run_single(dataset, DevdanConfig(), seed)
+            assert saved.config.seed == model.config.seed == seed
             assert state_hash(saved) == state_hash(model)
 
 
@@ -250,6 +257,31 @@ class TestInspect:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:100])
         assert run_cli("inspect", str(path)) == EXIT_RUNTIME
+
+    REFUSED = {  # what a model refuses -> (the edit of a checkpoint, the refusal)
+        "config": (lambda doc: doc["config"].update(mask_fraction=1.5),
+                   "mask_fraction must lie in [0, 1]"),
+        "n_in": (lambda doc: doc.update(n_in=0),
+                 "a model needs at least 1 input and 2 classes, not 0 and 2"),
+        "rng_state": (lambda doc: doc["rng_state"].update(bit_generator="RandomState"),
+                      "rng_state names no numpy bit generator"),
+    }
+
+    @pytest.mark.parametrize("refused", list(REFUSED))
+    def test_checkpoint_no_model_can_take_exit_one(self, tmp_path, capsys, refused):
+        """A checkpoint whose config, size or generator a model refuses is a
+        CheckpointError naming the file, and inspect exits 1 with it."""
+        edit, message = self.REFUSED[refused]
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(DevdanModel(3, 2), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert run_cli("inspect", str(path)) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_missing_file_exit_one(self, tmp_path):
         assert run_cli("inspect", str(tmp_path / "nope.json")) == EXIT_RUNTIME

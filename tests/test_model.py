@@ -3,6 +3,7 @@ central differences, structural bookkeeping, phase ablations, determinism,
 and checkpoint round-trips."""
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -23,8 +24,8 @@ from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import Column, SpcTracker
 from devdan.numerics import sigmoid, softmax_row
-from devdan.state import CHART_SLOT, CHARTS, STATE_SLOTS
-from devdan.streams import StreamBatch, gen_sea
+from devdan.state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS
+from devdan.streams import DatasetSpec, StreamBatch, gen_sea
 
 
 def frozen_config(**kw):
@@ -346,11 +347,11 @@ class TestSpcFalseAlarmRate:
 class TestConfigValidation:
     def test_bad_momentum(self):
         with pytest.raises(ConfigError):
-            DevdanConfig(momentum=1.0).validate()
+            DevdanConfig(momentum=1.0)
 
     def test_bad_mask_fraction(self):
         with pytest.raises(ConfigError):
-            DevdanConfig(mask_fraction=1.5).validate()
+            DevdanConfig(mask_fraction=1.5)
 
     def test_bad_reset_mode(self, tmp_path):
         """A checkpoint from when reset modes existed: "standard" loads to the
@@ -416,8 +417,9 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["config"]["enable_grow"] = "no"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="enable_grow must be a boolean"):
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
+        assert str(info.value) == f"{path}: enable_grow must be a boolean, not 'no'"
 
     def trained_model(self, seed=47):
         rng = np.random.default_rng(seed)
@@ -732,7 +734,7 @@ def test_mask_follows_the_generator_and_fraction(tmp_path, change):
         if change == "rng":
             model.rng = np.random.default_rng(77)
         else:
-            model.config.mask_fraction = 0.5
+            model.config = dataclasses.replace(model.config, mask_fraction=0.5)
         assert model.mask == dae.MaskSpec(model.config.mask_fraction, model.rng)
         path = tmp_path / f"{backend}.ckpt.json"
         save_checkpoint(model, path)
@@ -1190,27 +1192,121 @@ def test_float_label_arrays_take_the_compiled_loop(compiled_step):
         model.train_batch(StreamBatch(feats[:500], lab, revealed, 4))
 
 
+def test_every_numpy_bit_generator_resumes_from_its_checkpoint(tmp_path):
+    """A model drawing from any of numpy's bit generators trains, saves and
+    loads to a model over the same kind of bit generator and the same hash,
+    and the two train on to one hash, the same with either step."""
+    feats, labels = gen_sea(300, rng=np.random.default_rng(89))
+    labeled = np.arange(150) % 2 == 0
+    for name, bits in BIT_GENERATORS.items():
+        ends = set()
+        for backend in each_backend():
+            model = DevdanModel(3, 2, DevdanConfig(), rng=np.random.Generator(bits(9)))
+            train(model, feats[:150], labels[:150])
+            path = tmp_path / f"{name}-{backend}.ckpt.json"
+            save_checkpoint(model, path)
+            twin = load_checkpoint(path)
+            assert type(twin.rng.bit_generator) is bits
+            assert state_hash(twin) == state_hash(model), (name, backend)
+            for each in (model, twin):
+                each.train_batch(StreamBatch(feats[150:], labels[150:], labeled, 0))
+            ends.update((state_hash(model), state_hash(twin)))
+        assert len(ends) == 1, (name, ends)
+
+
+def test_generator_hash_ignores_print_options():
+    """state_hash reads the generator's state as JSON values: numpy's print
+    options neither change the hash of an MT19937 model nor hide a
+    difference deep in its key."""
+    model = DevdanModel(3, 2, rng=np.random.Generator(np.random.MT19937(5)))
+    twin = copy.deepcopy(model)
+    state = twin.rng.bit_generator.state
+    state["state"]["key"][300] ^= 1
+    twin.rng.bit_generator.state = state
+    before = state_hash(model)
+    with np.printoptions(threshold=10):
+        assert state_hash(model) == before
+        assert state_hash(twin) != before
+
+
 class WrappedGenerator(np.random.Generator):
-    """A Generator subclass, whose bit generator the compiled loop does not
-    draw from."""
+    """A Generator subclass, which may override the draws that the compiled
+    loop takes from its bit generator."""
 
 
-def test_generator_subclass_takes_the_numpy_step(compiled_step):
-    """With the compiled library loaded, a model whose generator is not a
-    numpy Generator trains on the numpy step, single steps and a half-labeled
-    batch alike, without pointing the compiled loop at its arrays, and ends
-    where a model on the same plain generator ends."""
-    feats, labels = gen_sea(200, rng=np.random.default_rng(89))
-    labeled = np.arange(100) % 2 == 0
-    models = []
-    for rng in (WrappedGenerator(np.random.PCG64(9)), np.random.default_rng(9)):
-        model = DevdanModel(3, 2, DevdanConfig(), rng=rng)
-        train(model, feats[:100], labels[:100])
-        model.train_batch(StreamBatch(feats[100:], labels[100:], labeled, 0))
-        models.append(model)
-    wrapped, plain = models
-    assert wrapped._kernel_state is None and plain._kernel_state is not None
-    assert state_hash(wrapped) == state_hash(plain)
+class WrappedBits(np.random.PCG64):
+    """A bit generator that no checkpoint can rebuild."""
+
+
+REFUSED_GENERATORS = {  # kind -> (a generator of it, what the refusal says)
+    "RandomState": (lambda: np.random.RandomState(9),
+                    "rng must be a numpy.random.Generator, not RandomState"),
+    "subclass": (lambda: WrappedGenerator(np.random.PCG64(9)),
+                 "rng must be a numpy.random.Generator, not WrappedGenerator"),
+    "bit generator": (lambda: np.random.Generator(WrappedBits(9)),
+                      f"rng must draw from one of {', '.join(BIT_GENERATORS)}, not WrappedBits"),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSED_GENERATORS))
+def test_generator_that_is_not_a_numpy_generator_is_refused(kind, tmp_path):
+    """A RandomState, a Generator subclass or a Generator over a bit generator
+    that is not numpy's is refused with a ConfigError when a model is built.
+    Rebound onto a trained model, train_batch, generative_step,
+    discriminative_step, state_hash and save_checkpoint refuse it, with
+    either step, before any row trains: with the generator put back, the
+    hash is the one before the call, and the save wrote no file."""
+    make, message = REFUSED_GENERATORS[kind]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        DevdanModel(3, 2, rng=make())
+    feats, labels = gen_sea(60, rng=np.random.default_rng(97))
+    saved = tmp_path / "m.ckpt.json"
+    for backend in each_backend():
+        model = DevdanModel(3, 2, DevdanConfig(seed=97))
+        train(model, feats[:40], labels[:40])
+        good, before = model.rng, state_hash(model)
+        calls = (lambda: model.train_batch(
+                     StreamBatch(feats[40:], labels[40:], np.ones(20, dtype=bool), 0)),
+                 lambda: model.generative_step(feats[40]),
+                 lambda: model.discriminative_step(feats[40], int(labels[40])),
+                 lambda: state_hash(model),
+                 lambda: save_checkpoint(model, saved))
+        for call in calls:
+            model.rng = make()
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                call()
+            model.rng = good
+            assert state_hash(model) == before, backend
+        assert not saved.exists()
+        calls[0]()
+
+
+REFUSED_SETTINGS = (  # (configuration class, field, a value that it refuses)
+    (DevdanConfig, "lr_generative", float("nan")), (DevdanConfig, "lr_discriminative", -1.0),
+    (DevdanConfig, "momentum", 2.0), (DevdanConfig, "mask_fraction", 1.5),
+    (DevdanConfig, "enable_grow", "no"), (DevdanConfig, "seed", -1),
+    (DatasetSpec, "source", "parquet"), (DatasetSpec, "total_samples", 10),
+    (DatasetSpec, "label_fraction", 0.0), (DatasetSpec, "selection_mode", "all"),
+    (DatasetSpec, "delta", 0.5), (DatasetSpec, "csv_path", None),
+)
+
+
+def test_configurations_are_checked_values():
+    """No field of a DevdanConfig or DatasetSpec can be assigned; a changed
+    setting is dataclasses.replace, which refuses each value with the
+    ConfigError that construction raises."""
+    for cls in (DevdanConfig, DatasetSpec):
+        made = cls()
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, field.name, getattr(made, field.name))
+    base = {DevdanConfig: DevdanConfig(), DatasetSpec: DatasetSpec(source="csv", csv_path="a")}
+    for cls, field, value in REFUSED_SETTINGS:
+        with pytest.raises(ConfigError) as built:
+            cls(**{**dataclasses.asdict(base[cls]), field: value})
+        with pytest.raises(ConfigError) as replaced:
+            dataclasses.replace(base[cls], **{field: value})
+        assert str(replaced.value) == str(built.value), (field, value)
 
 
 @pytest.mark.parametrize("charts, rows", [("standard", 3000), ("forged", 400)])

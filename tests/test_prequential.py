@@ -244,10 +244,10 @@ class TestRunSuite:
         assert a["summary"] == b["summary"]
 
     def test_failed_run_recorded_suite_continues(self):
-        configs = {
-            "good": DevdanConfig(),
-            "broken": DevdanConfig(momentum=2.0),  # fails validation at run time
-        }
+        broken = DevdanConfig()
+        # forged past the frozen check: run_single's copy with the seed refuses it
+        object.__setattr__(broken, "momentum", 2.0)
+        configs = {"good": DevdanConfig(), "broken": broken}
         result = run_suite(self.small_ds(), configs, seeds=[0])
         assert result["summary"]["good"]["failures"] == 0
         assert result["summary"]["broken"]["failures"] == 1

@@ -906,14 +906,20 @@ class TestDatasetSpec:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            DatasetSpec(source="parquet").validate()
+            DatasetSpec(source="parquet")
         with pytest.raises(ConfigError):
-            DatasetSpec(label_fraction=0.0).validate()
+            DatasetSpec(label_fraction=0.0)
         with pytest.raises(ConfigError):
-            DatasetSpec(source="csv").validate()
+            DatasetSpec(source="csv")
         with pytest.raises(ConfigError, match=r"^total_samples is 500, expected at least "
                                               r"batch_size \(1000\)$"):
-            DatasetSpec(total_samples=500, batch_size=1000).validate()
+            DatasetSpec(total_samples=500, batch_size=1000)
+        # every confidence score is at least 0.5, so such a delta reveals no label
+        for delta in (0.5, 0.3, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=rf"^delta is {delta}, expected a finite "
+                                                  r"number above 0\.5$"):
+                DatasetSpec(selection_mode="confidence", delta=delta)
+        assert DatasetSpec(selection_mode="confidence", delta=0.51).delta == 0.51
 
     def test_file_with_no_whole_batch_is_config_error(self, tmp_path):
         path = tmp_path / "two.csv"
