@@ -28,7 +28,8 @@ from .prequential import (
     write_batch_csv,
     write_summary_json,
 )
-from .streams import SELECTION_MODES, SOURCES, DatasetSpec, gen_hyperplane, gen_sea
+from .state import COUNT, SEED, STRING, Kind, check
+from .streams import DatasetSpec, gen_hyperplane, gen_sea
 
 # the streams that `devdan gen` writes, each at its default concepts
 GENERATED = {"sea": gen_sea, "hyperplane": gen_hyperplane}
@@ -38,93 +39,68 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+def _same(value):
+    return value
+
+
 class Setting(NamedTuple):
-    """One `devdan run` setting: a config-file key and, unless file-only, the
-    flag --key with dashes; a setting whose default is False is an on/off flag."""
+    """One `devdan run` setting: a config-file key and, where its kind reads
+    a flag's text, the flag --key with dashes; a setting whose default is
+    False is an on/off flag."""
 
     key: str
     default: object
-    kind: object  # int, float, str, bool, a tuple of allowed strings, or a converter
+    kind: Kind
     field: str | None = None  # the DatasetSpec or DevdanConfig field it sets
-    to_field: Callable = lambda value: value  # that field's value from the setting's
+    to_field: Callable = _same  # that field's value from the setting's
     help: str | None = None
-    flag: bool = True
 
 
-# the JSON types that a value of each plain kind may have (so a bool is no
-# number), and the words for them
-_PLAIN = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-          str: ((str,), "a string"), bool: ((bool,), "true or false")}
+_FIELDS = {f.name: f for cls in (DatasetSpec, DevdanConfig) for f in dataclasses.fields(cls)}
 
 
-def _plain(kind, value):
-    types, expected = _PLAIN[kind]
-    if type(value) not in types:
-        raise ValueError(expected)
-    return kind(value)
+def _field(key, name=None, to_field=_same) -> Setting:
+    """The setting of the field name (key unless given), of the field's kind;
+    to_field maps the setting's value to the field's, and the field's default
+    to the setting's (operator.not_ for a no_<switch> key)."""
+    field = _FIELDS[name or key]
+    return Setting(key, to_field(field.default), field.metadata["kind"], field.name, to_field)
 
 
-def _seed(value):
-    """A seed of numpy's generators: an integer >= 0."""
-    if _plain(int, value) < 0:
-        raise ValueError("a non-negative integer")
-    return value
-
-
-def _count(value):
-    """A number of rows or of jobs: an integer >= 1."""
-    if _plain(int, value) < 1:
-        raise ValueError("a positive integer")
-    return value
-
-
-def _seeds(value):
+def _seeds(value) -> bool:
     """A seed count, or the list of seeds itself; either names at least one."""
-    if (type(value) is int and value > 0 or type(value) is list and value
-            and all(type(s) is int and s >= 0 for s in value)):
-        return value
-    raise ValueError("a positive seed count or a non-empty list of non-negative seeds")
+    return bool(value) and all(map(SEED.takes, value)) if type(value) is list else value > 0
 
 
-def _permutations(value):
-    """[[start, [index, ...]], ...] as ((start, [index, ...]), ...)."""
-    try:
-        return tuple((_plain(int, start), [_plain(int, i) for i in perm])
-                     for start, perm in value)
-    except (TypeError, ValueError):
-        raise ValueError("a list of [start, [index, ...]] pairs") from None
-
-
+SEEDS = Kind((int, list), "a positive seed count or a non-empty list of non-negative seeds",
+             _seeds, parse=int)
 # the settings of `devdan run` in flag and summary order; every flag has a config-file twin
 SETTINGS = {s.key: s for s in (
-    Setting("dataset", "sea", tuple(SOURCES), "source"),
-    Setting("samples", 100_000, int, "total_samples"),
-    Setting("batch", 1000, int, "batch_size"),
-    Setting("seeds", 5, _seeds, help="number of consecutive seeds"),
-    Setting("seed_base", None, _seed),  # resolved from DEVDAN_SEED, then 0
-    Setting("label_fraction", 1.0, float, "label_fraction"),
-    Setting("selection", "random", SELECTION_MODES, "selection_mode"),
-    Setting("delta", 0.7, float, "delta"),
-    Setting("lr_generative", 0.001, float, "lr_generative"),
-    Setting("lr_discriminative", 0.01, float, "lr_discriminative"),
-    Setting("momentum", 0.95, float, "momentum"),
-    Setting("mask_fraction", 0.10, float, "mask_fraction"),
-    Setting("no_generative", False, bool, "enable_generative", operator.not_),
-    Setting("no_grow", False, bool, "enable_grow", operator.not_),
-    Setting("no_prune", False, bool, "enable_prune", operator.not_),
-    Setting("csv_path", None, str, "csv_path"),
-    Setting("label_column", -1, int, "label_column"),
-    Setting("idx_images", None, str, "idx_images"),
-    Setting("idx_labels", None, str, "idx_labels"),
-    # config-file only: [[start, [perm...]], ...]
-    Setting("permutations", None, _permutations, "permutations", flag=False),
-    Setting("out", ".", str),
-    Setting("prefix", "run", str),
-    Setting("checkpoint_out", None, str),
-    Setting("jobs", 1, _count),
+    _field("dataset", "source"),
+    _field("samples", "total_samples"),
+    _field("batch", "batch_size"),
+    Setting("seeds", 5, SEEDS, help="number of consecutive seeds"),
+    Setting("seed_base", None, SEED),  # resolved from DEVDAN_SEED, then 0
+    _field("label_fraction"),
+    _field("selection", "selection_mode"),
+    _field("delta"),
+    _field("lr_generative"),
+    _field("lr_discriminative"),
+    _field("momentum"),
+    _field("mask_fraction"),
+    _field("no_generative", "enable_generative", operator.not_),
+    _field("no_grow", "enable_grow", operator.not_),
+    _field("no_prune", "enable_prune", operator.not_),
+    _field("csv_path"),
+    _field("label_column"),
+    _field("idx_images"),
+    _field("idx_labels"),
+    _field("permutations"),  # config-file only: [[start, [perm...]], ...]
+    Setting("out", ".", STRING),
+    Setting("prefix", "run", STRING),
+    Setting("checkpoint_out", None, STRING),
+    Setting("jobs", 1, COUNT),
 )}
-# the argparse type of the flags of each kind other than str, bool and the choices
-_FLAG_TYPES = {int: int, float: float, _seed: int, _seeds: int, _count: int}
 
 
 def _load_config_file(path) -> dict:
@@ -142,39 +118,30 @@ def _load_config_file(path) -> dict:
 
 
 def _effective_config(args) -> dict:
+    """Each setting from its flag, else the config file, else its default,
+    checked by its kind under its key (state.check), a number as a float."""
     given = _load_config_file(args.config) if args.config else {}
     for key in SETTINGS:
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
-    cfg = {key: _convert(s, given.get(key, s.default)) for key, s in SETTINGS.items()}
+    cfg = {}
+    for key, s in SETTINGS.items():
+        value = check(key, s.kind, given.get(key, s.default), s.default is None)
+        cfg[key] = float(value) if s.kind.parse is float else value
     if cfg["seed_base"] is None:
         cfg["seed_base"] = _env_seed()
     return cfg
-
-
-def _convert(setting: Setting, value):
-    """value as the setting's kind, or a ConfigError that names the setting;
-    the file's values, the flags' and the defaults all pass here."""
-    kind = setting.kind
-    if value is None and setting.default is None:
-        return None
-    try:
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ValueError("one of " + ", ".join(kind))
-            return value
-        return _plain(kind, value) if kind in _PLAIN else kind(value)
-    except ValueError as err:
-        raise ConfigError(f"{setting.key} is {json.dumps(value)}, expected {err}") from None
 
 
 def _env_seed() -> int:
     """DEVDAN_SEED, the seed that `run` and `gen` fall back to; 0 when unset."""
     value = os.environ.get("DEVDAN_SEED", "0")
     try:
-        return _seed(int(value))
+        if SEED.takes(seed := int(value)):
+            return seed
     except ValueError:
-        raise ConfigError(f"DEVDAN_SEED is {value!r}, expected a non-negative integer") from None
+        pass
+    raise ConfigError(f"DEVDAN_SEED is {value!r}, expected {SEED.words}")
 
 
 def _seed_list(cfg) -> list[int]:
@@ -224,8 +191,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    count = _convert(Setting("count", None, _count), args.count)
-    seed = _env_seed() if args.seed is None else _convert(Setting("seed", None, _seed), args.seed)
+    count = check("count", COUNT, args.count)
+    seed = _env_seed() if args.seed is None else check("seed", SEED, args.seed)
     feats, labels = GENERATED[args.dataset](count, rng=np.random.default_rng(seed))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"f{j}" for j in range(feats.shape[1])) + ",label\n")
@@ -266,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         flag = "--" + s.key.replace("_", "-")
         if s.default is False:
             run.add_argument(flag, action="store_const", const=True, help=s.help)
-        elif s.flag:
-            run.add_argument(flag, type=_FLAG_TYPES.get(s.kind), help=s.help,
-                             choices=s.kind if isinstance(s.kind, tuple) else None)
+        elif s.kind.parse:
+            run.add_argument(flag, type=s.kind.parse, help=s.help, choices=s.kind.choices)
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="dump a generated stream as labeled CSV")

@@ -33,39 +33,34 @@ from .monitors import (
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
-from .state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS, state_arrays
+from .state import BIT_GENERATORS, CHART_SLOT, CHARTS, NUMBER, SEED, STATE_SLOTS, SWITCH
+from .state import check_fields, setting, state_arrays
+
+
+_RATE = NUMBER.within(lambda value: 0 <= value < math.inf, "a finite non-negative number")
 
 
 @dataclass(frozen=True)
 class DevdanConfig:
-    """Hyperparameters and variant switches, checked when made (change: dataclasses.replace).
+    """Hyperparameters and variant switches. Each field declares its default
+    and kind (state.Kind); a value its kind refuses raises a ConfigError when
+    the config is made (change: dataclasses.replace, which checks again).
 
     Defaults: discriminative / generative learning rates 0.01 / 0.001,
     momentum 0.95 (discriminative phase only), 10% masking noise.
     """
 
-    lr_generative: float = 0.001
-    lr_discriminative: float = 0.01
-    momentum: float = 0.95
-    mask_fraction: float = 0.10
-    enable_generative: bool = True
-    enable_grow: bool = True
-    enable_prune: bool = True
-    seed: int = 0
+    lr_generative: float = setting(0.001, _RATE)
+    lr_discriminative: float = setting(0.01, _RATE)
+    momentum: float = setting(0.95, NUMBER.within(lambda v: 0 <= v < 1, "a number in [0, 1)"))
+    mask_fraction: float = setting(0.10, NUMBER.within(lambda v: 0 <= v <= 1, "a number in [0, 1]"))
+    enable_generative: bool = setting(True, SWITCH)
+    enable_grow: bool = setting(True, SWITCH)
+    enable_prune: bool = setting(True, SWITCH)
+    seed: int = setting(0, SEED)
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(lr) and lr >= 0
-                   for lr in (self.lr_generative, self.lr_discriminative)):
-            raise ConfigError("learning rates must be finite and non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if not 0.0 <= self.mask_fraction <= 1.0:
-            raise ConfigError("mask_fraction must lie in [0, 1]")
-        for name in ("enable_generative", "enable_grow", "enable_prune"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigError(f"{name} must be a boolean, not {getattr(self, name)!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
+        check_fields(DevdanConfig, vars(self))
 
 
 class SoftmaxHead:

@@ -1,12 +1,16 @@
 """The tables of a model's state arrays (STATE_SLOTS), charts and bit
-generators, and plain(), which turns numpy values into JSON ones."""
+generators, the kinds of value a setting takes (Kind), and plain(), which
+turns numpy values into JSON ones."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import operator
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .monitors import CHART_FIELDS
 
 
@@ -93,3 +97,79 @@ def plain(value):
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     return value
+
+
+class Kind(NamedTuple):
+    """What a setting takes: a value of one of types (a bool is no number)
+    for which ok, where given, holds. An error names a value of another type
+    by of, and one that ok refuses by words (or of). A flag's text is read
+    as parse (None: no flag), and names one of choices where given."""
+
+    types: tuple
+    of: str
+    ok: Callable | None = None
+    words: str | None = None
+    parse: type | None = None
+    choices: tuple | None = None
+
+    def typed(self, value) -> bool:
+        return isinstance(value, self.types) and (type(value) is not bool or bool in self.types)
+
+    def takes(self, value) -> bool:
+        return self.typed(value) and (self.ok is None or self.ok(value))
+
+    def within(self, ok: Callable, words: str) -> Kind:
+        return self._replace(ok=ok, words=words)
+
+
+INTEGER = Kind((int, np.integer), "an integer", parse=int)
+NUMBER = Kind((int, float, np.integer, np.floating), "a number", parse=float)
+SWITCH = Kind((bool, np.bool_), "true or false")
+STRING = Kind((str,), "a string", parse=str)
+COUNT = INTEGER.within(lambda value: value >= 1, "a positive integer")
+SEED = INTEGER.within(lambda value: value >= 0, "a non-negative integer")
+
+
+def one_of(choices: tuple) -> Kind:
+    """One of the strings choices."""
+    return Kind((str,), "one of " + ", ".join(choices), choices.__contains__, parse=str,
+                choices=choices)
+
+
+def _pairs(value) -> bool:
+    try:
+        return all(INTEGER.takes(start) and all(map(INTEGER.takes, perm)) for start, perm in value)
+    except (TypeError, ValueError):  # an item that is no pair, a perm that is no sequence
+        return False
+
+
+# a drift schedule of column permutations, [[start, [index, ...]], ...]
+PAIRS = Kind((list, tuple), "a list of [start, [index, ...]] pairs", _pairs)
+
+
+def check(name: str, kind: Kind, value, none: bool = False):
+    """value if kind takes it, or if it is None and none is true; anything
+    else raises ConfigError("<name> is <value>, expected <words>"), with the
+    value as JSON, or as its repr where JSON has none (nan, an object)."""
+    if kind.takes(value) or value is None and none:
+        return value
+    try:
+        shown = json.dumps(value, allow_nan=False)
+    except (TypeError, ValueError):
+        shown = repr(value)
+    expected = kind.words if kind.words and kind.typed(value) else kind.of
+    raise ConfigError(f"{name} is {shown}, expected {expected}")
+
+
+def setting(default, kind: Kind):
+    """A dataclass field of default whose values check_fields checks by kind."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
+
+
+def check_fields(cls, values: dict) -> None:
+    """check() each of values, in field order, by the kind of its field of
+    the dataclass cls (None is taken where that field's default is None); a
+    field declared without a kind is its reader's to check."""
+    for field in dataclasses.fields(cls):
+        if field.name in values and "kind" in field.metadata:
+            check(field.name, field.metadata["kind"], values[field.name], field.default is None)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, DevdanError, IdxFormatError, StructureError
+from .state import COUNT, INTEGER, NUMBER, PAIRS, STRING, check_fields, one_of, setting
 
 SEA_DEFAULT_SCHEDULE = ((0, 4.0), (25_000, 7.0), (50_000, 4.0), (75_000, 7.0))
 
@@ -398,66 +399,63 @@ def batchify(
 
     random mode reveals ceil(fraction * T) uniformly chosen rows. confidence
     mode leaves labeled_mask None: the rows are chosen at test time from the
-    model's prediction (see confidence_mask). Yields StreamBatch objects."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if selection_mode not in SELECTION_MODES:
-        raise ConfigError(f"unknown selection_mode {selection_mode!r}")
+    model's prediction (see confidence_mask). The call checks its settings by
+    DatasetSpec's fields of their names. Returns an iterator of StreamBatch objects."""
+    check_fields(DatasetSpec, {"batch_size": batch_size, "label_fraction": label_fraction,
+                               "selection_mode": selection_mode})
     rng = rng if rng is not None else np.random.default_rng()
     features = np.asarray(features)
     labels = np.asarray(labels)
-    n_batches = features.shape[0] // batch_size
-    for k in range(n_batches):
-        sl = slice(k * batch_size, (k + 1) * batch_size)
-        if selection_mode == "confidence":
-            mask = None
-        elif label_fraction >= 1.0:
-            mask = np.ones(batch_size, dtype=bool)
-        else:
-            n_labeled = math.ceil(label_fraction * batch_size)
-            mask = np.zeros(batch_size, dtype=bool)
-            mask[rng.choice(batch_size, size=n_labeled, replace=False)] = True
-        yield StreamBatch(features[sl], labels[sl], mask, k)
+    return (StreamBatch(features[k * batch_size:(k + 1) * batch_size],
+                        labels[k * batch_size:(k + 1) * batch_size],
+                        _revealed(batch_size, label_fraction, selection_mode, rng), k)
+            for k in range(features.shape[0] // batch_size))
+
+
+def _revealed(batch_size: int, label_fraction: float, selection_mode: str, rng):
+    """One batch's labeled_mask (see batchify)."""
+    if selection_mode == "confidence":
+        return None
+    if label_fraction >= 1.0:
+        return np.ones(batch_size, dtype=bool)
+    mask = np.zeros(batch_size, dtype=bool)
+    mask[rng.choice(batch_size, size=math.ceil(label_fraction * batch_size), replace=False)] = True
+    return mask
 
 
 # --------------------------------------------------------------- dataset specs
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One experiment's data source, checked when made (change: dataclasses.replace)."""
+    """One experiment's data source, checked when made as DevdanConfig is;
+    the readers check sea_schedule, hyperplane_concepts, hyperplane_ramp and
+    bounds. A spec holds at least one batch, and a csv or idx source names
+    its files."""
 
-    source: str = "sea"                  # one of SOURCES
-    total_samples: int = 100_000
-    batch_size: int = 1000
-    label_fraction: float = 1.0
-    selection_mode: str = "random"
-    delta: float = 0.7
-    csv_path: str | None = None
-    label_column: int = -1
+    source: str = setting("sea", one_of(tuple(SOURCES)))
+    total_samples: int = setting(100_000, COUNT)
+    batch_size: int = setting(1000, COUNT)
+    label_fraction: float = setting(1.0, NUMBER.within(lambda v: 0 < v <= 1, "a number in (0, 1]"))
+    selection_mode: str = setting("random", one_of(SELECTION_MODES))
+    # every confidence score is at least 0.5: a lower delta reveals no label
+    delta: float = setting(0.7, NUMBER.within(lambda v: 0.5 < v < math.inf,
+                                              "a finite number above 0.5"))
+    csv_path: str | None = setting(None, STRING)
+    label_column: int = setting(-1, INTEGER)
     bounds: tuple | None = None
-    idx_images: str | None = None
-    idx_labels: str | None = None
+    idx_images: str | None = setting(None, STRING)
+    idx_labels: str | None = setting(None, STRING)
     sea_schedule: tuple = SEA_DEFAULT_SCHEDULE
-    hyperplane_dim: int = 4
+    hyperplane_dim: int = setting(4, COUNT)
     hyperplane_concepts: tuple = HYPERPLANE_DEFAULT_CONCEPTS
     hyperplane_ramp: tuple = (0.4, 0.6)
-    permutations: tuple | None = None    # optional (start, permutation) schedule
+    permutations: tuple | None = setting(None, PAIRS)  # optional (start, permutation) schedule
 
     def __post_init__(self) -> None:
-        if self.source not in SOURCES:
-            raise ConfigError(f"unknown source {self.source!r}")
-        if self.total_samples < 1 or self.batch_size < 1:
-            raise ConfigError("total_samples and batch_size must be >= 1")
+        check_fields(DatasetSpec, vars(self))
         if self.total_samples < self.batch_size:
             raise ConfigError(f"total_samples is {self.total_samples}, expected at least "
                               f"batch_size ({self.batch_size})")
-        if not 0.0 < self.label_fraction <= 1.0:
-            raise ConfigError("label_fraction must lie in (0, 1]")
-        if self.selection_mode not in SELECTION_MODES:
-            raise ConfigError(f"unknown selection_mode {self.selection_mode!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0.5):
-            # every confidence score is at least 0.5: such a delta reveals no label
-            raise ConfigError(f"delta is {self.delta}, expected a finite number above 0.5")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs csv_path")
         if self.source == "idx" and not (self.idx_images and self.idx_labels):

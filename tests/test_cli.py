@@ -147,14 +147,34 @@ class TestRun:
         doc = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert doc["summary"]["default"]["failures"] == 2
 
-    def test_setting_defaults_are_the_dataclass_defaults(self):
-        """The table's defaults, through the one builder, give DatasetSpec()
-        and DevdanConfig(), and every field it names is one of theirs."""
-        cfg = {key: cli._convert(s, s.default) for key, s in cli.SETTINGS.items()}
-        assert cli._build(DatasetSpec, cfg) == DatasetSpec()
-        assert cli._build(DevdanConfig, cfg) == DevdanConfig()
-        fields = {f.name for cls in (DatasetSpec, DevdanConfig) for f in dataclasses.fields(cls)}
-        assert {s.field for s in cli.SETTINGS.values()} - {None} <= fields
+    def test_run_options_are_the_settings_flags(self):
+        """The config-file keys, in summary order, and `devdan run`'s
+        options: --config and a flag for every key but permutations, each
+        reading its text as its kind's type, with the choices it names; the
+        no_* flags take no value."""
+        assert list(cli.SETTINGS) == [
+            "dataset", "samples", "batch", "seeds", "seed_base", "label_fraction", "selection",
+            "delta", "lr_generative", "lr_discriminative", "momentum", "mask_fraction",
+            "no_generative", "no_grow", "no_prune", "csv_path", "label_column", "idx_images",
+            "idx_labels", "permutations", "out", "prefix", "checkpoint_out", "jobs"]
+        run = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+        options = [(a.option_strings, a.type.__name__ if a.type else "str", a.choices, a.const)
+                   for a in run._actions]
+        text, integer, number = ("str", None, None), ("int", None, None), ("float", None, None)
+        switch = ("str", None, True)
+        assert options == [
+            (["-h", "--help"], *text), (["--config"], *text),
+            (["--dataset"], "str", ("sea", "hyperplane", "csv", "idx"), None),
+            (["--samples"], *integer), (["--batch"], *integer), (["--seeds"], *integer),
+            (["--seed-base"], *integer), (["--label-fraction"], *number),
+            (["--selection"], "str", ("random", "confidence"), None), (["--delta"], *number),
+            (["--lr-generative"], *number), (["--lr-discriminative"], *number),
+            (["--momentum"], *number), (["--mask-fraction"], *number),
+            (["--no-generative"], *switch), (["--no-grow"], *switch), (["--no-prune"], *switch),
+            (["--csv-path"], *text), (["--label-column"], *integer), (["--idx-images"], *text),
+            (["--idx-labels"], *text), (["--out"], *text), (["--prefix"], *text),
+            (["--checkpoint-out"], *text), (["--jobs"], *integer),
+        ]
 
     def test_invalid_dataset_in_config(self, tmp_path):
         cfg = tmp_path / "bad2.json"
@@ -260,7 +280,7 @@ class TestInspect:
 
     REFUSED = {  # what a model refuses -> (the edit of a checkpoint, the refusal)
         "config": (lambda doc: doc["config"].update(mask_fraction=1.5),
-                   "mask_fraction must lie in [0, 1]"),
+                   "mask_fraction is 1.5, expected a number in [0, 1]"),
         "n_in": (lambda doc: doc.update(n_in=0),
                  "a model needs at least 1 input and 2 classes, not 0 and 2"),
         "rng_state": (lambda doc: doc["rng_state"].update(bit_generator="RandomState"),

@@ -24,8 +24,8 @@ from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import Column, SpcTracker
 from devdan.numerics import sigmoid, softmax_row
-from devdan.state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS
-from devdan.streams import DatasetSpec, StreamBatch, gen_sea
+from devdan.state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS, Kind
+from devdan.streams import DatasetSpec, StreamBatch, batchify, gen_sea
 
 
 def frozen_config(**kw):
@@ -378,17 +378,29 @@ class TestConfigValidation:
             DevdanModel(3, 2).discriminative_step(np.zeros(4), 0)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("lr_generative", float("nan"), "learning rates"),
-        ("lr_discriminative", float("inf"), "learning rates"),
-        ("lr_generative", -0.1, "learning rates"),
-        ("seed", -1, "seed"), ("seed", "a", "seed"), ("seed", 1.5, "seed"),
-        ("enable_generative", None, "enable_generative must be a boolean"),
-        ("enable_grow", "no", "enable_grow must be a boolean"),
-        ("enable_prune", 0, "enable_prune must be a boolean"),
+        pytest.param(field, value, message, id=f"{field}-{value}-{rule}")
+        for field, value, rule, message in (  # rule: what the value breaks
+            ("lr_generative", float("nan"), "learning rates",
+             "lr_generative is nan, expected a finite non-negative number"),
+            ("lr_discriminative", float("inf"), "learning rates",
+             "lr_discriminative is inf, expected a finite non-negative number"),
+            ("lr_generative", -0.1, "learning rates",
+             "lr_generative is -0.1, expected a finite non-negative number"),
+            ("seed", -1, "seed", "seed is -1, expected a non-negative integer"),
+            ("seed", "a", "seed", 'seed is "a", expected an integer'),
+            ("seed", 1.5, "seed", "seed is 1.5, expected an integer"),
+            ("enable_generative", None, "enable_generative must be a boolean",
+             "enable_generative is null, expected true or false"),
+            ("enable_grow", "no", "enable_grow must be a boolean",
+             'enable_grow is "no", expected true or false'),
+            ("enable_prune", 0, "enable_prune must be a boolean",
+             "enable_prune is 0, expected true or false"),
+        )
     ])
     def test_bad_config_value(self, field, value, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as info:
             DevdanModel(3, 2, DevdanConfig(**{field: value}))
+        assert str(info.value) == message
 
     def test_numpy_switches_train_and_save_like_python_ones(self, tmp_path):
         feats, labels = gen_sea(300, rng=np.random.default_rng(8))
@@ -419,7 +431,7 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
-        assert str(info.value) == f"{path}: enable_grow must be a boolean, not 'no'"
+        assert str(info.value) == f'{path}: enable_grow is "no", expected true or false'
 
     def trained_model(self, seed=47):
         rng = np.random.default_rng(seed)
@@ -1281,13 +1293,36 @@ def test_generator_that_is_not_a_numpy_generator_is_refused(kind, tmp_path):
         calls[0]()
 
 
-REFUSED_SETTINGS = (  # (configuration class, field, a value that it refuses)
-    (DevdanConfig, "lr_generative", float("nan")), (DevdanConfig, "lr_discriminative", -1.0),
-    (DevdanConfig, "momentum", 2.0), (DevdanConfig, "mask_fraction", 1.5),
-    (DevdanConfig, "enable_grow", "no"), (DevdanConfig, "seed", -1),
-    (DatasetSpec, "source", "parquet"), (DatasetSpec, "total_samples", 10),
-    (DatasetSpec, "label_fraction", 0.0), (DatasetSpec, "selection_mode", "all"),
-    (DatasetSpec, "delta", 0.5), (DatasetSpec, "csv_path", None),
+REFUSED_SETTINGS = (  # (configuration class, field, a value that it refuses, the refusal)
+    (DevdanConfig, "lr_generative", float("nan"),
+     "lr_generative is nan, expected a finite non-negative number"),
+    (DevdanConfig, "lr_discriminative", -1.0,
+     "lr_discriminative is -1.0, expected a finite non-negative number"),
+    (DevdanConfig, "lr_generative", True, "lr_generative is true, expected a number"),
+    (DevdanConfig, "momentum", 2.0, "momentum is 2.0, expected a number in [0, 1)"),
+    (DevdanConfig, "momentum", "0.5", 'momentum is "0.5", expected a number'),
+    (DevdanConfig, "mask_fraction", 1.5, "mask_fraction is 1.5, expected a number in [0, 1]"),
+    (DevdanConfig, "mask_fraction", None, "mask_fraction is null, expected a number"),
+    (DevdanConfig, "enable_grow", "no", 'enable_grow is "no", expected true or false'),
+    (DevdanConfig, "seed", -1, "seed is -1, expected a non-negative integer"),
+    (DevdanConfig, "seed", True, "seed is true, expected an integer"),
+    (DatasetSpec, "source", "parquet", 'source is "parquet", expected one of sea, hyperplane, '
+                                       "csv, idx"),
+    (DatasetSpec, "total_samples", 10, "total_samples is 10, expected at least batch_size (1000)"),
+    (DatasetSpec, "total_samples", "5", 'total_samples is "5", expected an integer'),
+    (DatasetSpec, "batch_size", 500.5, "batch_size is 500.5, expected an integer"),
+    (DatasetSpec, "label_fraction", 0.0, "label_fraction is 0.0, expected a number in (0, 1]"),
+    (DatasetSpec, "label_fraction", True, "label_fraction is true, expected a number"),
+    (DatasetSpec, "selection_mode", "all", 'selection_mode is "all", expected one of random, '
+                                           "confidence"),
+    (DatasetSpec, "delta", 0.5, "delta is 0.5, expected a finite number above 0.5"),
+    (DatasetSpec, "delta", "0.7", 'delta is "0.7", expected a number'),
+    (DatasetSpec, "csv_path", None, "csv source needs csv_path"),
+    (DatasetSpec, "csv_path", 5, "csv_path is 5, expected a string"),
+    (DatasetSpec, "label_column", 1.5, "label_column is 1.5, expected an integer"),
+    (DatasetSpec, "hyperplane_dim", 2.5, "hyperplane_dim is 2.5, expected an integer"),
+    (DatasetSpec, "permutations", [[0]],
+     "permutations is [[0]], expected a list of [start, [index, ...]] pairs"),
 )
 
 
@@ -1301,12 +1336,64 @@ def test_configurations_are_checked_values():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(made, field.name, getattr(made, field.name))
     base = {DevdanConfig: DevdanConfig(), DatasetSpec: DatasetSpec(source="csv", csv_path="a")}
-    for cls, field, value in REFUSED_SETTINGS:
+    for cls, field, value, message in REFUSED_SETTINGS:
         with pytest.raises(ConfigError) as built:
             cls(**{**dataclasses.asdict(base[cls]), field: value})
         with pytest.raises(ConfigError) as replaced:
             dataclasses.replace(base[cls], **{field: value})
-        assert str(replaced.value) == str(built.value), (field, value)
+        assert str(built.value) == str(replaced.value) == message, (field, value)
+
+
+def test_every_setting_declares_its_kind():
+    """Every field of DevdanConfig and DatasetSpec declares its state.Kind,
+    apart from the four that their readers check."""
+    fields = [*dataclasses.fields(DevdanConfig), *dataclasses.fields(DatasetSpec)]
+    unkinded = {field.name for field in fields if not isinstance(field.metadata.get("kind"), Kind)}
+    assert unkinded == {"sea_schedule", "hyperplane_concepts", "hyperplane_ramp", "bounds"}
+
+
+_NON_PAIRS = st.lists(st.one_of(st.integers(), st.none(), st.lists(st.integers(), max_size=1),
+                                st.builds(object)), min_size=1)
+WRONG_TYPES = {  # a field's annotation -> values of types that a field so annotated never takes
+    "float": (st.text(), st.none(), st.booleans(), _NON_PAIRS),
+    "int": (st.text(), st.none(), st.booleans(), st.floats(), _NON_PAIRS),
+    "bool": (st.text(), st.none(), st.integers(), st.floats(), _NON_PAIRS),
+    "str": (st.none(), st.booleans(), st.integers(), st.floats(), _NON_PAIRS),
+    "str | None": (st.booleans(), st.integers(), st.floats(), _NON_PAIRS),
+    "tuple | None": (st.text(), st.booleans(), st.integers(), st.floats(), _NON_PAIRS),
+}
+
+
+def _made(cls, name):
+    return lambda value: cls(**{name: value})
+
+
+def _batched(name):
+    return lambda value: batchify(np.zeros((4, 3)), np.zeros(4), **{"batch_size": 2, name: value})
+
+
+SPEC_TYPES = {field.name: field.type for field in dataclasses.fields(DatasetSpec)}
+SETTING_TARGETS = {  # where -> (setting, its annotation, a call that passes it a value)
+    **{f"{cls.__name__}.{field.name}": (field.name, field.type, _made(cls, field.name))
+       for cls in (DevdanConfig, DatasetSpec) for field in dataclasses.fields(cls)
+       if "kind" in field.metadata},
+    **{f"batchify.{name}": (name, SPEC_TYPES[name], _batched(name))
+       for name in ("batch_size", "label_fraction", "selection_mode")},
+}
+
+
+@pytest.mark.parametrize("target", list(SETTING_TARGETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_value_of_a_wrong_type_is_a_config_error(target, data):
+    """A value of a type a setting never takes, given to DevdanConfig,
+    DatasetSpec or batchify, raises a ConfigError naming the setting when it
+    is given, also where JSON cannot show the value (an object, nan)."""
+    name, annotation, call = SETTING_TARGETS[target]
+    value = data.draw(st.one_of(st.builds(object), *WRONG_TYPES[annotation]))
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name} is ") and ", expected " in str(info.value)
 
 
 @pytest.mark.parametrize("charts, rows", [("standard", 3000), ("forged", 400)])

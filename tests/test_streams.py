@@ -861,6 +861,23 @@ class TestBatchify:
         )
         assert all(int(b.labeled_mask.sum()) == 4 for b in batches)  # ceil(3.3)
 
+    @pytest.mark.parametrize("argument, value, message", [
+        ("batch_size", 2.5, "batch_size is 2.5, expected an integer"),
+        ("batch_size", True, "batch_size is true, expected an integer"),
+        ("batch_size", 0, "batch_size is 0, expected a positive integer"),
+        ("label_fraction", "1", 'label_fraction is "1", expected a number'),
+        ("label_fraction", 0.0, "label_fraction is 0.0, expected a number in (0, 1]"),
+        ("selection_mode", "all", 'selection_mode is "all", expected one of random, confidence'),
+    ])
+    def test_argument_refused_when_passed(self, argument, value, message):
+        """batchify checks batch_size, label_fraction and selection_mode by
+        the kinds of DatasetSpec's fields of those names when it is called,
+        before any batch is asked for."""
+        feats, labels = self.rows(4)
+        with pytest.raises(ConfigError) as info:
+            batchify(feats, labels, **{"batch_size": 2, argument: value})
+        assert str(info.value) == message
+
     def test_confidence_mode_reveals_uncertain_rows(self):
         feats, labels = self.rows(8)
         (batch,) = batchify(feats, labels, 8, 1.0, "confidence", np.random.default_rng(3))
