@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .model import DevdanConfig, DevdanModel
-from .monitors import CHART_ENTRIES, SpcTracker
-from .state import BIT_GENERATORS, CHARTS, STATE_SLOTS, plain
+from .monitors import SpcTracker
+from .state import BIT_GENERATORS, CHART_ENTRIES, CHARTS, STATE_SLOTS, check, exactly, one_of, plain
 
 FORMAT_VERSION = 1
 
@@ -48,7 +48,7 @@ def model_to_dict(model: DevdanModel) -> dict:
     for slot, arr in zip(STATE_SLOTS, arrays):
         _nest(doc, slot.key, arr.tolist())
     for name, row in zip(CHARTS, charts):
-        for (key, *_), value in zip(CHART_ENTRIES, SpcTracker(row).values()):
+        for (key, _), value in zip(CHART_ENTRIES, SpcTracker(row).values()):
             _nest(doc, f"{name}.{key}", value)
     doc["rng_state"] = plain(model.rng.bit_generator.state)
     return doc
@@ -64,41 +64,33 @@ def save_checkpoint(model: DevdanModel, path) -> None:
 def load_checkpoint(path) -> DevdanModel:
     """The model a checkpoint file holds, over the bit generator its rng_state
     names. A file unreadable, malformed or of another version, a config or
-    size a model refuses, a chart value not of its JSON kind (CHART_ENTRIES)
-    or a state checked_state refuses raises a CheckpointError naming the file."""
+    size a model refuses, a chart entry its kind refuses (CHART_ENTRIES) or a
+    state checked_state refuses raises a CheckpointError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint ({err})") from err
     try:
-        if doc["format_version"] != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: format version {doc['format_version']} not supported"
-            )
+        check("format_version", exactly(FORMAT_VERSION), doc["format_version"])
         config = dict(doc["config"])
         # written while DevdanConfig had reset_mode: "standard" trained as
         # every model trains now, "reset_all" cannot be resumed
-        mode = config.pop("reset_mode", "standard")
-        if mode != "standard":
-            raise CheckpointError(f"{path}: reset_mode {mode!r} is no longer supported")
+        check("reset_mode", exactly("standard"), config.pop("reset_mode", "standard"))
         rng_state = doc["rng_state"]
-        if (bits := BIT_GENERATORS.get(rng_state["bit_generator"])) is None:
-            raise CheckpointError(f"{path}: rng_state names no numpy bit generator")
+        bits = BIT_GENERATORS[check("rng_state.bit_generator", one_of(tuple(BIT_GENERATORS)),
+                                    rng_state["bit_generator"])]
         model = DevdanModel(doc["n_in"], doc["n_classes"], DevdanConfig(**config),
                             rng=np.random.Generator(bits()))
         for slot in STATE_SLOTS:
             slot.set(model, np.asarray(_lookup(doc, slot.key), dtype=slot.dtype))
         for name, row in zip(CHARTS, model.charts):
-            for col, (key, kinds, _, words) in enumerate(CHART_ENTRIES):
-                value = _lookup(doc, f"{name}.{key}")
-                if type(value) not in kinds:
-                    raise CheckpointError(f"{path}: {name}.{key} is {value!r}, expected {words}")
-                row[col] = value
+            for col, (key, kind) in enumerate(CHART_ENTRIES):
+                row[col] = check(f"{name}.{key}", kind, _lookup(doc, f"{name}.{key}"),
+                                 error=NumericError)
         model.rng.bit_generator.state = rng_state
         model.checked_state()
-        if doc["width"] != model.width:
-            raise CheckpointError(f"{path}: width {doc['width']!r} is not w's, {model.width}")
+        check("width", exactly(model.width, f"w's width ({model.width})"), doc["width"])
     except (ShapeError, NumericError, ConfigError) as err:
         raise CheckpointError(f"{path}: {err}") from err
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -133,15 +133,17 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+def _seed_text(text: str) -> bool:
+    try:
+        return SEED.takes(int(text))
+    except ValueError:
+        return False
+
+
 def _env_seed() -> int:
     """DEVDAN_SEED, the seed that `run` and `gen` fall back to; 0 when unset."""
-    value = os.environ.get("DEVDAN_SEED", "0")
-    try:
-        if SEED.takes(seed := int(value)):
-            return seed
-    except ValueError:
-        pass
-    raise ConfigError(f"DEVDAN_SEED is {value!r}, expected {SEED.words}")
+    return int(check("DEVDAN_SEED", STRING.within(_seed_text, SEED.words),
+                     os.environ.get("DEVDAN_SEED", "0")))
 
 
 def _seed_list(cfg) -> list[int]:

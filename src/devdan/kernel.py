@@ -3,9 +3,9 @@
 Everything the loop and Python share is declared once, here: the enum
 Status, the work vector (work_lengths), struct numerics
 (NUMERICS), struct rows (ROWS), struct model (model_fields, from the state
-table) and the exports (EXPORTS). header() renders them, with monitors'
-chart columns, as the C declarations that _step.c is compiled against, and
-the ctypes structures and argument types come from the same tables.
+table) and the exports (EXPORTS). header() renders them, with the chart
+columns (state.Column), as the C declarations that _step.c is compiled
+against, and the ctypes structures and argument types come from the same tables.
 
 The header and C file are built once into a per-user cache (`cache_dir()`:
 $XDG_CACHE_HOME/devdan when that is absolute, else ~/.cache/devdan) under a
@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .dae import MaskSpec, mask_input
-from .monitors import CHART_FIELDS, Column, SpcTracker, kappa, update_charts
+from .monitors import SpcTracker, kappa, update_charts
 from .numerics import sigmoid, softmax_row
-from .state import CHART_SLOT, STATE_SLOTS, plain, state_arrays
+from .state import CHART_FIELDS, CHART_SLOT, STATE_SLOTS, Column, plain, state_arrays
 
 SOURCE = Path(__file__).with_name("_step.c")
 COMPILER = "cc"
@@ -166,7 +166,7 @@ def _structure(name: str, table) -> type:
 
 def header() -> str:
     """The C declarations _step.c is compiled against, from the tables above,
-    the state table and monitors' chart columns: the enums, struct numerics,
+    the state table and its chart columns: the enums, struct numerics,
     struct model, struct rows and the prototype of every export."""
     enums = (Status.__members__.items(),
              (*Column.__members__.items(), ("CHART_FIELDS", CHART_FIELDS)))

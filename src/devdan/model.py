@@ -22,7 +22,6 @@ import numpy as np
 from . import dae, kernel
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
-    CHART_ENTRIES,
     NodeStats,
     NsSnapshot,
     SpcTracker,
@@ -33,11 +32,12 @@ from .monitors import (
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
-from .state import BIT_GENERATORS, CHART_SLOT, CHARTS, NUMBER, SEED, STATE_SLOTS, SWITCH
-from .state import check_fields, setting, state_arrays
+from .state import BIT_GENERATORS, CHART_ENTRIES, CHART_SLOT, CHARTS, COUNT, INTEGER, NUMBER
+from .state import SEED, STATE_SLOTS, SWITCH, check, check_fields, setting, state_arrays
 
 
 _RATE = NUMBER.within(lambda value: 0 <= value < math.inf, "a finite non-negative number")
+_CLASSES = INTEGER.within(lambda value: value >= 2, "an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,17 @@ def _class_index(label) -> int:
         raise ShapeError(f"label {label} is not an integer") from None
 
 
-_RULES = [usable for _, _, usable, _ in CHART_ENTRIES if usable]  # more than a number
-_ruled = operator.itemgetter(*(col for col, entry in enumerate(CHART_ENTRIES) if entry[2]))
+_RULES = [kind.ok for _, kind in CHART_ENTRIES if kind.ok]  # more than a number
+_ruled = operator.itemgetter(*(col for col, (_, kind) in enumerate(CHART_ENTRIES) if kind.ok))
 
 
 def _check_charts(charts: np.ndarray) -> None:
-    """checked_state's chart part: the first entry that training cannot use
-    (CHART_ENTRIES) raises "<chart>.<key> is <value>, expected <words>"."""
+    """checked_state's chart part, in one pass by the kinds' ok (CHART_ENTRIES);
+    the first entry refused raises state.check's NumericError for its value."""
     if not all(map(all, map(map, _RULES, _ruled(charts.T.tolist())))):
-        for name, row in zip(CHARTS, charts.tolist()):
-            for (key, _, usable, words), value in zip(CHART_ENTRIES, row):
-                if usable and not usable(value):
-                    shown = repr(value).removesuffix(".0")  # a whole number as JSON has it
-                    raise NumericError(f"{name}.{key} is {shown}, expected {words}")
+        for name, row in zip(CHARTS, charts):
+            for (key, kind), value in zip(CHART_ENTRIES, SpcTracker(row).values()):
+                check(f"{name}.{key}", kind, value, error=NumericError)
 
 
 class StepReport(NamedTuple):
@@ -173,9 +171,8 @@ class DevdanModel:
         config: DevdanConfig | None = None,
         rng: np.random.Generator | None = None,
     ):
-        if n_in < 1 or n_classes < 2:
-            raise ConfigError(f"a model needs at least 1 input and 2 classes, "
-                              f"not {n_in} and {n_classes}")
+        check("n_in", COUNT, n_in)
+        check("n_classes", _CLASSES, n_classes)
         self.n_in, self.n_classes = n_in, n_classes
         self.config = config or DevdanConfig()
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)

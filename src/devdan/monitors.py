@@ -11,7 +11,6 @@ prunes (high variance) a hidden node.
 """
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import MonitorOrderError, ShapeError, StructureError
 from .numerics import sigmoid, softmax_row
+from .state import CHART_FIELDS, Column
 
 _PROBIT_SCALE = math.pi / 8.0
 
@@ -79,27 +79,6 @@ class NodeStats:
         return expected_activation(self.mean, self.stds())
 
 
-# The columns of a chart row: the running moment of the watched stream, the
-# lowest mean and std since the last reset, and whether the next observation
-# re-seeds those minima (1.0) or not (0.0). The compiled loop's header
-# declares the same names (kernel.header).
-Column = enum.IntEnum("Column", "COUNT MEAN M2 MIN_MEAN MIN_STD RESEED", start=0)
-CHART_FIELDS = len(Column)
-
-
-# Each chart column in order: its checkpoint key under the chart's name, its
-# JSON types, whether training can use a value (None: any number), in words.
-# NaN passes where an overflowed row can leave it: mean, m2 and the minima.
-CHART_ENTRIES = (
-    ("current.count", (int,), lambda v: v >= 0 and v % 1 == 0, "a non-negative integer"),
-    ("current.mean", (int, float), None, "a number"),
-    ("current.m2", (int, float), lambda v: not v < 0, "a non-negative number"),
-    ("min_mean", (int, float), None, "a number"),
-    ("min_std", (int, float), lambda v: not v < 0, "a non-negative number"),
-    ("reseed", (bool,), lambda v: v == 0 or v == 1, "true or false"),
-)
-
-
 def fresh_charts(rows: int) -> np.ndarray:
     """`rows` chart rows that have seen nothing, each re-seeding its minima
     from its first observation."""
@@ -122,9 +101,9 @@ class SpcTracker:
     the next observation instead of from infinity sentinels, which is what
     lets the chart find a new reference level after a drift.
 
-    The state is one float64 row in the column layout above: a row of a
-    model's chart array, which the tracker then views, or a fresh row of its
-    own.
+    The state is one float64 row in the column layout of state.Column: a row
+    of a model's chart array, which the tracker then views, or a fresh row of
+    its own.
     """
 
     __slots__ = ("row",)
@@ -149,9 +128,11 @@ class SpcTracker:
         self.row[:] = (count, mean, m2, min_mean, min_std, 0.0)
 
     def values(self) -> tuple:
-        """The whole chart state: (count, mean, m2, min_mean, min_std, reseed)."""
+        """(count, mean, m2, min_mean, min_std, reseed) as a checkpoint holds
+        them: a whole count an int, a 0 or 1 reseed a bool, the rest floats."""
         count, mean, m2, min_mean, min_std, reseed = self.row.tolist()
-        return (int(count), mean, m2, min_mean, min_std, bool(reseed))
+        return (int(count) if count % 1 == 0 else count, mean, m2, min_mean, min_std,
+                bool(reseed) if reseed == 0 or reseed == 1 else reseed)
 
     @property
     def count(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import state_hash
 from .errors import DevdanError
 from .model import DevdanConfig, DevdanModel
-from .state import plain
+from .state import COUNT, check, plain
 from .streams import DatasetSpec, batchify, confidence_mask, materialize
 
 CSV_HEADER = "k,cr,gen_loss,disc_loss,R,grows,prunes,train_s,test_s"
@@ -196,6 +196,7 @@ def run_suite(
     Every run gets clock; with jobs > 1 it goes to a worker process, so it
     must be picklable (a module-level function).
     Returns {"rows": [SuiteRow...], "summary": {name: {...}}}."""
+    check("jobs", COUNT, jobs)
     if isinstance(configs, DevdanConfig):
         configs = {"default": configs}
     args = [(dataset, cfg, name, seed, clock) for name, cfg in configs.items() for seed in seeds]

@@ -1,9 +1,11 @@
-"""The tables of a model's state arrays (STATE_SLOTS), charts and bit
-generators, the kinds of value a setting takes (Kind), and plain(), which
-turns numpy values into JSON ones."""
+"""The tables of a model's state arrays (STATE_SLOTS), charts and their
+entries and bit generators, the kinds of value a setting or chart entry takes
+(Kind), check(), which words every refusal, and plain(), which turns numpy
+values into JSON ones."""
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import operator
 from typing import Callable, NamedTuple
@@ -11,7 +13,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .monitors import CHART_FIELDS
 
 
 class StateSlot(NamedTuple):
@@ -72,6 +73,12 @@ STATE_SLOTS = (
     StateSlot("disc_stats.mean", "disc_stats", "mean", ("width",)),
     StateSlot("disc_stats.m2", "disc_stats", "m2", ("width",)),
 )
+# The columns of a chart row: the running moment of the watched stream, the
+# lowest mean and std since the last reset, and whether the next observation
+# re-seeds those minima (1.0) or not (0.0). The compiled loop's header
+# declares the same names (kernel.header).
+Column = enum.IntEnum("Column", "COUNT MEAN M2 MIN_MEAN MIN_STD RESEED", start=0)
+CHART_FIELDS = len(Column)
 # The rows of a model's chart array (`DevdanModel.charts`), each the model
 # attribute that views it; checkpoints and the state hash follow this order.
 CHARTS = ("gen_bias", "gen_var", "disc_bias", "disc_var")
@@ -100,10 +107,10 @@ def plain(value):
 
 
 class Kind(NamedTuple):
-    """What a setting takes: a value of one of types (a bool is no number)
-    for which ok, where given, holds. An error names a value of another type
-    by of, and one that ok refuses by words (or of). A flag's text is read
-    as parse (None: no flag), and names one of choices where given."""
+    """What a setting or chart entry takes: a value of one of types (a bool is
+    no number) for which ok, where given, holds. An error names a value of
+    another type by of, and one that ok refuses by words (or of). A flag's
+    text is read as parse (None: no flag) and names one of choices, if any."""
 
     types: tuple
     of: str
@@ -130,27 +137,35 @@ COUNT = INTEGER.within(lambda value: value >= 1, "a positive integer")
 SEED = INTEGER.within(lambda value: value >= 0, "a non-negative integer")
 
 
+def exactly(value, words: str | None = None) -> Kind:
+    """value itself, named by words, else by value as JSON."""
+    return Kind((type(value),), words or json.dumps(value), lambda other: other == value)
+
+
 def one_of(choices: tuple) -> Kind:
     """One of the strings choices."""
     return Kind((str,), "one of " + ", ".join(choices), choices.__contains__, parse=str,
                 choices=choices)
 
 
-def _pairs(value) -> bool:
-    try:
-        return all(INTEGER.takes(start) and all(map(INTEGER.takes, perm)) for start, perm in value)
-    except (TypeError, ValueError):  # an item that is no pair, a perm that is no sequence
-        return False
+# Each chart column's checkpoint key under the chart's name and its kind, of
+# the JSON types a checkpoint holds; ok holds for a float of the chart array
+# where the kind takes SpcTracker.values() of it. NaN passes where an
+# overflowed row can leave it: mean, m2 and the minima.
+CHART_ENTRIES = (
+    ("current.count", Kind((int,), "a non-negative integer", lambda v: v >= 0 and v % 1 == 0)),
+    ("current.mean", Kind((int, float), "a number")),
+    ("current.m2", Kind((int, float), "a non-negative number", lambda v: not v < 0)),
+    ("min_mean", Kind((int, float), "a number")),
+    ("min_std", Kind((int, float), "a non-negative number", lambda v: not v < 0)),
+    ("reseed", Kind((bool,), "true or false", lambda v: v == 0 or v == 1)),
+)
 
 
-# a drift schedule of column permutations, [[start, [index, ...]], ...]
-PAIRS = Kind((list, tuple), "a list of [start, [index, ...]] pairs", _pairs)
-
-
-def check(name: str, kind: Kind, value, none: bool = False):
+def check(name: str, kind: Kind, value, none: bool = False, error: type = ConfigError):
     """value if kind takes it, or if it is None and none is true; anything
-    else raises ConfigError("<name> is <value>, expected <words>"), with the
-    value as JSON, or as its repr where JSON has none (nan, an object)."""
+    else raises error("<name> is <value>, expected <words>"), with the value
+    as JSON, or as its repr where JSON has none (nan, an object)."""
     if kind.takes(value) or value is None and none:
         return value
     try:
@@ -158,7 +173,7 @@ def check(name: str, kind: Kind, value, none: bool = False):
     except (TypeError, ValueError):
         shown = repr(value)
     expected = kind.words if kind.words and kind.typed(value) else kind.of
-    raise ConfigError(f"{name} is {shown}, expected {expected}")
+    raise error(f"{name} is {shown}, expected {expected}")
 
 
 def setting(default, kind: Kind):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, DevdanError, IdxFormatError, StructureError
-from .state import COUNT, INTEGER, NUMBER, PAIRS, STRING, check_fields, one_of, setting
+from .state import COUNT, INTEGER, NUMBER, STRING, Kind, check, check_fields, one_of, setting
 
 SEA_DEFAULT_SCHEDULE = ((0, 4.0), (25_000, 7.0), (50_000, 4.0), (75_000, 7.0))
 
@@ -64,6 +64,21 @@ def _check_schedule(schedule) -> list:
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ConfigError("drift schedule starts must be strictly increasing")
     return sched
+
+
+def _pairs(value) -> bool:
+    """Whether permute_drift takes the schedule value for rows as wide as its
+    permutations: integer starts by _check_schedule's rule, each a bijection."""
+    try:
+        _check_schedule(value)
+        return all(INTEGER.takes(start) and all(map(INTEGER.takes, perm))
+                   and sorted(perm) == list(range(len(perm))) for start, perm in value)
+    except (ConfigError, LookupError, TypeError, ValueError):  # no pair, sequence or order
+        return False
+
+
+PAIRS = Kind((list, tuple), "a list of [start, [index, ...]] pairs, the starts rising from 0 "
+                            "and each index list a permutation", _pairs)
 
 
 def _segment_values(count: int, schedule) -> np.ndarray:
@@ -453,9 +468,9 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         check_fields(DatasetSpec, vars(self))
-        if self.total_samples < self.batch_size:
-            raise ConfigError(f"total_samples is {self.total_samples}, expected at least "
-                              f"batch_size ({self.batch_size})")
+        check("total_samples", COUNT.within(lambda v: v >= self.batch_size,
+                                            f"at least batch_size ({self.batch_size})"),
+              self.total_samples)
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs csv_path")
         if self.source == "idx" and not (self.idx_images and self.idx_labels):

@@ -11,7 +11,7 @@ from devdan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from devdan.errors import CheckpointError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.prequential import parameter_count, run_single
-from devdan.streams import DatasetSpec
+from devdan.streams import PAIRS, DatasetSpec
 
 
 def run_cli(*argv):
@@ -87,28 +87,29 @@ class TestRun:
         ({"selection": "best"}, 'selection is "best", expected one of random, confidence'),
         ({"seeds": 2.0}, "seeds is 2.0, expected a positive seed count or a non-empty list of "
                          "non-negative seeds"),
-        ({"permutations": [[0]]},
-         "permutations is [[0]], expected a list of [start, [index, ...]] pairs"),
+        ({"permutations": [[0]]}, f"permutations is [[0]], expected {PAIRS.of}"),
+        ({"samples": 2000, "batch": 1000, "seeds": 1, "permutations": []},
+         f"permutations is [], expected {PAIRS.of}"),
     ])
     def test_value_that_does_not_convert_is_config_error(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not list(tmp_path.glob("*.csv"))
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]
 
     @pytest.mark.parametrize("argv", [("run", "--samples", "1000", "--batch", "500"),
                                       ("gen", "sea", "10")])
     def test_env_seed_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("DEVDAN_SEED", "abc")
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
-        expected = "config error: DEVDAN_SEED is 'abc', expected a non-negative integer\n"
+        expected = 'config error: DEVDAN_SEED is "abc", expected a non-negative integer\n'
         assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("argv, env, message", [
         (("gen", "sea", "5", "--seed", "-1"), None, "seed is -1, expected a non-negative integer"),
         (("run", "--seed-base", "-3"), None, "seed_base is -3, expected a non-negative integer"),
-        (("run",), "-3", "DEVDAN_SEED is '-3', expected a non-negative integer"),
+        (("run",), "-3", 'DEVDAN_SEED is "-3", expected a non-negative integer'),
         (("run", "--seeds", "0"), None, "seeds is 0, expected a positive seed count or a "
                                         "non-empty list of non-negative seeds"),
         (("gen", "sea", "-5"), None, "count is -5, expected a positive integer"),
@@ -282,9 +283,10 @@ class TestInspect:
         "config": (lambda doc: doc["config"].update(mask_fraction=1.5),
                    "mask_fraction is 1.5, expected a number in [0, 1]"),
         "n_in": (lambda doc: doc.update(n_in=0),
-                 "a model needs at least 1 input and 2 classes, not 0 and 2"),
+                 "n_in is 0, expected a positive integer"),
         "rng_state": (lambda doc: doc["rng_state"].update(bit_generator="RandomState"),
-                      "rng_state names no numpy bit generator"),
+                      'rng_state.bit_generator is "RandomState", expected one of PCG64, '
+                      "PCG64DXSM, MT19937, Philox, SFC64"),
     }
 
     @pytest.mark.parametrize("refused", list(REFUSED))

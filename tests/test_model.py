@@ -22,9 +22,10 @@ from devdan.checkpoint import load_checkpoint, model_to_dict, save_checkpoint, s
 from devdan.dae import DaeLayer
 from devdan.errors import CheckpointError, ConfigError, NumericError, ShapeError, StructureError
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.monitors import Column, SpcTracker
+from devdan.monitors import SpcTracker, fresh_charts
 from devdan.numerics import sigmoid, softmax_row
-from devdan.state import BIT_GENERATORS, CHART_SLOT, CHARTS, STATE_SLOTS, Kind
+from devdan.state import BIT_GENERATORS, CHART_ENTRIES, CHART_SLOT, CHARTS, STATE_SLOTS, Column
+from devdan.state import Kind
 from devdan.streams import DatasetSpec, StreamBatch, batchify, gen_sea
 
 
@@ -361,8 +362,9 @@ class TestConfigValidation:
         path.write_text(json.dumps({**doc, "config": {**doc["config"], "reset_mode": "standard"}}))
         assert state_hash(load_checkpoint(path)) == state_hash(model)
         path.write_text(json.dumps({**doc, "config": {**doc["config"], "reset_mode": "reset_all"}}))
-        with pytest.raises(CheckpointError, match="reset_mode 'reset_all' is no longer supported"):
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
+        assert str(info.value) == f'{path}: reset_mode is "reset_all", expected "standard"'
 
     def test_label_out_of_range(self):
         model = DevdanModel(3, 2, frozen_config())
@@ -416,10 +418,22 @@ class TestConfigValidation:
                 hashes.append(state_hash(model))
             assert hashes[0] == hashes[1], backend
 
-    @pytest.mark.parametrize("n_in, n_classes", [(0, 2), (3, 1), (3, 0), (-1, 2)])
+    REFUSED_SIZES = {  # (n_in, n_classes) -> the refusal
+        (0, 2): "n_in is 0, expected a positive integer",
+        (3, 1): "n_classes is 1, expected an integer of at least 2",
+        (3, 0): "n_classes is 0, expected an integer of at least 2",
+        (-1, 2): "n_in is -1, expected a positive integer",
+        ("3", 2): 'n_in is "3", expected an integer',
+        (3, 2.5): "n_classes is 2.5, expected an integer",
+        (3.0, 2): "n_in is 3.0, expected an integer",
+        (3, None): "n_classes is null, expected an integer",
+    }
+
+    @pytest.mark.parametrize("n_in, n_classes", list(REFUSED_SIZES))
     def test_model_needs_an_input_and_two_classes(self, n_in, n_classes):
-        with pytest.raises(ConfigError, match="at least 1 input and 2 classes"):
+        with pytest.raises(ConfigError) as info:
             DevdanModel(n_in, n_classes)
+        assert str(info.value) == self.REFUSED_SIZES[n_in, n_classes]
 
 
 class TestCheckpoint:
@@ -521,7 +535,7 @@ class TestCheckpoint:
         narrow["width"] = 2
         # JSON holds an empty (0, m) array as [], of shape (0,)
         for doc, message in ((empty, r"theta is a float64 array of shape \(0,\), expected "),
-                             (narrow, "width 2 is not w's, 3$")):
+                             (narrow, r"width is 2, expected w's width \(3\)$")):
             path.write_text(json.dumps(doc))
             with pytest.raises(CheckpointError, match=f"^{path}: {message}"):
                 load_checkpoint(path)
@@ -537,28 +551,37 @@ class TestCheckpoint:
 
     def test_unusable_chart_entry_rejected(self, tmp_path):
         """A chart entry that training could not use is refused at the load,
-        naming the chart: a count that is not a non-negative integer, a
-        negative m2 or min_std, a value that is not a number, or a reseed
-        that is not a JSON boolean. A number beyond float64 is malformed."""
+        naming the chart, with the value as JSON: a count that is not a
+        non-negative integer, a negative m2 or min_std, a value that is not a
+        number, or a reseed that is not a JSON boolean. A number beyond
+        float64 is malformed."""
         model = self.trained_model()
         path = tmp_path / "c.ckpt.json"
         save_checkpoint(model, path)
         good = path.read_text()
-        corruptions = {
-            "gen_bias.current.m2": -1,
-            "disc_var.min_std": -0.5,
-            "gen_var.current.count": -1,
-            "disc_bias.current.count": 2.5,
-            "gen_bias.current.mean": "0.5",
-            "disc_bias.reseed": "no",
-            "gen_var.reseed": 1,
+        corruptions = {  # key -> (value, what load_checkpoint says after the file's name)
+            "gen_bias.current.m2": (-1, "gen_bias.current.m2 is -1, expected a non-negative "
+                                        "number"),
+            "disc_var.min_std": (-0.5, "disc_var.min_std is -0.5, expected a non-negative number"),
+            "gen_var.current.count": (-1, "gen_var.current.count is -1, expected a non-negative "
+                                          "integer"),
+            "disc_bias.current.count": (2.5, "disc_bias.current.count is 2.5, expected a "
+                                             "non-negative integer"),
+            "gen_bias.current.mean": ("0.5", 'gen_bias.current.mean is "0.5", expected a number'),
+            "disc_var.min_mean": (None, "disc_var.min_mean is null, expected a number"),
+            "disc_var.current.mean": (True, "disc_var.current.mean is true, expected a number"),
+            "gen_bias.current.count": (math.nan, "gen_bias.current.count is nan, expected a "
+                                                 "non-negative integer"),
+            "disc_bias.reseed": ("no", 'disc_bias.reseed is "no", expected true or false'),
+            "gen_var.reseed": (1, "gen_var.reseed is 1, expected true or false"),
         }
-        for key, value in corruptions.items():
+        for key, (value, message) in corruptions.items():
             doc = json.loads(good)
             set_entry(doc, key, value)
             path.write_text(json.dumps(doc))
-            with pytest.raises(CheckpointError, match=rf"{key} is {value!r}, expected "):
+            with pytest.raises(CheckpointError) as info:
                 load_checkpoint(path)
+            assert str(info.value) == f"{path}: {message}"
         doc = json.loads(good)
         doc["gen_bias"]["current"]["mean"] = 10 ** 400  # beyond float64
         path.write_text(json.dumps(doc))
@@ -582,10 +605,12 @@ class TestCheckpoint:
         path = tmp_path / "v.ckpt.json"
         save_checkpoint(model, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        for version, shown in ((999, "999"), ("1", '"1"'), (True, "true")):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert str(info.value) == f"{path}: format_version is {shown}, expected 1"
 
 
 PROPERTY_OPS = ("generative", "discriminative", "grow_generative", "grow_discriminative", "prune",
@@ -1030,7 +1055,7 @@ def load_message(model, path, name, column, value) -> str:
     the JSON integer a checkpoint writes)."""
     save_checkpoint(model, path)
     doc = json.loads(path.read_text())
-    set_entry(doc[name], monitors.CHART_ENTRIES[column][0],
+    set_entry(doc[name], CHART_ENTRIES[column][0],
               int(value) if float(value).is_integer() else value)
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError) as info:
@@ -1041,7 +1066,7 @@ def load_message(model, path, name, column, value) -> str:
 
 @pytest.mark.parametrize("how", ["rebound", "in place"])
 def test_unusable_chart_entry_is_refused_on_both_steps(how, tmp_path):
-    """A chart entry that training cannot use (monitors.CHART_ENTRIES: a count
+    """A chart entry that training cannot use (state.CHART_ENTRIES: a count
     that is not a non-negative whole number, a negative m2 or min_std, a
     reseed other than 0 and 1), assigned or written in place, makes
     train_batch, generative_step and discriminative_step raise a
@@ -1063,7 +1088,7 @@ def test_unusable_chart_entry_is_refused_on_both_steps(how, tmp_path):
         for row, name in enumerate(CHARTS):
             for column, value in UNUSABLE_CHART_ENTRIES:
                 message = load_message(model, tmp_path / "bad.ckpt.json", name, column, value)
-                assert message.startswith(f"{name}.{monitors.CHART_ENTRIES[column][0]} is ")
+                assert message.startswith(f"{name}.{CHART_ENTRIES[column][0]} is ")
                 for call in calls:
                     if how == "rebound":
                         model.charts = model.charts.copy()
@@ -1076,6 +1101,75 @@ def test_unusable_chart_entry_is_refused_on_both_steps(how, tmp_path):
                     assert state_hash(model) == before, (backend, name)
         assert not saved.exists()
         calls[0]()
+
+
+def json_text(value) -> str:
+    """value as a checkpoint's JSON holds it, or its repr where JSON has none."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:
+        return repr(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_refused_chart_entry_is_one_message(data):
+    """Any JSON value that the kind of a chart entry refuses (CHART_ENTRIES),
+    at any of the 24 chart keys of a saved checkpoint, makes load_checkpoint
+    raise only a CheckpointError: "<path>: <chart>.<key> is <value as JSON>,
+    expected <the kind's words>". Where the value is a number, the same value
+    written into model.charts makes state_hash and training on either step
+    raise a NumericError, of the same text where values() shows it as the
+    checkpoint does; unless values() turns it into one the kind takes (a
+    whole float count, a 0 or 1 reseed), which trains."""
+    name = data.draw(st.sampled_from(CHARTS), label="chart")
+    column = data.draw(st.sampled_from(list(Column)), label="column")
+    key, kind = CHART_ENTRIES[column]
+    value = data.draw(st.one_of(
+        st.text(max_size=3), st.none(), st.booleans(), st.integers(-2 ** 53, 2 ** 53),
+        st.floats(), st.sampled_from([float("nan"), -1, 2.5, 0, 1, 0.5, -0.25]),
+        st.lists(st.integers(), max_size=2)).filter(lambda v: not kind.takes(v)), label="value")
+    feats, labels = gen_sea(41, rng=np.random.default_rng(97))
+    message = f"{name}.{key} is {json_text(value)}, expected {kind.of}"
+    row = CHARTS.index(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt.json"
+        for backend in each_backend():
+            model = DevdanModel(3, 2, DevdanConfig(seed=97))
+            train(model, feats[:40], labels[:40])
+            doc = model_to_dict(model)
+            set_entry(doc[name], key, value)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert str(info.value) == f"{path}: {message}"
+            if type(value) not in (int, float):
+                continue
+            model.charts[row, column] = value
+            shown = SpcTracker(model.charts[row]).values()[column]
+            calls = (lambda: state_hash(model), lambda: model.generative_step(feats[40]),
+                     lambda: model.discriminative_step(feats[40], 1))
+            for call in calls if not kind.takes(shown) else calls[1:]:
+                if kind.takes(shown):
+                    call()
+                    continue
+                with pytest.raises(NumericError) as trained:
+                    call()
+                if type(shown) is type(value):
+                    assert str(trained.value) == message, backend
+
+
+@settings(max_examples=200, deadline=None)
+@given(column=st.sampled_from(list(Column)),
+       value=st.one_of(st.floats(), st.integers(-3, 3).map(float), st.sampled_from([0.0, 1.0])))
+def test_chart_rules_are_the_kinds_on_values(column, value):
+    """The rule that training checks a chart's floats by, each column's
+    kind's ok, holds exactly where the kind takes the value that
+    SpcTracker.values() makes of the float."""
+    row = fresh_charts(1)[0]
+    row[column] = value
+    _, kind = CHART_ENTRIES[column]
+    assert (kind.ok is None or bool(kind.ok(value))) == kind.takes(SpcTracker(row).values()[column])
 
 
 BAD_FEATURES = {  # entry point -> a non-numeric and a ragged input
@@ -1321,8 +1415,11 @@ REFUSED_SETTINGS = (  # (configuration class, field, a value that it refuses, th
     (DatasetSpec, "csv_path", 5, "csv_path is 5, expected a string"),
     (DatasetSpec, "label_column", 1.5, "label_column is 1.5, expected an integer"),
     (DatasetSpec, "hyperplane_dim", 2.5, "hyperplane_dim is 2.5, expected an integer"),
-    (DatasetSpec, "permutations", [[0]],
-     "permutations is [[0]], expected a list of [start, [index, ...]] pairs"),
+    *((DatasetSpec, "permutations", value, f"permutations is {shown}, expected a list of "
+       "[start, [index, ...]] pairs, the starts rising from 0 and each index list a permutation")
+      for value, shown in (([[0]], "[[0]]"), ([], "[]"), ([[5, [0, 1, 2]]], "[[5, [0, 1, 2]]]"),
+                           ([[0, [0, 0, 1]]], "[[0, [0, 0, 1]]]"),
+                           ([[0, [0, 1]], [0, [1, 0]]], "[[0, [0, 1]], [0, [1, 0]]]"))),
 )
 
 

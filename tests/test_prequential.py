@@ -7,6 +7,7 @@ import pytest
 from conftest import each_backend
 
 from devdan.checkpoint import model_to_dict, state_hash
+from devdan.errors import ConfigError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.prequential import (
     CSV_HEADER,
@@ -278,6 +279,16 @@ class TestRunSuite:
             for rows in (seq["rows"], par["rows"]):
                 hashes.add(tuple(state_hash(r.model) for r in rows))
         assert len(hashes) == 1
+
+    @pytest.mark.parametrize("jobs, message", [
+        ("2", 'jobs is "2", expected an integer'), (2.5, "jobs is 2.5, expected an integer"),
+        (0, "jobs is 0, expected a positive integer"), (True, "jobs is true, expected an integer"),
+    ])
+    def test_job_count_that_is_not_a_count_is_config_error(self, jobs, message):
+        """A job count refused by state.COUNT raises a ConfigError naming it."""
+        with pytest.raises(ConfigError) as info:
+            run_suite(self.small_ds(), DevdanConfig(), seeds=[0], jobs=jobs)
+        assert str(info.value) == message
 
     def test_parallel_jobs_pass_the_clock(self):
         ds = self.small_ds()
