@@ -32,12 +32,15 @@ from .monitors import (
     weakest_node,
 )
 from .numerics import sigmoid, softmax_row, xavier
-from .state import BIT_GENERATORS, CHART_ENTRIES, CHART_SLOT, CHARTS, COUNT, INTEGER, NUMBER
-from .state import SEED, STATE_SLOTS, SWITCH, check, check_fields, setting, state_arrays
+from .state import BIT_GENERATORS, CHART_ENTRIES, CHART_SLOT, CHARTS, COUNT, INTEGER, NUMBER, SEED
+from .state import STATE_SLOTS, SWITCH, Kind, check, check_fields, exactly, setting, state_arrays
 
 
 _RATE = NUMBER.within(lambda value: 0 <= value < math.inf, "a finite non-negative number")
 _CLASSES = INTEGER.within(lambda value: value >= 2, "an integer of at least 2")
+_GENERATOR = exactly(np.random.Generator, "numpy.random.Generator")
+_BITS = Kind((type,), "one of " + ", ".join(BIT_GENERATORS),
+             lambda bits: bits in BIT_GENERATORS.values())
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,8 @@ class SoftmaxHead:
 def _check_rng(rng) -> None:
     """A ConfigError unless rng is a numpy Generator itself (a subclass may
     override draws the compiled loop takes) over one of BIT_GENERATORS."""
-    if type(rng) is not np.random.Generator:
-        raise ConfigError(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
-    if type(rng.bit_generator) not in BIT_GENERATORS.values():
-        raise ConfigError(f"rng must draw from one of {', '.join(BIT_GENERATORS)}, "
-                          f"not {type(rng.bit_generator).__name__}")
+    check("type(rng)", _GENERATOR, type(rng))
+    check("type(rng.bit_generator)", _BITS, type(rng.bit_generator))
 
 
 def _as_floats(values, what: str) -> np.ndarray:

@@ -183,8 +183,7 @@ def setting(default, kind: Kind):
 
 def check_fields(cls, values: dict) -> None:
     """check() each of values, in field order, by the kind of its field of
-    the dataclass cls (None is taken where that field's default is None); a
-    field declared without a kind is its reader's to check."""
+    the dataclass cls (None is taken where that field's default is None)."""
     for field in dataclasses.fields(cls):
-        if field.name in values and "kind" in field.metadata:
+        if field.name in values:
             check(field.name, field.metadata["kind"], values[field.name], field.default is None)

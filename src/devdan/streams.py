@@ -31,10 +31,8 @@ HYPERPLANE_DEFAULT_CONCEPTS = (
 # a spec and the stream's generator, which materialize cuts to total_samples
 SOURCES = {
     "sea": lambda spec, rng: gen_sea(spec.total_samples, spec.sea_schedule, rng),
-    "hyperplane": lambda spec, rng: gen_hyperplane(
-        spec.total_samples, spec.hyperplane_dim, spec.hyperplane_concepts,
-        spec.hyperplane_ramp, rng),
-    "csv": lambda spec, rng: load_csv(spec.csv_path, spec.label_column, spec.bounds)[:2],
+    "hyperplane": lambda spec, rng: gen_hyperplane(spec.total_samples, rng=rng),
+    "csv": lambda spec, rng: load_csv(spec.csv_path, spec.label_column)[:2],
     "idx": lambda spec, rng: load_idx(spec.idx_images, spec.idx_labels),
 }
 # how batchify picks each batch's revealed labels
@@ -56,39 +54,37 @@ class StreamBatch:
     timestamp: int
 
 
-def _check_schedule(schedule) -> list:
-    sched = list(schedule)
-    if not sched or sched[0][0] != 0:
-        raise ConfigError("drift schedule must start at sample 0")
-    starts = [s for s, _ in sched]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ConfigError("drift schedule starts must be strictly increasing")
-    return sched
-
-
-def _pairs(value) -> bool:
-    """Whether permute_drift takes the schedule value for rows as wide as its
-    permutations: integer starts by _check_schedule's rule, each a bijection."""
+def _schedule(value, takes) -> bool:
+    """Whether value is a non-empty list of [start, item] pairs, the starts
+    integers rising strictly from 0 and takes(item) true of each item."""
     try:
-        _check_schedule(value)
-        return all(INTEGER.takes(start) and all(map(INTEGER.takes, perm))
-                   and sorted(perm) == list(range(len(perm))) for start, perm in value)
-    except (ConfigError, LookupError, TypeError, ValueError):  # no pair, sequence or order
+        starts, items = zip(*[(start, item) for start, item in value])
+        return (all(map(INTEGER.takes, starts)) and starts[0] == 0
+                and all(a < b for a, b in zip(starts, starts[1:])) and all(map(takes, items)))
+    except (TypeError, ValueError):  # no list of pairs, or an item takes cannot read
         return False
 
 
+def _permutation(perm) -> bool:
+    """Whether perm is integer indices that order 0..len(perm)-1."""
+    return all(map(INTEGER.takes, perm)) and sorted(perm) == list(range(len(perm)))
+
+
+# gen_sea's thresholds and permute_drift's permutations, each from its start
+SCHEDULE = Kind((list, tuple), "a list of [start, threshold] pairs, the starts integers rising "
+                               "from 0 and each threshold a number",
+                lambda value: _schedule(value, NUMBER.takes))
 PAIRS = Kind((list, tuple), "a list of [start, [index, ...]] pairs, the starts rising from 0 "
-                            "and each index list a permutation", _pairs)
+                            "and each index list a permutation",
+             lambda value: _schedule(value, _permutation))
 
 
 def _segment_values(count: int, schedule) -> np.ndarray:
-    """Per-sample parameter values from an ordered (start, value) schedule."""
-    sched = _check_schedule(schedule)
-    out = np.empty(count)
-    for i, (start, value) in enumerate(sched):
-        end = sched[i + 1][0] if i + 1 < len(sched) else count
-        out[start:min(end, count)] = value
-    return out
+    """Per-sample parameter values from a (start, value) schedule: each value
+    repeated from its start to the next, the last to count."""
+    check("schedule", SCHEDULE, schedule)
+    starts, values = zip(*schedule)
+    return np.repeat(np.asarray(values, np.float64), np.diff(np.minimum([*starts, count], count)))
 
 
 def gen_sea(count: int, schedule=SEA_DEFAULT_SCHEDULE, rng=None):
@@ -97,9 +93,9 @@ def gen_sea(count: int, schedule=SEA_DEFAULT_SCHEDULE, rng=None):
     Class 0 when the raw first two features sum below the scheduled threshold,
     class 1 otherwise; the third feature is pure noise. Returns (features,
     labels)."""
+    theta = _segment_values(count, schedule)
     rng = rng if rng is not None else np.random.default_rng()
     raw = rng.uniform(0.0, 10.0, size=(count, 3))
-    theta = _segment_values(count, schedule)
     labels = (raw[:, 0] + raw[:, 1] >= theta).astype(np.int64)
     return raw / 10.0, labels
 
@@ -362,18 +358,17 @@ def load_idx(images_path, labels_path):
 def permute_drift(rows: np.ndarray, schedule) -> np.ndarray:
     """Apply a per-segment pixel permutation to feature rows.
 
-    schedule is an ordered list of (start_sample, permutation); each
-    permutation must be a bijection on the column indices (the identity is
-    allowed)."""
+    schedule is a PAIRS list of (start_sample, permutation) whose every
+    permutation is a bijection on the column indices (the identity is
+    allowed); any other schedule raises a StructureError."""
     rows = np.asarray(rows)
     n = rows.shape[1]
-    sched = _check_schedule(schedule)
+    fits = PAIRS.within(lambda value: _schedule(value, lambda p: len(p) == n and _permutation(p)),
+                        f"{PAIRS.of} of 0..{n - 1}")
+    check("schedule", fits, schedule, error=StructureError)
     out = rows.copy()
-    for i, (start, perm) in enumerate(sched):
-        perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise StructureError(f"schedule segment {i}: not a bijection on 0..{n - 1}")
-        end = sched[i + 1][0] if i + 1 < len(sched) else rows.shape[0]
+    ends = [start for start, _ in schedule][1:] + [rows.shape[0]]
+    for (start, perm), end in zip(schedule, ends):
         out[start:end] = rows[start:end][:, perm]
     return out
 
@@ -442,10 +437,8 @@ def _revealed(batch_size: int, label_fraction: float, selection_mode: str, rng):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One experiment's data source, checked when made as DevdanConfig is;
-    the readers check sea_schedule, hyperplane_concepts, hyperplane_ramp and
-    bounds. A spec holds at least one batch, and a csv or idx source names
-    its files."""
+    """One experiment's data source, checked when made as DevdanConfig is.
+    A spec holds at least one batch, and a csv or idx source names its files."""
 
     source: str = setting("sea", one_of(tuple(SOURCES)))
     total_samples: int = setting(100_000, COUNT)
@@ -457,13 +450,9 @@ class DatasetSpec:
                                               "a finite number above 0.5"))
     csv_path: str | None = setting(None, STRING)
     label_column: int = setting(-1, INTEGER)
-    bounds: tuple | None = None
     idx_images: str | None = setting(None, STRING)
     idx_labels: str | None = setting(None, STRING)
-    sea_schedule: tuple = SEA_DEFAULT_SCHEDULE
-    hyperplane_dim: int = setting(4, COUNT)
-    hyperplane_concepts: tuple = HYPERPLANE_DEFAULT_CONCEPTS
-    hyperplane_ramp: tuple = (0.4, 0.6)
+    sea_schedule: tuple = setting(SEA_DEFAULT_SCHEDULE, SCHEDULE)
     permutations: tuple | None = setting(None, PAIRS)  # optional (start, permutation) schedule
 
     def __post_init__(self) -> None:

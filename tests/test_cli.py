@@ -1,5 +1,4 @@
 """Command-line surface: exit codes, flag/config precedence, file outputs."""
-import dataclasses
 import json
 
 import numpy as np

@@ -18,7 +18,7 @@ from devdan.prequential import (
     write_batch_csv,
     write_summary_json,
 )
-from devdan.streams import DatasetSpec, StreamBatch, batchify, confidence_mask, materialize
+from devdan.streams import DatasetSpec, StreamBatch, confidence_mask, materialize
 
 
 def null_clock():

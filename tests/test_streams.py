@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from devdan.errors import ConfigError, CsvFormatError, IdxFormatError, Structure
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.prequential import run_prequential, run_suite
 from devdan.streams import (
+    PAIRS,
     DatasetSpec,
     batchify,
     confidence_mask,
@@ -83,6 +85,22 @@ class TestSea:
             gen_sea(10, ((5, 4.0),), np.random.default_rng(0))
         with pytest.raises(ConfigError):
             gen_sea(10, ((0, 4.0), (3, 7.0), (3, 4.0)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("schedule, shown", [
+        ([[]], "[[]]"), ([(0,)], "[[0]]"), ("x", '"x"'), ([[5, 4.0]], "[[5, 4.0]]"),
+        ([[0, 4.0], [0, 7.0]], "[[0, 4.0], [0, 7.0]]"), ([[0, "4"]], '[[0, "4"]]'),
+        ([[0.5, 4.0]], "[[0.5, 4.0]]"),
+    ])
+    def test_schedule_refused_by_its_kind(self, schedule, shown):
+        """A schedule that is no list of [start, threshold] pairs with integer
+        starts rising from 0 is a ConfigError naming it, before any draw."""
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=rf"^schedule is {re.escape(shown)}, expected a list "
+                                              r"of \[start, threshold\] pairs, the starts integers "
+                                              r"rising from 0 and each threshold a number$"):
+            gen_sea(10, schedule, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestHyperplane:
@@ -811,6 +829,18 @@ class TestPermuteDrift:
         rows = np.zeros((2, 3))
         with pytest.raises(StructureError):
             permute_drift(rows, ((0, np.array([0, 0, 2])),))
+
+    @pytest.mark.parametrize("schedule, shown", [
+        ([[0, [0, 1]]], "[[0, [0, 1]]]"), ([[0, [0, 1, 3]]], "[[0, [0, 1, 3]]]"),
+        ([[1, [0, 1, 2]]], "[[1, [0, 1, 2]]]"), ([[0, [0, 1, 2]], [0, [2, 1, 0]]],
+                                                 "[[0, [0, 1, 2]], [0, [2, 1, 0]]]"),
+    ])
+    def test_schedule_that_does_not_fit_the_rows(self, schedule, shown):
+        """A permutation that is no bijection on the rows' columns, or starts
+        that do not rise from 0, are a StructureError in PAIRS' words."""
+        with pytest.raises(StructureError, match=rf"^schedule is {re.escape(shown)}, expected "
+                                                 rf"{re.escape(PAIRS.of)} of 0\.\.2$"):
+            permute_drift(np.zeros((2, 3)), schedule)
 
 
 class TestConfidenceRule:
