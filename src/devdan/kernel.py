@@ -26,7 +26,6 @@ import contextlib
 import ctypes
 import enum
 import hashlib
-import operator
 import os
 import sys
 import time
@@ -186,35 +185,26 @@ KernelModel = _structure("KernelModel", model_fields())
 
 class KernelState:
     """The compiled step's hold on a model: a struct model that points at
-    the model's own arrays, which the loop updates in place, and a work
-    vector whose parts (`parts`, named as in work_lengths) carry the inputs
-    and the results.
-
-    arrays : every STATE_SLOTS array and the chart array, as they were bound
-             when this was built
+    the model's own arrays as they are bound when this is built, which the
+    loop updates in place, and a work vector whose parts (`parts`, named as
+    in work_lengths) carry the inputs and the results.
 
     Holds raw pointers, so it is derived state: built only where the
     compiled step runs, and never checkpointed, hashed, pickled or copied.
+    The model keeps the arrays it points into (DevdanModel._ready).
     """
 
-    __slots__ = ("arrays", "struct", "addr", "parts", "train_rows")
+    __slots__ = ("struct", "addr", "parts", "train_rows")
 
     def __init__(self, model, lib):
         sizes = (model.n_in, model.width, model.n_classes)
         lengths = work_lengths(*sizes)
         ends = np.cumsum(list(lengths.values()))
-        self.arrays = state_arrays(model)
         self.parts = dict(zip(lengths, np.split(np.zeros(ends[-1]), ends[:-1])))
-        pointers = (arr.ctypes.data for arr in (*self.arrays, *self.parts.values()))
+        pointers = (arr.ctypes.data for arr in (*state_arrays(model), *self.parts.values()))
         self.struct = KernelModel(*sizes, *pointers)
         self.addr = ctypes.addressof(self.struct)
         self.train_rows = lib.devdan_train_rows
-
-    def is_behind(self, model) -> bool:
-        """True when any state or chart array is not the one bound at build time:
-        after a grow or prune, a checkpoint load, a copy or pickle, or an
-        assignment."""
-        return any(map(operator.is_not, state_arrays(model), self.arrays))
 
 
 class KernelUnavailable(Exception):

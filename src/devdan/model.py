@@ -189,7 +189,8 @@ class DevdanModel:
         # row k is the 0-1 target of label k; shared by every step, so read-only
         self._onehot = np.eye(n_classes)
         self._onehot.flags.writeable = False
-        self._kernel_state = None
+        # the compiled step's hold and the arrays it was bound to (_ready)
+        self._kernel_state = self._bound = None
 
     # each a view of its row of the current chart array, made at every
     # access, so that it follows the array through copies, pickles, loads and
@@ -296,9 +297,9 @@ class DevdanModel:
     # -------------------------------------------------------------- train steps
 
     def __getstate__(self):
-        # copies and pickles leave out the compiled step's raw pointers; the
-        # next step rebuilds them from the live arrays
-        return {**self.__dict__, "_kernel_state": None}
+        # copies and pickles leave out the compiled step's raw pointers and
+        # the arrays they point into; the next step binds the live arrays
+        return {**self.__dict__, "_kernel_state": None, "_bound": None}
 
     def checked_state(self) -> tuple[np.ndarray, ...]:
         """What a model may hold, one rule for training, the hash and checkpoints:
@@ -319,36 +320,36 @@ class DevdanModel:
         _check_charts(arrays[-1])
         return arrays
 
-    def _check_state(self) -> None:
-        """The rule both steps apply before any row of a training call trains:
-        checked_state, then, once all of it has passed, an array of another
-        dtype or memory order, or read-only, is replaced by a C-order copy of
-        the slot's dtype."""
+    def _ready(self) -> kernel.KernelState | None:
+        """The one guard before any row of a training call trains, on both
+        steps; returns the compiled step's hold, or None where the numpy step
+        runs. Where no hold is bound to the arrays the model holds (the numpy
+        step never has one): the whole of checked_state, then an array of
+        another dtype or memory order, or read-only, is replaced by a C-order
+        copy of the slot's dtype, and a hold is bound where the kernel loads.
+        Else only the generator and chart parts (a rebound rng or a chart
+        written in place rebinds no array)."""
+        k = self._kernel_state
+        if k is not None and all(map(operator.is_, state_arrays(self), self._bound)):
+            _check_rng(self.rng)
+            _check_charts(self.charts)
+            return k
         for slot, was, arr in zip((*STATE_SLOTS, CHART_SLOT), state_arrays(self),
                                   self.checked_state()):
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
                 slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
-
-    def _kernel(self) -> kernel.KernelState | None:
-        """The compiled step's hold on the live arrays, rebuilt after the rule
-        of _check_state when any of them was rebound; None where the kernel
-        is unavailable."""
-        k = self._kernel_state
-        if k is None or k.is_behind(self):
-            lib = kernel.library()
-            if lib is None:
-                return None
-            self._check_state()
-            k = self._kernel_state = kernel.KernelState(self, lib)
-        return k
+        lib = kernel.library()
+        if lib is None:
+            return None
+        # the record also keeps alive every array the hold points into
+        self._bound = state_arrays(self)
+        self._kernel_state = kernel.KernelState(self, lib)
+        return self._kernel_state
 
     def generative_step(self, x: np.ndarray) -> StepReport:
         """One unsupervised update: corrupt, reconstruct, evolve, descend."""
-        losses, grows, prunes, failure = self._rows(self._as_input(x)[None], _ONE_ROW)
-        if failure is not None:
-            raise failure[1]
-        return StepReport(grows > 0, prunes > 0, float(losses[0]), self.width)
+        return self._step(self._as_input(x), None)
 
     def discriminative_step(self, x: np.ndarray, label: int) -> StepReport:
         """One supervised update: predict, evolve from prediction bias/variance,
@@ -357,7 +358,11 @@ class DevdanModel:
         label = _class_index(label)
         if not 0 <= label < self.n_classes:
             raise ShapeError(f"label {label} out of range [0, {self.n_classes})")
-        losses, grows, prunes, failure = self._rows(x[None], _ONE_ROW, np.array([label], np.int64))
+        return self._step(x, np.array([label], np.int64))
+
+    def _step(self, x: np.ndarray, labels) -> StepReport:
+        """One checked row x through _rows; a row's error is raised as it is."""
+        losses, grows, prunes, failure = self._rows(x[None], _ONE_ROW, labels)
         if failure is not None:
             raise failure[1]
         return StepReport(grows > 0, prunes > 0, float(losses[0]), self.width)
@@ -365,14 +370,14 @@ class DevdanModel:
     def _rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
         """Trains one phase over feats[rows]: the generative phase, or given
         labels (int64 class indices, one per row of feats) the discriminative
-        one. The compiled loop runs the phase where it can, else the numpy
-        step runs it row by row. Returns (losses, grows, prunes, failure),
-        failure being None or (position in rows, the error raised there),
-        the rows before it trained."""
-        done = self._compiled_rows(feats, rows, labels)
-        if done is not None:
-            return done
-        self._check_state()
+        one. After the guard (_ready), the compiled loop runs the phase where
+        the guard returns a hold, else the numpy step runs it row by row.
+        Returns (losses, grows, prunes, failure), failure being None or
+        (position in rows, the error raised there), the rows before it
+        trained."""
+        k = self._ready()
+        if k is not None:
+            return self._compiled_rows(k, feats, rows, labels)
         losses, grows, prunes = [], 0, 0
         for pos, t in enumerate(rows):
             try:
@@ -433,26 +438,19 @@ class DevdanModel:
             param -= cfg.lr_discriminative * vel
         return loss, grew, pruned
 
-    def _compiled_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
-        """Trains one phase over feats[rows] in the compiled loop: the
-        generative phase, or given labels (int64, one per row of feats) the
-        discriminative one. The loop runs each row's chart step on
-        self.charts in place, re-seeds included. Where a chart fires it
-        returns the edit (Status.GROW or PRUNE), which _edit makes, drawing
-        from the generator; the loop then resumes at the same row
+    def _compiled_rows(self, k: kernel.KernelState, feats: np.ndarray, rows: np.ndarray,
+                       labels=None):
+        """Trains one phase over feats[rows] in the compiled loop, through the
+        hold k that the guard (_ready) returned: the generative phase, or
+        given labels (int64, one per row of feats) the discriminative one.
+        The loop runs each row's chart step on self.charts in place, re-seeds
+        included. Where a chart fires it returns the edit (Status.GROW or
+        PRUNE), which _edit makes, drawing from the generator; the guard then
+        binds the edited arrays and the loop resumes at the same row
         (job.resume), recomputing the forward pass against the edited layer.
-        Before any row: checked_state where an array was rebound (_kernel), its
-        generator and chart parts at every call (a rebound rng or a chart
-        written in place rebinds no array).
 
-        Returns None where the numpy step has to run, else (losses, grows,
-        prunes, failure), failure being None or (position in rows, the error
-        the numpy step would raise there)."""
-        k = self._kernel()
-        if k is None:
-            return None
-        _check_rng(self.rng)
-        _check_charts(self.charts)
+        Returns (losses, grows, prunes, failure), failure being None or
+        (position in rows, the error the numpy step would raise there)."""
         cfg, n, gen = self.config, self.n_in, labels is None
         bitgen = kernel.bitgen_address(self.rng)
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
@@ -471,7 +469,7 @@ class DevdanModel:
             self._edit(grew, not grew, k.parts["ey"], residual)
             grows += grew
             prunes += not grew
-            old, k = k, self._kernel()
+            old, k = k, self._ready()
             for part in ("x", "xt"):  # drawn once
                 k.parts[part][:] = old.parts[part]
             job.resume = 1

@@ -72,8 +72,8 @@ def _permutation(perm) -> bool:
 
 # gen_sea's thresholds and permute_drift's permutations, each from its start
 SCHEDULE = Kind((list, tuple), "a list of [start, threshold] pairs, the starts integers rising "
-                               "from 0 and each threshold a number",
-                lambda value: _schedule(value, NUMBER.takes))
+                               "from 0 and each threshold a finite number",
+                lambda value: _schedule(value, lambda t: NUMBER.takes(t) and math.isfinite(t)))
 PAIRS = Kind((list, tuple), "a list of [start, [index, ...]] pairs, the starts rising from 0 "
                             "and each index list a permutation",
              lambda value: _schedule(value, _permutation))
@@ -470,7 +470,8 @@ def materialize(spec: DatasetSpec, rng: np.random.Generator):
     """Rows for a DatasetSpec: (features, labels, n_in, n_classes).
 
     The row count is truncated to a whole number of batches; a file that
-    holds no whole batch raises a ConfigError."""
+    holds no whole batch, or rows that all have one label, raise a
+    ConfigError."""
     feats, labels = SOURCES[spec.source](spec, rng)
     feats, labels = feats[: spec.total_samples], labels[: spec.total_samples]
     if spec.permutations is not None:
@@ -480,4 +481,7 @@ def materialize(spec: DatasetSpec, rng: np.random.Generator):
         raise ConfigError(f"the {spec.source} source holds {feats.shape[0]} rows, "
                           f"fewer than batch_size ({spec.batch_size})")
     feats, labels = feats[:usable], labels[:usable]
+    if labels.min() == labels.max():
+        raise ConfigError(f"the {spec.source} source gives all {usable} rows one label, "
+                          "fewer than 2 classes")
     return feats, labels, feats.shape[1], int(labels.max()) + 1

@@ -798,12 +798,13 @@ def test_pickle_and_copy_leave_out_the_flat_vectors():
 
 
 @pytest.mark.parametrize("rebound", ["layer.w", "head.theta", "layer", "gen_stats.mean", "charts",
-                                     "layer.w float32", "layer.w Fortran"])
+                                     "layer.w float32", "layer.w Fortran", "layer.w read-only"])
 def test_rebound_arrays_train_like_a_model_built_with_them(tmp_path, rebound):
     """Assigning a parameter, node-statistics or chart array, or the whole
     layer, of a model that has trained hands the new values to the next step,
-    with either step. A float32 or Fortran-order array trains as the C-order
-    float64 copy that both steps replace it by."""
+    with either step. A float32, Fortran-order or read-only array trains as
+    the C-order float64 copy that both steps replace it by, and a read-only
+    one is left as it was."""
     ends = {backend: rebound_run(tmp_path / f"{backend}.ckpt.json", rebound)
             for backend in each_backend()}
     assert len(set(ends.values())) == 1, ends
@@ -826,6 +827,10 @@ def rebound_run(path, rebound) -> str:
         assert model.width > 1  # else the Fortran-order copy is C order too
         new = {}
         model.layer.w = np.asfortranarray(model.layer.w)
+    elif rebound == "layer.w read-only":
+        new = {}
+        model.layer.w = held = model.layer.w.copy()
+        held.flags.writeable = False
     elif rebound == "head.theta":
         new = {"theta": rng.normal(size=model.head.theta.shape)}
         model.head.theta = new["theta"].copy()
@@ -854,6 +859,8 @@ def rebound_run(path, rebound) -> str:
     train(model, feats[100:], labels[100:])
     train(built, feats[100:], labels[100:])
     assert state_hash(built) == state_hash(model)
+    if rebound == "layer.w read-only":
+        assert model.layer.w is not held and held.tolist() == doc["w"]
     return state_hash(model)
 
 
@@ -1418,10 +1425,12 @@ REFUSED_SETTINGS = (  # (configuration class, field, a value that it refuses, th
     (DatasetSpec, "csv_path", 5, "csv_path is 5, expected a string"),
     (DatasetSpec, "label_column", 1.5, "label_column is 1.5, expected an integer"),
     *((DatasetSpec, "sea_schedule", value, f"sea_schedule is {shown}, expected a list of "
-       "[start, threshold] pairs, the starts integers rising from 0 and each threshold a number")
+       "[start, threshold] pairs, the starts integers rising from 0 and each threshold a finite "
+       "number")
       for value, shown in (([[]], "[[]]"), ([(0,)], "[[0]]"), ("x", '"x"'),
                            ([[5, 4.0]], "[[5, 4.0]]"), ([[0, 4.0], [0, 7.0]], "[[0, 4.0], [0, 7.0]]"),
-                           ([[0, "4"]], '[[0, "4"]]'), ([[0.5, 4.0]], "[[0.5, 4.0]]"))),
+                           ([[0, "4"]], '[[0, "4"]]'), ([[0.5, 4.0]], "[[0.5, 4.0]]"),
+                           ([[0, float("nan")]], "[[0, nan]]"), ([[0, float("inf")]], "[[0, inf]]"))),
     *((DatasetSpec, "permutations", value, f"permutations is {shown}, expected a list of "
        "[start, [index, ...]] pairs, the starts rising from 0 and each index list a permutation")
       for value, shown in (([[0]], "[[0]]"), ([], "[]"), ([[5, [0, 1, 2]]], "[[5, [0, 1, 2]]]"),

@@ -28,7 +28,7 @@ from devdan import kernel, streams
 from devdan.checkpoint import state_hash
 from devdan.errors import ConfigError, CsvFormatError, IdxFormatError, StructureError
 from devdan.model import DevdanConfig, DevdanModel
-from devdan.prequential import run_prequential, run_suite
+from devdan.prequential import run_prequential, run_single, run_suite
 from devdan.streams import (
     PAIRS,
     DatasetSpec,
@@ -89,16 +89,18 @@ class TestSea:
     @pytest.mark.parametrize("schedule, shown", [
         ([[]], "[[]]"), ([(0,)], "[[0]]"), ("x", '"x"'), ([[5, 4.0]], "[[5, 4.0]]"),
         ([[0, 4.0], [0, 7.0]], "[[0, 4.0], [0, 7.0]]"), ([[0, "4"]], '[[0, "4"]]'),
-        ([[0.5, 4.0]], "[[0.5, 4.0]]"),
+        ([[0.5, 4.0]], "[[0.5, 4.0]]"), ([[0, float("nan")]], "[[0, nan]]"),
+        ([[0, float("inf")]], "[[0, inf]]"),
     ])
     def test_schedule_refused_by_its_kind(self, schedule, shown):
         """A schedule that is no list of [start, threshold] pairs with integer
-        starts rising from 0 is a ConfigError naming it, before any draw."""
+        starts rising from 0 and finite thresholds is a ConfigError naming
+        it, before any draw."""
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ConfigError, match=rf"^schedule is {re.escape(shown)}, expected a list "
                                               r"of \[start, threshold\] pairs, the starts integers "
-                                              r"rising from 0 and each threshold a number$"):
+                                              r"rising from 0 and each threshold a finite number$"):
             gen_sea(10, schedule, rng)
         assert rng.bit_generator.state == before
 
@@ -974,6 +976,28 @@ class TestDatasetSpec:
         spec = DatasetSpec(source="csv", csv_path=str(path), batch_size=10)
         with pytest.raises(ConfigError, match=r"^the csv source holds 2 rows, fewer than "
                                               r"batch_size \(10\)$"):
+            materialize(spec, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("threshold, label", [(25.0, 0), (-5.0, 1)])
+    def test_sea_stream_of_one_label_is_config_error(self, threshold, label):
+        """A finite threshold above every sum of two features (20) labels
+        every row 0, one below every sum labels every row 1: the stream is
+        refused where it is made, and every seed of run_single fails alike."""
+        spec = DatasetSpec(total_samples=2000, batch_size=500, sea_schedule=[[0, threshold]])
+        assert set(gen_sea(2000, spec.sea_schedule, np.random.default_rng(0))[1]) == {label}
+        message = r"^the sea source gives all 2000 rows one label, fewer than 2 classes$"
+        with pytest.raises(ConfigError, match=message):
+            materialize(spec, np.random.default_rng(0))
+        for seed in (0, 1):
+            with pytest.raises(ConfigError, match=message):
+                run_single(spec, DevdanConfig(), seed)
+
+    def test_csv_of_one_label_is_config_error(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,label\n" + "".join(f"0.{i},0.5,yes\n" for i in range(4)))
+        spec = DatasetSpec(source="csv", csv_path=str(path), batch_size=2)
+        with pytest.raises(ConfigError, match=r"^the csv source gives all 4 rows one label, "
+                                              r"fewer than 2 classes$"):
             materialize(spec, np.random.default_rng(0))
 
     def test_materialize_with_permutations(self):
