@@ -19,7 +19,6 @@ from .errors import (
     ShapeError,
     StructureError,
 )
-from .kernel import step_backend
 from .model import BatchReport, DevdanConfig, DevdanModel, SoftmaxHead, StepReport
 from .monitors import NodeStats, NsSnapshot, SpcTracker
 from .prequential import (
@@ -45,6 +44,15 @@ from .streams import (
 )
 
 __version__ = "0.1.0"
+
+
+def step_backend() -> str:
+    """kernel.step_backend(): "compiled" or "numpy (<reason>)". Its first call
+    loads the compiled step, as the first training step does."""
+    from .kernel import step_backend as backend
+
+    return backend()
+
 
 __all__ = [
     "BatchMetrics",

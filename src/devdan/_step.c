@@ -29,7 +29,7 @@
  * stay in C; the loss goes straight to the caller's losses.
  *
  * It is compiled after the header that kernel.header() renders from the Python
- * tables: the enums (kernel.Status, monitors.Column), struct numerics
+ * tables: the enums (kernel.Status, state.Column), struct numerics
  * (kernel.NUMERICS), struct rows (ROWS), struct model (model_fields(), from
  * state.STATE_SLOTS and work_lengths()) and each export's prototype (EXPORTS),
  * with <stddef.h> and <stdint.h>.
@@ -116,16 +116,6 @@ static void vecmat(const double *v, const double *mat, ptrdiff_t k, ptrdiff_t le
         np_.gemv(ROW_MAJOR, TRANS, k, len, 1.0, mat, rs, v, 1, 0.0, out, 1);
     else
         np_.gemv(COL_MAJOR, TRANS, k, len, 1.0, mat, cs, v, 1, 0.0, out, 1);
-}
-
-/* The primitives on their own, for the load-time self-check and the tests. */
-void devdan_sum(const double *v, int64_t len, double *out) { *out = sum(v, len); }
-void devdan_sigmoid(double *v, int64_t len) { sigmoid(v, len); }
-void devdan_softmax(double *v, int64_t rows, int64_t cols) { softmax(v, rows, cols); }
-void devdan_vecmat(const double *v, const double *mat, int64_t k, int64_t len,
-                   int64_t rs, int64_t cs, double *out)
-{
-    vecmat(v, mat, k, len, rs, cs, out);
 }
 
 /* ---------------------------------------------------------------- steps */
@@ -369,11 +359,6 @@ static void mask_draw(bitgen_t *bg, const double *x, double *xt, ptrdiff_t n, pt
         xt[perm[i]] = 0.0;
 }
 
-void devdan_mask(void *bitgen, const double *x, double *out, int64_t n, int64_t k, int64_t *perm)
-{
-    mask_draw(bitgen, x, out, n, k, perm);
-}
-
 /* --------------------------------------------------------------- charts */
 
 /* SpcTracker.update; returns the chart's std */
@@ -399,31 +384,19 @@ static double kappa(double level) { return 1.3 * exp(-level) + 0.7; }
  * chart takes bias2 and its grow test, then the variance chart takes variance
  * and its prune test. A chart that fires arms its re-seed (SpcTracker.
  * reset_min), which its update has just cleared, so the flags are the
- * decision: GROW, PRUNE or DONE. limits gets each test's limit, NaN where the
- * test did not run. */
+ * decision: GROW, PRUNE or DONE. */
 static int charts_step(double *bias, double *var, double bias2, double variance, int64_t width,
-                       int64_t enable_grow, int64_t enable_prune, double *limits)
+                       int64_t enable_grow, int64_t enable_prune)
 {
     double std = chart_update(bias, bias2);
-    limits[0] = limits[1] = NAN;
-    if (enable_grow) {
-        limits[0] = bias[MIN_MEAN] + kappa(bias2) * bias[MIN_STD];
-        bias[RESEED] = bias[MEAN] + std >= limits[0];
-    }
+    if (enable_grow)
+        bias[RESEED] = bias[MEAN] + std >= bias[MIN_MEAN] + kappa(bias2) * bias[MIN_STD];
     std = chart_update(var, variance);
     if (enable_prune && bias[RESEED] == 0.0 && width > 1) {
-        /* max(variance, 0.0) */
-        limits[1] = var[MIN_MEAN] + 2.0 * kappa(0.0 > variance ? 0.0 : variance) * var[MIN_STD];
-        var[RESEED] = var[MEAN] + std >= limits[1];
+        double level = 0.0 > variance ? 0.0 : variance;  /* max(variance, 0.0) */
+        var[RESEED] = var[MEAN] + std >= var[MIN_MEAN] + 2.0 * kappa(level) * var[MIN_STD];
     }
     return bias[RESEED] != 0.0 ? GROW : var[RESEED] != 0.0 ? PRUNE : DONE;
-}
-
-int devdan_charts(double *charts, double bias2, double variance, int64_t width,
-                  int64_t enable_grow, int64_t enable_prune, double *limits)
-{
-    return charts_step(charts, charts + CHART_FIELDS, bias2, variance, width, enable_grow,
-                       enable_prune, limits);
 }
 
 /* ------------------------------------------------------------ row loop */
@@ -440,11 +413,11 @@ int devdan_train_rows(const struct model *md, struct rows *r)
             memcpy(md->x, r->feats + row * md->n, md->n * sizeof(double));
             if (label < 0)
                 mask_draw(r->bitgen, md->x, md->xt, md->n, r->n_masked, r->perm);
-            double bias2, variance, limits[2];
+            double bias2, variance;
             forward(md, label, &bias2, &variance);
             double *charts = md->charts + (label < 0 ? 0 : 2 * CHART_FIELDS);
             int edit = charts_step(charts, charts + CHART_FIELDS, bias2, variance, md->width,
-                                   r->enable_grow, r->enable_prune, limits);
+                                   r->enable_grow, r->enable_prune);
             if (edit != DONE)  /* the phase's charts are committed, re-seeds included */
                 return edit;
         }

@@ -15,10 +15,13 @@ evicts the oldest (`evict`, as the CSV parse cache does). It reproduces the
 numpy step bit for bit by calling numpy's own float64 exp, logaddexp, add and
 log loops, read here from the ufunc loop tables, the dgemv/ddot of the
 OpenBLAS that numpy bundles, and the model generator's own bitgen_t for the
-mask draw. A load-time self-check compares every product orientation, both
-squashes, a mask-draw sequence and a control-chart sequence with numpy and
-Python; if the build, the load or the check fails, every model keeps the
-numpy step, and `step_backend()` says why.
+mask draw. A load-time self-check (`_self_check`) trains two fixed scenarios
+of hand-built models on both steps, row by row through the code training
+runs (`parity`), and compares every state array, the charts, the losses,
+the edits, the returned status and the generator state byte for byte; if
+the build, the load or the check fails, every model keeps the numpy step,
+and `step_backend()` says why, naming the scenario, row and slot that
+differed.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import contextlib
 import ctypes
 import enum
 import hashlib
+import itertools
 import os
 import sys
 import time
@@ -33,9 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dae import MaskSpec, mask_input
-from .monitors import SpcTracker, kappa, update_charts
-from .numerics import sigmoid, softmax_row
 from .state import CHART_FIELDS, CHART_SLOT, STATE_SLOTS, Column, plain, state_arrays
 
 SOURCE = Path(__file__).with_name("_step.c")
@@ -80,8 +81,9 @@ _UFUNCS = (np.exp, np.logaddexp, np.add, np.log)
 # compiled against.
 
 # why devdan_train_rows returned, GROW and PRUNE being the edit a chart called
-# for; devdan_charts returns DONE, GROW or PRUNE
+# for (EDITS), which Python makes before the loop resumes
 Status = enum.IntEnum("Status", "DONE GROW PRUNE GEN_LOSS GRAD_W GRAD_B GRAD_C DISC_LOSS", start=0)
+EDITS = (Status.GROW, Status.PRUNE)
 
 
 def work_lengths(n: int, width: int, m: int) -> dict[str, int]:
@@ -127,14 +129,6 @@ ROWS = (("feats", "const double *"), ("index", "const int64_t *"), ("labels", "c
 # each definition to them.
 EXPORTS = {
     "devdan_set_numerics": ("void", ("const struct numerics *",)),
-    "devdan_sum": ("void", ("const double *", "int64_t", "double *")),
-    "devdan_sigmoid": ("void", ("double *", "int64_t")),
-    "devdan_softmax": ("void", ("double *", "int64_t", "int64_t")),
-    "devdan_vecmat": ("void", ("const double *", "const double *", *("int64_t",) * 4,
-                               "double *")),
-    "devdan_mask": ("void", ("void *", "const double *", "double *", "int64_t", "int64_t",
-                             "int64_t *")),
-    "devdan_charts": ("int", ("double *", "double", "double", *("int64_t",) * 3, "double *")),
     "devdan_train_rows": ("int", ("const struct model *", "struct rows *")),
 }
 
@@ -194,17 +188,19 @@ class KernelState:
     The model keeps the arrays it points into (DevdanModel._ready).
     """
 
-    __slots__ = ("struct", "addr", "parts", "train_rows")
+    __slots__ = ("struct", "addr", "parts", "lib", "train_rows")
 
     def __init__(self, model, lib):
         sizes = (model.n_in, model.width, model.n_classes)
         lengths = work_lengths(*sizes)
-        ends = np.cumsum(list(lengths.values()))
-        self.parts = dict(zip(lengths, np.split(np.zeros(ends[-1]), ends[:-1])))
-        pointers = (arr.ctypes.data for arr in (*state_arrays(model), *self.parts.values()))
-        self.struct = KernelModel(*sizes, *pointers)
+        starts = list(itertools.accumulate(lengths.values(), initial=0))
+        work = np.zeros(starts[-1])
+        self.parts = {part: work[a:b] for part, a, b in zip(lengths, starts, starts[1:])}
+        base = work.ctypes.data
+        self.struct = KernelModel(*sizes, *(arr.ctypes.data for arr in state_arrays(model)),
+                                  *(base + a * work.itemsize for a in starts[:-1]))
         self.addr = ctypes.addressof(self.struct)
-        self.train_rows = lib.devdan_train_rows
+        self.lib, self.train_rows = lib, lib.devdan_train_rows
 
 
 class KernelUnavailable(Exception):
@@ -318,141 +314,121 @@ def _declare(lib) -> None:
         fn.argtypes, fn.restype = list(map(_ctype, params)), _ctype(result)
 
 
-def _ptr(arr: np.ndarray):
-    if arr.dtype != np.float64 or not (arr.flags.c_contiguous or arr.flags.f_contiguous):
-        raise ValueError("the kernel takes contiguous float64 arrays")
-    return arr.ctypes.data
+# ------------------------------------------------------- the load-time check
+
+def twin_maker(n: int, m: int, config, state: dict, bits=np.random.PCG64, seed: int = 0):
+    """make() for parity: a model of n inputs and m classes over config and a
+    bits(seed) generator, built as load_checkpoint builds one: state[key] is
+    the STATE_SLOTS array of that key (zeros where state has none; w gives
+    the width), and state["charts"], if given, the chart array."""
+    from .model import DevdanModel  # model imports this module at its first step
+
+    sizes = {"n": n, "width": np.shape(state["w"])[1], "m": m}
+
+    def make():
+        model = DevdanModel(n, m, config, rng=np.random.Generator(bits(seed)))
+        for slot in STATE_SLOTS:
+            slot.set(model, np.array(state.get(slot.key, np.zeros(slot.shape(sizes))),
+                                     slot.dtype))
+        model.charts[:] = state.get(CHART_SLOT.key, model.charts)
+        return model
+
+    return make
 
 
-def vecmat(lib, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """v @ mat through the kernel, for mat in C order or the transpose of a
-    C-order array."""
-    k, length = mat.shape
-    rs, cs = (s // 8 for s in mat.strides)
-    out = np.empty(length)
-    lib.devdan_vecmat(_ptr(v), _ptr(mat), k, length, rs, cs, _ptr(out))
-    return out
+# what parity compares after each row, by name: every STATE_SLOTS array, the
+# chart array, then the outcome of the row (_rows' losses, edits and failure)
+RECORD = (*(s.key for s in (*STATE_SLOTS, CHART_SLOT)), "losses", "edits", "status")
 
 
-def squash(lib, kind: str, v: np.ndarray) -> np.ndarray:
-    """sigmoid or softmax_row (row by row for 2-D v) through the kernel."""
-    out = np.array(v, dtype=np.float64, order="C")
-    if kind == "sigmoid":
-        lib.devdan_sigmoid(_ptr(out), out.size)
-    else:
-        rows, cols = (1, out.size) if out.ndim == 1 else out.shape
-        lib.devdan_softmax(_ptr(out), rows, cols)
-    return out
+def _record(model, outcome) -> tuple:
+    losses, grows, prunes, failure = outcome
+    return (*(a.tobytes() for a in state_arrays(model)), np.asarray(losses, np.float64).tobytes(),
+            (grows, prunes), failure and (failure[0], repr(failure[1])))
 
 
-def reduce_sum(lib, v: np.ndarray) -> float:
-    out = np.empty(1)
-    lib.devdan_sum(_ptr(v), v.size, _ptr(out))
-    return float(out[0])
+def parity(lib, make, rows) -> str | None:
+    """Trains two models that make() builds alike, one on each step, through
+    rows, each row (x, label, prime) one call of the phase runner: the
+    generative phase on x where label is None, else the discriminative one,
+    after prime(model) where prime is not None. One model trains through the
+    guard with the kernel lib, the other on the numpy step's rows. Returns
+    "row <t>: <name>" for the first RECORD entry that differs byte for byte
+    after a row, or "rng" for generator states that differ after the last
+    row (they cost more to read), else None."""
+    ours, theirs = make(), make()
+    one = np.zeros(1, np.int64)
+    for t, (x, label, prime) in enumerate(rows):
+        feats = np.asarray(x, np.float64)[None]
+        labels = None if label is None else np.array([label], np.int64)
+        if prime is not None:
+            prime(ours)
+            prime(theirs)
+        got = _record(ours, ours._compiled_rows(ours._ready(lib), feats, one, labels))
+        want = _record(theirs, theirs._numpy_rows(feats, one, labels))
+        if got != want:
+            return f"row {t}: " + next(k for k, a, b in zip(RECORD, got, want) if a != b)
+    if plain(ours.rng.bit_generator.state) != plain(theirs.rng.bit_generator.state):
+        return f"row {t}: rng"
+    return None
 
 
-def bitgen_address(rng: np.random.Generator) -> int:
-    """Address of a numpy Generator's bitgen_t."""
-    return rng.bit_generator.ctypes.bit_generator.value
+def primer(row: int, values: tuple):
+    """A prime for parity: chart row `row` (in CHARTS order) ends in values."""
+    def prime(model):
+        model.charts[row, -len(values):] = values
+    return prime
 
 
-def mask_draw(lib, rng: np.random.Generator, x: np.ndarray, k: int) -> np.ndarray:
-    """x with k entries zeroed by the kernel's draw from rng, as
-    dae.mask_input draws them."""
-    out = np.empty_like(x)
-    perm = np.empty(x.size, dtype=np.int64)
-    lib.devdan_mask(bitgen_address(rng), _ptr(x), _ptr(out), x.size, k, perm.ctypes.data)
-    return out
+# a chart row that rows of level -1 to 1 do not fire for a while (std 1 over
+# 1023 rows, minima that the next row re-seeds to its own, kappa > 1), whose
+# mean after the next row is that row's level / 1024, to the bit
+QUIET = (1023.0, 0.0, 1023.0, np.inf, np.inf, 0.0)
+# (min_mean, min_std, reseed): a limit of -1, which the next row crosses
+FIRE = (-1.0, 0.0, 0.0)
+# chart rows whose moments a row of level 0 leaves as they are (mean 1 and std
+# 1 over 2**60 rows), with the grow and the prune limit at exactly mean + std
+# by kappa(0) = 2: each fires, and with kappa one ulp higher does not
+EDGE_GROW = (2.0**60, 1.0, 2.0**60, 0.0, 1.0, 0.0)
+EDGE_PRUNE = (2.0**60, 1.0, 2.0**60, 0.0, 0.5, 0.0)
 
 
-def charts_step(lib, charts: np.ndarray, bias2: float, variance: float, width: int,
-                enable_grow: bool = True, enable_prune: bool = True) -> tuple[int, np.ndarray]:
-    """monitors.update_charts through the kernel, in place on a C-order
-    (2, CHART_FIELDS) bias and variance chart pair, re-seeds included.
-    Returns Status.GROW, PRUNE or DONE, and each test's limit (NaN where it
-    did not run)."""
-    if charts.shape != (2, CHART_FIELDS) or not charts.flags.c_contiguous:
-        raise ValueError("the kernel takes a C-order (2, CHART_FIELDS) chart pair")
-    limits = np.empty(2)
-    flags = lib.devdan_charts(_ptr(charts), bias2, variance, width, enable_grow, enable_prune,
-                              _ptr(limits))
-    return flags, limits
+def _scenarios():
+    """(name, make, rows) of the load-time check. "wide": PCG64, n=8, width
+    40, m=3, pre-activations of +-800 in the hidden layer, the decoder and the
+    head, half the inputs masked; "narrow": MT19937, n=1, width 1, m=2. Each
+    trains 5 generative, then 5 discriminative rows of the same inputs from
+    QUIET charts, primed at each phase's row 1 to grow and at its row 3 to
+    prune: by FIRE, or by the EDGE rows at the wide model's discriminative
+    rows of label 0, whose bias2 and variance its saturated head makes 0."""
+    from .model import DevdanConfig
 
-
-def _same(a, b) -> bool:
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    for name, bits, n, width, m in (("wide", np.random.PCG64, 8, 40, 3),
+                                    ("narrow", np.random.MT19937, 1, 1, 2)):
+        draw = np.random.default_rng(n)
+        state = {"w": draw.normal(size=(n, width)), "b": draw.normal(size=width),
+                 "c": draw.normal(size=n), "theta": draw.normal(size=(width, m)),
+                 "eta": draw.normal(size=m), "charts": np.tile(QUIET, (4, 1))}
+        feats, labels = draw.uniform(size=(5, n)), draw.integers(m, size=5)
+        primes = [{1: primer(first, FIRE), 3: primer(first + 1, FIRE)} for first in (0, 2)]
+        if width > 1:
+            for key in "b", "c", "eta":
+                state[key][:2] = 800.0, -800.0
+            labels[[1, 3]] = 0
+            primes[1] = {1: primer(2, EDGE_GROW), 3: primer(3, EDGE_PRUNE)}
+        rows = [(x, None, primes[0].get(t)) for t, x in enumerate(feats)]
+        rows += [(x, int(label), primes[1].get(t))
+                 for t, (x, label) in enumerate(zip(feats, labels))]
+        yield name, twin_maker(n, m, DevdanConfig(mask_fraction=0.5), state, bits), rows
 
 
 def _self_check(lib) -> None:
-    """Every product orientation at one and at several outputs, the two
-    squashes and the sum against numpy on fixed draws, then the mask draw and
-    the control charts."""
-    rng = np.random.default_rng(20190101)
-    for k, length in ((3, 1), (3, 12), (1, 5), (12, 3), (40, 2)):
-        mat = rng.normal(size=(k, length))
-        v = rng.normal(size=k)
-        if not _same(vecmat(lib, v, mat), v @ mat):
-            raise KernelUnavailable(f"self-check: vector @ matrix ({k}, {length})")
-        flipped = rng.normal(size=(length, k)).T
-        if not _same(vecmat(lib, v, flipped), v @ flipped):
-            raise KernelUnavailable(f"self-check: vector @ transposed matrix ({k}, {length})")
-        w = rng.normal(size=length)
-        if not _same(vecmat(lib, v, mat.T.copy().T), mat.T.copy() @ v):
-            raise KernelUnavailable(f"self-check: matrix @ vector ({length}, {k})")
-        if not _same(vecmat(lib, w, mat.T), w @ mat.T):
-            raise KernelUnavailable(f"self-check: vector @ transposed matrix ({length}, {k})")
-    extremes = [745.0, -745.0, 1e308, -1e308, 0.0, -0.0, 40.0]
-    v = np.concatenate([rng.normal(scale=8.0, size=293), extremes])
-    if not _same(squash(lib, "sigmoid", v), sigmoid(v)):
-        raise KernelUnavailable("self-check: sigmoid")
-    for shape in ((3, 2), (3, 10), (1, 300)):
-        rows = rng.normal(scale=30.0, size=shape)
-        if not _same(squash(lib, "softmax", rows), softmax_row(rows)):
-            raise KernelUnavailable(f"self-check: softmax_row {shape}")
-    if not _same(reduce_sum(lib, v[:297]), np.add.reduce(v[:297])):
-        raise KernelUnavailable("self-check: add.reduce")
-    _check_mask_draw(lib)
-    streams = rng.exponential([0.05, 0.02], size=(200, 2))
-    streams[25::50] *= 10.0  # drifts: both streams jump
-    _check_charts(lib, *streams.T)
-
-
-def _check_mask_draw(lib) -> None:
-    """A fixed sequence of draws against dae.mask_input on a twin generator,
-    at lengths whose Fisher-Yates intervals need one, several and rejected
-    draws."""
-    for bits in (np.random.PCG64, np.random.MT19937):
-        ours, theirs = np.random.Generator(bits(7)), np.random.Generator(bits(7))
-        for n, fraction in ((1, 0.5), (3, 0.1), (8, 0.5), (20, 1.0), (784, 0.1)):
-            x = np.arange(1.0, n + 1.0)
-            spec = MaskSpec(fraction, theirs)
-            if not _same(mask_draw(lib, ours, x, spec.n_masked(n)), mask_input(x, spec)):
-                raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, n={n})")
-        if plain(ours.bit_generator.state) != plain(theirs.bit_generator.state):
-            raise KernelUnavailable(f"self-check: mask draw ({bits.__name__}, generator state)")
-
-
-def _check_charts(lib, bias2, variance, width=3, enable_grow=True, enable_prune=True) -> int:
-    """Streams of bias2 and variance through one chart pair, in the kernel and
-    in monitors.update_charts: every moment, minimum, re-seed flag, decision
-    and limit (NaN where its test did not run; NaN limits compare equal,
-    since which NaN an addition passes on depends on operand order). Returns
-    how many rows fired."""
-    bias, var = SpcTracker(), SpcTracker()
-    pair = np.stack([bias.row, var.row])
-    fired = 0
-    for t, (b2, v) in enumerate(zip(bias2, variance)):
-        status, limits = charts_step(lib, pair, b2, v, width, enable_grow, enable_prune)
-        grew, pruned = update_charts(bias, var, b2, v, width, enable_grow, enable_prune)
-        want = (bias.min_mean + kappa(b2) * bias.min_std if enable_grow else np.nan,
-                var.min_mean + 2.0 * kappa(max(v, 0.0)) * var.min_std
-                if enable_prune and not grew and width > 1 else np.nan)
-        if (status != (Status.GROW if grew else Status.PRUNE if pruned else Status.DONE)
-                or not _same(pair, np.stack([bias.row, var.row]))
-                or not np.array_equal(limits, want, equal_nan=True)):
-            raise KernelUnavailable(f"self-check: control chart (row {t})")
-        fired += status != Status.DONE
-    return fired
+    """Each of _scenarios on both steps, by parity; a difference fails the
+    load with the scenario, row and slot it names."""
+    for name, make, rows in _scenarios():
+        difference = parity(lib, make, rows)
+        if difference is not None:
+            raise KernelUnavailable(f"self-check: {name}, {difference}")
 
 
 def _load():

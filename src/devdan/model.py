@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dae, kernel
+from . import dae
 from .errors import ConfigError, NumericError, ShapeError, StructureError
 from .monitors import (
     NodeStats,
@@ -141,7 +141,6 @@ class StepReport(NamedTuple):
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)  # the row list of a single step
-_EDITS = (kernel.Status.GROW, kernel.Status.PRUNE)  # the loop's returns that await an edit
 
 
 @dataclass
@@ -320,15 +319,16 @@ class DevdanModel:
         _check_charts(arrays[-1])
         return arrays
 
-    def _ready(self) -> kernel.KernelState | None:
+    def _ready(self, lib=None):
         """The one guard before any row of a training call trains, on both
         steps; returns the compiled step's hold, or None where the numpy step
         runs. Where no hold is bound to the arrays the model holds (the numpy
         step never has one): the whole of checked_state, then an array of
         another dtype or memory order, or read-only, is replaced by a C-order
-        copy of the slot's dtype, and a hold is bound where the kernel loads.
-        Else only the generator and chart parts (a rebound rng or a chart
-        written in place rebinds no array)."""
+        copy of the slot's dtype, and a hold is bound in lib, the loaded
+        kernel (kernel.library() unless given), where there is one. Else only
+        the generator and chart parts (a rebound rng or a chart written in
+        place rebinds no array)."""
         k = self._kernel_state
         if k is not None and all(map(operator.is_, state_arrays(self), self._bound)):
             _check_rng(self.rng)
@@ -339,7 +339,9 @@ class DevdanModel:
             if (arr is not was or arr.dtype != slot.dtype
                     or not (arr.flags.c_contiguous and arr.flags.writeable)):
                 slot.set(self, np.array(arr, dtype=slot.dtype, order="C"))
-        lib = kernel.library()
+        from . import kernel  # imported at the first training step
+
+        lib = lib or kernel.library()
         if lib is None:
             return None
         # the record also keeps alive every array the hold points into
@@ -378,6 +380,10 @@ class DevdanModel:
         k = self._ready()
         if k is not None:
             return self._compiled_rows(k, feats, rows, labels)
+        return self._numpy_rows(feats, rows, labels)
+
+    def _numpy_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
+        """_rows on the numpy step, row by row, once the guard has run."""
         losses, grows, prunes = [], 0, 0
         for pos, t in enumerate(rows):
             try:
@@ -438,8 +444,7 @@ class DevdanModel:
             param -= cfg.lr_discriminative * vel
         return loss, grew, pruned
 
-    def _compiled_rows(self, k: kernel.KernelState, feats: np.ndarray, rows: np.ndarray,
-                       labels=None):
+    def _compiled_rows(self, k, feats: np.ndarray, rows: np.ndarray, labels=None):
         """Trains one phase over feats[rows] in the compiled loop, through the
         hold k that the guard (_ready) returned: the generative phase, or
         given labels (int64, one per row of feats) the discriminative one.
@@ -451,8 +456,10 @@ class DevdanModel:
 
         Returns (losses, grows, prunes, failure), failure being None or
         (position in rows, the error the numpy step would raise there)."""
+        from . import kernel  # imported at the first training step
+
         cfg, n, gen = self.config, self.n_in, labels is None
-        bitgen = kernel.bitgen_address(self.rng)
+        bitgen = self.rng.bit_generator.ctypes.bit_generator.value  # its bitgen_t
         feats, rows = np.ascontiguousarray(feats), np.ascontiguousarray(rows, np.int64)
         losses = np.empty(rows.shape[0])
         perm = np.empty(n, dtype=np.int64)
@@ -463,13 +470,13 @@ class DevdanModel:
             cfg.lr_generative if gen else cfg.lr_discriminative, cfg.momentum,
         )
         grows = prunes = 0
-        while (status := k.train_rows(k.addr, ctypes.byref(job))) in _EDITS:
+        while (status := k.train_rows(k.addr, ctypes.byref(job))) in kernel.EDITS:
             grew = status == kernel.Status.GROW
             residual = feats[rows[job.pos]] - k.parts["pre"][:n] if gen else None
             self._edit(grew, not grew, k.parts["ey"], residual)
             grows += grew
             prunes += not grew
-            old, k = k, self._ready()
+            old, k = k, self._ready(k.lib)
             for part in ("x", "xt"):  # drawn once
                 k.parts[part][:] = old.parts[part]
             job.resume = 1

@@ -173,13 +173,15 @@ def run_single(
 
 @dataclass
 class SuiteRow:
-    """One suite run: its report and final model, or the traceback it failed with."""
+    """One suite run: its report and final model, or the traceback it failed
+    with, and the training step (step_backend()) of the process it ran in."""
 
     config_name: str
     seed: int
     report: PrequentialReport | None
     model: DevdanModel | None
     error: str | None = None
+    step: str | None = None
 
 
 def run_suite(
@@ -228,18 +230,21 @@ def run_suite(
 
 
 def _suite_worker(dataset, config, name, seed, clock):
+    from .kernel import step_backend  # imported at the first training step
+
     try:
         report, model = run_single(dataset, config, seed, clock=clock)
-        return SuiteRow(name, seed, report, model)
+        return SuiteRow(name, seed, report, model, step=step_backend())
     except Exception:
-        return SuiteRow(name, seed, None, None, error=traceback.format_exc())
+        return SuiteRow(name, seed, None, None, traceback.format_exc(), step_backend())
 
 
 def write_summary_json(
     path, dataset: DatasetSpec, configs, seeds, result, effective_config: dict | None = None
 ) -> None:
-    """Summary document with the model configurations echoed for provenance;
-    the run's full effective configuration, when given, is the last key."""
+    """Summary document with the model configurations echoed for provenance,
+    and with each run the training step it ran on; the run's full effective
+    configuration, when given, is the last key."""
     if isinstance(configs, DevdanConfig):
         configs = {"default": configs}
     doc = {
@@ -251,6 +256,7 @@ def write_summary_json(
             {
                 "config": r.config_name,
                 "seed": r.seed,
+                "step": r.step,
                 "error": r.error,
                 **(r.report.summary() if r.report else {}),
             }

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from devdan import cli
+from devdan import cli, kernel, step_backend
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
 from devdan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from devdan.errors import CheckpointError
@@ -29,6 +29,23 @@ class TestRun:
         doc = json.loads((tmp_path / "smoke_summary.json").read_text())
         assert doc["summary"]["default"]["runs"] == 2
         assert doc["effective_config"]["dataset"] == "sea"
+        assert [r["step"] for r in doc["runs"]] == [step_backend()] * 2
+
+    def test_summary_records_the_step_of_each_worker(self, tmp_path, monkeypatch):
+        """Each run entry names the training step of the process that trained
+        it: here --jobs workers whose kernel build fails, for want of the
+        compiler, as in test_missing_compiler_falls_back_to_numpy."""
+        monkeypatch.setattr(kernel, "_state", None)
+        monkeypatch.setattr(kernel, "COMPILER", str(tmp_path / "no-such-cc"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        code = run_cli(
+            "run", "--dataset", "sea", "--samples", "1000", "--batch", "500",
+            "--seeds", "2", "--jobs", "2", "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "run_summary.json").read_text())
+        assert [r["step"].startswith("numpy (build failed") for r in doc["runs"]] == [True] * 2
+        assert kernel._state is None  # the workers' loads, not this process's
 
     def test_summary_key_order(self, tmp_path):
         code = run_cli(

@@ -1,12 +1,14 @@
-"""The compiled training loop against numpy, bit for bit: its products,
-squashes and sums against numpy's own operators, its mask draw against
-dae.mask_input, its control charts against SpcTracker and the chart tests,
-whole runs against the numpy step, and the loader's fallback, self-check and
-concurrent builds."""
+"""The compiled training loop against the numpy step, bit for bit: products,
+squashes, sums, mask draws and control charts, each reached through the
+training loop by twin models on both steps (kernel.parity, which the
+load-time self-check runs on its own scenarios), whole runs, and the
+loader's fallback, self-check and concurrent builds."""
 import ast
 import copy
+import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,17 +18,17 @@ import numpy as np
 import pytest
 from conftest import each_backend
 
-from devdan import kernel, step_backend
+from devdan import dae, kernel, model, monitors, step_backend
 from devdan.checkpoint import load_checkpoint, save_checkpoint, state_hash
-from devdan.dae import MaskSpec, mask_input
 from devdan.errors import ShapeError
 from devdan.model import DevdanConfig, DevdanModel
 from devdan.monitors import Column, kappa
-from devdan.numerics import sigmoid, softmax_row
-from devdan.state import plain
+from devdan.numerics import sigmoid
 from devdan.streams import StreamBatch, gen_hyperplane, gen_sea
 
 EXTREMES = np.array([745.0, -745.0, 1e308, -1e308, 709.0, -709.0, 0.0, -0.0])
+# no edits: the widths stay those the test builds
+STILL = DevdanConfig(enable_grow=False, enable_prune=False)
 
 
 @pytest.fixture
@@ -42,6 +44,12 @@ def train(model, feats, labels):
     for x, label in zip(feats, labels):
         model.generative_step(x)
         model.discriminative_step(x, int(label))
+
+
+def parity(lib, n, m, state, rows, config=STILL, **bits):
+    """kernel.parity of twins of n inputs and m classes over config and
+    state: None, or the first row and slot at which the two steps differ."""
+    return kernel.parity(lib, kernel.twin_maker(n, m, config, state, **bits), rows)
 
 
 def test_step_backend_names_the_step():
@@ -65,82 +73,100 @@ def test_kernel_loads_where_it_can_be_built():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
 @pytest.mark.parametrize("width", [1, 2, 12, 40])
 def test_products_match_numpy(lib, n, width):
-    """Every product of the two steps: x @ w and du @ w, y @ w.T, h @ theta
-    and theta @ dlogits, at one output and at several, signed zeros
-    included."""
+    """Every product of the two steps, through one generative and one
+    discriminative row: x @ w and du @ w, y @ w.T, h @ theta and theta @
+    dlogits, and the snapshots' ey and ey * ey against w.T and theta, at one
+    output and at several, signed zeros included (a node whose products are
+    all -0.0, and whose bias is -0.0)."""
     rng = np.random.default_rng(100 * n + width)
     for m in (2, 3, 10):
         for draw in range(6):
-            w = rng.normal(size=(n, width))
-            theta = rng.normal(size=(width, m))
-            x, y, d = rng.normal(size=n), rng.normal(size=width), rng.normal(size=m)
-            if draw == 0:  # products that are all -0.0
-                w[:, 0] = theta[0] = 0.0
-                x, y, d = -abs(x), -abs(y), -abs(d)
-            assert same(kernel.vecmat(lib, x, w), x @ w)
-            assert same(kernel.vecmat(lib, y, w.T), y @ w.T)
-            assert same(kernel.vecmat(lib, y, theta), y @ theta)
-            assert same(kernel.vecmat(lib, d, theta.T), theta @ d)
+            state = {"w": rng.normal(size=(n, width)), "b": rng.normal(size=width),
+                     "c": rng.normal(size=n), "theta": rng.normal(size=(width, m)),
+                     "eta": rng.normal(size=m)}
+            x = rng.normal(size=n)
+            if draw == 0:
+                state["w"][:, 0] = state["theta"][0] = 0.0
+                state["b"][0], x = -0.0, -abs(x)
+            rows = [(x, None, None), (x, draw % m, None)]
+            assert parity(lib, n, m, state, rows) is None, (m, draw)
 
 
 def test_squashes_and_sums_match_numpy(lib):
-    """sigmoid, softmax_row (one row and three) and np.add.reduce for every
-    length from 1 to 300, with saturating and overflowing entries."""
+    """sigmoid and softmax_row at every length from 1 to 300 (a softmax from
+    2 classes), with saturating and overflowing entries: a model of that
+    many inputs, nodes and classes and zero weights has the drawn values as
+    its hidden, output and head pre-activations (b, c and eta), and sums its
+    bias2 and variance over the same lengths."""
     rng = np.random.default_rng(5)
     for length in range(1, 301):
         v = rng.normal(scale=rng.choice([1.0, 8.0, 300.0]), size=length)
         picks = rng.integers(length, size=min(length, 3))
         v[picks] = rng.choice(EXTREMES, size=picks.size)
-        rows = np.stack([v, -v, rng.permutation(v)])
-        assert same(kernel.squash(lib, "sigmoid", v), sigmoid(v)), length
-        assert same(kernel.squash(lib, "softmax", v), softmax_row(v)), length
-        assert same(kernel.squash(lib, "softmax", rows), softmax_row(rows)), length
-        assert same(kernel.reduce_sum(lib, v), np.add.reduce(v)), length
+        m = max(length, 2)
+        state = {"w": np.zeros((length, length)), "b": v, "c": v,
+                 "theta": np.zeros((length, m)), "eta": np.resize(v, m)}
+        x = rng.uniform(size=length)
+        rows = [(x, None, None), (x, int(rng.integers(m)), None)]
+        assert parity(lib, length, m, state, rows) is None, length
 
 
 @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox,
                                   np.random.SFC64, np.random.PCG64DXSM])
 def test_mask_draw_matches_mask_input(lib, bits):
-    """The kernel's draw zeroes the entries dae.mask_input zeroes, on twin
-    generators, with uniform draws in between, and leaves the generator in
-    the same state: PCG64 hands out buffered 32-bit halves, the others draw
-    through their own next_uint32."""
-    ours, theirs = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+    """The loop masks the entries dae.mask_input masks (which the encoder's
+    update reads), on twins over bits(11), at fractions 0 to 1, with uniform
+    draws between rows, and leaves the generator in the same state: PCG64
+    hands out buffered 32-bit halves, the others draw through their own
+    next_uint32."""
+    def uniform(twin):
+        twin.rng.uniform()
+
     for n in (1, 2, 3, 8, 784):
         x = np.arange(1.0, n + 1.0)  # no zero of its own: a zero is a masked entry
+        state = {"w": np.random.default_rng(n).normal(size=(n, 1))}
         for fraction in (0.0, 0.1, 0.5, 1.0):
-            spec = MaskSpec(fraction, theirs)
-            for _ in range(4):
-                got = kernel.mask_draw(lib, ours, x, spec.n_masked(n))
-                want = mask_input(x, spec)
-                assert np.array_equal(np.flatnonzero(got == 0.0), np.flatnonzero(want == 0.0))
-                assert same(got, want)
-                assert ours.uniform() == theirs.uniform()
-    assert plain(ours.bit_generator.state) == plain(theirs.bit_generator.state)
+            config = dataclasses.replace(STILL, mask_fraction=fraction)
+            rows = [(x, None, uniform)] * 4
+            found = parity(lib, n, 2, state, rows, config, bits=bits, seed=11)
+            assert found is None, (n, fraction, found)
 
 
-def chart_streams(rng):
-    """(bias2 stream, variance stream) pairs: drifting levels with negative
-    variances, NaN arriving mid-stream, and streams of signed zeros."""
-    rows = 600
-    level = np.repeat(rng.exponential(0.05, size=6), rows // 6)
-    bias2 = level * rng.exponential(1.0, size=rows)
-    variance = rng.normal(0.01, 0.02, size=rows)  # a third of them negative
-    with_nan = bias2.copy(), variance.copy()
-    with_nan[0][400], with_nan[1][450] = np.nan, np.nan
-    return ((bias2, variance), with_nan, rng.choice([0.0, -0.0], size=(2, 50)))
+def put(row: int, column: int, value: float):
+    """A prime for parity that sets one chart entry."""
+    def prime(twin):
+        twin.charts[row, column] = value
+    return prime
 
 
 @pytest.mark.parametrize("width", [1, 3])
-@pytest.mark.parametrize("enable", [(True, True), (False, True), (True, False)])
-def test_charts_match_python(lib, width, enable):
-    """The kernel's chart step against monitors.update_charts through the
-    loader's chart check, on streams the self-check does not try: equal
-    moments, minima, re-seed flags, limits and decisions on every row."""
-    rng = np.random.default_rng(width * 7 + 8)
-    fired = sum(kernel._check_charts(lib, bias2.tolist(), variance.tolist(), width, *enable)
-                for bias2, variance in chart_streams(rng))
-    assert fired > 3 or not (enable[0] or width > 1)  # width 1 never prunes
+@pytest.mark.parametrize("enable", [(True, True), (False, True), (True, False), (False, False)])
+def test_charts_match_python(lib, monkeypatch, width, enable):
+    """The loop's chart steps against monitors.update_charts on both steps,
+    with each pair of enable flags: moments, minima, re-seeds and decisions,
+    on the charts of a model `width` nodes wide whose stream's concept
+    changes every 200 rows (levels that drift, variances below zero), with
+    NaN put mid-stream into entries that may hold it (a mean and an m2);
+    then on levels of 0 (saturated outputs that match their targets) into
+    charts of -0.0 entries."""
+    grow, prune = enable
+    config = dataclasses.replace(STILL, enable_grow=grow, enable_prune=prune)
+    edits = []
+    edit = DevdanModel._edit
+    monkeypatch.setattr(DevdanModel, "_edit", lambda self, grew, pruned, *rest: (
+        edits.append(grew or pruned), edit(self, grew, pruned, *rest)))
+    feats, labels = drifting_stream(600, 3, 2, width * 7 + 8)
+    rng = np.random.default_rng(width)
+    state = {"w": rng.normal(size=(3, width)), "theta": rng.normal(size=(width, 2))}
+    primes = {400: put(0, Column.MEAN, np.nan), 450: put(3, Column.M2, np.nan)}
+    rows = [row for t, (x, label) in enumerate(zip(feats, labels))
+            for row in ((x, None, primes.get(t)), (x, int(label), None))]
+    assert parity(lib, 3, 2, state, rows, config) is None
+    state.update(c=np.full(3, -800.0), eta=np.array([800.0, -800.0]),
+                 charts=np.tile([0.0, -0.0, -0.0, -0.0, -0.0, 1.0], (4, 1)))
+    rows = [(np.zeros(3), label, None) for _ in range(25) for label in (None, 0)]
+    assert parity(lib, 3, 2, state, rows, config) is None
+    assert sum(edits) > 6 or not (grow or prune and width > 1)  # width 1 never prunes
 
 
 def test_discriminative_loss_is_numpys_log(compiled_step):
@@ -223,16 +249,36 @@ def test_a_changed_table_entry_fails_the_build(compiled_step, tmp_path, monkeypa
     assert not list(tmp_path.iterdir())
 
 
-def test_failed_self_check_falls_back_to_numpy(monkeypatch, compiled_step):
+SELF_CHECK = re.compile(r"numpy \(self-check: (wide|narrow), row \d+: ([\w.]+)\)")
+
+
+def failed_check_names(monkeypatch, *patches) -> str:
+    """The slot that a load fails on with (module, name, value) patches made."""
     monkeypatch.setattr(kernel, "_state", None)
-    monkeypatch.setattr(kernel, "sigmoid", lambda v: np.asarray(v) * 0.0)
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
     assert kernel.library() is None
-    assert step_backend() == "numpy (self-check: sigmoid)"
+    match = SELF_CHECK.fullmatch(step_backend())
+    assert match, step_backend()
+    monkeypatch.undo()
+    return match[2]
+
+
+def test_failed_self_check_falls_back_to_numpy(monkeypatch, compiled_step):
+    """A numpy step whose sigmoid is one ulp off, in the hidden layer, the
+    decoder or the snapshots, fails the check, which names the scenario, row
+    and slot."""
+    def off(v):
+        return np.nextafter(sigmoid(v), 2.0)
+
+    for module in model, dae, monitors:
+        assert failed_check_names(monkeypatch, (module, "sigmoid", off)) in kernel.RECORD
+    assert step_backend() == "compiled"
 
 
 def test_self_check_covers_mask_draw_and_charts(monkeypatch, compiled_step):
-    """A numpy whose permutation draws otherwise, or an exp whose last bit
-    differs from math.exp's, falls back to the numpy step with a reason."""
+    """A numpy whose permutation draws otherwise, or a kappa one ulp higher,
+    falls back to the numpy step with a reason."""
     def other_draw(x, spec):
         out = x.copy()
         k = spec.n_masked(x.shape[0])
@@ -240,15 +286,35 @@ def test_self_check_covers_mask_draw_and_charts(monkeypatch, compiled_step):
             out[spec.rng.choice(x.shape[0], k, replace=False)] = 0.0
         return out
 
-    monkeypatch.setattr(kernel, "_state", None)
-    monkeypatch.setattr(kernel, "mask_input", other_draw)
-    assert kernel.library() is None
-    assert step_backend().startswith("numpy (self-check: mask draw")
-    monkeypatch.undo()
-    monkeypatch.setattr(kernel, "_state", None)
-    monkeypatch.setattr(kernel, "kappa", lambda level: np.nextafter(kappa(level), 9.0))
-    assert kernel.library() is None
-    assert step_backend().startswith("numpy (self-check: control chart")
+    def higher(level):
+        return np.nextafter(kappa(level), 9.0)
+
+    for patch in (dae, "mask_input", other_draw), (monitors, "kappa", higher):
+        assert failed_check_names(monkeypatch, patch) in (*kernel.RECORD, "rng")
+
+
+def test_self_check_scenarios_reach_what_they_claim(lib, monkeypatch):
+    """The load-time scenarios: PCG64 and MT19937, n of 1 and 8, widths of 1
+    and 40 (so every vecmat branch), pre-activations past +-745 of both
+    signs, and a grow and a prune in each phase of each, which the primed
+    charts call for."""
+    edits = []
+    edit = DevdanModel._edit
+    monkeypatch.setattr(DevdanModel, "_edit", lambda self, grew, pruned, ey, residual: (
+        edits.append((grew, pruned, residual is not None)) if grew or pruned else None,
+        edit(self, grew, pruned, ey, residual)))
+    seen = []
+    for name, make, rows in kernel._scenarios():
+        twin = make()
+        seen.append((type(twin.rng.bit_generator).__name__, twin.n_in, twin.width))
+        pre = np.concatenate([twin.layer.b, twin.layer.c, twin.head.eta])
+        assert name == "narrow" or (pre.max() > 745 and pre.min() < -745)
+        edits.clear()
+        assert kernel.parity(lib, make, rows) is None
+        # each edit counted on both twins: a grow and a prune in each phase
+        assert sorted(edits) == sorted([(True, False, True), (False, True, True),
+                                        (True, False, False), (False, True, False)] * 2)
+    assert seen == [("PCG64", 8, 40), ("MT19937", 1, 1)]
 
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
@@ -316,8 +382,9 @@ def sanitizer_scenario(folder) -> list[tuple[str, int]]:
 
 def test_sanitized_kernel_runs_clean(compiled_step, tmp_path):
     """The kernel built with AddressSanitizer and UBSan, in a fresh cache,
-    loads, passes its self-check and runs sanitizer_scenario without a
-    report, ending on the plain build's hashes."""
+    loads, passes its self-check (whose scenarios train through the
+    sanitized loop too) and runs sanitizer_scenario without a report,
+    ending on the plain build's hashes."""
     try:
         runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
                                  text=True, timeout=60, check=True).stdout.strip()
