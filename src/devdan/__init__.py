@@ -7,20 +7,18 @@ the prequential test-then-train protocol.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint, state_hash
-from .dae import DaeLayer, MaskSpec
 from .errors import (
     CheckpointError,
     ConfigError,
     CsvFormatError,
     DevdanError,
     IdxFormatError,
-    MonitorOrderError,
     NumericError,
     ShapeError,
     StructureError,
 )
-from .model import BatchReport, DevdanConfig, DevdanModel, SoftmaxHead, StepReport
-from .monitors import NodeStats, NsSnapshot, SpcTracker
+from .model import BatchReport, DevdanConfig, DevdanModel, StepReport
+from .monitors import SpcTracker
 from .prequential import (
     BatchMetrics,
     PrequentialReport,
@@ -60,20 +58,14 @@ __all__ = [
     "CheckpointError",
     "ConfigError",
     "CsvFormatError",
-    "DaeLayer",
     "DatasetSpec",
     "DevdanConfig",
     "DevdanError",
     "DevdanModel",
     "IdxFormatError",
-    "MaskSpec",
-    "MonitorOrderError",
-    "NodeStats",
-    "NsSnapshot",
     "NumericError",
     "PrequentialReport",
     "ShapeError",
-    "SoftmaxHead",
     "SpcTracker",
     "StepReport",
     "StreamBatch",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StructureError
+from .errors import NumericError
 from .numerics import sigmoid, xavier
 
 
@@ -22,20 +22,13 @@ class DaeLayer:
     w : (n, width) encoder weight; the decoder uses w.T
     b : (width,)   encoder bias
     c : (n,)       decoder bias
+
+    Held as given: the model's guard checks them before a row trains.
     """
 
     __slots__ = ("w", "b", "c")
 
     def __init__(self, w: np.ndarray, b: np.ndarray, c: np.ndarray):
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        if w.ndim != 2 or b.shape != (w.shape[1],) or c.shape != (w.shape[0],):
-            raise ShapeError(
-                f"inconsistent layer shapes: w{w.shape}, b{b.shape}, c{c.shape}"
-            )
-        if w.shape[1] < 1:
-            raise StructureError("a layer needs at least one hidden node")
         self.w = w
         self.b = b
         self.c = c
@@ -85,17 +78,11 @@ def mask_input(x: np.ndarray, spec: MaskSpec) -> np.ndarray:
 
 def encode(layer: DaeLayer, x_tilde: np.ndarray) -> np.ndarray:
     """Hidden activation y = sigmoid(x_tilde @ w + b), entries in (0, 1)."""
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    if x_tilde.shape != (layer.n_in,):
-        raise ShapeError(f"input length {x_tilde.shape} does not match n={layer.n_in}")
     return sigmoid(x_tilde @ layer.w + layer.b)
 
 
 def decode(layer: DaeLayer, y: np.ndarray) -> np.ndarray:
     """Reconstruction z = sigmoid(y @ w.T + c), entries in (0, 1)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (layer.width,):
-        raise ShapeError(f"hidden length {y.shape} does not match width={layer.width}")
     return sigmoid(y @ layer.w.T + layer.c)
 
 

@@ -14,12 +14,9 @@ class NumericError(DevdanError):
     finite arithmetic is required, or a chart entry training cannot use."""
 
 
-class MonitorOrderError(DevdanError):
-    """A monitor was queried before it received any observation."""
-
-
 class StructureError(DevdanError):
-    """An invalid structural edit was requested (e.g. pruning the last node)."""
+    """A permute_drift schedule that is not a list of (start, permutation of
+    the rows' columns) pairs."""
 
 
 class CsvFormatError(DevdanError):

@@ -6,8 +6,8 @@ from its reconstruction bias/variance; the discriminative phase trains
 encoder plus head on labeled samples with momentum SGD and evolves the same
 hidden layer from prediction bias/variance. The two phases keep separate node
 statistics (corrupted vs clean pre-activations) and separate control
-trackers, all attached to one shared layer; both evolve it through one
-routine that differs only in how a new node is initialised.
+trackers, all attached to one shared layer; on the numpy step one row
+routine runs both, in the compiled loop's stage order.
 """
 from __future__ import annotations
 
@@ -20,10 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dae
-from .errors import ConfigError, NumericError, ShapeError, StructureError
+from .errors import ConfigError, NumericError, ShapeError
 from .monitors import (
     NodeStats,
-    NsSnapshot,
     SpcTracker,
     fresh_charts,
     ns_snapshot_discriminative,
@@ -76,14 +75,6 @@ class SoftmaxHead:
         self.eta = np.zeros(n_classes)
         self.vel_theta = np.zeros((width, n_classes))
         self.vel_eta = np.zeros(n_classes)
-
-    @property
-    def n_classes(self) -> int:
-        return self.theta.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.theta.shape[0]
 
 
 def _check_rng(rng) -> None:
@@ -258,27 +249,12 @@ class DevdanModel:
             slot.set(self, np.concatenate([slot.get(self), part], axis=slot.node_axis))
 
     def _prune(self, index: int) -> None:
-        """Remove hidden node `index`, preserving the order of the survivors."""
-        if self.width <= 1:
-            raise StructureError("cannot prune: the layer must keep at least one node")
-        if not 0 <= index < self.width:
-            raise StructureError(f"node index {index} out of range [0, {self.width})")
+        """Remove hidden node `index`, preserving the order of the survivors.
+        Training prunes only two nodes or more (should_prune), at the index
+        weakest_node picks; the guard refuses a layer left with none."""
         for slot in STATE_SLOTS:
             if slot.node_axis is not None:
                 slot.set(self, np.delete(slot.get(self), index, axis=slot.node_axis))
-
-    def _evolve(self, snap: NsSnapshot, residual: np.ndarray | None = None) -> tuple[bool, bool]:
-        """The numpy step's structural step of one phase: the generative one
-        given the reconstruction residual, else the discriminative one. The
-        phase's two charts take the snapshot (monitors.update_charts), then
-        _edit makes the edit they called for. Returns (grew, pruned)."""
-        cfg, gen = self.config, residual is not None
-        # CHARTS order: the generative bias and variance charts, then the others
-        charts = map(SpcTracker, self.charts[:2] if gen else self.charts[2:])
-        grew, pruned = update_charts(*charts, snap.bias2, snap.variance, self.width,
-                                     cfg.enable_grow, cfg.enable_prune)
-        self._edit(grew, pruned, snap.ey, residual)
-        return grew, pruned
 
     def _edit(self, grew: bool, pruned: bool, ey: np.ndarray, residual: np.ndarray | None) -> None:
         """The edit a row's charts called for, on either step: a grow with the
@@ -383,54 +359,56 @@ class DevdanModel:
         return self._numpy_rows(feats, rows, labels)
 
     def _numpy_rows(self, feats: np.ndarray, rows: np.ndarray, labels=None):
-        """_rows on the numpy step, row by row, once the guard has run."""
+        """_rows on the numpy step, row by row (_numpy_row), once the guard
+        has run. Like the compiled loop, it overflows silently; a non-finite
+        loss or gradient is the NumericError the phase ends at."""
         losses, grows, prunes = [], 0, 0
-        for pos, t in enumerate(rows):
-            try:
-                loss, grew, pruned = (self._generative_row(feats[t]) if labels is None
-                                      else self._discriminative_row(feats[t], labels[t]))
-            except NumericError as err:
-                return losses, grows, prunes, (pos, err)
-            losses.append(loss)
-            grows += grew
-            prunes += pruned
+        with np.errstate(all="ignore"):
+            for pos, t in enumerate(rows):
+                try:
+                    loss, grew, pruned = self._numpy_row(feats[t], None if labels is None
+                                                         else labels[t])
+                except NumericError as err:
+                    return losses, grows, prunes, (pos, err)
+                losses.append(loss)
+                grows += grew
+                prunes += pruned
         return losses, grows, prunes, None
 
-    def _generative_row(self, x: np.ndarray) -> tuple[float, bool, bool]:
-        """The numpy step's generative update of one row: (loss, grew, pruned)."""
-        layer = self.layer
-        x_tilde = dae.mask_input(x, self.mask)
-        a = x_tilde @ layer.w + layer.b
-        y = sigmoid(a)
-        z = dae.decode(layer, y)
-        self.gen_stats.update(a)
-        snap = ns_snapshot_generative(layer, self.gen_stats, x)
-        # the residual x - z is the pre-edit one: z is replaced only below
-        grew, pruned = self._evolve(snap, x - z)
+    def _numpy_row(self, x: np.ndarray, label) -> tuple[float, bool, bool]:
+        """The numpy step's update of one row, stage by stage as the compiled
+        loop (devdan_train_rows) runs it: the generative phase, or given a
+        label the discriminative one. Returns (loss, grew, pruned)."""
+        cfg, layer, head, gen = self.config, self.layer, self.head, label is None
+        # the phase's input (x masked, or x) into its node statistics and snapshot
+        if gen:
+            inp, stats = dae.mask_input(x, self.mask), self.gen_stats
+        else:
+            inp, stats, onehot = x, self.disc_stats, self._onehot[label]
+        a = inp @ layer.w + layer.b
+        stats.update(a)
+        snap = (ns_snapshot_generative(layer, stats, x) if gen
+                else ns_snapshot_discriminative(head.theta, head.eta, stats, onehot))
+        # the phase's two charts (CHARTS order: the generative ones, then the others)
+        charts = map(SpcTracker, self.charts[:2] if gen else self.charts[2:])
+        grew, pruned = update_charts(*charts, snap.bias2, snap.variance, self.width,
+                                     cfg.enable_grow, cfg.enable_prune)
         if grew or pruned:
-            y = z = None  # the forward pass again, through the edited layer
-        loss, dw, db, dc = dae.generative_gradients(layer, x, x_tilde, y=y, z=z)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite generative loss {loss!r}")
-        dae.sgd_step_generative(layer, dw, db, dc, self.config.lr_generative)
-        return loss, grew, pruned
-
-    def _discriminative_row(self, x: np.ndarray, label: int) -> tuple[float, bool, bool]:
-        """The numpy step's discriminative update of one row: (loss, grew, pruned)."""
-        cfg, layer, head = self.config, self.layer, self.head
-        onehot = self._onehot[label]
-        a = x @ layer.w + layer.b
-        self.disc_stats.update(a)
-        snap = ns_snapshot_discriminative(head.theta, head.eta, self.disc_stats, onehot)
-        grew, pruned = self._evolve(snap)
-        if grew or pruned:
-            a = x @ layer.w + layer.b  # the forward pass again, through the edited layer
+            # a generative edit gets the pre-edit residual x - z, as in _compiled_rows
+            residual = x - dae.decode(layer, sigmoid(a)) if gen else None
+            self._edit(grew, pruned, snap.ey, residual)
+            a = inp @ layer.w + layer.b  # the forward pass again, through the edited layer
         h = sigmoid(a)
+        if gen:
+            loss, dw, db, dc = dae.generative_gradients(layer, x, inp, y=h, z=dae.decode(layer, h))
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite generative loss {loss!r}")
+            dae.sgd_step_generative(layer, dw, db, dc, cfg.lr_generative)
+            return loss, grew, pruned
         probs = softmax_row(h @ head.theta + head.eta)
         loss = -float(np.log(max(probs[label], 1e-300)))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite discriminative loss {loss!r}")
-
         # softmax cross-entropy residual, back through the head and the encoder
         dlogits = probs - onehot
         da = (head.theta @ dlogits) * h * (1.0 - h)

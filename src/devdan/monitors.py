@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MonitorOrderError, ShapeError, StructureError
 from .numerics import sigmoid, softmax_row
 from .state import CHART_FIELDS, Column
 
@@ -59,8 +58,6 @@ class NodeStats:
 
     def update(self, a: np.ndarray) -> None:
         """Fold one pre-activation vector (length = width) into the moments."""
-        if a.shape != self.mean.shape:
-            raise ShapeError(f"stats width {self.width} does not match input {a.shape}")
         self.count += 1
         delta = a - self.mean
         self.mean += delta / self.count
@@ -206,9 +203,6 @@ def update_charts(bias: SpcTracker, var: SpcTracker, bias2: float, variance: flo
 
 def weakest_node(hs) -> int:
     """Index of the least significant node; ties go to the lowest index."""
-    hs = np.asarray(hs, dtype=np.float64)
-    if hs.shape[0] < 2:
-        raise StructureError("need at least two nodes to pick the weakest")
     return int(np.argmin(hs))
 
 
@@ -225,20 +219,10 @@ class NsSnapshot(NamedTuple):
     variance: float
 
 
-def _require_updated(stats: NodeStats) -> None:
-    # every update raises all counts and a grown node is appended with count
-    # 0, so node 0 always holds the largest count
-    if stats.count[0] == 0:
-        raise MonitorOrderError(
-            "node statistics were never updated; update them before taking a snapshot"
-        )
-
-
 def _snapshot(stats: NodeStats, weight, bias, squash, target) -> NsSnapshot:
     """Expected hidden activations ey, expected outputs ez = squash(ey @
     weight + bias) and ez2 = squash((ey*ey) @ weight + bias), then the mean
     squared bias of ez against target and the mean variance ez2 - ez^2."""
-    _require_updated(stats)
     ey = stats.expected_activations()
     ez = squash(ey @ weight + bias)
     ez2 = squash((ey * ey) @ weight + bias)
@@ -252,8 +236,6 @@ def ns_snapshot_generative(layer, stats: NodeStats, x: np.ndarray) -> NsSnapshot
     ez2 = sigmoid((ey * ey) @ w.T + c)
     bias2 = mean_j (x_j - ez_j)^2, variance = mean_j (ez2_j - ez_j^2).
     """
-    if stats.width != layer.width:
-        raise ShapeError(f"stats width {stats.width} does not match layer {layer.width}")
     return _snapshot(stats, layer.w.T, layer.c, sigmoid, x)
 
 
@@ -261,6 +243,4 @@ def ns_snapshot_discriminative(
     theta: np.ndarray, eta: np.ndarray, stats: NodeStats, onehot: np.ndarray
 ) -> NsSnapshot:
     """Bias/variance of the class-probability output against a 0-1 target."""
-    if stats.width != theta.shape[0]:
-        raise ShapeError(f"stats width {stats.width} does not match head {theta.shape}")
     return _snapshot(stats, theta, eta, softmax_row, onehot)

@@ -2,13 +2,16 @@
 per criterion and the lines are echoed in the terminal summary, so they are
 visible regardless of output capture. The header names the training step
 that runs; `each_backend` runs a test body once per step. Every test gets an
-empty CSV parse cache of its own, never the user's."""
+empty CSV parse cache of its own, never the user's, and ends with the
+`kernel.library` it began with."""
 from unittest import mock
 
 import pytest
 
 from devdan import csv_cache as csv_cache_module
 from devdan import kernel, step_backend
+
+pytest_plugins = ["pytester"]  # the harness's own tests run a session inside one
 
 acceptance_lines = []
 
@@ -20,6 +23,17 @@ def csv_cache(monkeypatch, tmp_path_factory):
     folder = tmp_path_factory.mktemp("csv-cache")
     monkeypatch.setattr(csv_cache_module, "cache_dir", lambda: folder)
     return folder
+
+
+@pytest.fixture(autouse=True)
+def kernel_library():
+    """Puts back at teardown the kernel.library the test began with. A body
+    that raises inside each_backend's numpy pass leaves that generator
+    suspended, and with it the patch, while the failure's frames are kept
+    (as Hypothesis keeps them); every later test would take the numpy step."""
+    library = kernel.library
+    yield
+    kernel.library = library
 
 
 def pytest_report_header(config):

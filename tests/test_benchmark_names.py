@@ -2,9 +2,11 @@
 tracer wraps functions and methods listed in `benchmarks/spans.py`, and
 silently skips a name it does not find, and the stage table in
 `benchmarks/stages.py` calls module functions and model methods. Every such
-name exists in the package, but for one known list."""
+name exists in the package, but for one known list, and the stage table runs
+against the package as it is."""
 import ast
 import importlib.util
+import math
 from pathlib import Path
 
 from devdan import dae, model, monitors, streams
@@ -17,11 +19,17 @@ MODELS = ("m", "frozen")  # the names stages.py gives a DevdanModel
 EXPECTED_MISSING = {"dae.grow_node_generative", "dae.grow_node_xavier", "dae.prune_node"}
 
 
+def benchmark_module(name: str):
+    """benchmarks/<name>.py, imported as a module of that name."""
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def spans_names():
     """(shown name, owner, attribute) of every function and method spans.py wraps."""
-    spec = importlib.util.spec_from_file_location("spans", BENCHMARKS / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = benchmark_module("spans")
     for owner, attr, *_ in spans._FUNCTIONS:
         yield f"{owner.__name__.rpartition('.')[2]}.{attr}", owner, attr
     for cls, attr, *_ in spans._METHODS:
@@ -47,3 +55,14 @@ def test_every_name_the_benchmark_reaches_exists():
             "DevdanModel._prune", "monitors.should_grow", "model.DevdanModel"} <= shown
     assert len(shown) > 40
     assert {name for name, owner, attr in names if not hasattr(owner, attr)} == EXPECTED_MISSING
+
+
+def test_stage_table_runs():
+    """stages.run, scaled down to a width-3 model and a few rows, calls every
+    function of the table with its arguments: a changed signature or result
+    fails here, not only in a traced benchmark run."""
+    stages = benchmark_module("stages")
+    stages.WIDTH, stages.REPEATS, stages.ROWS_PER_REPEAT, stages.EDIT_REPEATS = 3, 1, 5, 1
+    table = stages.run(0, ((0, 4.0), (500, 7.0)))
+    assert len(table) == 11 and all(name.startswith("stage.") for name in table)
+    assert all(math.isfinite(us) and us > 0 for us in table.values()), table

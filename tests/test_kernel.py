@@ -450,3 +450,28 @@ def test_builds_are_evicted_and_a_load_refreshes_its_build(compiled_step, tmp_pa
     os.utime(target, (1, 1))
     kernel._load()
     assert target.stat().st_mtime > kernel.ENTRIES + 3
+
+
+def test_failure_in_the_numpy_pass_does_not_leak_its_patch(pytester):
+    """A test that fails inside each_backend's numpy pass, its generator
+    kept alive, leaves the next test the kernel.library it began with."""
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyfile('''
+        from conftest import each_backend
+        from devdan import kernel
+
+        REAL, KEPT = kernel.library, []
+
+        def test_fails_in_the_numpy_pass():
+            backends = each_backend()
+            KEPT.append(backends)
+            for backend in backends:
+                assert kernel.library() is None
+                raise AssertionError(backend)
+
+        def test_runs_after_it():
+            assert KEPT and kernel.library is REAL
+    ''')
+    # no terminal: the inner failure is not printed as one of this run's
+    pytester.inline_run("-p", "no:cacheprovider", "-p", "no:terminal").assertoutcome(
+        passed=1, failed=1)
